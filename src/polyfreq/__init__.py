@@ -72,6 +72,7 @@ from .models import (
     model_from_spec,
     model_to_spec,
     simulate,
+    simulate_batch,
     tar_marginal_oracle,
     tar_oracle_grid,
 )

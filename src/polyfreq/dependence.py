@@ -26,12 +26,10 @@ from .models import (
     ArmaModel,
     LinearProcess,
     Model,
-    NlarModel,
-    TarModel,
     default_burn_in,
     make_rng,
+    markov_steps,
     require_valid,
-    tar_transition,
 )
 
 __all__ = [
@@ -88,7 +86,7 @@ def _coupled_batch(model: Model, lag: int, seeds: Sequence[int],
     require_valid(model)
     if lag < 0:
         raise ValueError(f"lag must be nonnegative, got {lag}")
-    floor = default_burn_in(model) if not isinstance(model, LinearProcess) else 0
+    floor = default_burn_in(model)
     if burn_in is None:
         burn_in = max(floor, 1)
     elif burn_in < floor:
@@ -118,7 +116,7 @@ def _coupled_batch(model: Model, lag: int, seeds: Sequence[int],
         return model.mean + win_a @ coeffs, model.mean + win_b @ coeffs
 
     # columns: [initial | burn-in eps (burn_in - 1) | eps_0 | eps_0' | eps_1..eps_lag]
-    e0, e0p = draws[:, burn_in].copy(), draws[:, burn_in + 1].copy()
+    e0, e0p = draws[:, burn_in], draws[:, burn_in + 1]
     if swap:
         e0, e0p = e0p, e0
     shared = draws[:, burn_in + 2 :]
@@ -142,20 +140,11 @@ def _coupled_batch(model: Model, lag: int, seeds: Sequence[int],
         )
         return ya + mean, yb + mean
 
-    r = tar_transition(model) if isinstance(model, TarModel) else model.transition
-    state = draws[:, 0]
-    for t in range(1, burn_in):
-        state = np.asarray(r(state), dtype=float) + draws[:, t]
-    path_a = np.empty((reps, lag + 1))
-    path_b = np.empty((reps, lag + 1))
-    drift = np.asarray(r(state), dtype=float)
-    path_a[:, 0] = drift + e0
-    path_b[:, 0] = drift + e0p
-    for j in range(1, lag + 1):
-        e = shared[:, j - 1]
-        path_a[:, j] = np.asarray(r(path_a[:, j - 1]), dtype=float) + e
-        path_b[:, j] = np.asarray(r(path_b[:, j - 1]), dtype=float) + e
-    return path_a, path_b
+    r = model.transition
+    markov_steps(r, draws.T, burn_in)  # column burn_in - 1 now holds the time -1 state
+    path_a = np.column_stack([draws[:, burn_in - 1], e0, shared])
+    path_b = np.column_stack([draws[:, burn_in - 1], e0p, shared])
+    return markov_steps(r, path_a.T).T[:, 1:], markov_steps(r, path_b.T).T[:, 1:]
 
 
 def coupled_paths(model: Model, lag: int, seeds: Sequence[int],
@@ -192,11 +181,7 @@ def _delta_from_diffs(lag: int, diffs: np.ndarray) -> DeltaEstimate:
 def estimate_delta(model: Model, lag: int, replications: int, seed: int = 0,
                    burn_in: int | None = None) -> DeltaEstimate:
     """Dependence coefficient at one lag from independent coupled replications."""
-    if replications < 100:
-        raise ValueError(f"need at least 100 replications, got {replications}")
-    seeds = [seed + i for i in range(replications)]
-    a, b = _coupled_batch(model, lag, seeds, burn_in, swap=False)
-    return _delta_from_diffs(lag, a[:, lag] - b[:, lag])
+    return estimate_delta_profile(model, lag, replications, seed, burn_in)[lag]
 
 
 def estimate_delta_profile(model: Model, max_lag: int, replications: int, seed: int = 0,

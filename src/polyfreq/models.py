@@ -15,7 +15,6 @@ Randomness contract: every simulation consumes a fresh counter-based
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -39,6 +38,8 @@ __all__ = [
     "contraction_proxy",
     "default_burn_in",
     "simulate",
+    "simulate_batch",
+    "markov_steps",
     "arma_recursion_path",
     "linear_convolution_path",
     "tar_transition",
@@ -254,6 +255,10 @@ class TarModel:
     def contraction(self) -> float:
         return max(abs(self.a), abs(self.b))
 
+    @property
+    def transition(self) -> Callable:
+        return tar_transition(self)
+
 
 Model = ArmaModel | LinearProcess | NlarModel | TarModel
 
@@ -266,12 +271,6 @@ def tar_transition(model: TarModel) -> Callable:
         return model.a * np.maximum(x, 0.0) + model.b * np.minimum(x, 0.0)
 
     return r
-
-
-def _transition(model) -> Callable:
-    if isinstance(model, TarModel):
-        return tar_transition(model)
-    return model.transition
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +490,31 @@ def linear_convolution_path(model: LinearProcess, innovations) -> np.ndarray:
     return model.mean + np.convolve(eps, model.coeffs, mode="valid")
 
 
-def _markov_path(transition: Callable, initial: float, innovations: np.ndarray) -> np.ndarray:
-    path = np.empty(innovations.size + 1)
-    path[0] = initial
-    x = initial
-    for t, e in enumerate(innovations, start=1):
-        x = float(transition(x)) + e
-        path[t] = x
-    return path
+def markov_steps(transition: Callable, buf: np.ndarray, stop: int | None = None) -> np.ndarray:
+    """Run ``x = transition(x) + buf[t]; buf[t] = x`` in place for ``t`` in ``1..stop-1``.
+
+    ``x`` starts at ``buf[0]`` and ``stop`` defaults to ``len(buf)``.  A 1-d
+    buffer is one path; a 2-d ``(T, reps)`` buffer, such as the view
+    ``draws.T`` of one row of draws per seed, steps every path in lockstep.
+    """
+    x = buf[0]
+    for t in range(1, len(buf) if stop is None else stop):
+        x = transition(x) + buf[t]
+        buf[t] = x
+    return buf
+
+
+def _resolve_burn_in(model: Model, n: int, burn_in: int | None) -> int:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    require_valid(model)
+    floor = default_burn_in(model)
+    if burn_in is not None and burn_in < floor:
+        raise ValueError(
+            f"burn_in {burn_in} is below the model's default {floor}; "
+            "shallower burn-in would leave visible initialization bias"
+        )
+    return floor if burn_in is None else burn_in
 
 
 def simulate(model: Model, n: int, burn_in: int | None = None, seed: int = 0) -> np.ndarray:
@@ -510,17 +526,7 @@ def simulate(model: Model, n: int, burn_in: int | None = None, seed: int = 0) ->
     be set below it.  The finite moving average is constructed exactly from
     an ``n + order`` innovation buffer and ignores burn-in.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    require_valid(model)
-    floor = default_burn_in(model)
-    if burn_in is None:
-        burn_in = floor
-    elif burn_in < floor:
-        raise ValueError(
-            f"burn_in {burn_in} is below the model's default {floor}; "
-            "shallower burn-in would leave visible initialization bias"
-        )
+    burn_in = _resolve_burn_in(model, n, burn_in)
     rng = make_rng(seed)
 
     if isinstance(model, LinearProcess):
@@ -531,8 +537,24 @@ def simulate(model: Model, n: int, burn_in: int | None = None, seed: int = 0) ->
     if isinstance(model, ArmaModel):
         path = arma_recursion_path(model, float(draws[0]), draws[1:])
     else:
-        path = _markov_path(_transition(model), float(draws[0]), draws[1:])
+        path = markov_steps(model.transition, draws)
     return path[burn_in:]
+
+
+def simulate_batch(model: Model, n: int, seeds: Sequence[int],
+                   burn_in: int | None = None) -> np.ndarray:
+    """Row ``i`` is ``simulate(model, n, burn_in, seed=seeds[i])``, bit for bit.
+
+    Markov families draw each row from its own stream, then step all rows
+    in lockstep; ARMA and linear rows are simulated one at a time.
+    """
+    burn_in = _resolve_burn_in(model, n, burn_in)
+    if not isinstance(model, (NlarModel, TarModel)):
+        return np.array([simulate(model, n, burn_in, s) for s in seeds]).reshape(len(seeds), n)
+    draws = np.empty((len(seeds), burn_in + n))
+    for i, s in enumerate(seeds):
+        draws[i] = model.noise.sample(make_rng(s), burn_in + n)
+    return markov_steps(model.transition, draws.T).T[:, burn_in:]
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +755,3 @@ def model_to_spec(model: Model) -> dict:
         }
     raise ValueError("nonlinear autoregressions with arbitrary transitions do not serialize")
 
-
-def load_model_spec(text: str) -> Model:
-    """Parse a JSON model spec string."""
-    return model_from_spec(json.loads(text))

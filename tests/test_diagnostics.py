@@ -30,7 +30,14 @@ from polyfreq.estimators import (
     histogram_eval,
     stone_bandwidth,
 )
-from polyfreq.models import ArmaModel, ModelValidityError, NlarModel, marginal_truth, simulate
+from polyfreq.models import (
+    ArmaModel,
+    ModelValidityError,
+    NlarModel,
+    TarModel,
+    marginal_truth,
+    simulate,
+)
 
 AR1 = ArmaModel(ar=(0.5,))
 
@@ -191,6 +198,20 @@ class TestSupError:
         h = build_histogram([0.25, 0.75], BinningScheme(1.0))
         assert fp_max_slope(h) == pytest.approx(1.0)  # density 1 to empty neighbour
 
+        # many bins, gaps included, steepest drop on either side: equals the
+        # per-bin definition exactly
+        rng = np.random.default_rng(8)
+        x = rng.exponential(size=2000)
+        for sample in (rng.standard_t(3, size=2000), x, -x):
+            h = build_histogram(sample, BinningScheme(0.2))
+            b, denom = 0.2, h.n * 0.2
+            best = 0.0
+            for z, c in h.counts.items():
+                d = c / denom
+                best = max(best, abs(d - h.count(z - 1) / denom) / b,
+                           abs(d - h.count(z + 1) / denom) / b)
+            assert fp_max_slope(h) == best
+
 
 class TestRateFit:
     def test_degenerate_zero_errors_rejected(self):
@@ -223,12 +244,18 @@ class TestRateExperiment:
         assert report.median_errors[0] / report.median_errors[-1] > 2.0
 
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
-    def test_scheduling_independence(self):
-        serial = rate_experiment(AR1, self.N_GRID, 4, seed=271, max_workers=1)
-        threaded = rate_experiment(AR1, self.N_GRID, 4, seed=271, max_workers=4)
+    @pytest.mark.parametrize("model", [AR1, TarModel(0.6, -0.3)], ids=["AR1", "TAR"])
+    def test_scheduling_independence(self, model):
+        serial = rate_experiment(model, self.N_GRID, 4, seed=271, max_workers=1)
+        threaded = rate_experiment(model, self.N_GRID, 4, seed=271, max_workers=2)
+        assert len(serial.records) == len(threaded.records) == 4 * len(self.N_GRID)
         for a, b in zip(serial.records, threaded.records):
-            assert (a.n, a.replication, a.sup_error) == (b.n, b.replication, b.sup_error)
+            assert (a.n, a.replication, a.sup_error, a.grid_error_bound) == (
+                b.n, b.replication, b.sup_error, b.grid_error_bound)
+        assert [(r.n, r.replication) for r in serial.records] == [
+            (n, rep) for n in self.N_GRID for rep in range(4)]
         assert serial.fitted_slope == threaded.fitted_slope
+        assert serial.slope_ci == threaded.slope_ci
 
     def test_single_rep_warns_without_ci(self):
         with pytest.warns(UserWarning, match="thin"):

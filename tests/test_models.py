@@ -28,6 +28,7 @@ from polyfreq.models import (
     nlar_soft_check,
     require_valid,
     simulate,
+    simulate_batch,
     tar_marginal_oracle,
     tar_oracle_grid,
     tar_transition,
@@ -209,6 +210,42 @@ class TestSimulate:
         lin_path = linear_convolution_path(lp, eps)
         # linear output t uses eps[t .. t+order]; recursion time t+1+order
         assert_allclose(ar_path[1 + order :], lin_path, atol=1e-8, rtol=0)
+
+    def test_tar_path_follows_the_recursion_exactly(self):
+        model = TarModel(0.6, -0.3)
+        burn = default_burn_in(model)
+        draws = make_rng(7).standard_normal(burn + 300)
+        x, path = draws[0], [draws[0]]
+        for e in draws[1:]:  # reference loop in Python floats
+            x = 0.6 * max(x, 0.0) + -0.3 * min(x, 0.0) + e
+            path.append(x)
+        assert_array_equal(simulate(model, 300, seed=7), path[burn:])
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            TarModel(0.6, -0.3),
+            NlarModel(transition=lambda x: 0.5 * np.tanh(x), lipschitz_bound=0.5),
+            AR1,
+            LinearProcess(coeffs=(1.0, 0.5, 0.25), mean=1.0),
+        ],
+        ids=["TAR", "NLAR", "AR1", "MA"],
+    )
+    @pytest.mark.parametrize("burn_in", [None, 1500])
+    def test_batch_rows_equal_single_paths(self, model, burn_in):
+        seeds = [41, 3, 17, 8]  # out of order: rows follow the given seeds
+        batch = simulate_batch(model, 700, seeds, burn_in=burn_in)
+        assert batch.shape == (4, 700)
+        for row, s in zip(batch, seeds):
+            assert_array_equal(row, simulate(model, 700, burn_in=burn_in, seed=s))
+
+    def test_batch_validates_like_simulate(self):
+        with pytest.raises(ValueError, match="burn_in"):
+            simulate_batch(TarModel(0.6, -0.3), 100, [1, 2], burn_in=10)
+        with pytest.raises(ValueError, match="positive integer"):
+            simulate_batch(TarModel(0.6, -0.3), 0, [1, 2])
+        with pytest.raises(ModelValidityError):
+            simulate_batch(TarModel(1.0, 0.3), 100, [1, 2])
 
     def test_default_burn_in_scales_with_memory(self):
         assert default_burn_in(AR1) == 1000
