@@ -13,68 +13,10 @@ harness that measures the sup-error decay empirically.
 
 __version__ = "0.1.0"
 
-from .dependence import (
-    CoupledPair,
-    DeltaEstimate,
-    SummabilityReport,
-    check_summability,
-    coupled_paths,
-    estimate_delta,
-    estimate_delta_profile,
-    simulate_coupled,
-)
-from .diagnostics import (
-    DegenerateFitError,
-    ModulusRecord,
-    RateReport,
-    SupErrorRecord,
-    empirical_process,
-    error_decomposition,
-    fit_loglog_slope,
-    make_eval_grid,
-    modulus_envelope,
-    modulus_exact,
-    rate_experiment,
-    sup_error,
-)
-from .estimators import (
-    BinningScheme,
-    EmpiricalCdf,
-    FrequencyPolygonDensity,
-    HistogramDensity,
-    KdeBaselineDensity,
-    SparseHistogram,
-    bin_origin,
-    build_histogram,
-    cdf_bin_density,
-    fp_eval,
-    fp_eval_classic,
-    histogram_eval,
-    interp_weight,
-    kde_eval_naive,
-    stone_bandwidth,
-)
-from .models import (
-    ArmaModel,
-    LinearProcess,
-    MarginalTruth,
-    ModelValidityError,
-    NlarModel,
-    NoiseSpec,
-    StationarityCheck,
-    TarModel,
-    arma_check_stationary,
-    arma_marginal,
-    arma_to_ma_coeffs,
-    contraction_proxy,
-    default_burn_in,
-    marginal_truth,
-    model_from_spec,
-    model_to_spec,
-    simulate,
-    simulate_batch,
-    tar_marginal_oracle,
-    tar_oracle_grid,
-)
+from . import dependence, diagnostics, estimators, models
+from .dependence import *  # noqa: F403
+from .diagnostics import *  # noqa: F403
+from .estimators import *  # noqa: F403
+from .models import *  # noqa: F403
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = dependence.__all__ + diagnostics.__all__ + estimators.__all__ + models.__all__

@@ -13,6 +13,7 @@ validity error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -27,18 +28,19 @@ from .dependence import check_summability, deltas_to_csv, estimate_delta_profile
 from .diagnostics import make_eval_grid, rate_experiment
 from .estimators import (
     BinningScheme,
-    SparseHistogram,
-    accumulate_counts,
     build_histogram,
     fp_eval,
     histogram_eval,
     kde_eval_naive,
+    merge_histograms,
     stone_bandwidth,
 )
 from .models import (
     ArmaModel,
+    LinearProcess,
     ModelValidityError,
     contraction_proxy,
+    default_burn_in,
     model_from_spec,
     model_to_spec,
     simulate,
@@ -50,6 +52,7 @@ EXIT_DATA = 2
 EXIT_MODEL = 3
 
 _CHUNK_LINES = 65536
+_MAX_BAD_ROWS = 10
 
 
 class UsageError(Exception):
@@ -102,72 +105,69 @@ def _load_model(path: str):
 # ---------------------------------------------------------------------------
 
 
-def _scan_input(path: str) -> tuple[int, float, float]:
-    """First pass: count numeric rows, track the data range, reject junk."""
-    n = 0
-    lo, hi = math.inf, -math.inf
+def _read_column(path: str):
+    """Yield the numeric rows of a one-column text file as float64 chunks.
+
+    A line is a row exactly when ``float(line.strip())`` parses it to a
+    finite value.  Blank lines, ``#`` lines and a non-numeric line 1 (a
+    header) are skipped; any other line is bad, and the first
+    ``_MAX_BAD_ROWS`` bad lines are reported by line number once the scan
+    stops.  Each chunk covers ``_CHUNK_LINES`` lines, so memory stays
+    proportional to one chunk.
+    """
     bad: list[str] = []
+    last = 0  # line number of the previous chunk's last line
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
+        while len(bad) < _MAX_BAD_ROWS and (lines := list(itertools.islice(f, _CHUNK_LINES))):
+            first, last = last + 1, last + len(lines)
+            rows = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
             try:
-                v = float(text)
+                chunk = np.array(rows, dtype=float)  # float() on every row
             except ValueError:
-                if lineno == 1:
-                    continue  # optional header row
-                bad.append(str(lineno))
-                if len(bad) >= 10:
-                    break
-                continue
-            if not np.isfinite(v):
-                bad.append(str(lineno))
-                if len(bad) >= 10:
-                    break
-                continue
-            n += 1
-            lo = v if v < lo else lo
-            hi = v if v > hi else hi
+                chunk = None
+            if chunk is None or not np.isfinite(chunk).all():
+                chunk = _check_rows(lines, first, bad)
+            if chunk.size and not bad:
+                yield chunk
     if bad:
         raise DataError(f"unparseable or non-finite rows at lines {', '.join(bad)}")
-    if n < 2:
-        raise DataError(f"need at least 2 numeric rows, found {n}")
-    return n, lo, hi
 
 
-def _build_streaming(path: str, scheme: BinningScheme) -> SparseHistogram:
-    """Second pass: bin the file in chunks; memory scales with occupied bins."""
-    counts: dict[int, int] = {}
-    total = 0
-    chunk: list[float] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                v = float(text)
-            except ValueError:
-                if lineno == 1:
-                    continue
-                raise DataError(f"unparseable row at line {lineno}")
-            chunk.append(v)
-            if len(chunk) >= _CHUNK_LINES:
-                total += accumulate_counts(counts, chunk, scheme)
-                chunk.clear()
-    if chunk:
-        total += accumulate_counts(counts, chunk, scheme)
-    return SparseHistogram(scheme, counts, total)
+def _check_rows(lines: list[str], first: int, bad: list[str]) -> np.ndarray:
+    """Row-by-row form of the chunk parse: the finite rows; bad line numbers go to ``bad``."""
+    values = []
+    for lineno, raw in enumerate(lines, first):
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            v = float(text)
+        except ValueError:
+            if lineno == 1:
+                continue  # optional header row
+            v = math.nan
+        if math.isfinite(v):
+            values.append(v)
+        elif len(bad) < _MAX_BAD_ROWS:
+            bad.append(str(lineno))
+    return np.array(values)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    n, lo, hi = _scan_input(args.input)
+    n, lo, hi = 0, math.inf, -math.inf
+    for chunk in _read_column(args.input):
+        n += chunk.size
+        lo, hi = min(lo, float(chunk.min())), max(hi, float(chunk.max()))
+    if n < 2:
+        raise DataError(f"need at least 2 numeric rows, found {n}")
     bandwidth = args.bandwidth if args.bandwidth is not None else stone_bandwidth(n)
     if bandwidth <= 0:
         raise UsageError(f"--bandwidth must be positive, got {bandwidth}")
     scheme = BinningScheme(bandwidth)
-    h = _build_streaming(args.input, scheme)
+    h = None
+    for chunk in _read_column(args.input):
+        part = build_histogram(chunk, scheme)
+        h = part if h is None else merge_histograms([h, part])
 
     gmin = args.grid_min if args.grid_min is not None else lo - 4.0 * bandwidth
     gmax = args.grid_max if args.grid_max is not None else hi + 4.0 * bandwidth
@@ -217,11 +217,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be positive, got {args.n}")
     sample = simulate(model, args.n, burn_in=args.burn_in, seed=args.seed)
+    if isinstance(model, LinearProcess):
+        burn_in = 0  # the finite moving average is built exactly
+    else:
+        burn_in = default_burn_in(model) if args.burn_in is None else args.burn_in
     config = {
         "command": "simulate",
         "model": model_to_spec(model),
         "n": args.n,
-        "burn_in": args.burn_in,
+        "burn_in": burn_in,
         "seed": args.seed,
     }
     lines = _header_lines(config)
@@ -418,12 +422,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("POLYFREQ_SEED", "0")
+def _seed(text: str) -> int:
+    """Argparse type for ``--seed`` and its ``POLYFREQ_SEED`` default."""
     try:
-        return int(raw)
+        seed = int(text)
     except ValueError:
-        return 0
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a nonnegative integer (--seed or POLYFREQ_SEED), got {text!r}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,12 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, model=False):
-        p.add_argument("--seed", type=int, default=_default_seed(),
+        p.add_argument("--seed", type=_seed, default=os.environ.get("POLYFREQ_SEED", "0"),
                        help="stream seed (default: POLYFREQ_SEED env var, else 0)")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap concurrent workers (default: machine parallelism)")
         if model:
             p.add_argument("--model", required=True, help="model spec JSON path")
 
@@ -469,6 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--reps", type=int, default=20)
+    p.add_argument("--threads", type=int, default=None,
+                   help="cap concurrent workers (default: machine parallelism)")
     add_common(p, model=True)
     p.set_defaults(func=cmd_rate)
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import signal
 
 from .models import (
     ArmaModel,
@@ -127,6 +126,8 @@ def _coupled_batch(model: Model, lag: int, seeds: Sequence[int],
             path_a = mean + np.concatenate([e0[:, None], shared], axis=1)
             path_b = mean + np.concatenate([e0p[:, None], shared], axis=1)
             return path_a, path_b
+        from scipy import signal
+
         b_poly = np.array([1.0, *model.ma])
         a_poly = np.array([1.0, *(-a for a in model.ar)])
         zi_unit = signal.lfiltic(b_poly, a_poly, [1.0])

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .estimators import (
     BinningScheme,
@@ -112,11 +111,10 @@ def sup_error(estimate: Callable, truth: Callable, eval_grid,
 def fp_max_slope(h: SparseHistogram) -> float:
     """Steepest segment slope of the frequency polygon built on ``h``."""
     b = h.scheme.bin_width
-    keys = np.fromiter(h.counts, dtype=np.int64)
     denom = h.n * b
-    dens = h.counts_at(keys) / denom
-    left = h.counts_at(keys - 1) / denom
-    right = h.counts_at(keys + 1) / denom
+    dens = h.values / denom
+    left = h.counts_at(h.keys - 1) / denom
+    right = h.counts_at(h.keys + 1) / denom
     steepest = np.maximum(np.abs(dens - left) / b, np.abs(dens - right) / b)
     return float(np.max(steepest, initial=0.0))
 
@@ -166,6 +164,8 @@ def _window_mass_peaks(truth_cdf: Callable, lo: float, hi: float, b: float,
     by bounded scalar minimization.  Smooth unimodal truths have exactly
     one.
     """
+    from scipy import optimize
+
     vs = np.linspace(lo, hi, coarse)
     psi = np.asarray(truth_cdf(vs + b), dtype=float) - np.asarray(truth_cdf(vs), dtype=float)
     interior = np.flatnonzero(

@@ -8,10 +8,10 @@ routes (:func:`fp_eval`, built from shift operators acting on the empirical
 CDF, and :func:`fp_eval_classic`, the textbook midpoint interpolation) in
 agreement everywhere, including exactly on bin edges and midpoints.
 
-Histograms are stored sparsely as a map from occupied bin index to count,
-so evaluation cost depends on the number of occupied bins and never on the
-sample size: each density query touches the two cells adjacent to the query
-point and nothing else.
+Histograms are stored sparsely as a sorted pair of int64 arrays (occupied
+bin indices and their counts), so evaluation cost depends on the number of
+occupied bins and never on the sample size: each density query touches the
+two cells adjacent to the query point and nothing else.
 """
 
 from __future__ import annotations
@@ -26,13 +26,8 @@ __all__ = [
     "BinningScheme",
     "SparseHistogram",
     "EmpiricalCdf",
-    "HistogramDensity",
-    "FrequencyPolygonDensity",
-    "KdeBaselineDensity",
-    "bin_origin",
     "build_histogram",
-    "accumulate_counts",
-    "merge_counts",
+    "merge_histograms",
     "histogram_eval",
     "cdf_bin_density",
     "interp_weight",
@@ -94,97 +89,120 @@ class BinningScheme:
         return float(out) if scalar else out
 
     def half_grid_index(self, x):
-        """Integer ``k`` with ``k*b - b/2 < x <= k*b + b/2``.
+        """Integer ``k`` with ``k*b - b/2 < x <= k*b + b/2``, exactly.
 
         This locates the midpoint-to-midpoint cell used by the frequency
-        polygon; the ceiling form (rather than an average of two floors)
-        stays correct on the cell's closed right endpoint.
+        polygon.  The cell edges are the odd multiples ``m*(b/2)``; they are
+        compared with ``x`` in exact arithmetic, because the rounded edges
+        of neighbouring cells need not coincide (for ``b = 1/3`` in floating
+        point, ``7*b + b/2`` rounds below ``2.5`` and ``8*b - b/2`` rounds
+        onto it), which would leave ``x = 2.5`` in neither cell.
         """
         arr, scalar = _as_finite_array(x)
         b = self.bin_width
-        half = 0.5 * b
-        k = np.ceil(arr / b - 0.5)
-        k = np.where(arr <= k * b - half, k - 1.0, k)
-        k = np.where(arr > k * b + half, k + 1.0, k)
+        flat = arr.reshape(-1)
+        t = flat / b - 0.5
+        k = np.ceil(t)
+        # ceil(t) is the exact index unless t lies within its rounding error
+        # of an integer n: x then sits next to the edge (2n+1)*(b/2) between
+        # cells n and n+1, and the side is settled in exact arithmetic
+        n = np.rint(t)
+        near = np.abs(t - n) <= 2.0**-51 * (np.abs(t) + 1.0)
+        if near.any():
+            n = n[near]
+            k[near] = n + _exceeds_product(flat[near], 2.0 * n + 1.0, 0.5 * b)
+        k = k.reshape(arr.shape)
         return float(k[()]) if scalar else k
 
 
-def bin_origin(x, scheme: BinningScheme):
-    """Greatest bin edge strictly lower than ``x`` (see ``BinningScheme``)."""
-    return scheme.bin_origin(x)
+_SPLITTER = 134217729.0  # 2**27 + 1, Dekker's splitting constant
+
+
+def _split(a):
+    """Split ``a`` into ``hi + lo`` with 26-bit halves, exactly."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _exceeds_product(x, m, h):
+    """Exact ``x > m*h`` for floats, without forming the product exactly.
+
+    Dekker's error-free product gives ``m*h = p + err`` with ``p`` the
+    rounded product.  Where ``x`` is within a factor of two of ``p`` the
+    difference ``x - p`` is exact (Sterbenz); elsewhere it is far larger
+    than ``|err|``, so its rounding cannot flip the comparison.
+    """
+    p = m * h
+    m_hi, m_lo = _split(m)
+    h_hi, h_lo = _split(h)
+    err = m_lo * h_lo - (((p - m_hi * h_hi) - m_lo * h_hi) - m_hi * h_lo)
+    return x - p > err
 
 
 class SparseHistogram:
-    """Immutable map from occupied bin index to count, plus the sample size.
+    """Immutable histogram: occupied bin indices, their counts, the sample size.
 
-    Only nonzero bins are stored, which makes the number of occupied bins
+    ``keys`` (strictly increasing bin indices) and ``values`` (their counts,
+    each at least 1, summing to ``n``) are read-only int64 arrays.  Only
+    nonzero bins are stored, which makes the number of occupied bins
     (``occupied``) the cost driver for evaluation and serialization rather
     than the data range or the sample size.
     """
 
-    __slots__ = ("scheme", "n", "_counts", "_keys", "_values")
+    __slots__ = ("scheme", "n", "keys", "values")
 
-    def __init__(self, scheme: BinningScheme, counts: Mapping[int, int], n: int):
+    def __init__(self, scheme: BinningScheme, keys, values, n: int):
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
-        items = sorted((int(z), int(c)) for z, c in counts.items())
-        total = 0
-        for z, c in items:
-            if c < 1:
-                raise ValueError(f"bin {z} has count {c}; empty bins must be absent")
-            total += c
-        if total > n:
-            raise ValueError(f"counts sum to {total} > n = {n}")
+        keys = np.array(keys, dtype=np.int64)
+        values = np.array(values, dtype=np.int64)
+        if keys.ndim != 1 or keys.shape != values.shape:
+            raise ValueError("keys and values must be 1-d arrays of equal length")
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("bin keys must be strictly increasing")
+        empty = np.flatnonzero(values < 1)
+        if empty.size:
+            z, c = keys[empty[0]], values[empty[0]]
+            raise ValueError(f"bin {z} has count {c}; empty bins must be absent")
+        total = int(values.sum())
+        if total != n:
+            raise ValueError(f"counts sum to {total}, not n = {n}")
+        keys.flags.writeable = values.flags.writeable = False
         self.scheme = scheme
         self.n = int(n)
-        self._counts = dict(items)
-        self._keys = np.fromiter((z for z, _ in items), dtype=np.int64, count=len(items))
-        self._values = np.fromiter((c for _, c in items), dtype=np.int64, count=len(items))
-
-    @property
-    def counts(self) -> dict[int, int]:
-        """Copy of the occupied-bin count map."""
-        return dict(self._counts)
+        self.keys = keys
+        self.values = values
 
     @property
     def occupied(self) -> int:
         """Number of nonzero bins."""
-        return len(self._counts)
-
-    @property
-    def total_count(self) -> int:
-        return int(self._values.sum()) if len(self._values) else 0
-
-    def count(self, z: int) -> int:
-        return self._counts.get(int(z), 0)
+        return len(self.keys)
 
     def counts_at(self, z) -> np.ndarray:
         """Counts for an array of bin indices (0 for absent bins)."""
         z = np.asarray(z, dtype=np.int64)
-        pos = np.searchsorted(self._keys, z)
-        pos_c = np.minimum(pos, len(self._keys) - 1)
-        hit = (pos < len(self._keys)) & (self._keys[pos_c] == z)
-        return np.where(hit, self._values[pos_c], 0)
+        pos = np.searchsorted(self.keys, z)
+        pos_c = np.minimum(pos, len(self.keys) - 1)
+        hit = (pos < len(self.keys)) & (self.keys[pos_c] == z)
+        return np.where(hit, self.values[pos_c], 0)
 
     def occupied_range(self) -> tuple[int, int]:
         """Smallest and largest occupied bin index."""
-        if not len(self._keys):
-            raise ValueError("histogram has no occupied bins")
-        return int(self._keys[0]), int(self._keys[-1])
+        return int(self.keys[0]), int(self.keys[-1])
 
     def to_json_obj(self) -> dict:
         """JSON-ready form: ``{bin_width, n, bins: [[index, count], ...]}``."""
         return {
             "bin_width": self.scheme.bin_width,
             "n": self.n,
-            "bins": [[z, c] for z, c in self._counts.items()],
+            "bins": np.column_stack([self.keys, self.values]).tolist(),
         }
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "SparseHistogram":
-        scheme = BinningScheme(obj["bin_width"])
-        counts = {int(z): int(c) for z, c in obj["bins"]}
-        return cls(scheme, counts, int(obj["n"]))
+        bins = np.array(obj["bins"], dtype=np.int64).reshape(-1, 2)
+        return cls(BinningScheme(obj["bin_width"]), bins[:, 0], bins[:, 1], int(obj["n"]))
 
     def __repr__(self) -> str:
         return (
@@ -193,42 +211,37 @@ class SparseHistogram:
         )
 
 
-def accumulate_counts(counts: dict[int, int], sample, scheme: BinningScheme) -> int:
-    """Add one chunk of data to a count map in place; returns the chunk size.
+def build_histogram(sample, scheme: BinningScheme) -> SparseHistogram:
+    """Bin a sample in one pass; memory scales with the occupied-bin count.
 
-    Entries must be finite; offending positions (within the chunk) are
-    reported in the raised error.
+    Entries must be finite; offending positions are reported in the raised
+    error.
     """
     arr = np.asarray(sample, dtype=float).ravel()
+    if arr.size == 0:
+        raise ValueError("sample must be nonempty")
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
         shown = ", ".join(str(i) for i in bad[:10].tolist())
         more = "" if bad.size <= 10 else f" (+{bad.size - 10} more)"
         raise ValueError(f"non-finite sample entries at indices {shown}{more}")
-    z = scheme.bin_index(arr)
-    keys, reps = np.unique(z, return_counts=True)
-    for k, c in zip(keys.tolist(), reps.tolist()):
-        counts[k] = counts.get(k, 0) + c
-    return arr.size
+    keys, values = np.unique(scheme.bin_index(arr), return_counts=True)
+    return SparseHistogram(scheme, keys, values, arr.size)
 
 
-def merge_counts(parts: Iterable[Mapping[int, int]]) -> dict[int, int]:
-    """Merge count maps by addition (partition-and-merge parallel builds)."""
-    out: dict[int, int] = {}
-    for part in parts:
-        for z, c in part.items():
-            out[z] = out.get(z, 0) + int(c)
-    return out
-
-
-def build_histogram(sample, scheme: BinningScheme) -> SparseHistogram:
-    """Bin a sample in one pass; memory scales with the occupied-bin count."""
-    arr = np.asarray(sample, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("sample must be nonempty")
-    counts: dict[int, int] = {}
-    n = accumulate_counts(counts, arr, scheme)
-    return SparseHistogram(scheme, counts, n)
+def merge_histograms(parts: Iterable[SparseHistogram]) -> SparseHistogram:
+    """Sum histograms of one bin width (partition-and-merge builds)."""
+    parts = list(parts)
+    if not parts:
+        raise ValueError("need at least one histogram to merge")
+    widths = sorted({h.scheme.bin_width for h in parts})
+    if len(widths) > 1:
+        raise ValueError(f"cannot merge histograms of different bin widths {widths}")
+    keys = np.concatenate([h.keys for h in parts])
+    order = np.argsort(keys, kind="stable")
+    keys, starts = np.unique(keys[order], return_index=True)
+    values = np.add.reduceat(np.concatenate([h.values for h in parts])[order], starts)
+    return SparseHistogram(parts[0].scheme, keys, values, sum(h.n for h in parts))
 
 
 def histogram_eval(h: SparseHistogram, x):
@@ -255,6 +268,12 @@ def cdf_bin_density(F: Callable, scheme: BinningScheme, x):
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
+def _midpoint_cell(scheme: BinningScheme, x):
+    """Midpoint cell ``k`` of finite ``x`` and the weight ``u`` toward ``k*b + b/2``."""
+    k = scheme.half_grid_index(x)
+    return k, np.clip(0.5 - k + x / scheme.bin_width, 0.0, 1.0)
+
+
 def interp_weight(x, scheme: BinningScheme):
     """Linear interpolation weight toward the midpoint above ``x``.
 
@@ -266,8 +285,7 @@ def interp_weight(x, scheme: BinningScheme):
     density.
     """
     arr, scalar = _as_finite_array(x)
-    k = scheme.half_grid_index(arr)
-    u = np.clip(0.5 - k + arr / scheme.bin_width, 0.0, 1.0)
+    _, u = _midpoint_cell(scheme, arr)
     return float(u[()]) if scalar else u
 
 
@@ -285,11 +303,9 @@ def fp_eval(h: SparseHistogram, x):
     """
     arr, scalar = _as_finite_array(x)
     arr1 = np.atleast_1d(arr)
-    b = h.scheme.bin_width
-    k = h.scheme.half_grid_index(arr1)
-    u = np.clip(0.5 - k + arr1 / b, 0.0, 1.0)
+    k, u = _midpoint_cell(h.scheme, arr1)
     ki = k.astype(np.int64)
-    denom = h.n * b
+    denom = h.n * h.scheme.bin_width
     below = h.counts_at(ki - 1) / denom
     above = h.counts_at(ki) / denom
     out = (1.0 - u) * below + u * above
@@ -306,8 +322,7 @@ def fp_eval_classic(h: SparseHistogram, x):
     """
     arr, scalar = _as_finite_array(x)
     b = h.scheme.bin_width
-    k = h.scheme.half_grid_index(arr)
-    w_hi = np.clip(0.5 - k + arr / b, 0.0, 1.0)
+    k, w_hi = _midpoint_cell(h.scheme, arr)
     w_lo = np.clip(0.5 + k - arr / b, 0.0, 1.0)
     out = w_lo * histogram_eval(h, k * b) + w_hi * histogram_eval(h, (k + 1.0) * b)
     return float(out) if scalar else out
@@ -377,52 +392,3 @@ class EmpiricalCdf:
         out = np.searchsorted(self.sorted_sample, arr, side="left") / self.n
         return float(out[()]) if arr.ndim == 0 else out
 
-
-@dataclass(frozen=True)
-class HistogramDensity:
-    """Histogram estimate wrapped as a callable density."""
-
-    hist: SparseHistogram
-    kind = "histogram"
-
-    @property
-    def scheme(self) -> BinningScheme:
-        return self.hist.scheme
-
-    def __call__(self, x):
-        return histogram_eval(self.hist, x)
-
-
-@dataclass(frozen=True)
-class FrequencyPolygonDensity:
-    """Frequency polygon estimate wrapped as a callable density.
-
-    Continuous and piecewise linear, with knots exactly at bin midpoints.
-    """
-
-    hist: SparseHistogram
-    kind = "frequency_polygon"
-
-    @property
-    def scheme(self) -> BinningScheme:
-        return self.hist.scheme
-
-    def __call__(self, x):
-        return fp_eval(self.hist, x)
-
-
-class KdeBaselineDensity:
-    """Naive Gaussian KDE wrapped as a callable density (cost baseline)."""
-
-    __slots__ = ("sample", "bandwidth")
-    kind = "kde_baseline"
-
-    def __init__(self, sample, bandwidth: float):
-        arr = np.asarray(sample, dtype=float).ravel()
-        if arr.size == 0:
-            raise ValueError("sample must be nonempty")
-        self.sample = arr
-        self.bandwidth = float(bandwidth)
-
-    def __call__(self, x):
-        return kde_eval_naive(self.sample, self.bandwidth, x)

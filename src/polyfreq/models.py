@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import signal, stats
 
 __all__ = [
     "ModelValidityError",
@@ -140,6 +139,8 @@ class NoiseSpec:
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         if self.distribution == "gaussian":
+            from scipy import stats
+
             return stats.norm.cdf(x, scale=self.scale)
         if self.distribution == "uniform":
             return np.clip((x + self.scale) / (2.0 * self.scale), 0.0, 1.0)
@@ -470,6 +471,8 @@ def arma_recursion_path(model: ArmaModel, initial: float, innovations) -> np.nda
         path[0] = initial
         path[1:] = model.intercept + eps
         return path
+    from scipy import signal
+
     b_poly = np.array([1.0, *model.ma])
     a_poly = np.array([1.0, *(-a for a in model.ar)])
     zi = signal.lfiltic(b_poly, a_poly, [initial - mean])
@@ -629,6 +632,8 @@ _NORMAL_PDF_MAX_SLOPE = math.exp(-0.5) / math.sqrt(2.0 * math.pi)  # max |phi'|,
 
 
 def _gaussian_truth(mean: float, variance: float) -> MarginalTruth:
+    from scipy import stats
+
     sd = math.sqrt(variance)
     dist = stats.norm(loc=mean, scale=sd)
     return MarginalTruth(dist.pdf, dist.cdf, dist.ppf, _NORMAL_PDF_MAX_SLOPE / variance)

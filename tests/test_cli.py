@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from polyfreq.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
+from polyfreq.cli import (
+    EXIT_DATA,
+    EXIT_MODEL,
+    EXIT_OK,
+    EXIT_USAGE,
+    DataError,
+    _read_column,
+    main,
+)
 
 AR1_SPEC = {
     "schema": 1,
@@ -136,7 +144,62 @@ class TestEstimateCommand:
         from polyfreq.estimators import BinningScheme, build_histogram
 
         h = build_histogram(values, BinningScheme(0.25))
-        assert dict((z, c) for z, c in payload["histogram"]["bins"]) == h.counts
+        assert payload["histogram"]["bins"] == np.column_stack([h.keys, h.values]).tolist()
+        assert payload["config"]["n"] == values.size
+
+    @pytest.mark.parametrize(
+        "line,accepted",
+        [
+            (" 1.5 ", True),
+            ("1e308", True),
+            ("1_5", True),  # float() accepts digit separators
+            ("1.5 # c", False),
+            ("1,2", False),
+            ("1 2", False),
+            ("nan", False),
+            ("inf", False),
+            ("-1e309", False),
+        ],
+    )
+    def test_row_accepted_exactly_when_float_parses_it_finite(self, tmp_path, line, accepted):
+        data = tmp_path / "d.csv"
+        data.write_text(f"0.5\n0.75\n{line}\n1.25\n")
+        if accepted:
+            values = np.concatenate(list(_read_column(str(data))))
+            assert values.tolist() == [0.5, 0.75, float(line.strip()), 1.25]
+        else:
+            with pytest.raises(DataError, match=r"at lines 3$"):
+                list(_read_column(str(data)))
+
+    def test_bad_rows_past_the_first_chunk_keep_absolute_line_numbers(self, tmp_path, capsys):
+        lines = ["# header comment"] + ["0.5"] * 70_000
+        lines[65_536] = "junk"  # line 65537, first line of the second chunk
+        lines[69_999] = "inf"  # line 70000
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(lines) + "\n")
+        assert main(["estimate", "--input", str(data)]) == EXIT_DATA
+        assert "at lines 65537, 70000\n" in capsys.readouterr().err
+
+    def test_at_most_ten_bad_rows_reported(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("0.5\n" + "x\n" * 12 + "0.75\n")
+        assert main(["estimate", "--input", str(data)]) == EXIT_DATA
+        reported = capsys.readouterr().err.split("at lines ")[1].strip()
+        assert reported == ", ".join(str(k) for k in range(2, 12))
+
+    def test_header_comments_and_blank_lines_skipped(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("value\n\n# note\n  \n0.25\n0.75\n\n1.5\n")
+        out = tmp_path / "out.json"
+        assert main(["estimate", "--input", str(data), "--bandwidth", "1.0",
+                     "--format", "json", "--output", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["histogram"]["bins"] == [[0, 2], [1, 1]]
+
+    def test_header_only_on_line_one(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("0.25\nvalue\n0.75\n")
+        assert main(["estimate", "--input", str(data)]) == EXIT_DATA
+        assert "at lines 2\n" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -186,6 +249,39 @@ class TestSimulateCommand:
         b = tmp_path / "b.csv"
         main(["simulate", "--model", ar1_model, "--n", "50", "--seed", "31", "--output", str(b)])
         assert read_data_column(a).tolist() == read_data_column(b).tolist()
+
+    def test_bad_env_seed_is_usage_error(self, ar1_model, monkeypatch, capsys):
+        monkeypatch.setenv("POLYFREQ_SEED", "abc")
+        assert main(["simulate", "--model", ar1_model, "--n", "10"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "POLYFREQ_SEED" in err and "'abc'" in err
+
+    def test_negative_seed_is_usage_error(self, ar1_model, capsys):
+        assert main(["simulate", "--model", ar1_model, "--n", "10", "--seed", "-1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--seed" in err and "'-1'" in err
+
+    def test_flag_seed_overrides_bad_env_seed(self, tmp_path, ar1_model, monkeypatch):
+        monkeypatch.setenv("POLYFREQ_SEED", "abc")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--model", ar1_model, "--n", "10", "--seed", "3",
+                     "--output", str(out)]) == EXIT_OK
+
+    @pytest.mark.parametrize("extra,expected", [([], 1000), (["--burn-in", "1500"], 1500)])
+    def test_header_records_resolved_burn_in(self, tmp_path, ar1_model, extra, expected):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--model", ar1_model, "--n", "10", "--output", str(out),
+                     *extra]) == EXIT_OK
+        assert f"# burn_in={expected}\n" in out.read_text()
+
+    def test_moving_average_header_burn_in_is_zero(self, tmp_path):
+        spec = tmp_path / "ma.json"
+        spec.write_text(json.dumps({"schema": 1, "family": "linear", "mean": 0.0,
+                                    "coeffs": [1.0, 0.5],
+                                    "noise": {"distribution": "gaussian", "sigma": 1.0}}))
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--model", str(spec), "--n", "10", "--output", str(out)]) == 0
+        assert "# burn_in=0\n" in out.read_text()
 
 
 class TestDeltaCommand:
@@ -276,6 +372,22 @@ class TestParserContract:
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["simulate", "--frobnicate"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate"],
+        ["simulate", "--n", "10"],
+        ["delta", "--kmax", "1", "--reps", "10"],
+        ["bench", "--n", "10000", "--m", "100"],
+    ], ids=["estimate", "simulate", "delta", "bench"])
+    def test_threads_only_on_rate(self, tmp_path, ar1_model, argv, capsys):
+        if argv[0] == "estimate":
+            data = tmp_path / "d.csv"
+            data.write_text("0.25\n0.75\n")
+            argv = [*argv, "--input", str(data)]
+        elif argv[0] != "bench":
+            argv = [*argv, "--model", ar1_model]
+        assert main([*argv, "--threads", "2"]) == EXIT_USAGE
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_console_entry_point(self):
         proc = subprocess.run(

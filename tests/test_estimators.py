@@ -3,10 +3,11 @@
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
@@ -14,11 +15,7 @@ from scipy import stats
 from polyfreq.estimators import (
     BinningScheme,
     EmpiricalCdf,
-    FrequencyPolygonDensity,
-    HistogramDensity,
-    KdeBaselineDensity,
     SparseHistogram,
-    bin_origin,
     build_histogram,
     cdf_bin_density,
     fp_eval,
@@ -26,7 +23,7 @@ from polyfreq.estimators import (
     histogram_eval,
     interp_weight,
     kde_eval_naive,
-    merge_counts,
+    merge_histograms,
     stone_bandwidth,
 )
 
@@ -45,12 +42,12 @@ class TestBinning:
         ],
     )
     def test_bin_origin(self, x, width, expected):
-        assert bin_origin(x, BinningScheme(width)) == expected
+        assert BinningScheme(width).bin_origin(x) == expected
 
     def test_non_finite_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
-                bin_origin(bad, UNIT)
+                UNIT.bin_origin(bad)
 
     @pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_width(self, width):
@@ -80,19 +77,21 @@ class TestBinning:
 class TestBuildHistogram:
     def test_direct_count(self):
         h = build_histogram([0.25, 0.75, 1.5], UNIT)
-        assert h.counts == {0: 2, 1: 1}
+        assert h.keys.tolist() == [0, 1]
+        assert h.values.tolist() == [2, 1]
+        assert h.keys.dtype == h.values.dtype == np.int64
         assert h.n == 3
 
     def test_boundary_point(self):
         h = build_histogram([1.0], UNIT)
-        assert h.counts == {0: 1}
+        assert (h.keys.tolist(), h.values.tolist()) == ([0], [1])
 
     def test_large_normal_sample_stays_sparse(self):
         from polyfreq.models import ArmaModel, simulate
 
         x = simulate(ArmaModel(), 10**5, seed=20260810)
         h = build_histogram(x, BinningScheme(0.1))
-        assert h.total_count == 10**5
+        assert h.values.sum() == h.n == 10**5
         assert h.occupied == 84  # frozen: data range ~[-4.52, 4.14] at width 0.1
         assert h.occupied <= 120
 
@@ -106,32 +105,78 @@ class TestBuildHistogram:
 
     def test_counts_must_be_positive(self):
         with pytest.raises(ValueError, match="empty bins"):
-            SparseHistogram(UNIT, {0: 0}, 1)
+            SparseHistogram(UNIT, [0, 1], [1, 0], 1)
 
     def test_counts_cannot_exceed_n(self):
         with pytest.raises(ValueError, match="sum"):
-            SparseHistogram(UNIT, {0: 3}, 2)
+            SparseHistogram(UNIT, [0], [3], 2)
+
+    def test_counts_cannot_fall_short_of_n(self):
+        with pytest.raises(ValueError, match="sum"):
+            SparseHistogram(UNIT, [0, 1], [1, 1], 3)
+
+    @pytest.mark.parametrize("keys", [[1, 0], [0, 0], [0, 2, 1]],
+                             ids=["unsorted", "duplicate", "tail"])
+    def test_keys_must_strictly_increase(self, keys):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SparseHistogram(UNIT, keys, [1] * len(keys), len(keys))
+
+    def test_keys_and_values_must_pair_up(self):
+        with pytest.raises(ValueError, match="equal length"):
+            SparseHistogram(UNIT, [0, 1], [2], 2)
+
+    def test_arrays_are_read_only_copies(self):
+        keys, values = np.array([0, 3]), np.array([2, 1])
+        h = SparseHistogram(UNIT, keys, values, 3)
+        keys[0] = 5
+        assert h.keys.tolist() == [0, 3]
+        with pytest.raises(ValueError):
+            h.values[0] = 7
 
     def test_partitioned_build_matches_sequential(self, rng):
         x = rng.normal(0, 1, 5000)
         whole = build_histogram(x, BinningScheme(0.3))
-        parts = [build_histogram(c, BinningScheme(0.3)).counts for c in np.array_split(x, 7)]
-        merged = SparseHistogram(BinningScheme(0.3), merge_counts(parts), x.size)
-        assert merged.counts == whole.counts
+        merged = merge_histograms(build_histogram(c, BinningScheme(0.3))
+                                  for c in np.array_split(x, 7))
+        assert merged.n == whole.n == x.size
+        assert_array_equal(merged.keys, whole.keys)
+        assert_array_equal(merged.values, whole.values)
 
     def test_threaded_build_matches_sequential(self, rng):
         x = rng.normal(0, 1, 8000)
         chunks = np.array_split(x, 4)
         with ThreadPoolExecutor(max_workers=4) as pool:
-            parts = list(pool.map(lambda c: build_histogram(c, UNIT).counts, chunks))
-        merged = SparseHistogram(UNIT, merge_counts(parts), x.size)
-        assert merged.counts == build_histogram(x, UNIT).counts
+            parts = list(pool.map(lambda c: build_histogram(c, UNIT), chunks))
+        merged = merge_histograms(parts)
+        whole = build_histogram(x, UNIT)
+        assert merged.n == whole.n
+        assert_array_equal(merged.keys, whole.keys)
+        assert_array_equal(merged.values, whole.values)
+
+    def test_merge_sums_overlapping_and_disjoint_bins(self):
+        a = build_histogram([0.5, 0.5, 2.5], UNIT)
+        b = build_histogram([-1.5, 0.5, 5.5], UNIT)
+        merged = merge_histograms([a, b])
+        assert merged.keys.tolist() == [-2, 0, 2, 5]
+        assert merged.values.tolist() == [1, 3, 1, 1]
+        assert merged.n == 6
+        assert merge_histograms([a]).values.tolist() == a.values.tolist()
+
+    def test_merge_rejects_mixed_widths(self):
+        with pytest.raises(ValueError, match="bin widths"):
+            merge_histograms([build_histogram([0.5], UNIT),
+                              build_histogram([0.5], BinningScheme(0.5))])
+
+    def test_merge_needs_a_part(self):
+        with pytest.raises(ValueError, match="at least one"):
+            merge_histograms([])
 
     def test_json_round_trip(self, rng):
         h = build_histogram(rng.normal(0, 1, 500), BinningScheme(0.25))
         obj = json.loads(json.dumps(h.to_json_obj()))
         back = SparseHistogram.from_json_obj(obj)
-        assert back.counts == h.counts
+        assert_array_equal(back.keys, h.keys)
+        assert_array_equal(back.values, h.values)
         assert back.n == h.n
         assert back.scheme.bin_width == h.scheme.bin_width
         assert [z for z, _ in obj["bins"]] == sorted(z for z, _ in obj["bins"])
@@ -158,7 +203,7 @@ class TestHistogramEval:
     def test_density_integrates_to_count_fraction(self, rng):
         b = 0.37
         h = build_histogram(rng.normal(0, 1, 4000), BinningScheme(b))
-        total = sum(c * b / (h.n * b) for c in h.counts.values())
+        total = sum(c * b / (h.n * b) for c in h.values.tolist())
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -231,10 +276,26 @@ class TestInterpWeight:
         width=st.floats(1e-3, 1e3, allow_nan=False),
     )
     @settings(max_examples=300, deadline=None)
+    # rounded cell edges: 7*b + b/2 < 2.5 == 8*b - b/2, and 4*b + b/2 == 1.5
+    @example(x=2.5, width=1 / 3)
+    @example(x=1.5, width=1 / 3)
     def test_half_grid_cell_invariant(self, x, width):
         scheme = BinningScheme(width)
         k = scheme.half_grid_index(x)
+        assert k == int(k)
+        # exact arithmetic: rounded edges of neighbouring cells can leave a gap
+        k, width, x = Fraction(int(k)), Fraction(width), Fraction(x)
         assert k * width - width / 2 < x <= k * width + width / 2
+
+    def test_half_grid_index_exact_next_to_cell_edges(self, rng):
+        widths = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 300))
+        for width in widths:
+            scheme = BinningScheme(float(width))
+            edge = (int(rng.integers(-10**4, 10**4)) + 0.5) * width
+            xs = [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+            for x, k in zip(xs, scheme.half_grid_index(np.array(xs))):
+                k, w, x = Fraction(int(k)), Fraction(float(width)), Fraction(float(x))
+                assert k * w - w / 2 < x <= k * w + w / 2
 
 
 def _mixed_sample(rng, n, kind):
@@ -312,7 +373,7 @@ class TestFrequencyPolygon:
         h = build_histogram(rng.normal(0, 1, 1500), BinningScheme(b))
         lo, hi = h.occupied_range()
         eps = 1e-9 * b
-        max_density = max(h.counts.values()) / (h.n * b)
+        max_density = h.values.max() / (h.n * b)
         for z in range(lo - 2, hi + 3):
             m = (z + 0.5) * b
             gap = abs(fp_eval(h, m - eps) - fp_eval(h, m + eps))
@@ -407,16 +468,3 @@ class TestEmpiricalCdf:
         with pytest.raises(ValueError):
             EmpiricalCdf([1.0, math.nan])
 
-
-class TestDensityWrappers:
-    def test_kinds_and_values(self, rng):
-        x = rng.normal(0, 1, 400)
-        h = build_histogram(x, BinningScheme(0.3))
-        hd, fd = HistogramDensity(h), FrequencyPolygonDensity(h)
-        kd = KdeBaselineDensity(x, 0.3)
-        assert (hd.kind, fd.kind, kd.kind) == ("histogram", "frequency_polygon", "kde_baseline")
-        pts = rng.uniform(-3, 3, 50)
-        assert_array_equal(hd(pts), histogram_eval(h, pts))
-        assert_array_equal(fd(pts), fp_eval(h, pts))
-        assert_allclose(kd(pts), kde_eval_naive(x, 0.3, pts))
-        assert hd.scheme.bin_width == 0.3
