@@ -37,12 +37,11 @@ from .estimators import (
 )
 from .models import (
     ArmaModel,
-    LinearProcess,
     ModelValidityError,
     contraction_proxy,
-    default_burn_in,
     model_from_spec,
     model_to_spec,
+    resolve_burn_in,
     simulate,
 )
 
@@ -53,6 +52,8 @@ EXIT_MODEL = 3
 
 _CHUNK_LINES = 65536
 _MAX_BAD_ROWS = 10
+#: largest ``estimate`` grid, 80 MB per output column
+_MAX_GRID_POINTS = 10**7
 
 
 class UsageError(Exception):
@@ -164,6 +165,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if bandwidth <= 0:
         raise UsageError(f"--bandwidth must be positive, got {bandwidth}")
     scheme = BinningScheme(bandwidth)
+    try:
+        scheme.bin_index(np.array([lo, hi]))  # every row lies between the two
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     h = None
     for chunk in _read_column(args.input):
         part = build_histogram(chunk, scheme)
@@ -174,7 +179,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     gstep = args.grid_step if args.grid_step is not None else bandwidth / 10.0
     if not (gmax > gmin and gstep > 0):
         raise UsageError(f"invalid grid [{gmin}, {gmax}] step {gstep}")
-    count = int(np.floor((gmax - gmin) / gstep + 1e-9)) + 1
+    steps = np.floor((gmax - gmin) / gstep + 1e-9)
+    if not steps < _MAX_GRID_POINTS:
+        raise UsageError(f"grid [{gmin}, {gmax}] step {gstep} has {steps + 1:.6g} points, "
+                         f"above the limit of {_MAX_GRID_POINTS}")
+    count = int(steps) + 1
     grid = gmin + gstep * np.arange(count)
 
     config = {
@@ -217,15 +226,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be positive, got {args.n}")
     sample = simulate(model, args.n, burn_in=args.burn_in, seed=args.seed)
-    if isinstance(model, LinearProcess):
-        burn_in = 0  # the finite moving average is built exactly
-    else:
-        burn_in = default_burn_in(model) if args.burn_in is None else args.burn_in
     config = {
         "command": "simulate",
         "model": model_to_spec(model),
         "n": args.n,
-        "burn_in": burn_in,
+        "burn_in": resolve_burn_in(model, args.burn_in),
         "seed": args.seed,
     }
     lines = _header_lines(config)

@@ -21,15 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import (
-    ArmaModel,
-    LinearProcess,
-    Model,
-    default_burn_in,
-    make_rng,
-    markov_steps,
-    require_valid,
-)
+from .models import LinearProcess, Model, _draw_rows, advance, initial_state, resolve_burn_in
 
 __all__ = [
     "CoupledPair",
@@ -82,27 +74,14 @@ def _coupled_batch(model: Model, lag: int, seeds: Sequence[int],
     for times 1..lag.  The layout's dependence on ``lag`` sits entirely at
     the tail, so trajectories for smaller lags are prefixes of larger ones.
     """
-    require_valid(model)
+    burn_in = resolve_burn_in(model, burn_in)
     if lag < 0:
         raise ValueError(f"lag must be nonnegative, got {lag}")
-    floor = default_burn_in(model)
-    if burn_in is None:
-        burn_in = max(floor, 1)
-    elif burn_in < floor:
-        raise ValueError(f"burn_in {burn_in} is below the model's default {floor}")
-
-    reps = len(seeds)
-    if isinstance(model, LinearProcess):
-        k_ma = model.order
-        width = k_ma + lag + 2
-    else:
-        width = burn_in + lag + 2
-    draws = np.empty((reps, width))
-    for i, s in enumerate(seeds):
-        draws[i] = model.noise.sample(make_rng(s), width)
 
     if isinstance(model, LinearProcess):
         # columns: [eps_{-order}..eps_{-1} | eps_0 | eps_0' | eps_1..eps_lag]
+        k_ma = model.order
+        draws = _draw_rows(model, seeds, k_ma + lag + 2)
         base, alt = draws[:, k_ma], draws[:, k_ma + 1]
         if swap:
             base, alt = alt, base
@@ -115,37 +94,17 @@ def _coupled_batch(model: Model, lag: int, seeds: Sequence[int],
         return model.mean + win_a @ coeffs, model.mean + win_b @ coeffs
 
     # columns: [initial | burn-in eps (burn_in - 1) | eps_0 | eps_0' | eps_1..eps_lag]
+    draws = _draw_rows(model, seeds, burn_in + lag + 2)
     e0, e0p = draws[:, burn_in], draws[:, burn_in + 1]
     if swap:
         e0, e0p = e0p, e0
     shared = draws[:, burn_in + 2 :]
-
-    if isinstance(model, ArmaModel):
-        mean = model.intercept / (1.0 - sum(model.ar)) if model.p else model.intercept
-        if max(model.p, model.q) == 0:
-            path_a = mean + np.concatenate([e0[:, None], shared], axis=1)
-            path_b = mean + np.concatenate([e0p[:, None], shared], axis=1)
-            return path_a, path_b
-        from scipy import signal
-
-        b_poly = np.array([1.0, *model.ma])
-        a_poly = np.array([1.0, *(-a for a in model.ar)])
-        zi_unit = signal.lfiltic(b_poly, a_poly, [1.0])
-        zi = (draws[:, 0] - mean)[:, None] * zi_unit[None, :]
-        _, z_shared = signal.lfilter(b_poly, a_poly, draws[:, 1:burn_in], axis=1, zi=zi)
-        ya, _ = signal.lfilter(
-            b_poly, a_poly, np.concatenate([e0[:, None], shared], axis=1), axis=1, zi=z_shared
-        )
-        yb, _ = signal.lfilter(
-            b_poly, a_poly, np.concatenate([e0p[:, None], shared], axis=1), axis=1, zi=z_shared
-        )
-        return ya + mean, yb + mean
-
-    r = model.transition
-    markov_steps(r, draws.T, burn_in)  # column burn_in - 1 now holds the time -1 state
-    path_a = np.column_stack([draws[:, burn_in - 1], e0, shared])
-    path_b = np.column_stack([draws[:, burn_in - 1], e0p, shared])
-    return markov_steps(r, path_a.T).T[:, 1:], markov_steps(r, path_b.T).T[:, 1:]
+    # Markov families step the shared history in place on this view, so the
+    # reps x burn_in draws are never copied
+    _, state = advance(model, initial_state(model, draws[:, 0]), draws[:, 1:burn_in])
+    path_a, _ = advance(model, state, np.column_stack([e0, shared]))
+    path_b, _ = advance(model, state, np.column_stack([e0p, shared]))
+    return path_a, path_b
 
 
 def coupled_paths(model: Model, lag: int, seeds: Sequence[int],

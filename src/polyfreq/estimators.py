@@ -70,9 +70,28 @@ class BinningScheme:
             raise ValueError(f"bin_width must be positive and finite, got {w!r}")
         object.__setattr__(self, "bin_width", w)
 
-    def bin_index(self, x):
-        """Index ``z`` of the bin ``(z*b, (z+1)*b]`` containing ``x``."""
+    def _index_domain(self, x) -> tuple[np.ndarray, bool]:
+        """Finite ``x`` as an array, refused unless ``|x/b| < 2**52``.
+
+        Past ``2**52`` the floats of ``x/b`` are too coarse for the one-ulp
+        cell corrections (at ``2**53``, ``z + 1 == z``), and the int64 cast
+        of a bin index can overflow.
+        """
         arr, scalar = _as_finite_array(x)
+        exact = np.abs(arr) < 2.0**52 * self.bin_width  # exact product, or inf
+        if not exact.all():
+            raise ValueError(
+                f"|x / b| must be below 2**52 to index bins exactly; got x = "
+                f"{float(arr[~exact].flat[0])!r} with bin width {self.bin_width!r}"
+            )
+        return arr, scalar
+
+    def bin_index(self, x):
+        """Index ``z`` of the bin ``(z*b, (z+1)*b]`` containing ``x``.
+
+        Raises ``ValueError`` unless ``|x/b| < 2**52``.
+        """
+        arr, scalar = self._index_domain(x)
         b = self.bin_width
         z = np.ceil(arr / b) - 1.0
         # x/b can land within an ulp of an integer; re-check against the
@@ -96,9 +115,10 @@ class BinningScheme:
         compared with ``x`` in exact arithmetic, because the rounded edges
         of neighbouring cells need not coincide (for ``b = 1/3`` in floating
         point, ``7*b + b/2`` rounds below ``2.5`` and ``8*b - b/2`` rounds
-        onto it), which would leave ``x = 2.5`` in neither cell.
+        onto it), which would leave ``x = 2.5`` in neither cell.  Raises
+        ``ValueError`` unless ``|x/b| < 2**52``.
         """
-        arr, scalar = _as_finite_array(x)
+        arr, scalar = self._index_domain(x)
         b = self.bin_width
         flat = arr.reshape(-1)
         t = flat / b - 0.5

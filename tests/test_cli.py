@@ -110,6 +110,26 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert "lines 3" in err
 
+    def test_row_past_the_bin_index_range_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("1.0\n2.0\n1e308\n")
+        assert main(["estimate", "--input", str(data)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "1e+308" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--grid-min", "0", "--grid-max", "1e4", "--grid-step", "1e-9"],  # 10^13 points
+            ["--grid-min=-1.7e308", "--grid-max=1.7e308"],  # span overflows to inf
+        ],
+    )
+    def test_grid_above_the_point_cap_is_usage_error(self, tmp_path, capsys, grid):
+        data = tmp_path / "d.csv"
+        data.write_text("0.25\n0.75\n")
+        assert main(["estimate", "--input", str(data), "--bandwidth", "1.0", *grid]) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+
     def test_summary_on_stderr(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("\n".join(str(v) for v in np.linspace(0, 1, 50)) + "\n")

@@ -19,7 +19,11 @@ from polyfreq.models import (
     LinearProcess,
     ModelValidityError,
     NlarModel,
+    NoiseSpec,
     TarModel,
+    advance,
+    default_burn_in,
+    initial_state,
     make_rng,
 )
 
@@ -67,6 +71,42 @@ class TestCoupledConstruction:
         beta = [1.0, 0.7, 0.35, 0.175, 0.0875]
         for k, bk in enumerate(beta):
             assert pair.difference(k) == pytest.approx(bk * gap, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            AR1,
+            ArmaModel(ar=(0.5, -0.2), ma=(0.4,), intercept=1.5),
+            ArmaModel(intercept=0.3),
+            TarModel(0.6, -0.3),
+            TarModel(0.6, -0.3, noise=NoiseSpec.uniform(1.0)),
+            NlarModel(transition=lambda x: 0.5 * np.tanh(x), lipschitz_bound=0.5),
+        ],
+        ids=["AR1", "ARMA21", "white", "TAR", "TAR-uniform", "NLAR"],
+    )
+    def test_coupled_pair_is_one_advance_over_its_stream(self, model):
+        # stream: [x0 | burn - 1 shared | eps_0 | eps_0' | eps_1..eps_lag]; each
+        # path is the simulation recursion run with the other time-0 draw removed
+        lag, seed, burn = 7, 13, default_burn_in(model)
+        stream = model.noise.sample(make_rng(seed), burn + lag + 2)
+        pair = simulate_coupled(model, lag, seed)
+        for path, other in ((pair.path, burn + 1), (pair.coupled_path, burn)):
+            eps = np.delete(stream, other)[None, :]
+            values, _ = advance(model, initial_state(model, eps[:, 0]), eps[:, 1:])
+            assert_array_equal(path, values[0, burn - 1 :])
+
+    @pytest.mark.parametrize("order", [0, 19])
+    def test_moving_average_pairs_convolve_their_streams(self, order):
+        # columns: [eps_-order..eps_-1 | eps_0 | eps_0' | eps_1..eps_lag]
+        lp = LinearProcess(coeffs=tuple(0.8**j for j in range(order + 1)), mean=0.5)
+        lag, seeds = 6, [3, 4]
+        a, b = coupled_paths(lp, lag, seeds)
+        for i, s in enumerate(seeds):
+            stream = make_rng(s).standard_normal(order + lag + 2)
+            for row, other in ((a[i], order + 1), (b[i], order)):
+                expected = lp.mean + np.convolve(np.delete(stream, other), lp.coeffs, "valid")
+                # the window product sums in another order than np.convolve
+                assert_allclose(row, expected, rtol=0, atol=0 if order == 0 else 1e-12)
 
     def test_tar_degenerate_no_propagation(self):
         a, b = coupled_paths(TarModel(0.0, 0.0), 5, list(range(50)))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -72,6 +73,42 @@ class TestBinning:
     def test_edge_floats_belong_below(self, z, width):
         scheme = BinningScheme(width)
         assert scheme.bin_index(z * width) == z - 1
+
+    @pytest.mark.parametrize(
+        "x,width",
+        [(1e300, 1e-10), (5e299, 1e-10), (-1e300, 1e-10), (2.0**52, 1.0), (1e308, 0.5)],
+    )
+    def test_values_past_the_exact_index_range_rejected(self, x, width):
+        # past |x/b| = 2**52 the one-ulp corrections are no longer exact and
+        # the int64 cast can overflow
+        scheme = BinningScheme(width)
+        for index in (scheme.bin_index, scheme.half_grid_index):
+            for arg in (x, np.array([0.0, x])):
+                with pytest.raises(ValueError, match=re.escape(f"{x!r} with bin width {width!r}")):
+                    index(arg)
+
+    def test_largest_exact_index_accepted(self):
+        x = 2.0**52 - 1.0
+        assert UNIT.bin_index(x) == 2**52 - 2
+        assert UNIT.half_grid_index(x) == x
+
+    @given(
+        x=st.floats(allow_nan=False, allow_infinity=False),
+        width=st.floats(1e-300, 1e300),
+    )
+    @settings(max_examples=500, deadline=None)
+    @example(x=(2.0**52 - 1.0) * 3.0, width=3.0)
+    @example(x=-(2.0**52 - 1.0) * 0.1, width=0.1)
+    def test_cells_hold_over_the_whole_accepted_domain(self, x, width):
+        scheme = BinningScheme(width)
+        if abs(Fraction(x)) >= 2**52 * Fraction(width):
+            with pytest.raises(ValueError, match=r"2\*\*52"):
+                scheme.bin_index(x)
+            return
+        z = scheme.bin_index(x)
+        assert z * width < x <= (z + 1) * width
+        k, width, x = Fraction(int(scheme.half_grid_index(x))), Fraction(width), Fraction(x)
+        assert k * width - width / 2 < x <= k * width + width / 2
 
 
 class TestBuildHistogram:

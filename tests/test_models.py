@@ -14,24 +14,24 @@ from polyfreq.models import (
     NlarModel,
     NoiseSpec,
     TarModel,
+    advance,
     arma_check_stationary,
     arma_marginal,
-    arma_recursion_path,
     arma_to_ma_coeffs,
     contraction_proxy,
     default_burn_in,
-    linear_convolution_path,
+    initial_state,
     make_rng,
     marginal_truth,
     model_from_spec,
     model_to_spec,
     nlar_soft_check,
     require_valid,
+    resolve_burn_in,
     simulate,
     simulate_batch,
     tar_marginal_oracle,
     tar_oracle_grid,
-    tar_transition,
 )
 
 AR1 = ArmaModel(ar=(0.5,))
@@ -204,12 +204,19 @@ class TestSimulate:
     def test_ar1_equals_truncated_linear_process_on_shared_noise(self, rng):
         # moving-average representation: feed both path builders one buffer
         eps = rng.normal(0, 1, 3000)
-        ar_path = arma_recursion_path(AR1, initial=0.0, innovations=eps)
+        ar_path, _ = advance(AR1, initial_state(AR1, np.zeros(1)), eps[None, :])
         order = 64  # 0.5**64 is far below the comparison tolerance
         lp = LinearProcess(coeffs=tuple(0.5**j for j in range(order + 1)))
-        lin_path = linear_convolution_path(lp, eps)
-        # linear output t uses eps[t .. t+order]; recursion time t+1+order
-        assert_allclose(ar_path[1 + order :], lin_path, atol=1e-8, rtol=0)
+        lin_path = lp.mean + np.convolve(eps, lp.coeffs, mode="valid")
+        # linear output t uses eps[t .. t+order]; recursion value t+order
+        assert_allclose(ar_path[0, order:], lin_path, atol=1e-8, rtol=0)
+
+    @pytest.mark.parametrize("order", [0, 19])
+    def test_moving_average_is_the_convolution_of_its_stream(self, order):
+        lp = LinearProcess(coeffs=tuple(0.8**j for j in range(order + 1)), mean=0.5)
+        stream = make_rng(3).standard_normal(300 + order)
+        expected = lp.mean + np.convolve(stream, lp.coeffs, mode="valid")
+        assert_array_equal(simulate(lp, 300, seed=3), expected)
 
     def test_tar_path_follows_the_recursion_exactly(self):
         model = TarModel(0.6, -0.3)
@@ -246,6 +253,15 @@ class TestSimulate:
             simulate_batch(TarModel(0.6, -0.3), 0, [1, 2])
         with pytest.raises(ModelValidityError):
             simulate_batch(TarModel(1.0, 0.3), 100, [1, 2])
+
+    def test_resolved_burn_in(self):
+        assert resolve_burn_in(AR1, None) == 1000
+        assert resolve_burn_in(AR1, 1500) == 1500
+        assert resolve_burn_in(LinearProcess(coeffs=(1.0, 0.5)), 1500) == 0
+        with pytest.raises(ValueError, match="below the model's default 1000"):
+            resolve_burn_in(AR1, 999)
+        with pytest.raises(ModelValidityError):
+            resolve_burn_in(ArmaModel(ar=(1.2,)), None)
 
     def test_default_burn_in_scales_with_memory(self):
         assert default_burn_in(AR1) == 1000
@@ -304,7 +320,7 @@ class TestTarOracle:
             tar_marginal_oracle(model, np.linspace(-10, 10, 200))
 
     def test_transition_map(self):
-        r = tar_transition(TarModel(0.6, -0.3))
+        r = TarModel(0.6, -0.3).transition
         assert_array_equal(r(np.array([2.0, -2.0, 0.0])), [1.2, 0.6, 0.0])
 
 
