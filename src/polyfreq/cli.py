@@ -79,8 +79,11 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {path}: {exc.strerror or exc}") from exc
 
 
 def _load_model(path: str):
@@ -118,7 +121,11 @@ def _read_column(path: str):
     """
     bad: list[str] = []
     last = 0  # line number of the previous chunk's last line
-    with open(path, "r", encoding="utf-8") as f:
+    try:
+        f = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read input {path}: {exc.strerror or exc}") from exc
+    with f:
         while len(bad) < _MAX_BAD_ROWS and (lines := list(itertools.islice(f, _CHUNK_LINES))):
             first, last = last + 1, last + len(lines)
             rows = [s for s in map(str.strip, lines) if s and not s.startswith("#")]

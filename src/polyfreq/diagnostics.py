@@ -13,8 +13,9 @@ empirical-minus-truth mass are extremal with the window's right end at a
 sample point, and the negative excursions with the window opening just
 after a sample point, at a width-b shift of one, or at an interior
 maximizer of the truth's window mass.  Enumerating those finitely many
-candidates with two-pointer sweeps gives the exact supremum in
-O(n log n).
+candidates, with the extreme of each candidate's window read from a
+sparse-table range query, gives the exact supremum in O(n log n) time and
+O(n) memory.
 """
 
 from __future__ import annotations
@@ -131,29 +132,32 @@ def empirical_process(ecdf: EmpiricalCdf, truth_cdf: Callable, x):
     return float(out[()]) if arr.ndim == 0 else out
 
 
-def _sliding_extreme(values: np.ndarray, starts: np.ndarray, stops: np.ndarray,
-                     take_max: bool) -> np.ndarray:
-    """Extremes of ``values[starts[i]:stops[i]]`` for nondecreasing windows.
+def _range_extremes(values: np.ndarray, starts: np.ndarray, stops: np.ndarray,
+                    take_max: bool) -> np.ndarray:
+    """Extremes of ``values[starts[i]:stops[i]]`` for arbitrary windows.
 
-    Classic monotonic-deque sweep; empty windows yield -inf (max) / +inf
-    (min).
+    A sparse table for range max/min (Bender & Farach-Colton, 2000) built
+    one level at a time: level ``j`` holds the extremes of every run of
+    ``2**j`` values and answers the windows whose length has
+    ``floor(log2) == j`` from two overlapping runs.  Only the current level
+    is kept, so memory stays O(n) and time O(n log n).  Empty windows yield
+    -inf (max) / +inf (min).
     """
-    sign = 1.0 if take_max else -1.0
-    vals = sign * values
-    out = np.empty(len(starts))
-    deque_idx: list[int] = []
-    head = 0
-    filled = 0
-    for i, (s, e) in enumerate(zip(starts, stops)):
-        while filled < e:
-            while len(deque_idx) > head and vals[deque_idx[-1]] <= vals[filled]:
-                deque_idx.pop()
-            deque_idx.append(filled)
-            filled += 1
-        while len(deque_idx) > head and deque_idx[head] < s:
-            head += 1
-        out[i] = vals[deque_idx[head]] if len(deque_idx) > head else -math.inf
-    return sign * out
+    op = np.maximum if take_max else np.minimum
+    out = np.full(len(starts), -math.inf if take_max else math.inf)
+    # level floor(log2(length)) from the float exponent, exact for lengths
+    # below 2**53; empty windows get level -1 and keep their default
+    levels = np.frexp(np.maximum(stops - starts, 0))[1] - 1
+    order = np.argsort(levels, kind="stable")
+    bounds = np.searchsorted(levels, np.arange(levels.max(initial=-1) + 2), sorter=order)
+    layer = values
+    for j in range(len(bounds) - 1):
+        if j:
+            half = 1 << (j - 1)
+            layer = op(layer[:-half], layer[half:])
+        q = order[bounds[j]:bounds[j + 1]]
+        out[q] = op(layer[starts[q]], layer[stops[q] - (1 << j)])
+    return out
 
 
 def _window_mass_peaks(truth_cdf: Callable, lo: float, hi: float, b: float,
@@ -190,14 +194,20 @@ def modulus_exact(ecdf: EmpiricalCdf, truth_cdf: Callable, b: float) -> float:
     where ``G = sqrt(n) (F_n - F)``, by enumerating the structural
     candidates rather than scanning a grid.  Windows are half-open
     ``(v, u]``, matching the ECDF's right continuity; both excursion signs
-    are searched, and the result is nondecreasing in ``b``.
+    are searched, and the result is nondecreasing in ``b``.  Each window's
+    extreme comes from a sparse-table range query and every ECDF value
+    from one search of the distinct sample points: O(n log n) time and
+    O(n) memory.
     """
     if not (b > 0 and math.isfinite(b)):
         raise ValueError(f"b must be positive and finite, got {b!r}")
     n = ecdf.n
     ys, first_pos, mult = np.unique(ecdf.sorted_sample, return_index=True, return_counts=True)
-    cum_at = (first_pos + mult) / n            # F_n at each distinct point
-    cum_before = first_pos / n                 # F_n just below each distinct point
+    # counts[k] = number of sample points <= the k-th distinct point (1-based),
+    # so a right-sided search of ys that lands at k gives F_n = counts[k] / n
+    counts = np.concatenate([[0], first_pos + mult])
+    cum_at = counts[1:] / n                    # F_n at each distinct point
+    cum_before = counts[:-1] / n               # F_n just below each distinct point
     f_at = np.asarray(truth_cdf(ys), dtype=float)
 
     # Positive excursions: window mass of F_n minus mass of F is maximal with
@@ -207,8 +217,8 @@ def modulus_exact(ecdf: EmpiricalCdf, truth_cdf: Callable, b: float) -> float:
     left_limit_gain = f_at - cum_before                    # F(y) - F_n(y-)
     starts = np.searchsorted(ys, ys - b, side="right")     # first y strictly above u - b
     stops = np.arange(1, len(ys) + 1)                      # include u itself
-    inner = _sliding_extreme(left_limit_gain, starts, stops, take_max=True)
-    endpoint_gain = np.asarray(truth_cdf(ys - b), dtype=float) - ecdf(ys - b)
+    inner = _range_extremes(left_limit_gain, starts, stops, take_max=True)
+    endpoint_gain = np.asarray(truth_cdf(ys - b), dtype=float) - counts[starts] / n
     positive = float(np.max(base + np.maximum(inner, endpoint_gain)))
 
     # Negative excursions: truth mass minus F_n mass over (v, v + b].  The
@@ -219,12 +229,12 @@ def modulus_exact(ecdf: EmpiricalCdf, truth_cdf: Callable, b: float) -> float:
     peaks = _window_mass_peaks(truth_cdf, float(ys[0]) - b - 8.0 * scale,
                                float(ys[-1]) + 8.0 * scale, b)
     anchors = np.unique(np.concatenate([ys, ys - b, peaks]))
-    g_minus_anchor = ecdf(anchors) - np.asarray(truth_cdf(anchors), dtype=float)
-    g_minus_end = ecdf(anchors + b) - np.asarray(truth_cdf(anchors + b), dtype=float)
-    g_minus_left = cum_before - f_at                       # F_n(y-) - F(y)
     w_starts = np.searchsorted(ys, anchors, side="right")  # samples strictly above v
     w_stops = np.searchsorted(ys, anchors + b, side="right")
-    inner_min = _sliding_extreme(g_minus_left, w_starts, w_stops, take_max=False)
+    g_minus_anchor = counts[w_starts] / n - np.asarray(truth_cdf(anchors), dtype=float)
+    g_minus_end = counts[w_stops] / n - np.asarray(truth_cdf(anchors + b), dtype=float)
+    g_minus_left = cum_before - f_at                       # F_n(y-) - F(y)
+    inner_min = _range_extremes(g_minus_left, w_starts, w_stops, take_max=False)
     negative = float(np.max(g_minus_anchor - np.minimum(g_minus_end, inner_min)))
 
     return math.sqrt(n) * max(positive, negative, 0.0)

@@ -96,15 +96,21 @@ class BinningScheme:
         z = np.ceil(arr / b) - 1.0
         # x/b can land within an ulp of an integer; re-check against the
         # actual float bin edges so that z*b < x <= (z+1)*b always holds.
-        z = np.where(arr <= z * b, z - 1.0, z)
-        z = np.where(arr > (z + 1.0) * b, z + 1.0, z)
+        # Near the float maximum an edge can round to +-inf; that is the
+        # right edge, because a product that rounds to inf exceeds every
+        # finite x in exact arithmetic too, so the overflow is not reported.
+        with np.errstate(over="ignore"):
+            z = np.where(arr <= z * b, z - 1.0, z)
+            z = np.where(arr > (z + 1.0) * b, z + 1.0, z)
         out = z.astype(np.int64)
         return int(out[()]) if scalar else out
 
     def bin_origin(self, x):
         """Greatest integer multiple of the bin width strictly below ``x``."""
         arr, scalar = _as_finite_array(x)
-        out = self.bin_index(arr) * self.bin_width
+        # below -max float the origin rounds to -inf, as the scalar product does
+        with np.errstate(over="ignore"):
+            out = self.bin_index(arr) * self.bin_width
         return float(out) if scalar else out
 
     def half_grid_index(self, x):
@@ -130,7 +136,12 @@ class BinningScheme:
         near = np.abs(t - n) <= 2.0**-51 * (np.abs(t) + 1.0)
         if near.any():
             n = n[near]
-            k[near] = n + _exceeds_product(flat[near], 2.0 * n + 1.0, 0.5 * b)
+            # compare in units of b/2 = frac * 2**(e - 1): scaling by a power
+            # of two is exact, and with frac in [0.5, 1) Dekker's product can
+            # neither overflow nor underflow, as it can for b/2 itself near
+            # either end of the float range
+            frac, e = math.frexp(b)
+            k[near] = n + _exceeds_product(np.ldexp(flat[near], 1 - e), 2.0 * n + 1.0, frac)
         k = k.reshape(arr.shape)
         return float(k[()]) if scalar else k
 

@@ -103,6 +103,25 @@ class TestEstimateCommand:
         data.write_text("")
         assert main(["estimate", "--input", str(data)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_input_is_data_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "missing.csv"
+        if kind == "directory":
+            path = tmp_path / "dir.csv"
+            path.mkdir()
+        assert main(["estimate", "--input", str(path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and str(path) in err and "Traceback" not in err
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("0.25\n0.75\n")
+        out = tmp_path / "nonexistent" / "x.csv"
+        assert main(["estimate", "--input", str(data), "--output", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--output" in err and str(out) in err
+        assert "Traceback" not in err
+
     def test_unparseable_row_reports_line(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_text("1.0\n2.0\nnot-a-number\n4.0\n")
@@ -232,6 +251,14 @@ class TestSimulateCommand:
             ])
             assert code == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, ar1_model, capsys):
+        out = tmp_path / "nonexistent" / "x.csv"
+        argv = ["simulate", "--model", ar1_model, "--n", "10", "--output", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--output" in err and str(out) in err
+        assert "Traceback" not in err
 
     def test_header_embeds_model_and_seed(self, tmp_path, ar1_model):
         out = tmp_path / "x.csv"

@@ -108,6 +108,16 @@ class TestCoupledConstruction:
                 # the window product sums in another order than np.convolve
                 assert_allclose(row, expected, rtol=0, atol=0 if order == 0 else 1e-12)
 
+    @pytest.mark.parametrize(
+        "model",
+        [ArmaModel(), ArmaModel(ma=(0.4, -0.2)), AR1, TarModel(0.6, -0.3),
+         LinearProcess(coeffs=(1.0, 0.5))],
+        ids=["white", "MA2", "AR1", "TAR", "linear"],
+    )
+    def test_empty_seed_list_gives_no_rows(self, model):
+        a, b = coupled_paths(model, 4, [])
+        assert a.shape == b.shape == (0, 5)
+
     def test_tar_degenerate_no_propagation(self):
         a, b = coupled_paths(TarModel(0.0, 0.0), 5, list(range(50)))
         assert np.all(a[:, 0] != b[:, 0])

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
 from polyfreq.diagnostics import (
     DegenerateFitError,
+    _range_extremes,
     ModulusRecord,
     SupErrorRecord,
     RateReport,
@@ -91,6 +94,41 @@ class TestEmpiricalProcess:
         assert sup < 3.0
 
 
+def brute_extremes(values, windows, take_max):
+    fold, empty = (max, -math.inf) if take_max else (min, math.inf)
+    return [fold(values[s:e], default=empty) for s, e in windows]
+
+
+@st.composite
+def values_and_windows(draw):
+    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=150))
+    n = len(values)
+    windows = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=60))
+    return values, windows
+
+
+class TestRangeExtremes:
+    @given(case=values_and_windows(), take_max=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    @example(case=([2.5], [(0, 1), (0, 0), (1, 1), (1, 0)]), take_max=True)
+    @example(case=([2.5], [(0, 1), (0, 0), (1, 1), (1, 0)]), take_max=False)
+    @example(case=([3.0, -1.0, 4.0, 1.0, -5.0], [(4, 5), (0, 3), (1, 2), (2, 4), (0, 5), (3, 1)]),
+             take_max=True)
+    def test_equals_brute_force(self, case, take_max):
+        values, windows = case
+        pairs = np.array(windows, dtype=np.intp).reshape(-1, 2)
+        got = _range_extremes(np.array(values), pairs[:, 0], pairs[:, 1], take_max)
+        assert_array_equal(got, brute_extremes(values, windows, take_max))
+
+    @pytest.mark.parametrize("take_max", [True, False])
+    def test_every_level_on_a_long_input(self, rng, take_max):
+        values = rng.normal(size=5000)
+        starts = rng.integers(0, 5001, 3000)
+        stops = np.minimum(starts + rng.geometric(1e-3, 3000), 5000)
+        got = _range_extremes(values, starts, stops, take_max)
+        assert_array_equal(got, brute_extremes(values.tolist(), zip(starts, stops), take_max))
+
+
 class TestModulusExact:
     @pytest.mark.parametrize("n", [1, 2, 5, 20, 50])
     @pytest.mark.parametrize("b", [0.05, 0.2, 1.0])
@@ -129,6 +167,26 @@ class TestModulusExact:
         widths = [0.01, 0.05, 0.1, 0.3, 0.5, 1.0, 2.0]
         vals = [modulus_exact(ecdf, stats.norm.cdf, b) for b in widths]
         assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize(
+        "n, seed, expected",
+        [
+            (2**10, 101, "0x1.3eab38dc04e80p-1"),
+            (2**10, 202, "0x1.466685a1a40a0p-1"),
+            (2**10, 303, "0x1.2f19f7713c280p-1"),
+            (2**14, 101, "0x1.1fbc7c36e9280p-1"),
+            (2**14, 202, "0x1.f5516bccea100p-2"),
+            (2**14, 303, "0x1.1b92b3b56ee00p-1"),
+            (2**17, 101, "0x1.776626709eee5p-2"),
+            (2**17, 202, "0x1.46fad7133c5bdp-2"),
+            (2**17, 303, "0x1.cb906333326d3p-2"),
+        ],
+    )
+    def test_pinned_ar1_values(self, n, seed, expected):
+        # frozen from the monotonic-deque sweep that the sparse table replaced
+        x = simulate(AR1, n, seed=seed)
+        got = modulus_exact(EmpiricalCdf(x), marginal_truth(AR1).cdf, stone_bandwidth(n))
+        assert got.hex() == expected
 
     def test_bad_width(self, rng):
         ecdf = EmpiricalCdf(rng.normal(0, 1, 10))

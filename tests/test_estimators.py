@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -334,6 +335,60 @@ class TestInterpWeight:
                 k, w, x = Fraction(int(k)), Fraction(float(width)), Fraction(float(x))
                 assert k * w - w / 2 < x <= k * w + w / 2
 
+    @pytest.mark.parametrize(
+        "x, width",
+        [
+            ("0x1.fffffffffffffp+1023", "0x1.f42c9bff6da73p+984"),
+            ("-0x1.ffffffff68ab7p+1023", "0x1.0ddb798011a41p+984"),
+            ("0x1.c7df72b3e2995p-1020", "0x0.0000000000559p-1022"),
+            ("-0x1.7a4ba4ec88ac4p-987", "0x0.0068da29663efp-1022"),
+        ],
+    )
+    def test_half_grid_index_exact_at_the_ends_of_the_float_range(self, x, width):
+        x, width = float.fromhex(x), float.fromhex(width)
+        k = Fraction(int(BinningScheme(width).half_grid_index(x)))
+        w, x = Fraction(width), Fraction(x)
+        assert k * w - w / 2 < x <= k * w + w / 2
+
+    @pytest.mark.parametrize("tiny", [True, False], ids=["subnormal", "top"])
+    def test_half_grid_index_exact_next_to_extreme_cell_edges(self, rng, tiny):
+        # subnormal widths, and wide bins whose edges reach the float maximum
+        top = np.finfo(float).max
+        checked = 0
+        for _ in range(400):
+            if tiny:
+                width = float(10.0 ** rng.uniform(-323.0, -300.0))
+                n = int(rng.integers(-2**45, 2**45))
+            else:
+                width = float(10.0 ** rng.uniform(293.0, 300.0))
+                below_top = 1.0 - 10.0 ** -rng.uniform(1.0, 12.0)
+                n = int(below_top * top / width) * int(rng.choice([-1, 1]))
+            edge = (n + 0.5) * width
+            for x in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+                if not (0.0 < width and math.isfinite(x)
+                        and abs(Fraction(x)) < 2**52 * Fraction(width)):
+                    continue
+                k = Fraction(int(BinningScheme(width).half_grid_index(float(x))))
+                w, x = Fraction(width), Fraction(float(x))
+                assert k * w - w / 2 < x <= k * w + w / 2
+                checked += 1
+        assert checked > 1000
+
+    def test_no_overflow_warning_at_the_float_maximum(self):
+        # near +-max float the edges z*b and (z+1)*b, and the origin of the
+        # lowest bin, round to +-inf; that is reported as no warning
+        top = np.finfo(float).max
+        scheme = BinningScheme(1e300)
+        xs = np.array([top, -top, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (top, -top, xs):
+                for zi, xi in zip(np.atleast_1d(scheme.bin_index(x)).tolist(), np.atleast_1d(x)):
+                    assert zi * 1e300 < xi <= (zi + 1) * 1e300
+                scheme.half_grid_index(x)
+            assert scheme.bin_origin(xs).tolist() == [179769313 * 1e300, -math.inf, 0.0]
+            assert scheme.bin_origin(-top) == -math.inf
+            assert build_histogram(xs, scheme).keys.tolist() == [-179769314, 0, 179769313]
 
 def _mixed_sample(rng, n, kind):
     if kind == 0:

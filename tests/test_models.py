@@ -1,6 +1,8 @@
 """Tests for the time-series model families and their simulators."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -246,6 +248,24 @@ class TestSimulate:
         for row, s in zip(batch, seeds):
             assert_array_equal(row, simulate(model, 700, burn_in=burn_in, seed=s))
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ArmaModel(),
+            ArmaModel(ma=(0.4,)),
+            ArmaModel(ma=(0.4, -0.2), intercept=1.5),
+            AR1,
+            ArmaModel(ar=(0.5,), ma=(0.3,)),
+            TarModel(0.6, -0.3),
+            LinearProcess(coeffs=(1.0, 0.5)),
+        ],
+        ids=["white", "MA1", "MA2", "AR1", "ARMA11", "TAR", "linear"],
+    )
+    def test_empty_seed_list_gives_no_rows(self, model):
+        batch = simulate_batch(model, 50, [])
+        assert batch.shape == (0, 50)
+        assert batch.dtype == np.float64
+
     def test_batch_validates_like_simulate(self):
         with pytest.raises(ValueError, match="burn_in"):
             simulate_batch(TarModel(0.6, -0.3), 100, [1, 2], burn_in=10)
@@ -332,6 +352,33 @@ class TestMarginalTruth:
         lo, hi = truth.support(1e-9)
         assert lo == pytest.approx(-hi)
         assert truth.cdf(hi) == pytest.approx(1.0 - 1e-9, abs=1e-10)
+
+    @pytest.mark.parametrize("mean, variance", [(0.0, 1.0), (1.5, 4.0 / 3.0), (-3.2, 1e-6)])
+    def test_gaussian_truth_equals_scipy_stats_bit_for_bit(self, rng, mean, variance):
+        noise = NoiseSpec.gaussian(math.sqrt(variance))
+        truth = marginal_truth(ArmaModel(intercept=mean, noise=noise))
+        ref = stats.norm(loc=mean, scale=math.sqrt(variance))
+        x = np.concatenate([rng.normal(mean, 10.0 * math.sqrt(variance), 10**5),
+                            [mean, 0.0, -0.0, 1e300, -1e300, np.inf, -np.inf]])
+        q = np.concatenate([rng.random(10**5), [0.0, 1.0, 1e-300, 0.5, 1.0 - 1e-16]])
+        with np.errstate(over="ignore"):  # both square +-1e300 to inf, a density of 0
+            pairs = [(truth.pdf(x), ref.pdf(x)), (truth.cdf(x), ref.cdf(x)),
+                     (truth.quantile(q), ref.ppf(q))]
+        for got, want in pairs:
+            assert_array_equal(got.view(np.int64), want.view(np.int64))
+        for v in (0.3, mean, 7.0):
+            assert truth.pdf(v) == ref.pdf(v) and truth.cdf(v) == ref.cdf(v)
+        assert_array_equal(noise.cdf(x).view(np.int64),
+                           stats.norm.cdf(x, scale=math.sqrt(variance)).view(np.int64))
+
+    def test_gaussian_truth_leaves_scipy_stats_unloaded(self):
+        code = ("import sys; from polyfreq.models import ArmaModel, marginal_truth, NoiseSpec; "
+                "t = marginal_truth(ArmaModel(ar=(0.5,), ma=(0.2,))); "
+                "t.pdf([0.1, 0.2]); t.cdf(0.3); t.support(1e-9); NoiseSpec().cdf(0.5); "
+                "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.split() == ["False", "True"]
 
     def test_tar_truth_is_normalized(self):
         truth = marginal_truth(TarModel(0.6, -0.3))
