@@ -19,13 +19,13 @@ import math
 import os
 import sys
 import time
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import __version__
 from .dependence import check_summability, deltas_to_csv, estimate_delta_profile
-from .diagnostics import make_eval_grid, rate_experiment
+from .diagnostics import rate_experiment
 from .estimators import (
     BinningScheme,
     build_histogram,
@@ -64,24 +64,25 @@ class DataError(Exception):
     pass
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+_fmt = "{:.17g}".format
 
 
-def _header_lines(config: dict) -> list[str]:
+def _header(config: dict, *columns: str) -> str:
+    """The ``#`` lines that record ``config``, one key per line, then ``columns``."""
     lines = [f"# polyfreq {__version__}"]
     for key in sorted(config):
         lines.append(f"# {key}={json.dumps(config[key], sort_keys=True)}")
-    return lines
+    return "\n".join([*lines, *columns]) + "\n"
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, parts: Iterable[str]) -> None:
+    """Write ``parts`` one string at a time to ``path``, or to stdout for ``None`` or ``-``."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         try:
             with open(path, "w", encoding="utf-8", newline="") as f:
-                f.write(text)
+                f.writelines(parts)
         except OSError as exc:
             raise UsageError(f"cannot write --output {path}: {exc.strerror or exc}") from exc
 
@@ -116,13 +117,15 @@ def _read_column(path: str):
     finite value.  Blank lines, ``#`` lines and a non-numeric line 1 (a
     header) are skipped; any other line is bad, and the first
     ``_MAX_BAD_ROWS`` bad lines are reported by line number once the scan
-    stops.  Each chunk covers ``_CHUNK_LINES`` lines, so memory stays
-    proportional to one chunk.
+    stops.  Bytes that are not UTF-8 are decoded with ``surrogateescape``,
+    so such a line is bad like any other text (or skipped as line 1).  The
+    text is read ``_CHUNK_LINES`` lines at a time; a chunk's float64 rows
+    take 8 B each, less than their text.
     """
     bad: list[str] = []
     last = 0  # line number of the previous chunk's last line
     try:
-        f = open(path, "r", encoding="utf-8")
+        f = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot read input {path}: {exc.strerror or exc}") from exc
     with f:
@@ -162,12 +165,12 @@ def _check_rows(lines: list[str], first: int, bad: list[str]) -> np.ndarray:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    n, lo, hi = 0, math.inf, -math.inf
-    for chunk in _read_column(args.input):
-        n += chunk.size
-        lo, hi = min(lo, float(chunk.min())), max(hi, float(chunk.max()))
+    chunks = list(_read_column(args.input))
+    n = sum(chunk.size for chunk in chunks)
     if n < 2:
         raise DataError(f"need at least 2 numeric rows, found {n}")
+    lo = min(float(chunk.min()) for chunk in chunks)
+    hi = max(float(chunk.max()) for chunk in chunks)
     bandwidth = args.bandwidth if args.bandwidth is not None else stone_bandwidth(n)
     if bandwidth <= 0:
         raise UsageError(f"--bandwidth must be positive, got {bandwidth}")
@@ -176,10 +179,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         scheme.bin_index(np.array([lo, hi]))  # every row lies between the two
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    h = None
-    for chunk in _read_column(args.input):
-        part = build_histogram(chunk, scheme)
-        h = part if h is None else merge_histograms([h, part])
+    h = merge_histograms(build_histogram(chunk, scheme) for chunk in chunks)
 
     gmin = args.grid_min if args.grid_min is not None else lo - 4.0 * bandwidth
     gmax = args.grid_max if args.grid_max is not None else hi + 4.0 * bandwidth
@@ -212,13 +212,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "histogram_density": [float(v) for v in hist_vals],
             "frequency_polygon": [float(v) for v in fp_vals],
         }
-        _write_text(args.output, json.dumps(payload, indent=2) + "\n")
+        _write_text(args.output, [json.dumps(payload, indent=2) + "\n"])
     else:
-        lines = _header_lines(config)
-        lines.append("x,histogram,frequency_polygon")
-        for x, hv, fv in zip(grid, hist_vals, fp_vals):
-            lines.append(f"{_fmt(x)},{_fmt(hv)},{_fmt(fv)}")
-        _write_text(args.output, "\n".join(lines) + "\n")
+        rows = (f"{_fmt(x)},{_fmt(hv)},{_fmt(fv)}\n"
+                for x, hv, fv in zip(grid, hist_vals, fp_vals))
+        header = _header(config, "x,histogram,frequency_polygon")
+        _write_text(args.output, itertools.chain([header], rows))
     print(f"n={h.n} b={_fmt(bandwidth)} p_n={h.occupied}", file=sys.stderr)
     return EXIT_OK
 
@@ -240,9 +239,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "burn_in": resolve_burn_in(model, args.burn_in),
         "seed": args.seed,
     }
-    lines = _header_lines(config)
-    lines.extend(_fmt(v) for v in sample)
-    _write_text(args.output, "\n".join(lines) + "\n")
+    rows = ("\n".join(map(_fmt, sample[i:i + _CHUNK_LINES].tolist())) + "\n"
+            for i in range(0, args.n, _CHUNK_LINES))
+    _write_text(args.output, itertools.chain([_header(config)], rows))
     return EXIT_OK
 
 
@@ -290,9 +289,9 @@ def cmd_delta(args: argparse.Namespace) -> int:
             ],
             "decay": decay,
         }
-        _write_text(args.output, json.dumps(payload, indent=2) + "\n")
+        _write_text(args.output, [json.dumps(payload, indent=2) + "\n"])
     else:
-        _write_text(args.output, "\n".join(_header_lines(config)) + "\n" + deltas_to_csv(deltas))
+        _write_text(args.output, [_header(config), deltas_to_csv(deltas)])
         print(json.dumps(decay), file=sys.stderr)
     return EXIT_OK
 
@@ -338,14 +337,10 @@ def cmd_rate(args: argparse.Namespace) -> int:
         "mean_errors": list(report.mean_errors),
     }
     if args.output:
-        lines = _header_lines(config)
-        lines.append("n,b,replication,sup_error,wall_time_ms")
-        for r in report.records:
-            lines.append(
-                f"{r.n},{_fmt(r.bandwidth)},{r.replication},{_fmt(r.sup_error)},"
-                f"{_fmt(r.wall_time_s * 1000.0)}"
-            )
-        _write_text(args.output, "\n".join(lines) + "\n")
+        rows = (f"{r.n},{_fmt(r.bandwidth)},{r.replication},{_fmt(r.sup_error)},"
+                f"{_fmt(r.wall_time_s * 1000.0)}\n" for r in report.records)
+        header = _header(config, "n,b,replication,sup_error,wall_time_ms")
+        _write_text(args.output, itertools.chain([header], rows))
     sys.stdout.write(json.dumps(summary, indent=2) + "\n")
     return EXIT_OK
 
@@ -451,13 +446,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"polyfreq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, model=False):
-        p.add_argument("--seed", type=_seed, default=os.environ.get("POLYFREQ_SEED", "0"),
-                       help="stream seed (default: POLYFREQ_SEED env var, else 0)")
-        p.add_argument("--output", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if model:
-            p.add_argument("--model", required=True, help="model spec JSON path")
+    common = {
+        "--seed": dict(type=_seed, default=os.environ.get("POLYFREQ_SEED", "0"),
+                       help="stream seed (default: POLYFREQ_SEED env var, else 0)"),
+        "--output": dict(default=None, help="output path (default: stdout)"),
+        "--format": dict(choices=("csv", "json"), default="csv"),
+        "--model": dict(required=True, help="model spec JSON path"),
+    }
+
+    def add_common(p, *flags):  # each command takes only the shared flags it reads
+        for flag in flags:
+            p.add_argument(flag, **common[flag])
 
     p = sub.add_parser("estimate", help="histogram + frequency polygon over a grid")
     p.add_argument("--input", required=True, help="CSV with one numeric column")
@@ -466,19 +465,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-min", type=float, default=None)
     p.add_argument("--grid-max", type=float, default=None)
     p.add_argument("--grid-step", type=float, default=None)
-    add_common(p)
+    add_common(p, "--output", "--format")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("simulate", help="simulate a model to a one-column CSV")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=None)
-    add_common(p, model=True)
+    add_common(p, "--seed", "--output", "--model")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("delta", help="dependence coefficients and decay report")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--reps", type=int, default=10_000)
-    add_common(p, model=True)
+    add_common(p, "--seed", "--output", "--format", "--model")
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("rate", help="sup-error convergence-rate experiment", description=(
@@ -489,13 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--threads", type=int, default=None,
                    help="cap concurrent workers (default: machine parallelism)")
-    add_common(p, model=True)
+    add_common(p, "--seed", "--output", "--model")
     p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("bench", help="frequency polygon vs naive KDE timing")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    add_common(p)
+    add_common(p, "--seed", "--format")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -199,6 +199,11 @@ class SparseHistogram:
         total = int(values.sum())
         if total != n:
             raise ValueError(f"counts sum to {total}, not n = {n}")
+        scale = total * scheme.bin_width
+        if not (math.isfinite(scale) and math.isfinite(int(values.max()) / scale)):
+            raise ValueError(
+                f"densities count / (n * b) are out of float range for n = {n} and bin width "
+                f"{scheme.bin_width!r}: n * b = {scale!r}, largest count {int(values.max())}")
         keys.flags.writeable = values.flags.writeable = False
         self.scheme = scheme
         self.n = int(n)
@@ -355,8 +360,24 @@ def fp_eval_classic(h: SparseHistogram, x):
     b = h.scheme.bin_width
     k, w_hi = _midpoint_cell(h.scheme, arr)
     w_lo = np.clip(0.5 + k - arr / b, 0.0, 1.0)
-    out = w_lo * histogram_eval(h, k * b) + w_hi * histogram_eval(h, (k + 1.0) * b)
+    out = w_lo * _bin_density(h, k - 1.0) + w_hi * _bin_density(h, k)
     return float(out) if scalar else out
+
+
+def _bin_density(h: SparseHistogram, z):
+    """Histogram density of bin ``z``, looked up at the least float inside it.
+
+    The bin ``(z*b, (z+1)*b]`` is looked up at ``nextafter(z*b, inf)``, which
+    stays finite for a bin at the top of the float range, where the upper
+    edge ``(z+1)*b`` overflows.  A bin that holds no finite float has
+    density 0, because no sample can fall in it.
+    """
+    b = h.scheme.bin_width
+    with np.errstate(over="ignore"):  # an edge or point past the float range is +-inf
+        lo, hi = z * b, (z + 1.0) * b
+        point = np.nextafter(lo, np.inf)
+    inside = np.isfinite(point) & (point <= hi)
+    return np.where(inside, histogram_eval(h, np.where(inside, point, 0.0)), 0.0)
 
 
 def stone_bandwidth(n: int) -> float:

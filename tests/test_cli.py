@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line harness."""
 
+import builtins
+import hashlib
 import json
 import math
 import subprocess
@@ -149,6 +151,13 @@ class TestEstimateCommand:
         assert main(["estimate", "--input", str(data), "--bandwidth", "1.0", *grid]) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
 
+    def test_density_scale_past_the_float_maximum_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("0.25\n0.75\n1.5\n")  # n * b = 3e308 overflows
+        assert main(["estimate", "--input", str(data), "--bandwidth", "1e308"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error" in err and "out of float range" in err and "Traceback" not in err
+
     def test_summary_on_stderr(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("\n".join(str(v) for v in np.linspace(0, 1, 50)) + "\n")
@@ -170,7 +179,7 @@ class TestEstimateCommand:
         assert payload["config"]["n"] == 3
 
     def test_streaming_matches_batch(self, tmp_path, rng):
-        # more rows than one chunk, fed through the two-pass reader
+        # more rows than one chunk: each chunk is binned, then all are merged
         values = rng.normal(0, 1, 70_000)
         data = tmp_path / "big.csv"
         data.write_text("\n".join(format(v, ".17g") for v in values) + "\n")
@@ -240,6 +249,76 @@ class TestEstimateCommand:
         assert main(["estimate", "--input", str(data)]) == EXIT_DATA
         assert "at lines 2\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [2, 65_537])
+    def test_non_utf8_line_is_a_data_error_named_by_line(self, tmp_path, capsys, line):
+        rows = [b"0.5"] * 70_000
+        rows[line - 1] = b"\xff\xfe"
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"\n".join(rows) + b"\n")
+        assert main(["estimate", "--input", str(data)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: unparseable or non-finite rows at lines {line}\n" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_line_one_is_skipped_as_a_header(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"\xff\xfe\n0.5\n0.7\n")
+        assert main(["estimate", "--input", str(data), "--output", str(tmp_path / "o")]) == 0
+        assert "n=2 " in capsys.readouterr().err
+
+    def test_input_is_opened_once(self, tmp_path, monkeypatch):
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(["0.5"] * 70_000) + "\n")
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert main(["estimate", "--input", str(data), "--output", str(tmp_path / "o")]) == 0
+        assert opened.count(str(data)) == 1
+
+    def test_seed_env_is_not_read(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("POLYFREQ_SEED", "abc")
+        data = tmp_path / "d.csv"
+        data.write_text("0.25\n0.75\n")
+        assert main(["estimate", "--input", str(data), "--output", str(tmp_path / "o")]) == 0
+
+    def test_leaves_scipy_unloaded(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("0.25\n0.75\n")
+        code = ("import sys; from polyfreq.cli import main; "
+                f"assert main(['estimate', '--input', {str(data)!r}, "
+                f"'--output', {str(tmp_path / 'o')!r}]) == 0; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "[]"
+
+
+class TestPinnedBytes:
+    """sha256 of artifacts from the two-pass reader and the per-value writer
+    that the one-pass reader and the chunked writer replaced: the bytes must
+    not change."""
+
+    def test_simulate_then_estimate(self, tmp_path, ar1_model, monkeypatch):
+        # relative paths keep the headers, and so the digests, independent of tmp_path
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--model", ar1_model, "--n", "70000", "--seed", "7",
+                     "--output", "sample.csv"]) == EXIT_OK
+        for fmt in ("csv", "json"):
+            assert main(["estimate", "--input", "sample.csv", "--format", fmt,
+                         "--output", f"estimate.{fmt}"]) == EXIT_OK
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("sample.csv", "estimate.csv", "estimate.json")}
+        assert digests == {
+            "sample.csv": "f555406057fe1a9fa06d5e00247e2472029c7da6b59e8f0b7f4ba65b86a4942e",
+            "estimate.csv": "0faff9987127022ad174ca96dad30b3347cb02880036a467e642c380b64fdfe2",
+            "estimate.json": "13e087210cbf80f39f413faae202335276c7fc5065750049f4cd52cbab2de346",
+        }
+
 
 class TestSimulateCommand:
     def test_reproducible_bytes(self, tmp_path, ar1_model):
@@ -251,6 +330,13 @@ class TestSimulateCommand:
             ])
             assert code == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_stdout_matches_output_file(self, tmp_path, ar1_model, capsys):
+        argv = ["simulate", "--model", ar1_model, "--n", "70000", "--seed", "3"]
+        assert main([*argv, "--output", str(tmp_path / "x.csv")]) == EXIT_OK
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.encode() == (tmp_path / "x.csv").read_bytes()
 
     def test_unwritable_output_is_usage_error(self, tmp_path, ar1_model, capsys):
         out = tmp_path / "nonexistent" / "x.csv"
@@ -435,6 +521,22 @@ class TestParserContract:
             argv = [*argv, "--model", ar1_model]
         assert main([*argv, "--threads", "2"]) == EXIT_USAGE
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["estimate"], ["--seed", "1"]),
+        (["simulate", "--n", "10"], ["--format", "json"]),
+        (["rate", "--n-min", "256", "--n-max", "4096"], ["--format", "csv"]),
+        (["bench", "--n", "10000", "--m", "100"], ["--output", "f"]),
+    ], ids=["estimate-seed", "simulate-format", "rate-format", "bench-output"])
+    def test_flags_only_where_read(self, tmp_path, ar1_model, argv, flag, capsys):
+        if argv[0] == "estimate":
+            data = tmp_path / "d.csv"
+            data.write_text("0.25\n0.75\n")
+            argv = [*argv, "--input", str(data)]
+        elif argv[0] != "bench":
+            argv = [*argv, "--model", ar1_model]
+        assert main([*argv, *flag]) == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -30,6 +30,7 @@ from polyfreq.estimators import (
 )
 
 UNIT = BinningScheme(1.0)
+TOP = float(np.finfo(float).max)
 
 
 class TestBinning:
@@ -439,6 +440,52 @@ class TestFrequencyPolygon:
                 ]
             )
             assert np.max(np.abs(fp_eval(h, pts) - fp_eval_classic(h, pts))) <= 1e-12
+
+    @given(
+        x=st.floats(allow_nan=False, allow_infinity=False),
+        width=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    @settings(max_examples=1000, deadline=None)
+    @example(x=TOP, width=1e300)  # the classic upper edge (k + 1) * b overflowed
+    @example(x=1.6e308, width=1e308)  # and its lower edge k * b too
+    @example(x=-TOP, width=1e308)
+    @example(x=TOP / 2, width=TOP)  # nextafter past the top bin's lower edge overflows
+    @example(x=(2.0**52 - 0.75) * 3.0, width=3.0)  # top of the exact index range
+    @example(x=0.0, width=5e-324)  # densities past the float maximum: refused
+    def test_two_routes_agree_over_the_whole_accepted_domain(self, x, width):
+        scheme = BinningScheme(width)
+        # points in and next to the cells around x, as many as n * b allows
+        with np.errstate(over="ignore"):
+            near = np.array([x, x - width / 2, x + width / 2, x - width, x + width,
+                             np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+            near = near[np.isfinite(near) & (np.abs(near) < 2.0**52 * width)]
+        sample = near[: int(min(near.size, TOP // width))] if near.size else np.zeros(1)
+        counts = np.unique(scheme.bin_index(sample), return_counts=True)[1]
+        if not math.isfinite(int(counts.max()) / (sample.size * width)):
+            with pytest.raises(ValueError, match="out of float range"):
+                build_histogram(sample, scheme)
+            return
+        h = build_histogram(sample, scheme)
+        if abs(Fraction(x)) >= 2**52 * Fraction(width):
+            for route in (fp_eval, fp_eval_classic):
+                with pytest.raises(ValueError, match=r"2\*\*52"):
+                    route(h, x)
+            return
+        # 1e-12 of the largest density: densities reach 1e308 and fall to 1e-308
+        scale = h.values.max() / (h.n * width)
+        assert abs(fp_eval(h, x) - fp_eval_classic(h, x)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            [([1.0, 2.0, 3.0], 1e308)],  # n * b overflows: every density would read 0
+            [([0.0], 5e-324)],  # 1 / (n * b) overflows
+            [([1.0], 1e308), ([1.5], 1e308)],  # each part fits, the merged n * b does not
+        ],
+    )
+    def test_density_scale_out_of_float_range_refused(self, parts):
+        with pytest.raises(ValueError, match="out of float range"):
+            merge_histograms([build_histogram(s, BinningScheme(w)) for s, w in parts])
 
     @pytest.mark.parametrize("width", [1.0, 0.5, 0.25, 2.0])
     def test_midpoint_exact_on_exact_widths(self, rng, width):
