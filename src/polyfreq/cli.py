@@ -13,6 +13,7 @@ validity error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -54,6 +55,8 @@ _CHUNK_LINES = 65536
 _MAX_BAD_ROWS = 10
 #: largest ``estimate`` grid, 80 MB per output column
 _MAX_GRID_POINTS = 10**7
+#: largest array a ``simulate``, ``delta`` or ``rate`` run may ask for, 2 GiB of float64
+_MAX_BUFFER_VALUES = 2**28
 
 
 class UsageError(Exception):
@@ -85,6 +88,13 @@ def _write_text(path: str | None, parts: Iterable[str]) -> None:
                 f.writelines(parts)
         except OSError as exc:
             raise UsageError(f"cannot write --output {path}: {exc.strerror or exc}") from exc
+
+
+def _check_buffer(values: int, flags: str) -> None:
+    """Refuse a run whose largest array would exceed ``_MAX_BUFFER_VALUES`` values."""
+    if values > _MAX_BUFFER_VALUES:
+        raise UsageError(f"{flags} need a buffer of {values} values, "
+                         f"above the limit of {_MAX_BUFFER_VALUES}")
 
 
 def _load_model(path: str):
@@ -231,12 +241,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     if args.n < 1:
         raise UsageError(f"--n must be positive, got {args.n}")
-    sample = simulate(model, args.n, burn_in=args.burn_in, seed=args.seed)
+    burn_in = resolve_burn_in(model, args.burn_in)
+    _check_buffer(burn_in + args.n, "--n and --burn-in")
+    sample = simulate(model, args.n, burn_in=burn_in, seed=args.seed)
     config = {
         "command": "simulate",
         "model": model_to_spec(model),
         "n": args.n,
-        "burn_in": resolve_burn_in(model, args.burn_in),
+        "burn_in": burn_in,
         "seed": args.seed,
     }
     rows = ("\n".join(map(_fmt, sample[i:i + _CHUNK_LINES].tolist())) + "\n"
@@ -254,6 +266,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     if args.kmax < 0:
         raise UsageError(f"--kmax must be nonnegative, got {args.kmax}")
+    _check_buffer(args.reps * (resolve_burn_in(model, None) + args.kmax + 2), "--reps and --kmax")
     deltas = estimate_delta_profile(model, args.kmax, args.reps, seed=args.seed)
     rho = contraction_proxy(model)
     report = check_summability(deltas, rho)
@@ -265,16 +278,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "contraction": rho,
     }
-    decay = {
-        "slope": report.slope,
-        "slope_target": report.slope_target,
-        "decay_ok": report.decay_ok,
-        "used_lags": list(report.used_lags),
-        "partial_sum": report.partial_sum,
-        "tail_bound": report.tail_bound,
-        "certificate_total": report.certificate_total,
-        "conclusive": report.conclusive,
-    }
+    decay = dataclasses.asdict(report)
     if args.format == "json":
         payload = {
             "config": config,
@@ -303,6 +307,10 @@ def cmd_delta(args: argparse.Namespace) -> int:
 
 def cmd_rate(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
+    if args.output == "-":
+        raise UsageError("--output - is not accepted: stdout carries the summary JSON")
+    if args.n_min < 2:
+        raise UsageError(f"--n-min must be at least 2, got {args.n_min}")
     if args.n_min >= args.n_max:
         raise UsageError(f"--n-min must be below --n-max, got {args.n_min} >= {args.n_max}")
     if args.reps < 1:
@@ -312,6 +320,9 @@ def cmd_rate(args: argparse.Namespace) -> int:
     while n <= args.n_max:
         n_values.append(n)
         n *= 2
+    # the larger of the simulation batch and the 500-round bootstrap table
+    _check_buffer(args.reps * max(resolve_burn_in(model, None) + args.n_max, 500 * len(n_values)),
+                  "--reps and --n-max")
     try:
         report = rate_experiment(
             model, n_values, args.reps, seed=args.seed, max_workers=args.threads
@@ -488,7 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--threads", type=int, default=None,
                    help="cap concurrent workers (default: machine parallelism)")
-    add_common(p, "--seed", "--output", "--model")
+    p.add_argument("--output", default=None,
+                   help="records CSV path (default: no records file is written)")
+    add_common(p, "--seed", "--model")
     p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("bench", help="frequency polygon vs naive KDE timing")

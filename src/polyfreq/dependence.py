@@ -35,6 +35,10 @@ __all__ = [
     "deltas_to_csv",
 ]
 
+#: ``decay_ok`` holds when the fitted decay slope is at most
+#: ``log(contraction) + SLOPE_TOLERANCE``
+SLOPE_TOLERANCE = 0.05
+
 
 @dataclass(frozen=True)
 class CoupledPair:
@@ -171,7 +175,6 @@ class SummabilityReport:
 
     slope: float | None
     slope_target: float | None
-    slope_tolerance: float
     decay_ok: bool | None
     used_lags: tuple[int, ...]
     partial_sum: float
@@ -180,8 +183,7 @@ class SummabilityReport:
     conclusive: bool
 
 
-def check_summability(deltas: Sequence[DeltaEstimate], contraction: float,
-                      slope_tolerance: float = 0.05) -> SummabilityReport:
+def check_summability(deltas: Sequence[DeltaEstimate], contraction: float) -> SummabilityReport:
     """Fit the decay rate of estimated dependence coefficients.
 
     ``deltas`` must cover consecutive lags starting at 0.  Lags whose
@@ -209,12 +211,11 @@ def check_summability(deltas: Sequence[DeltaEstimate], contraction: float,
         logs = np.log([d.delta_hat for d in usable])
         slope = float(np.polyfit(ks, logs, 1)[0])
         if target is not None:
-            decay_ok = slope <= target + slope_tolerance
+            decay_ok = slope <= target + SLOPE_TOLERANCE
     conclusive = any(k >= 1 for k in used_lags) and len(usable) >= 2
     return SummabilityReport(
         slope=slope,
         slope_target=target,
-        slope_tolerance=slope_tolerance,
         decay_ok=decay_ok,
         used_lags=used_lags,
         partial_sum=partial,

@@ -306,13 +306,17 @@ class RateReport:
     target_slope: float = -1.0 / 3.0
 
     def __post_init__(self) -> None:
-        ns = self.n_values
-        if len(set(ns)) < 5:
-            raise ValueError(f"need at least 5 distinct sample sizes, got {sorted(set(ns))}")
-        if max(ns) < 64 * min(ns):
-            raise ValueError(
-                f"sample sizes must span a ratio of at least 64, got {min(ns)}..{max(ns)}"
-            )
+        _check_size_grid(self.n_values)
+
+
+def _check_size_grid(ns: Sequence[int]) -> None:
+    """A slope fit needs at least 5 distinct sizes spanning a ratio of at least 64."""
+    if len(set(ns)) < 5:
+        raise ValueError(f"need at least 5 distinct sample sizes, got {sorted(set(ns))}")
+    if max(ns) < 64 * min(ns):
+        raise ValueError(
+            f"sample sizes must span a ratio of at least 64, got {min(ns)}..{max(ns)}"
+        )
 
 
 def fit_loglog_slope(n_values: Sequence[int], errors: Sequence[float]) -> float:
@@ -355,6 +359,30 @@ def _size_records(model: Model, truth: MarginalTruth, n: int,
     return records
 
 
+def _slope_ci(ns: Sequence[int], errors: np.ndarray, seed: int) -> tuple[float, float] | None:
+    """Bootstrap CI of the log-log slope fitted to the medians of a ``(sizes, reps)`` table.
+
+    Efron's percentile bootstrap: 500 rounds, each resampling every size's
+    replications with replacement, and the 2.5/97.5 percentiles of the
+    slopes fitted to the resampled medians.  Rounds :func:`fit_loglog_slope`
+    would reject are skipped; with no round left, or fewer than 2
+    replications, there is no CI.  The resampling table holds
+    ``500 * sizes * reps`` values.
+    """
+    reps = errors.shape[1]
+    if reps < 2:
+        return None
+    boot_rng = np.random.default_rng((abs(int(seed)), 0xB007))
+    idx = boot_rng.integers(0, reps, (500, len(ns), reps))
+    meds = np.median(errors[np.arange(len(ns))[:, None], idx], axis=2)
+    logs = np.log(meds[(meds > 0.0).all(axis=1)])
+    logs = logs[np.ptp(logs, axis=1) != 0.0]
+    if not len(logs):
+        return None
+    slopes = np.polyfit(np.log(np.asarray(ns, dtype=float)), logs.T, 1)[0]
+    return float(np.percentile(slopes, 2.5)), float(np.percentile(slopes, 97.5))
+
+
 def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int = 0,
                     max_workers: int | None = None) -> RateReport:
     """Measure the sup-error decay of the frequency polygon along a size grid.
@@ -366,9 +394,10 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     bootstrap confidence interval.  Each size's replications are simulated
     in lockstep as one batch and sizes run concurrently, but replications
     are seeded and aggregated by index, so the report is identical for any
-    worker count.
+    worker count.  The size grid is checked before anything is simulated.
     """
     ns = sorted(int(n) for n in n_values)
+    _check_size_grid(ns)
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
     if reps < 10:
@@ -377,42 +406,23 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
             "calibrated for >= 10 replications",
             stacklevel=2,
         )
-    truth = marginal_truth(model)
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be positive, got {max_workers}")
+    truth = marginal_truth(model)
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         sizes = pool.map(lambda i: _size_records(
             model, truth, ns[i], range(seed + i * reps, seed + (i + 1) * reps)), range(len(ns)))
         records = tuple(r for size in sizes for r in size)
 
-    by_n = {n: [r.sup_error for r in records if r.n == n] for n in ns}
-    medians = tuple(float(np.median(by_n[n])) for n in ns)
-    means = tuple(float(np.mean(by_n[n])) for n in ns)
-    slope = fit_loglog_slope(ns, medians)
-
-    ci = None
-    if reps >= 2:
-        boot_rng = np.random.default_rng((abs(int(seed)), 0xB007))
-        slopes = []
-        for _ in range(500):
-            meds = [
-                float(np.median(boot_rng.choice(by_n[n], size=len(by_n[n]), replace=True)))
-                for n in ns
-            ]
-            try:
-                slopes.append(fit_loglog_slope(ns, meds))
-            except DegenerateFitError:
-                continue
-        if slopes:
-            ci = (float(np.percentile(slopes, 2.5)), float(np.percentile(slopes, 97.5)))
-
+    errors = np.array([r.sup_error for r in records]).reshape(len(ns), reps)
+    medians = np.median(errors, axis=1)
     return RateReport(
         records=records,
         n_values=tuple(ns),
-        median_errors=medians,
-        mean_errors=means,
-        fitted_slope=slope,
-        slope_ci=ci,
+        median_errors=tuple(medians.tolist()),
+        mean_errors=tuple(np.mean(errors, axis=1).tolist()),
+        fitted_slope=fit_loglog_slope(ns, medians),
+        slope_ci=_slope_ci(ns, errors, seed),
     )
 
 

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from polyfreq import dependence, models
+
 from polyfreq.cli import (
     EXIT_DATA,
     EXIT_MODEL,
@@ -444,6 +446,23 @@ class TestDeltaCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_pinned_bytes(self, tmp_path, ar1_model, capsys):
+        # the decay JSON is the report's fields in declaration order
+        digests = {}
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"d.{fmt}"
+            assert main(["delta", "--model", ar1_model, "--kmax", "6", "--reps", "1000",
+                         "--seed", "9", "--format", fmt, "--output", str(out)]) == EXIT_OK
+            digests[fmt] = hashlib.sha256(out.read_bytes()).hexdigest()
+            digests[f"{fmt} stderr"] = hashlib.sha256(
+                capsys.readouterr().err.encode()).hexdigest()
+        assert digests == {
+            "csv": "ca7809508424fb62688d8c1f315b43cbbec7a2882947963d1fa60a4e9f71f27a",
+            "csv stderr": "c93072f2b1f09b1408acc17a5b7c051a66d8e3463ad41d431374c7a1a4eb919c",
+            "json": "c672d85cfbb636e3161495e0e634bd2e25a916c27c9d74b6e87811e737a01646",
+            "json stderr": hashlib.sha256(b"").hexdigest(),
+        }
+
 
 @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
 class TestRateCommand:
@@ -483,6 +502,59 @@ class TestRateCommand:
         assert main([
             "rate", "--model", ar1_model, "--n-min", "1024", "--n-max", "4096", "--reps", "2",
         ]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("n_min", ["1", "0", "-4"])
+    def test_n_min_below_two_is_usage_error(self, ar1_model, n_min):
+        # a child capped at 2 GiB of address space and a few seconds: a doubling
+        # loop that never passes --n-max must not hang or exhaust this process
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+                "from polyfreq.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "rate", "--model", ar1_model, "--n-min", n_min,
+             "--n-max", "16384", "--reps", "2"],
+            capture_output=True, text=True, timeout=8)
+        assert proc.returncode == EXIT_USAGE
+        assert "--n-min" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_output_dash_is_usage_error(self, ar1_model, capsys):
+        assert main(["rate", "--model", ar1_model, "--n-min", "256", "--n-max", "16384",
+                     "--reps", "2", "--output", "-"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--output" in captured.err and captured.out == ""
+
+    def test_help_says_no_records_without_output(self, capsys):
+        assert main(["rate", "--help"]) == EXIT_OK
+        assert "no records file is written" in " ".join(capsys.readouterr().out.split())
+
+
+class TestBufferCaps:
+    """Flags that would size a simulation buffer past the cap are refused
+    before any innovation is drawn."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("innovations drawn")
+
+        # dependence imports _draw_rows by name
+        monkeypatch.setattr(models, "_draw_rows", refuse)
+        monkeypatch.setattr(dependence, "_draw_rows", refuse)
+
+    @pytest.mark.parametrize("argv,flags", [
+        (["simulate", "--n", str(10**12)], "--n and --burn-in"),
+        (["simulate", "--n", "10", "--burn-in", str(10**12)], "--n and --burn-in"),
+        (["delta", "--kmax", str(10**8)], "--reps and --kmax"),
+        (["delta", "--kmax", "4", "--reps", str(10**6)], "--reps and --kmax"),
+        (["rate", "--n-min", "256", "--n-max", str(10**12)], "--reps and --n-max"),
+        # within the simulation cap, but 500 x 7 x 10^5 bootstrap values are not
+        (["rate", "--n-min", "2", "--n-max", "128", "--reps", str(10**5)], "--reps and --n-max"),
+    ], ids=["simulate-n", "simulate-burn-in", "delta-kmax", "delta-reps", "rate-n-max",
+            "rate-bootstrap"])
+    def test_refused_before_any_draw(self, ar1_model, argv, flags, capsys):
+        assert main([*argv, "--model", ar1_model]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert flags in err and "above the limit of 268435456" in err
 
 
 class TestBenchCommand:

@@ -1,6 +1,7 @@
 """Tests for sup-error measurement, the modulus machinery, and rate fits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
+from polyfreq import diagnostics
 from polyfreq.diagnostics import (
     DegenerateFitError,
     _range_extremes,
+    _slope_ci,
     ModulusRecord,
     SupErrorRecord,
     RateReport,
@@ -322,11 +325,23 @@ class TestRateExperiment:
         assert report.slope_ci is None
 
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
-    def test_span_validation(self):
+    def test_span_validation(self, monkeypatch):
+        # the grid is refused before the truth is built or any size simulated
+        calls = []
+
+        def record(name, func):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+            return wrapper
+
+        for name in ("simulate_batch", "marginal_truth"):
+            monkeypatch.setattr(diagnostics, name, record(name, getattr(diagnostics, name)))
         with pytest.raises(ValueError, match="ratio"):
             rate_experiment(AR1, [256, 512, 1024, 2048, 4096], 2, seed=1)
         with pytest.raises(ValueError, match="distinct"):
             rate_experiment(AR1, [256, 16384], 2, seed=1)
+        assert calls == []
 
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
     def test_model_without_truth_rejected(self):
@@ -357,6 +372,71 @@ class TestRateExperiment:
             assert r.sup_error >= 0.0
             assert r.bandwidth == pytest.approx(stone_bandwidth(r.n))
             assert r.eval_points > 0
+
+
+def reference_ci(ns, errors, seed):
+    """The per-round bootstrap that ``rate_experiment`` used to run, kept as a
+    reference: ``choice`` + ``np.median`` per round and size, one
+    ``fit_loglog_slope`` per round, degenerate rounds skipped.  Returns the
+    CI and the number of skipped rounds."""
+    boot_rng = np.random.default_rng((abs(int(seed)), 0xB007))
+    slopes, skipped = [], 0
+    for _ in range(500):
+        meds = [float(np.median(boot_rng.choice(row, size=len(row), replace=True)))
+                for row in errors]
+        try:
+            slopes.append(fit_loglog_slope(ns, meds))
+        except DegenerateFitError:
+            skipped += 1
+    ci = (float(np.percentile(slopes, 2.5)), float(np.percentile(slopes, 97.5))) if slopes else None
+    return ci, skipped
+
+
+class TestRateSummary:
+    """The array bootstrap against the per-round reference loop."""
+
+    NS = [2**k for k in range(9, 16)]
+
+    @pytest.mark.parametrize("model,ns,reps,seed", [
+        (TarModel(0.6, -0.3), [2**k for k in range(9, 16)], 10, 1),
+        (TarModel(0.6, -0.3), [2**k for k in range(9, 16)], 10, 4),
+        (AR1, [2**k for k in range(10, 17)], 20, 2),
+        (AR1, [2**k for k in range(10, 17)], 20, 6),
+    ], ids=["TAR-1", "TAR-4", "AR1-2", "AR1-6"])
+    def test_real_runs_match_the_reference(self, model, ns, reps, seed):
+        report = rate_experiment(model, ns, reps, seed=seed)
+        rows = [[r.sup_error for r in report.records if r.n == n] for n in ns]
+        medians = tuple(float(np.median(row)) for row in rows)
+        assert report.median_errors == medians
+        assert report.mean_errors == tuple(float(np.mean(row)) for row in rows)
+        assert report.fitted_slope == fit_loglog_slope(ns, medians)
+        ci, _ = reference_ci(ns, np.array(rows), seed)
+        assert_allclose(report.slope_ci, ci, rtol=0, atol=2e-16)
+
+    @pytest.mark.parametrize("table", ["zeros", "ties"])
+    def test_degenerate_rounds_skipped(self, table):
+        rng = np.random.default_rng(17)
+        errors = rng.uniform(0.01, 0.1, (len(self.NS), 5))
+        if table == "zeros":
+            errors[:, :2] = 0.0      # a round whose median is 0 cannot be fitted
+        else:
+            errors[:, :3] = 0.05     # a round whose medians are all 0.05 has no slope
+        ci, skipped = reference_ci(self.NS, errors, 3)
+        assert 0 < skipped < 500
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _slope_ci(self.NS, errors, 3)
+        assert_allclose(got, ci, rtol=0, atol=2e-16)
+
+    @pytest.mark.parametrize("fill", [0.0, 0.05])
+    def test_no_round_fits_means_no_ci(self, fill):
+        errors = np.full((len(self.NS), 4), fill)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _slope_ci(self.NS, errors, 3) is None
+
+    def test_single_replication_has_no_ci(self):
+        assert _slope_ci(self.NS, np.linspace(0.1, 0.01, len(self.NS))[:, None], 3) is None
 
 
 class TestErrorDecomposition:
