@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import itertools
 import json
 import math
 import os
 import sys
 import time
+import warnings
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,6 +59,8 @@ _MAX_BAD_ROWS = 10
 _MAX_GRID_POINTS = 10**7
 #: largest array a ``simulate``, ``delta`` or ``rate`` run may ask for, 2 GiB of float64
 _MAX_BUFFER_VALUES = 2**28
+#: ``bench`` reports the fastest of this many frequency polygon builds and queries
+_BENCH_REPEATS = 5
 
 
 class UsageError(Exception):
@@ -88,6 +92,28 @@ def _write_text(path: str | None, parts: Iterable[str]) -> None:
                 f.writelines(parts)
         except OSError as exc:
             raise UsageError(f"cannot write --output {path}: {exc.strerror or exc}") from exc
+
+
+def _check_output(path: str) -> None:
+    """Refuse an ``--output`` that is a directory or that cannot be opened for writing.
+
+    An existing file needs write permission on itself; a new one needs a
+    writable directory to be created in.
+    """
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = errno.EISDIR
+    elif os.path.exists(path):
+        if os.access(path, os.W_OK):
+            return
+        reason = errno.EACCES
+    elif not os.path.isdir(parent):
+        reason = errno.ENOENT
+    elif not os.access(parent, os.W_OK):
+        reason = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write --output {path}: {os.strerror(reason)}")
 
 
 def _check_buffer(values: int, flags: str) -> None:
@@ -182,24 +208,30 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     lo = min(float(chunk.min()) for chunk in chunks)
     hi = max(float(chunk.max()) for chunk in chunks)
     bandwidth = args.bandwidth if args.bandwidth is not None else stone_bandwidth(n)
-    if bandwidth <= 0:
-        raise UsageError(f"--bandwidth must be positive, got {bandwidth}")
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise UsageError(f"--bandwidth must be positive and finite, got {bandwidth}")
     scheme = BinningScheme(bandwidth)
     try:
         scheme.bin_index(np.array([lo, hi]))  # every row lies between the two
     except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    h = merge_histograms(build_histogram(chunk, scheme) for chunk in chunks)
+        raise DataError(f"{args.input}: {exc}") from exc
+    try:
+        h = merge_histograms(build_histogram(chunk, scheme) for chunk in chunks)
+    except ValueError as exc:  # rows are finite and indexable: only the density scale is left
+        raise UsageError(f"--bandwidth {bandwidth}: {exc}") from exc
 
     gmin = args.grid_min if args.grid_min is not None else lo - 4.0 * bandwidth
     gmax = args.grid_max if args.grid_max is not None else hi + 4.0 * bandwidth
     gstep = args.grid_step if args.grid_step is not None else bandwidth / 10.0
-    if not (gmax > gmin and gstep > 0):
-        raise UsageError(f"invalid grid [{gmin}, {gmax}] step {gstep}")
+    if not gstep > 0:
+        raise UsageError(f"--grid-step must be positive, got {gstep}")
+    if not gmax > gmin:
+        raise UsageError(f"--grid-max must be above --grid-min, got [{gmin}, {gmax}]")
     steps = np.floor((gmax - gmin) / gstep + 1e-9)
     if not steps < _MAX_GRID_POINTS:
-        raise UsageError(f"grid [{gmin}, {gmax}] step {gstep} has {steps + 1:.6g} points, "
-                         f"above the limit of {_MAX_GRID_POINTS}")
+        raise UsageError(f"--grid-min/--grid-max/--grid-step: grid [{gmin}, {gmax}] step "
+                         f"{gstep} has {steps + 1:.6g} points, above the limit of "
+                         f"{_MAX_GRID_POINTS}")
     count = int(steps) + 1
     grid = gmin + gstep * np.arange(count)
 
@@ -241,7 +273,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     if args.n < 1:
         raise UsageError(f"--n must be positive, got {args.n}")
-    burn_in = resolve_burn_in(model, args.burn_in)
+    try:
+        burn_in = resolve_burn_in(model, args.burn_in)
+    except ModelValidityError:
+        raise
+    except ValueError as exc:
+        raise UsageError(f"--burn-in: {exc}") from exc
     _check_buffer(burn_in + args.n, "--n and --burn-in")
     sample = simulate(model, args.n, burn_in=burn_in, seed=args.seed)
     config = {
@@ -267,7 +304,12 @@ def cmd_delta(args: argparse.Namespace) -> int:
     if args.kmax < 0:
         raise UsageError(f"--kmax must be nonnegative, got {args.kmax}")
     _check_buffer(args.reps * (resolve_burn_in(model, None) + args.kmax + 2), "--reps and --kmax")
-    deltas = estimate_delta_profile(model, args.kmax, args.reps, seed=args.seed)
+    try:
+        deltas = estimate_delta_profile(model, args.kmax, args.reps, seed=args.seed)
+    except ModelValidityError:
+        raise
+    except ValueError as exc:
+        raise UsageError(f"--reps: {exc}") from exc
     rho = contraction_proxy(model)
     report = check_summability(deltas, rho)
     config = {
@@ -311,10 +353,6 @@ def cmd_rate(args: argparse.Namespace) -> int:
         raise UsageError("--output - is not accepted: stdout carries the summary JSON")
     if args.n_min < 2:
         raise UsageError(f"--n-min must be at least 2, got {args.n_min}")
-    if args.n_min >= args.n_max:
-        raise UsageError(f"--n-min must be below --n-max, got {args.n_min} >= {args.n_max}")
-    if args.reps < 1:
-        raise UsageError(f"--reps must be positive, got {args.reps}")
     n_values = []
     n = args.n_min
     while n <= args.n_max:
@@ -324,13 +362,12 @@ def cmd_rate(args: argparse.Namespace) -> int:
     _check_buffer(args.reps * max(resolve_burn_in(model, None) + args.n_max, 500 * len(n_values)),
                   "--reps and --n-max")
     try:
-        report = rate_experiment(
-            model, n_values, args.reps, seed=args.seed, max_workers=args.threads
-        )
+        report = rate_experiment(model, n_values, args.reps, seed=args.seed,
+                                 max_workers=args.threads)
     except ModelValidityError:
         raise
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    except ValueError as exc:  # the size grid, --reps and --threads are checked before any work
+        raise UsageError(f"--n-min/--n-max/--reps/--threads: {exc}") from exc
     config = {
         "command": "rate",
         "model": model_to_spec(model),
@@ -361,27 +398,29 @@ def cmd_rate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_benchmark(n: int, m: int, seed: int = 0, repeats: int = 5) -> dict:
+def run_benchmark(n: int, m: int, seed: int = 0) -> dict:
     """Time frequency polygon build+query against the naive KDE baseline.
 
     Both estimators use the same simulated gaussian sample, the same
     bandwidth schedule, and the same query grid.  The frequency polygon's
-    build and query phases are repeated ``repeats`` times and the minimum
-    wall time reported; the KDE's O(n*m) pass runs once, since a pass of
-    seconds is already a stable measurement.
+    build and query phases are repeated ``_BENCH_REPEATS`` times and the
+    minimum wall time reported; the KDE's O(n*m) pass runs once, since a
+    pass of seconds is already a stable measurement.
     """
     if n < 10_000:
-        raise UsageError(f"benchmark needs n >= 10000, got {n}")
+        raise UsageError(f"--n must be at least 10000, got {n}")
     if m < 100:
-        raise UsageError(f"benchmark needs m >= 100, got {m}")
+        raise UsageError(f"--m must be at least 100, got {m}")
     model = ArmaModel()
+    _check_buffer(resolve_burn_in(model, None) + n, "--n")
+    _check_buffer(m, "--m")
     sample = simulate(model, n, seed=seed)
     bandwidth = stone_bandwidth(n)
     queries = np.linspace(float(sample.min()), float(sample.max()), m)
 
     build_t, eval_t = [], []
     occupied = 0
-    for _ in range(repeats):
+    for _ in range(_BENCH_REPEATS):
         t0 = time.perf_counter()
         h = build_histogram(sample, BinningScheme(bandwidth))
         t1 = time.perf_counter()
@@ -398,7 +437,7 @@ def run_benchmark(n: int, m: int, seed: int = 0, repeats: int = 5) -> dict:
         "n": n,
         "m": m,
         "seed": seed,
-        "repeats": repeats,
+        "repeats": _BENCH_REPEATS,
         "bandwidth": bandwidth,
         "p_n": occupied,
         "fp_build_s": fp_build,
@@ -519,20 +558,28 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"polyfreq: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"polyfreq: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ModelValidityError as exc:
-        print(f"polyfreq: model error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except ValueError as exc:
-        print(f"polyfreq: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # library warnings (say, a thin rate experiment) print as one line each
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            output = getattr(args, "output", None)
+            if output not in (None, "-"):  # found before the work, not after it
+                _check_output(output)
+            return args.func(args)
+        except UsageError as exc:
+            print(f"polyfreq: usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except DataError as exc:
+            print(f"polyfreq: data error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except ModelValidityError as exc:
+            print(f"polyfreq: model error: --model {args.model}: {exc}", file=sys.stderr)
+            return EXIT_MODEL
+        except ValueError as exc:
+            print(f"polyfreq: usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        finally:
+            for w in caught:
+                print(f"polyfreq: warning: {w.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -38,12 +38,11 @@ from .estimators import (
     fp_eval,
     stone_bandwidth,
 )
-from .models import MarginalTruth, Model, marginal_truth, simulate_batch
+from .models import MarginalTruth, Model, load_simulator, marginal_truth, simulate_batch
 
 __all__ = [
     "SupErrorRecord",
     "RateReport",
-    "ModulusRecord",
     "DegenerateFitError",
     "make_eval_grid",
     "sup_error",
@@ -62,9 +61,6 @@ GRID_POINTS_PER_BIN = 10
 
 #: evaluation grids extend this many bin widths beyond the truth's support
 GRID_MARGIN_BINS = 4
-
-#: tail mass defining the truth's effective support for grid construction
-GRID_TAIL_MASS = 1e-9
 
 
 class DegenerateFitError(ValueError):
@@ -87,24 +83,11 @@ def make_eval_grid(lo: float, hi: float, bandwidth: float) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def sup_error(estimate: Callable, truth: Callable, eval_grid,
-              support: tuple[float, float] | None = None) -> float:
-    """Max absolute deviation between estimate and truth over a grid.
-
-    When ``support`` is given the grid must cover it (plus nothing extra is
-    required); an uncovered support raises, since the supremum would then
-    be taken over the wrong region.
-    """
+def sup_error(estimate: Callable, truth: Callable, eval_grid) -> float:
+    """Max absolute deviation between estimate and truth over a grid."""
     grid = np.asarray(eval_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("eval_grid must be a 1-d array with at least 2 points")
-    if support is not None:
-        lo, hi = support
-        if grid[0] > lo or grid[-1] < hi:
-            raise ValueError(
-                f"eval_grid [{grid[0]:.6g}, {grid[-1]:.6g}] does not cover "
-                f"support [{lo:.6g}, {hi:.6g}]"
-            )
     return float(np.max(np.abs(np.asarray(estimate(grid), dtype=float)
                                - np.asarray(truth(grid), dtype=float))))
 
@@ -160,17 +143,16 @@ def _range_extremes(values: np.ndarray, starts: np.ndarray, stops: np.ndarray,
     return out
 
 
-def _window_mass_peaks(truth_cdf: Callable, lo: float, hi: float, b: float,
-                       coarse: int = 4096) -> np.ndarray:
+def _window_mass_peaks(truth_cdf: Callable, lo: float, hi: float, b: float) -> np.ndarray:
     """Interior maximizers of ``v -> F(v + b) - F(v)`` over ``[lo, hi]``.
 
-    A coarse vectorized scan locates the local maxima; each is then refined
-    by bounded scalar minimization.  Smooth unimodal truths have exactly
-    one.
+    A coarse vectorized scan of 4096 points locates the local maxima; each
+    is then refined by bounded scalar minimization.  Smooth unimodal truths
+    have exactly one.
     """
     from scipy import optimize
 
-    vs = np.linspace(lo, hi, coarse)
+    vs = np.linspace(lo, hi, 4096)
     psi = np.asarray(truth_cdf(vs + b), dtype=float) - np.asarray(truth_cdf(vs), dtype=float)
     interior = np.flatnonzero(
         (psi[1:-1] >= psi[:-2]) & (psi[1:-1] >= psi[2:]) & (psi[1:-1] > 0)
@@ -256,21 +238,6 @@ def modulus_envelope(n: int, b: float) -> tuple[float, float]:
     return math.sqrt(b * log_n), b * kappa
 
 
-@dataclass(frozen=True)
-class ModulusRecord:
-    """Measured modulus beside its theoretical envelope terms."""
-
-    n: int
-    bandwidth: float
-    modulus: float
-    envelope_sqrt: float
-    envelope_kappa: float
-
-    @property
-    def ratio(self) -> float:
-        return self.modulus / self.envelope_sqrt
-
-
 # ---------------------------------------------------------------------------
 # rate experiment
 # ---------------------------------------------------------------------------
@@ -341,7 +308,7 @@ def _size_records(model: Model, truth: MarginalTruth, n: int,
                   seeds: Sequence[int]) -> list[SupErrorRecord]:
     """All replications of one sample size, simulated in one lockstep batch."""
     bandwidth = stone_bandwidth(n)
-    grid = make_eval_grid(*truth.support(GRID_TAIL_MASS), bandwidth)
+    grid = make_eval_grid(*truth.support(), bandwidth)
     start = time.perf_counter()
     samples = simulate_batch(model, n, seeds)
     sim_share = (time.perf_counter() - start) / len(seeds)
@@ -409,6 +376,9 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be positive, got {max_workers}")
     truth = marginal_truth(model)
+    # a first import (scipy.signal for ARMA) must not land in the wall times
+    # of the sizes that happen to simulate first
+    load_simulator(model)
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         sizes = pool.map(lambda i: _size_records(
             model, truth, ns[i], range(seed + i * reps, seed + (i + 1) * reps)), range(len(ns)))
@@ -431,8 +401,7 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
 # ---------------------------------------------------------------------------
 
 
-def error_decomposition(truth: MarginalTruth, sample, bandwidth: float,
-                        grid=None) -> dict[str, float]:
+def error_decomposition(truth: MarginalTruth, sample, bandwidth: float) -> dict[str, float]:
     """Both sides of the estimator's error chain, evaluated numerically.
 
     The frequency polygon's sup error is bounded by twice the empirical
@@ -441,15 +410,13 @@ def error_decomposition(truth: MarginalTruth, sample, bandwidth: float,
     Returns the measured left side, the assembled right side, and the
     individual terms.  A small grid-resolution correction (Lipschitz
     constant times spacing, per term) keeps the comparison valid when the
-    suprema on the right are realized off-grid.
+    suprema on the right are realized off-grid.  Every term is evaluated on
+    ``make_eval_grid`` over the truth's support.
     """
     sample = np.asarray(sample, dtype=float)
     n = sample.size
     scheme = BinningScheme(bandwidth)
-    if grid is None:
-        lo, hi = truth.support(GRID_TAIL_MASS)
-        grid = make_eval_grid(lo, hi, bandwidth)
-    grid = np.asarray(grid, dtype=float)
+    grid = make_eval_grid(*truth.support(), bandwidth)
     spacing = float(grid[1] - grid[0])
 
     h = build_histogram(sample, scheme)

@@ -105,14 +105,6 @@ class BinningScheme:
         out = z.astype(np.int64)
         return int(out[()]) if scalar else out
 
-    def bin_origin(self, x):
-        """Greatest integer multiple of the bin width strictly below ``x``."""
-        arr, scalar = _as_finite_array(x)
-        # below -max float the origin rounds to -inf, as the scalar product does
-        with np.errstate(over="ignore"):
-            out = self.bin_index(arr) * self.bin_width
-        return float(out) if scalar else out
-
     def half_grid_index(self, x):
         """Integer ``k`` with ``k*b - b/2 < x <= k*b + b/2``, exactly.
 
@@ -436,11 +428,5 @@ class EmpiricalCdf:
         """Fraction of sample points ``<= x``."""
         arr = np.asarray(x, dtype=float)
         out = np.searchsorted(self.sorted_sample, arr, side="right") / self.n
-        return float(out[()]) if arr.ndim == 0 else out
-
-    def below(self, x):
-        """Fraction of sample points ``< x`` (the left limit of the ECDF)."""
-        arr = np.asarray(x, dtype=float)
-        out = np.searchsorted(self.sorted_sample, arr, side="left") / self.n
         return float(out[()]) if arr.ndim == 0 else out
 

@@ -43,7 +43,6 @@ __all__ = [
     "simulate_batch",
     "nlar_soft_check",
     "tar_marginal_oracle",
-    "tar_oracle_grid",
     "marginal_truth",
     "model_from_spec",
     "model_to_spec",
@@ -55,6 +54,9 @@ SPEC_SCHEMA_VERSION = 1
 #: margin for the unit-circle root test: moduli within this distance of 1
 #: are treated as numerically indistinguishable from a unit root.
 ROOT_MARGIN = 1e-9
+
+#: iteration cap of the TAR fixed-point oracle
+ORACLE_MAX_ITERATIONS = 500
 
 
 class ModelValidityError(ValueError):
@@ -319,10 +321,10 @@ def arma_check_stationary(model: ArmaModel) -> StationarityCheck:
     return StationarityCheck(True, ar_mod, ma_mod, "all roots strictly inside the unit circle")
 
 
-def nlar_soft_check(model: NlarModel, lo: float = -50.0, hi: float = 50.0,
-                    points: int = 4001, tol: float = 1e-6) -> None:
-    """Probe the asserted Lipschitz bound by finite differences on a grid."""
-    grid = np.linspace(lo, hi, points)
+def nlar_soft_check(model: NlarModel) -> None:
+    """Probe the asserted Lipschitz bound by finite differences, 4001 points on [-50, 50]."""
+    tol = 1e-6
+    grid = np.linspace(-50.0, 50.0, 4001)
     vals = np.asarray(model.transition(grid), dtype=float)
     slopes = np.abs(np.diff(vals) / np.diff(grid))
     worst = float(slopes.max())
@@ -388,13 +390,13 @@ def default_burn_in(model: Model) -> int:
 # ---------------------------------------------------------------------------
 
 
-def arma_to_ma_coeffs(model: ArmaModel, truncation: int | None = None) -> np.ndarray:
+def arma_to_ma_coeffs(model: ArmaModel) -> np.ndarray:
     """Moving-average representation coefficients of a stationary ARMA model.
 
     Runs the standard recursion ``beta_j = ma_j + sum_i ar_i * beta_{j-i}``
-    with ``beta_0 = 1``.  With ``truncation=None`` the series is extended by
-    doubling until the discarded squared tail is below ``1e-12`` of the
-    total, so the truncation error sits under any estimator's noise floor.
+    with ``beta_0 = 1``.  The series is extended by doubling until the
+    discarded squared tail is below ``1e-12`` of the total, so the
+    truncation error sits under any estimator's noise floor.
     """
     require_valid(model)
     p, q = model.p, model.q
@@ -410,11 +412,6 @@ def arma_to_ma_coeffs(model: ArmaModel, truncation: int | None = None) -> np.nda
                 val += float(ar[:imax] @ beta[j - imax : j][::-1])
             beta[j] = val
         return beta
-
-    if truncation is not None:
-        if truncation < p + q:
-            raise ValueError(f"truncation {truncation} must be at least p + q = {p + q}")
-        return extend(np.array([1.0]), truncation)
 
     k = max(2 * (p + q) + 8, 16)
     beta = extend(np.array([1.0]), k)
@@ -521,6 +518,16 @@ def advance(model: Model, state, eps: np.ndarray):
     return eps, eps[:, -1]
 
 
+def load_simulator(model: Model) -> None:
+    """Import now what :func:`initial_state` and :func:`advance` import lazily for ``model``.
+
+    ARMA models are filtered by ``scipy.signal``, whose first import takes
+    about a second; a timed simulation after this call does not pay it.
+    """
+    if isinstance(model, ArmaModel):
+        from scipy import signal  # noqa: F401
+
+
 def simulate(model: Model, n: int, burn_in: int | None = None, seed: int = 0) -> np.ndarray:
     """Simulate ``n`` stationary-regime values; deterministic in all arguments.
 
@@ -561,34 +568,21 @@ def simulate_batch(model: Model, n: int, seeds: Sequence[int],
 # ---------------------------------------------------------------------------
 
 
-def tar_oracle_grid(model: TarModel, points: int = 2001) -> np.ndarray:
-    """Default fixed-point grid: +-8.5 conservative stationary deviations."""
-    require_valid(model)
-    spread = model.noise.std / math.sqrt(1.0 - model.contraction**2)
-    return np.linspace(-8.5 * spread, 8.5 * spread, points)
-
-
-def tar_marginal_oracle(model: TarModel, grid, max_iterations: int = 500,
-                        tol: float = 1e-10) -> np.ndarray:
+def tar_marginal_oracle(model: TarModel) -> tuple[np.ndarray, np.ndarray]:
     """Stationary marginal density of a TAR model by fixed-point iteration.
 
-    Iterates the Markov density map ``f <- integral of noise_pdf(x - r(y)) f(y) dy``
-    with trapezoid quadrature on the supplied grid until the sup-norm change
-    drops below ``tol``.  The grid must cover at least +-8 conservative
-    stationary standard deviations so that truncated tail mass is far below
-    the convergence tolerance.
+    Returns ``(grid, density)``.  The grid holds 2001 points over +-8.5
+    conservative stationary standard deviations ``std / sqrt(1 - rho**2)``,
+    so truncated tail mass is far below the convergence tolerance.  The
+    Markov density map ``f <- integral of noise_pdf(x - r(y)) f(y) dy`` is
+    iterated with trapezoid quadrature on that grid until the sup-norm
+    change drops below ``1e-10``, within ``ORACLE_MAX_ITERATIONS`` rounds.
     """
     require_valid(model)
     if model.noise.distribution != "gaussian":
         raise ModelValidityError("the fixed-point marginal oracle requires gaussian noise")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 64 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be a strictly increasing 1-d array with >= 64 points")
     spread = model.noise.std / math.sqrt(1.0 - model.contraction**2)
-    if grid[0] > -8.0 * spread or grid[-1] < 8.0 * spread:
-        raise ValueError(
-            f"grid [{grid[0]:.6g}, {grid[-1]:.6g}] must cover +-{8.0 * spread:.6g}"
-        )
+    grid = np.linspace(-8.5 * spread, 8.5 * spread, 2001)
     weights = np.empty_like(grid)
     weights[0] = 0.5 * (grid[1] - grid[0])
     weights[-1] = 0.5 * (grid[-1] - grid[-2])
@@ -596,14 +590,14 @@ def tar_marginal_oracle(model: TarModel, grid, max_iterations: int = 500,
 
     kernel = model.noise.pdf(grid[:, None] - model.transition(grid)[None, :]) * weights[None, :]
     f = model.noise.pdf(grid)
-    for _ in range(max_iterations):
+    for _ in range(ORACLE_MAX_ITERATIONS):
         f_next = kernel @ f
         change = float(np.max(np.abs(f_next - f)))
         f = f_next
-        if change < tol:
-            return f
+        if change < 1e-10:
+            return grid, f
     raise RuntimeError(
-        f"fixed-point iteration did not converge in {max_iterations} iterations; "
+        f"fixed-point iteration did not converge in {ORACLE_MAX_ITERATIONS} iterations; "
         f"last sup-change {change:.3e}"
     )
 
@@ -619,8 +613,9 @@ class MarginalTruth:
         self.quantile = quantile
         self.lipschitz = float(lipschitz)
 
-    def support(self, tail_mass: float = 1e-9) -> tuple[float, float]:
-        return float(self.quantile(tail_mass)), float(self.quantile(1.0 - tail_mass))
+    def support(self) -> tuple[float, float]:
+        """Quantiles that leave a tail mass of 1e-9 outside each end."""
+        return float(self.quantile(1e-9)), float(self.quantile(1.0 - 1e-9))
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -667,8 +662,7 @@ def marginal_truth(model: Model) -> MarginalTruth:
         c = np.asarray(model.coeffs)
         return _gaussian_truth(model.mean, model.noise.variance * float(c @ c))
     if isinstance(model, TarModel):
-        grid = tar_oracle_grid(model)
-        dens = tar_marginal_oracle(model, grid)
+        grid, dens = tar_marginal_oracle(model)
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
         cum /= cum[-1]
         lipschitz = float(np.max(np.abs(np.diff(dens) / np.diff(grid))))

@@ -30,7 +30,7 @@ from polyfreq.estimators import (
     histogram_eval,
     stone_bandwidth,
 )
-from polyfreq.models import ArmaModel, TarModel, marginal_truth, simulate, tar_marginal_oracle, tar_oracle_grid
+from polyfreq.models import ArmaModel, TarModel, marginal_truth, simulate, tar_marginal_oracle
 from test_diagnostics import brute_modulus
 
 AR1 = ArmaModel(ar=(0.5,))
@@ -245,8 +245,8 @@ def test_7_modulus_machinery():
 def test_8_cost_comparison():
     """Frequency polygon answers 1000 queries >= 10x faster than naive KDE."""
     start = time.perf_counter()
-    big = run_benchmark(10**6, 1000, seed=7, repeats=5)
-    small = run_benchmark(10**4, 1000, seed=7, repeats=5)
+    big = run_benchmark(10**6, 1000, seed=7)
+    small = run_benchmark(10**4, 1000, seed=7)
     speedup = big["kde_over_fp_total"]
     # query cost must not scale with n: allow generous timing noise, against
     # the KDE's ~100x growth over the same span
@@ -266,16 +266,15 @@ def test_9_fixed_point_marginal_oracle():
     """TAR fixed-point density matches the linear closed form and normalizes."""
     start = time.perf_counter()
     linear = TarModel(0.5, 0.5)
-    grid = tar_oracle_grid(linear)
-    dens = tar_marginal_oracle(linear, grid)
+    grid, dens = tar_marginal_oracle(linear)
     closed = stats.norm(0.0, math.sqrt(1.0 / 0.75)).pdf(grid)
     sup_gap = float(np.max(np.abs(dens - closed)))
 
     mass_errs = []
     for a, b in ((0.6, -0.3), (-0.4, 0.2), (0.3, 0.7)):
         model = TarModel(a, b)
-        g = tar_oracle_grid(model)
-        mass = float(np.trapezoid(tar_marginal_oracle(model, g), g))
+        g, dens = tar_marginal_oracle(model)
+        mass = float(np.trapezoid(dens, g))
         mass_errs.append(abs(mass - 1.0))
     elapsed = time.perf_counter() - start
     _verdict(

@@ -4,6 +4,7 @@ import builtins
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from polyfreq import dependence, models
+from polyfreq import cli, dependence, models
 
 from polyfreq.cli import (
     EXIT_DATA,
@@ -528,6 +529,18 @@ class TestRateCommand:
         assert "no records file is written" in " ".join(capsys.readouterr().out.split())
 
 
+def test_thin_rate_warning_is_one_line(ar1_model):
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyfreq.cli", "rate", "--model", ar1_model,
+         "--n-min", "256", "--n-max", "16384", "--reps", "2"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr.splitlines() == [
+        "polyfreq: warning: reps=2 is thin for a rate experiment; slope gates are "
+        "calibrated for >= 10 replications"]
+    assert "UserWarning" not in proc.stderr and ".py:" not in proc.stderr
+
+
 class TestBufferCaps:
     """Flags that would size a simulation buffer past the cap are refused
     before any innovation is drawn."""
@@ -555,6 +568,151 @@ class TestBufferCaps:
         assert main([*argv, "--model", ar1_model]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert flags in err and "above the limit of 268435456" in err
+
+
+class TestOutputCheckedFirst:
+    """An ``--output`` that cannot be created is refused before the command
+    reads its input, simulates or estimates anything."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("estimate_delta_profile", "rate_experiment", "simulate", "_read_column"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--input", "data.csv"],
+        ["simulate", "--n", "10"],
+        ["delta", "--kmax", "10", "--reps", "200000"],
+        ["rate", "--n-min", "256", "--n-max", "16384", "--reps", "2"],
+    ], ids=["estimate", "simulate", "delta", "rate"])
+    @pytest.mark.parametrize("where", ["missing-parent", "directory", "read-only-parent",
+                                       "read-only-file"])
+    def test_refused_before_any_work(self, tmp_path, ar1_model, monkeypatch, capsys, argv,
+                                     where):
+        out = tmp_path / "out.csv"
+        if where == "missing-parent":
+            out = tmp_path / "missing" / "out.csv"
+        elif where == "directory":
+            out.mkdir()
+        else:  # a superuser may write anywhere, so os.access is made to refuse
+            if where == "read-only-file":
+                out.write_text("")
+            monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        if argv[0] != "estimate":
+            argv = [*argv, "--model", ar1_model]
+        assert main([*argv, "--output", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"usage error: cannot write --output {out}: " in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
+class TestOutputWritable:
+    """Writing an existing file needs permission on the file, not on its
+    directory."""
+
+    def test_existing_file_in_read_only_directory(self, tmp_path, ar1_model, monkeypatch):
+        out = tmp_path / "out.csv"
+        out.write_text("")
+        access = os.access
+        monkeypatch.setattr(cli.os, "access",
+                            lambda path, mode: path != str(tmp_path) and access(path, mode))
+        assert main(["simulate", "--model", ar1_model, "--n", "10", "--output", str(out)]) \
+            == EXIT_OK
+        assert out.read_text().count("\n") > 10
+
+    def test_null_device(self, ar1_model, monkeypatch, capsys):
+        # the null device's directory (/dev) is read-only to all but root
+        access, devices = os.access, os.path.dirname(os.devnull)
+        monkeypatch.setattr(cli.os, "access",
+                            lambda path, mode: path != devices and access(path, mode))
+        assert main(["simulate", "--model", ar1_model, "--n", "10", "--output", os.devnull]) \
+            == EXIT_OK
+        assert capsys.readouterr() == ("", "")
+
+
+NONSTATIONARY_SPEC = {**AR1_SPEC, "ar": [1.5]}
+
+
+class TestFlagErrors:
+    """Every bad flag value exits with a contract code and a message that
+    names the flag, or the path it was given, without a traceback."""
+
+    CASES = [
+        (["estimate", "--input", "{missing}"], "{missing}"),
+        (["estimate", "--input", "{dir}"], "{dir}"),
+        (["estimate", "--input", "{data}", "--bandwidth", "0"], "--bandwidth"),
+        (["estimate", "--input", "{data}", "--bandwidth", "-1"], "--bandwidth"),
+        (["estimate", "--input", "{data}", "--bandwidth", "nan"], "--bandwidth"),
+        (["estimate", "--input", "{data}", "--bandwidth", "inf"], "--bandwidth"),
+        (["estimate", "--input", "{data}", "--bandwidth", "x"], "--bandwidth"),
+        (["estimate", "--input", "{data}", "--bandwidth", "1e308"], "--bandwidth"),
+        (["estimate", "--input", "{data}", "--bandwidth", "1e-300"], "{data}"),
+        (["estimate", "--input", "{data}", "--grid-step", "0"], "--grid-step"),
+        (["estimate", "--input", "{data}", "--grid-step", "nan"], "--grid-step"),
+        (["estimate", "--input", "{data}", "--grid-step", "1e-12"], "--grid-step"),
+        (["estimate", "--input", "{data}", "--grid-min", "2", "--grid-max", "1"], "--grid-min"),
+        (["estimate", "--input", "{data}", "--grid-max", "nan"], "--grid-max"),
+        (["estimate", "--input", "{data}", "--format", "xml"], "--format"),
+        (["estimate", "--input", "{data}", "--output", "{dir}"], "--output"),
+        (["simulate", "--model", "{model}", "--n", "0"], "--n"),
+        (["simulate", "--model", "{model}", "--n", "x"], "--n"),
+        (["simulate", "--model", "{model}", "--n", "1000000000000"], "--n"),
+        (["simulate", "--model", "{model}", "--n", "10", "--burn-in", "5"], "--burn-in"),
+        (["simulate", "--model", "{model}", "--n", "10", "--burn-in", "-1"], "--burn-in"),
+        (["simulate", "--model", "{model}", "--n", "10", "--seed", "-1"], "--seed"),
+        (["simulate", "--model", "{model}", "--n", "10", "--seed", "x"], "--seed"),
+        (["simulate", "--model", "{missing}", "--n", "10"], "{missing}"),
+        (["simulate", "--model", "{data}", "--n", "10"], "{data}"),
+        (["simulate", "--model", "{unstable}", "--n", "10"], "{unstable}"),
+        (["simulate", "--model", "{model}", "--n", "10", "--output", "{dir}"], "--output"),
+        (["delta", "--model", "{model}", "--kmax", "-1"], "--kmax"),
+        (["delta", "--model", "{model}", "--kmax", "100000000"], "--kmax"),
+        (["delta", "--model", "{model}", "--kmax", "4", "--reps", "5"], "--reps"),
+        (["delta", "--model", "{model}", "--kmax", "4", "--reps", "-5"], "--reps"),
+        (["delta", "--model", "{model}", "--kmax", "4", "--format", "xml"], "--format"),
+        (["delta", "--model", "{unstable}", "--kmax", "4"], "{unstable}"),
+        (["delta", "--model", "{model}", "--kmax", "4", "--output", "{dir}"], "--output"),
+        (["rate", "--model", "{model}", "--n-min", "1", "--n-max", "4096"], "--n-min"),
+        (["rate", "--model", "{model}", "--n-min", "1024", "--n-max", "1024"], "--n-max"),
+        (["rate", "--model", "{model}", "--n-min", "1024", "--n-max", "4096"], "--n-max"),
+        (["rate", "--model", "{model}", "--n-min", "256", "--n-max", "1000000000000"],
+         "--n-max"),
+        (["rate", "--model", "{model}", "--n-min", "256", "--n-max", "16384", "--reps", "0"],
+         "--reps"),
+        (["rate", "--model", "{model}", "--n-min", "256", "--n-max", "16384",
+          "--threads", "0"], "--threads"),
+        (["rate", "--model", "{model}", "--n-min", "256", "--n-max", "16384",
+          "--threads", "-1"], "--threads"),
+        (["rate", "--model", "{model}", "--n-min", "256", "--n-max", "16384",
+          "--output", "-"], "--output"),
+        (["rate", "--model", "{model}", "--n-min", "256", "--n-max", "16384",
+          "--output", "{dir}"], "--output"),
+        (["rate", "--model", "{unstable}", "--n-min", "256", "--n-max", "16384"], "{unstable}"),
+        (["bench", "--n", "5", "--m", "200"], "--n"),
+        (["bench", "--n", "20000", "--m", "10"], "--m"),
+        (["bench", "--n", "x", "--m", "200"], "--n"),
+        (["bench", "--n", "1000000000000000", "--m", "200"], "--n"),
+        (["bench", "--n", "20000", "--m", "1000000000000"], "--m"),
+        (["bench", "--n", "20000", "--m", "200", "--seed", "-1"], "--seed"),
+        (["bench", "--n", "20000", "--m", "200", "--format", "xml"], "--format"),
+    ]
+
+    @pytest.mark.parametrize("argv,named", CASES, ids=[" ".join(a) for a, _ in CASES])
+    def test_message_names_the_flag(self, tmp_path, ar1_model, capsys, argv, named):
+        data = tmp_path / "d.csv"
+        data.write_text("0.25\n0.75\n")
+        unstable = tmp_path / "unstable.json"
+        unstable.write_text(json.dumps(NONSTATIONARY_SPEC))
+        paths = {"missing": str(tmp_path / "missing.csv"), "dir": str(tmp_path),
+                 "data": str(data), "model": ar1_model, "unstable": str(unstable)}
+        code = main([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code in (EXIT_USAGE, EXIT_DATA, EXIT_MODEL)
+        assert "Traceback" not in err
+        assert named.format(**paths) in err
 
 
 class TestBenchCommand:

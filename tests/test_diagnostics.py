@@ -1,6 +1,9 @@
 """Tests for sup-error measurement, the modulus machinery, and rate fits."""
 
 import math
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -15,7 +18,6 @@ from polyfreq.diagnostics import (
     DegenerateFitError,
     _range_extremes,
     _slope_ci,
-    ModulusRecord,
     SupErrorRecord,
     RateReport,
     empirical_process,
@@ -221,12 +223,6 @@ class TestSupError:
         grid = make_eval_grid(-6, 6, 0.1)
         assert sup_error(truth.pdf, truth.pdf, grid) == 0.0
 
-    def test_support_coverage_enforced(self):
-        truth = marginal_truth(AR1)
-        grid = np.linspace(-1, 1, 100)
-        with pytest.raises(ValueError, match="cover"):
-            sup_error(truth.pdf, truth.pdf, grid, support=(-6, 6))
-
     def test_histogram_error_scale_at_one_million(self):
         x = simulate(ArmaModel(), 10**6, seed=4242)
         b = stone_bandwidth(10**6)
@@ -323,6 +319,28 @@ class TestRateExperiment:
         with pytest.warns(UserWarning, match="thin"):
             report = rate_experiment(AR1, self.N_GRID, 1, seed=3)
         assert report.slope_ci is None
+
+    def test_arma_rate_imports_scipy_signal_before_simulating(self):
+        # the import takes about a second; it must not land in the wall
+        # times of the sizes that happen to simulate first
+        code = textwrap.dedent("""
+            import sys
+            import polyfreq.cli
+            assert "scipy.signal" not in sys.modules
+            from polyfreq import diagnostics
+            from polyfreq.models import ArmaModel
+            inner, loaded = diagnostics.simulate_batch, []
+            def simulate_batch(*args, **kwargs):
+                loaded.append("scipy.signal" in sys.modules)
+                return inner(*args, **kwargs)
+            diagnostics.simulate_batch = simulate_batch
+            diagnostics.rate_experiment(ArmaModel(ar=(0.5,)), [2**k for k in range(6, 13)], 10,
+                                        max_workers=2)
+            print(len(loaded), all(loaded))
+        """)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.split() == ["7", "True"]
 
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
     def test_span_validation(self, monkeypatch):
@@ -452,16 +470,16 @@ class TestErrorDecomposition:
 
     def test_ratio_diagnostic_stays_bounded(self):
         truth = marginal_truth(AR1)
-        records = []
+        ratios, terms = [], []
         for i, n in enumerate([2**k for k in range(10, 17)]):
             b = stone_bandwidth(n)
             x = simulate(AR1, n, seed=880 + i)
             d = modulus_exact(EmpiricalCdf(x), truth.cdf, b)
             term1, term2 = modulus_envelope(n, b)
-            records.append(ModulusRecord(n, b, d, term1, term2))
-        ratios = np.asarray([r.ratio for r in records])
-        assert ratios.max() <= 3.0 * np.median(ratios)
-        assert all(r.envelope_sqrt > 0 and r.envelope_kappa > 0 for r in records)
+            ratios.append(d / term1)
+            terms += [term1, term2]
+        assert max(ratios) <= 3.0 * np.median(ratios)
+        assert min(terms) > 0
 
 
 class TestRateReportValidation:

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
+from polyfreq import models
 from polyfreq.models import (
     ArmaModel,
     LinearProcess,
@@ -33,7 +34,6 @@ from polyfreq.models import (
     simulate,
     simulate_batch,
     tar_marginal_oracle,
-    tar_oracle_grid,
 )
 
 AR1 = ArmaModel(ar=(0.5,))
@@ -104,13 +104,13 @@ class TestStationarity:
 
 class TestMaRepresentation:
     def test_ar1_geometric(self):
-        assert_array_equal(arma_to_ma_coeffs(AR1, 5), 0.5 ** np.arange(6))
+        assert_array_equal(arma_to_ma_coeffs(AR1)[:6], 0.5 ** np.arange(6))
 
     def test_ma1_finite(self):
-        assert_array_equal(arma_to_ma_coeffs(ArmaModel(ma=(0.7,)), 4), [1.0, 0.7, 0, 0, 0])
+        assert_array_equal(arma_to_ma_coeffs(ArmaModel(ma=(0.7,)))[:5], [1.0, 0.7, 0, 0, 0])
 
     def test_arma11_hand_recursion(self):
-        got = arma_to_ma_coeffs(ArmaModel(ar=(0.5,), ma=(0.2,)), 4)
+        got = arma_to_ma_coeffs(ArmaModel(ar=(0.5,), ma=(0.2,)))[:5]
         assert_allclose(got, [1.0, 0.7, 0.35, 0.175, 0.0875], rtol=1e-15)
 
     def test_auto_truncation_tail_negligible(self):
@@ -119,13 +119,9 @@ class TestMaRepresentation:
         assert total == pytest.approx(4.0 / 3.0, rel=1e-12)
         assert beta[-1] ** 2 / total < 1e-12
 
-    def test_truncation_below_order_rejected(self):
-        with pytest.raises(ValueError, match="truncation"):
-            arma_to_ma_coeffs(ArmaModel(ar=(0.5,), ma=(0.2, 0.1)), 2)
-
     def test_nonstationary_rejected(self):
         with pytest.raises(ModelValidityError):
-            arma_to_ma_coeffs(ArmaModel(ar=(1.1,)), 10)
+            arma_to_ma_coeffs(ArmaModel(ar=(1.1,)))
 
 
 class TestArmaMarginal:
@@ -303,41 +299,41 @@ class TestNlarChecks:
 
 
 class TestTarOracle:
-    def test_degenerate_is_noise_density(self):
+    def test_degenerate_is_noise_density(self, monkeypatch):
         model = TarModel(0.0, 0.0)
-        grid = tar_oracle_grid(model)
-        dens = tar_marginal_oracle(model, grid, max_iterations=3)
+        monkeypatch.setattr(models, "ORACLE_MAX_ITERATIONS", 3)
+        grid, dens = tar_marginal_oracle(model)
         assert_allclose(dens, model.noise.pdf(grid), atol=1e-12)
 
     def test_linear_case_matches_closed_form(self):
         model = TarModel(0.5, 0.5)
-        grid = tar_oracle_grid(model)
-        dens = tar_marginal_oracle(model, grid)
+        grid, dens = tar_marginal_oracle(model)
         closed = stats.norm(0.0, math.sqrt(1.0 / 0.75)).pdf(grid)
         assert np.max(np.abs(dens - closed)) <= 1e-6
 
     @pytest.mark.parametrize("a,b", [(0.6, -0.3), (-0.4, 0.2), (0.3, 0.7)])
     def test_asymmetric_normalization(self, a, b):
         model = TarModel(a, b)
-        grid = tar_oracle_grid(model)
-        dens = tar_marginal_oracle(model, grid)
+        grid, dens = tar_marginal_oracle(model)
         assert np.all(dens >= 0.0)
         assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-8)
 
-    def test_non_convergence_reports_change(self):
-        model = TarModel(0.9, 0.9)
-        with pytest.raises(RuntimeError, match="sup-change"):
-            tar_marginal_oracle(model, tar_oracle_grid(model), max_iterations=2)
+    def test_non_convergence_reports_change(self, monkeypatch):
+        monkeypatch.setattr(models, "ORACLE_MAX_ITERATIONS", 2)
+        with pytest.raises(RuntimeError, match="in 2 iterations; last sup-change"):
+            tar_marginal_oracle(TarModel(0.9, 0.9))
 
-    def test_grid_coverage_enforced(self):
-        model = TarModel(0.5, 0.5)
-        with pytest.raises(ValueError, match="cover"):
-            tar_marginal_oracle(model, np.linspace(-3, 3, 200))
+    def test_grid_is_fixed(self):
+        model = TarModel(0.6, -0.3, noise=NoiseSpec.gaussian(2.0))
+        grid, dens = tar_marginal_oracle(model)
+        spread = 2.0 / math.sqrt(1.0 - 0.6**2)
+        assert_array_equal(grid, np.linspace(-8.5 * spread, 8.5 * spread, 2001))
+        assert dens.shape == grid.shape
 
     def test_non_gaussian_rejected(self):
         model = TarModel(0.5, 0.5, noise=NoiseSpec.uniform(1.0))
         with pytest.raises(ModelValidityError, match="gaussian"):
-            tar_marginal_oracle(model, np.linspace(-10, 10, 200))
+            tar_marginal_oracle(model)
 
     def test_transition_map(self):
         r = TarModel(0.6, -0.3).transition
@@ -349,7 +345,7 @@ class TestMarginalTruth:
         truth = marginal_truth(AR1)
         sd = math.sqrt(4.0 / 3.0)
         assert truth.pdf(0.0) == pytest.approx(stats.norm(0, sd).pdf(0.0))
-        lo, hi = truth.support(1e-9)
+        lo, hi = truth.support()
         assert lo == pytest.approx(-hi)
         assert truth.cdf(hi) == pytest.approx(1.0 - 1e-9, abs=1e-10)
 
@@ -374,7 +370,7 @@ class TestMarginalTruth:
     def test_gaussian_truth_leaves_scipy_stats_unloaded(self):
         code = ("import sys; from polyfreq.models import ArmaModel, marginal_truth, NoiseSpec; "
                 "t = marginal_truth(ArmaModel(ar=(0.5,), ma=(0.2,))); "
-                "t.pdf([0.1, 0.2]); t.cdf(0.3); t.support(1e-9); NoiseSpec().cdf(0.5); "
+                "t.pdf([0.1, 0.2]); t.cdf(0.3); t.support(); NoiseSpec().cdf(0.5); "
                 "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True)
