@@ -38,7 +38,15 @@ from .estimators import (
     fp_eval,
     stone_bandwidth,
 )
-from .models import MarginalTruth, Model, load_simulator, marginal_truth, simulate_batch
+from .models import (
+    MarginalTruth,
+    Model,
+    _pads_rows,
+    load_simulator,
+    marginal_truth,
+    resolve_burn_in,
+    simulate_ragged,
+)
 
 __all__ = [
     "SupErrorRecord",
@@ -247,8 +255,10 @@ def modulus_envelope(n: int, b: float) -> tuple[float, float]:
 class SupErrorRecord:
     """One replication's sup-norm error under the bandwidth schedule.
 
-    ``wall_time_s`` is the replication's equal share of its size's lockstep
-    batch simulation plus its own binning and sup-error evaluation.
+    ``wall_time_s`` is the replication's share of the simulation call that
+    produced it (one for all sizes of a Markov model, one per size
+    otherwise), in proportion to its steps ``burn_in + n``, plus its own
+    binning and sup-error evaluation.
     """
 
     n: int
@@ -304,21 +314,18 @@ def fit_loglog_slope(n_values: Sequence[int], errors: Sequence[float]) -> float:
     return float(np.polyfit(np.log(ns), logs, 1)[0])
 
 
-def _size_records(model: Model, truth: MarginalTruth, n: int,
-                  seeds: Sequence[int]) -> list[SupErrorRecord]:
-    """All replications of one sample size, simulated in one lockstep batch."""
+def _size_records(truth: MarginalTruth, n: int, samples: Sequence[np.ndarray],
+                  sim_share: float) -> list[SupErrorRecord]:
+    """All replications of one sample size, each charged ``sim_share`` of the simulation."""
     bandwidth = stone_bandwidth(n)
     grid = make_eval_grid(*truth.support(), bandwidth)
-    start = time.perf_counter()
-    samples = simulate_batch(model, n, seeds)
-    sim_share = (time.perf_counter() - start) / len(seeds)
     spacing = grid[1] - grid[0]
     records = []
     for rep, sample in enumerate(samples):
         start = time.perf_counter()
         h = build_histogram(sample, BinningScheme(bandwidth))
         err = sup_error(lambda x: fp_eval(h, x), truth.pdf, grid)
-        wall = sim_share + time.perf_counter() - start
+        wall = sim_share + (time.perf_counter() - start)
         records.append(SupErrorRecord(
             n=n, bandwidth=bandwidth, replication=rep, sup_error=err,
             eval_points=int(grid.size), wall_time_s=wall,
@@ -350,6 +357,22 @@ def _slope_ci(ns: Sequence[int], errors: np.ndarray, seed: int) -> tuple[float, 
     return float(np.percentile(slopes, 2.5)), float(np.percentile(slopes, 97.5))
 
 
+def _simulate_sizes(model: Model, ns: Sequence[int], reps: int, seed: int,
+                    burn_in: int) -> list[tuple[list[np.ndarray], float]]:
+    """Every replication of the sizes ``ns``, from one :func:`simulate_ragged` call.
+
+    Replication ``k`` of the flattened size-major grid is seeded ``seed + k``.
+    Returns each size's rows with each row's share of the call's time, in
+    proportion to its steps ``burn_in + n``.
+    """
+    start = time.perf_counter()
+    rows = simulate_ragged(model, np.repeat(ns, reps).tolist(),
+                           range(seed, seed + len(ns) * reps), burn_in)
+    steps = burn_in + np.asarray(ns, dtype=float)
+    shares = ((time.perf_counter() - start) * steps / (reps * steps.sum())).tolist()
+    return [(rows[i * reps:(i + 1) * reps], shares[i]) for i in range(len(ns))]
+
+
 def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int = 0,
                     max_workers: int | None = None) -> RateReport:
     """Measure the sup-error decay of the frequency polygon along a size grid.
@@ -358,10 +381,14 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     schedule, the estimate is compared to the model's marginal truth on a
     grid per the module constants, and the median error over replications
     (robust to the occasional bad path) feeds a log-log slope fit with a
-    bootstrap confidence interval.  Each size's replications are simulated
-    in lockstep as one batch and sizes run concurrently, but replications
-    are seeded and aggregated by index, so the report is identical for any
-    worker count.  The size grid is checked before anything is simulated.
+    bootstrap confidence interval.  Replication ``k`` of the flattened
+    size-major grid is seeded ``seed + k``.  Markov models simulate every
+    replication of every size in one :func:`simulate_ragged` call before
+    any evaluation; ARMA and moving-average models, which are filtered one
+    size at a time anyway, simulate each size in its own task.  Up to
+    ``max_workers`` sizes are binned and evaluated concurrently; records
+    are aggregated by index, so the report is identical for any worker
+    count.  The size grid is checked before anything is simulated.
     """
     ns = sorted(int(n) for n in n_values)
     _check_size_grid(ns)
@@ -379,10 +406,22 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     # a first import (scipy.signal for ARMA) must not land in the wall times
     # of the sizes that happen to simulate first
     load_simulator(model)
+    burn_in = resolve_burn_in(model, None)
+    if _pads_rows(model):
+        # one padded batch for every size, which every size waits for
+        sizes = _simulate_sizes(model, ns, reps, seed, burn_in)
+
+        def size_records(i):
+            return _size_records(truth, ns[i], *sizes[i])
+    else:
+        # filtered one size at a time anyway: simulating in each size's task
+        # lets one size's compiled filter overlap another size's evaluation
+        def size_records(i):
+            [(samples, share)] = _simulate_sizes(model, ns[i:i + 1], reps, seed + i * reps,
+                                                 burn_in)
+            return _size_records(truth, ns[i], samples, share)
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        sizes = pool.map(lambda i: _size_records(
-            model, truth, ns[i], range(seed + i * reps, seed + (i + 1) * reps)), range(len(ns)))
-        records = tuple(r for size in sizes for r in size)
+        records = tuple(r for size in pool.map(size_records, range(len(ns))) for r in size)
 
     errors = np.array([r.sup_error for r in records]).reshape(len(ns), reps)
     medians = np.median(errors, axis=1)

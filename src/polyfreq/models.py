@@ -15,6 +15,8 @@ Randomness contract: every simulation consumes a fresh counter-based
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -41,6 +43,7 @@ __all__ = [
     "advance",
     "simulate",
     "simulate_batch",
+    "simulate_ragged",
     "nlar_soft_check",
     "tar_marginal_oracle",
     "marginal_truth",
@@ -63,9 +66,38 @@ class ModelValidityError(ValueError):
     """Model parameters violate stationarity or contraction requirements."""
 
 
+@functools.cache
+def _fixed_seed_sequence() -> np.random.SeedSequence:
+    """Seeds a throwaway Philox key, so building a generator reads no OS entropy.
+
+    Built on first use: ``numpy.random`` takes a few milliseconds to import.
+    """
+    return np.random.SeedSequence(0)
+
+
+def _philox_state(seed: int) -> dict:
+    """State of ``np.random.Philox(key=seed)`` before its first draw.
+
+    Keys outside ``[0, 2**128)`` are refused with Philox's own message.
+    """
+    key = int(seed)
+    if not 0 <= key < 2**128:
+        raise ValueError("key must be positive and less than 2**128.")
+    return {"bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator for one simulation stream."""
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    """Counter-based generator for one simulation stream.
+
+    Draws the same values as ``Generator(Philox(key=seed))``.  Re-keying
+    its bit generator with ``_philox_state`` restarts it on another seed's
+    stream.
+    """
+    bits = np.random.Philox(_fixed_seed_sequence())
+    bits.state = _philox_state(seed)
+    return np.random.Generator(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +155,30 @@ class NoiseSpec:
         return math.sqrt(self.variance)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self.fill(rng, np.empty(size))
+
+    def fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Draw ``out.size`` innovations into the contiguous float64 array ``out``.
+
+        The values equal ``rng.standard_normal(size) * scale``,
+        ``rng.uniform(-c, c, size)`` and ``rng.laplace(0, scale, size)``
+        bit for bit; only laplace noise goes through a temporary.
+        """
         if self.distribution == "gaussian":
-            return rng.standard_normal(size) * self.scale
-        if self.distribution == "uniform":
-            return rng.uniform(-self.scale, self.scale, size)
-        return rng.laplace(0.0, self.scale, size)
+            rng.standard_normal(out=out)
+            out *= self.scale
+        elif self.distribution == "uniform":
+            rng.random(out=out)
+            out *= 2.0 * self.scale
+            out += -self.scale
+        else:
+            out[...] = rng.laplace(0.0, self.scale, out.size)
+        return out
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
         if self.distribution == "gaussian":
-            return np.exp(-0.5 * (x / self.scale) ** 2) / (self.scale * math.sqrt(2 * math.pi))
+            return _gaussian_pdf_in_place(np.array(x, dtype=float), self.scale)[()]
+        x = np.asarray(x, dtype=float)
         if self.distribution == "uniform":
             return np.where(np.abs(x) <= self.scale, 1.0 / (2.0 * self.scale), 0.0)
         return np.exp(-np.abs(x) / self.scale) / (2.0 * self.scale)
@@ -150,6 +196,16 @@ class NoiseSpec:
             0.5 * np.exp(x / self.scale),
             1.0 - 0.5 * np.exp(-x / self.scale),
         )
+
+
+def _gaussian_pdf_in_place(x: np.ndarray, sigma: float) -> np.ndarray:
+    """``exp(-0.5 * (x / sigma)**2) / (sigma * sqrt(2 pi))``, overwriting ``x``."""
+    x /= sigma
+    np.square(x, out=x)
+    x *= -0.5
+    np.exp(x, out=x)
+    x /= sigma * math.sqrt(2 * math.pi)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +521,23 @@ def resolve_burn_in(model: Model, burn_in: int | None) -> int:
     return floor if burn_in is None else burn_in
 
 
-def _draw_rows(model: Model, seeds: Sequence[int], width: int) -> np.ndarray:
-    """One row of ``width`` innovations per seed, each from its own stream."""
-    draws = np.empty((len(seeds), width))
-    for i, s in enumerate(seeds):
-        draws[i] = model.noise.sample(make_rng(s), width)
+def _draw_rows(model: Model, seeds: Sequence[int], width: int,
+               lengths: Sequence[int] | None = None) -> np.ndarray:
+    """One row of ``width`` innovations per seed, each from its own stream.
+
+    With ``lengths``, row ``i`` holds the first ``lengths[i]`` values of its
+    stream and zeros after them.  One generator is re-keyed per seed, which
+    gives the values of a fresh ``make_rng(seed)`` without building one.
+    """
+    if lengths is None:
+        draws, lengths = np.empty((len(seeds), width)), itertools.repeat(width)
+    else:
+        draws = np.zeros((len(seeds), width))
+    rng = make_rng(0)
+    bits = rng.bit_generator
+    for row, s, length in zip(draws, seeds, lengths):
+        bits.state = _philox_state(s)
+        model.noise.fill(rng, row[:length])
     return draws
 
 
@@ -544,23 +612,83 @@ def simulate_batch(model: Model, n: int, seeds: Sequence[int],
                    burn_in: int | None = None) -> np.ndarray:
     """Row ``i`` is ``simulate(model, n, burn_in, seed=seeds[i])``.
 
-    Each row is drawn from its own stream; ARMA and Markov rows then go
-    through one :func:`advance`, and finite moving-average rows are each
-    one ``np.convolve``.
+    The one-size case of :func:`simulate_ragged`, returned as one array.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_sizes([n])
     burn_in = resolve_burn_in(model, burn_in)
-    if isinstance(model, LinearProcess):
-        # output t combines eps[t..t+order], the newest weighted by coeffs[0]
-        draws = _draw_rows(model, seeds, n + model.order)
-        out = np.empty((len(seeds), n))
-        for eps, row in zip(draws, out):
-            np.add(model.mean, np.convolve(eps, model.coeffs, mode="valid"), out=row)
-        return out
-    draws = _draw_rows(model, seeds, burn_in + n)
-    values, _ = advance(model, initial_state(model, draws[:, 0]), draws[:, 1:])
-    return values[:, burn_in - 1 :]
+    if not len(seeds):
+        return np.empty((0, n))
+    [(_, values)] = _simulate_groups(model, [n] * len(seeds), seeds, burn_in)
+    return values
+
+
+def simulate_ragged(model: Model, ns: Sequence[int], seeds: Sequence[int],
+                    burn_in: int | None = None) -> list[np.ndarray]:
+    """Row ``i`` is ``simulate(model, ns[i], burn_in, seed=seeds[i])``.
+
+    Each row is drawn from its own stream.  Markov rows are laid out
+    left-aligned, zero-padded to the widest row, and stepped together by
+    one :func:`advance`; the padding only extends rows past their end.
+    ARMA rows go through one :func:`advance` per size, and finite
+    moving-average rows are each one ``np.convolve``.  The rows are views
+    into the arrays that hold them.
+    """
+    if len(ns) != len(seeds):
+        raise ValueError(f"need one size per seed, got {len(ns)} sizes and {len(seeds)} seeds")
+    _check_sizes(ns)
+    burn_in = resolve_burn_in(model, burn_in)
+    rows = [None] * len(seeds)
+    if len(seeds):
+        for index, values in _simulate_groups(model, ns, seeds, burn_in):
+            for i, row in zip(index, values):
+                rows[i] = row[:ns[i]]
+    return rows
+
+
+def _check_sizes(ns: Sequence[int]) -> None:
+    for n in ns:
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+
+
+def _pads_rows(model: Model) -> bool:
+    """Whether :func:`simulate_ragged` pads ``model``'s rows into one batch.
+
+    Markov rows are padded and stepped together, because each Python step
+    costs the same for any number of rows; ARMA and moving-average rows are
+    filtered one size at a time, because compiled filters pay per column.
+    """
+    return not isinstance(model, (ArmaModel, LinearProcess))
+
+
+def _simulate_groups(model: Model, ns: Sequence[int], seeds: Sequence[int],
+                     burn_in: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(index, values)`` groups covering every row once.
+
+    ``values[j, :ns[index[j]]]`` is the path of row ``index[j]``; a group of
+    rows of one size has exactly that width.  ``burn_in`` is resolved.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    if _pads_rows(model):
+        draws = _draw_rows(model, seeds, burn_in + int(ns.max()), burn_in + ns)
+        values, _ = advance(model, initial_state(model, draws[:, 0]), draws[:, 1:])
+        return [(np.arange(len(seeds)), values[:, burn_in - 1 :])]
+    groups = []
+    for n in np.unique(ns).tolist():
+        index = np.flatnonzero(ns == n)
+        group_seeds = [seeds[i] for i in index]
+        if isinstance(model, LinearProcess):
+            # output t combines eps[t..t+order], the newest weighted by coeffs[0]
+            draws = _draw_rows(model, group_seeds, n + model.order)
+            values = np.empty((len(index), n))
+            for eps, row in zip(draws, values):
+                np.add(model.mean, np.convolve(eps, model.coeffs, mode="valid"), out=row)
+        else:
+            draws = _draw_rows(model, group_seeds, burn_in + n)
+            values, _ = advance(model, initial_state(model, draws[:, 0]), draws[:, 1:])
+            values = values[:, burn_in - 1 :]
+        groups.append((index, values))
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +716,11 @@ def tar_marginal_oracle(model: TarModel) -> tuple[np.ndarray, np.ndarray]:
     weights[-1] = 0.5 * (grid[-1] - grid[-2])
     weights[1:-1] = 0.5 * (grid[2:] - grid[:-2])
 
-    kernel = model.noise.pdf(grid[:, None] - model.transition(grid)[None, :]) * weights[None, :]
+    # the 2001 x 2001 kernel (32 MB) is built in its own buffer, without
+    # temporaries of its size
+    kernel = _gaussian_pdf_in_place(np.subtract.outer(grid, model.transition(grid)),
+                                    model.noise.scale)
+    kernel *= weights
     f = model.noise.pdf(grid)
     for _ in range(ORACLE_MAX_ITERATIONS):
         f_next = kernel @ f

@@ -41,6 +41,14 @@ IID_SPEC = {
     "noise": {"distribution": "gaussian", "sigma": 1.0},
 }
 
+TAR_SPEC = {
+    "schema": 1,
+    "family": "nlar_tar",
+    "a": 0.6,
+    "b": -0.3,
+    "noise": {"distribution": "gaussian", "sigma": 1.0},
+}
+
 
 @pytest.fixture
 def ar1_model(tmp_path):
@@ -568,6 +576,22 @@ class TestBufferCaps:
         assert main([*argv, "--model", ar1_model]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert flags in err and "above the limit of 268435456" in err
+
+    # 200 x (1000 + 2^20) values fit under the cap, but a Markov model pads
+    # the rows of all 11 sizes into one batch of 11 times that
+    PADDED_ARGV = ["rate", "--n-min", str(2**10), "--n-max", str(2**20), "--reps", "200"]
+
+    def test_rate_counts_the_padded_markov_batch(self, tmp_path, capsys):
+        path = tmp_path / "tar.json"
+        path.write_text(json.dumps(TAR_SPEC))
+        assert main([*self.PADDED_ARGV, "--model", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--n-min, --reps and --n-max" in err and "above the limit of 268435456" in err
+
+    def test_rate_filters_arma_one_size_at_a_time(self, ar1_model):
+        # no padded batch: the same flags pass the cap and reach the draws
+        with pytest.raises(AssertionError, match="innovations drawn"):
+            main([*self.PADDED_ARGV, "--model", ar1_model])
 
 
 class TestOutputCheckedFirst:

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import types
 import warnings
 
 import numpy as np
@@ -315,6 +316,35 @@ class TestRateExperiment:
         assert serial.fitted_slope == threaded.fitted_slope
         assert serial.slope_ci == threaded.slope_ci
 
+    @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
+    @pytest.mark.parametrize("model,calls", [(AR1, 7), (TarModel(0.6, -0.3), 1)],
+                             ids=["AR1", "TAR"])
+    def test_wall_time_shares_the_simulation_by_steps(self, model, calls, monkeypatch):
+        # a clock that only simulation calls move, 1 s each: a record's wall
+        # time is then exactly its row's share of the call that simulated it
+        clock, call_sizes = [0.0], []
+        inner = diagnostics.simulate_ragged
+
+        def simulate_ragged(model, ns, seeds, burn_in=None):
+            clock[0] += 1.0
+            call_sizes.append(ns)
+            return inner(model, ns, seeds, burn_in)
+
+        monkeypatch.setattr(diagnostics, "simulate_ragged", simulate_ragged)
+        monkeypatch.setattr(diagnostics, "time", types.SimpleNamespace(
+            perf_counter=lambda: clock[0]))
+        # one worker: the fake clock is shared by every simulation
+        report = rate_experiment(model, self.N_GRID, 3, seed=5, max_workers=1)
+        # ARMA simulates one size per call, a Markov model every size at once;
+        # both burn in 1000 steps
+        assert len(call_sizes) == calls
+        share = {n: (1000 + n) / sum(1000 + m for m in ns) for ns in call_sizes for n in ns}
+        shares = [r.wall_time_s for r in report.records]
+        assert shares == pytest.approx([share[r.n] for r in report.records], rel=1e-12)
+        assert all(s > 0.0 for s in shares)
+        assert [r.n for r in report.records] == sorted(r.n for r in report.records)
+        assert shares == sorted(shares)
+
     def test_single_rep_warns_without_ci(self):
         with pytest.warns(UserWarning, match="thin"):
             report = rate_experiment(AR1, self.N_GRID, 1, seed=3)
@@ -329,11 +359,11 @@ class TestRateExperiment:
             assert "scipy.signal" not in sys.modules
             from polyfreq import diagnostics
             from polyfreq.models import ArmaModel
-            inner, loaded = diagnostics.simulate_batch, []
-            def simulate_batch(*args, **kwargs):
+            inner, loaded = diagnostics.simulate_ragged, []
+            def simulate_ragged(*args, **kwargs):
                 loaded.append("scipy.signal" in sys.modules)
                 return inner(*args, **kwargs)
-            diagnostics.simulate_batch = simulate_batch
+            diagnostics.simulate_ragged = simulate_ragged
             diagnostics.rate_experiment(ArmaModel(ar=(0.5,)), [2**k for k in range(6, 13)], 10,
                                         max_workers=2)
             print(len(loaded), all(loaded))
@@ -353,7 +383,7 @@ class TestRateExperiment:
                 return func(*args, **kwargs)
             return wrapper
 
-        for name in ("simulate_batch", "marginal_truth"):
+        for name in ("simulate_ragged", "marginal_truth"):
             monkeypatch.setattr(diagnostics, name, record(name, getattr(diagnostics, name)))
         with pytest.raises(ValueError, match="ratio"):
             rate_experiment(AR1, [256, 512, 1024, 2048, 4096], 2, seed=1)

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from polyfreq.models import (
     resolve_burn_in,
     simulate,
     simulate_batch,
+    simulate_ragged,
     tar_marginal_oracle,
 )
 
@@ -68,6 +70,57 @@ class TestNoiseSpec:
             NoiseSpec("cauchy", 1.0)
         with pytest.raises(ValueError, match="scale"):
             NoiseSpec("gaussian", 0.0)
+
+
+SEED_TABLE = [0, 1, 2**64 - 1, 2**64, 2**128 - 1]
+
+
+def philox_reference(spec, seed, width):
+    """What a fresh ``Generator(Philox(key=seed))`` draws for ``spec``."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    if spec.distribution == "gaussian":
+        return rng.standard_normal(width) * spec.scale
+    if spec.distribution == "uniform":
+        return rng.uniform(-spec.scale, spec.scale, width)
+    return rng.laplace(0.0, spec.scale, width)
+
+
+class TestStreams:
+    """Every route to a seed's stream draws what ``Generator(Philox(key=seed))`` draws."""
+
+    @pytest.mark.parametrize("width", [1, 3, 1012])
+    @pytest.mark.parametrize("spec", [NoiseSpec.gaussian(1.7), NoiseSpec.uniform(0.3),
+                                      NoiseSpec.laplace(2.5)], ids=lambda s: s.distribution)
+    def test_bit_identical_to_fresh_philox(self, spec, width):
+        model = TarModel(0.5, 0.5, noise=spec)
+        rows = models._draw_rows(model, SEED_TABLE, width)
+        for seed, row in zip(SEED_TABLE, rows):
+            ref = philox_reference(spec, seed, width)
+            assert_array_equal(row.view(np.uint64), ref.view(np.uint64))
+            assert_array_equal(spec.sample(make_rng(seed), width).view(np.uint64),
+                               ref.view(np.uint64))
+
+    @pytest.mark.parametrize("spec", [NoiseSpec.gaussian(1.7), NoiseSpec.uniform(0.3),
+                                      NoiseSpec.laplace(2.5)], ids=lambda s: s.distribution)
+    def test_ragged_rows_are_stream_prefixes_then_zeros(self, spec):
+        model = TarModel(0.5, 0.5, noise=spec)
+        lengths = [1012, 1, 3, 1012, 0]
+        rows = models._draw_rows(model, SEED_TABLE, 1012, lengths)
+        for seed, length, row in zip(SEED_TABLE, lengths, rows):
+            assert_array_equal(row[:length], philox_reference(spec, seed, length))
+            assert not row[length:].any()
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_out_of_range_seeds_refused_like_philox(self, seed):
+        with pytest.raises(ValueError) as expected:
+            np.random.Philox(key=seed)
+        message = str(expected.value)
+        with pytest.raises(ValueError) as got:
+            make_rng(seed)
+        assert str(got.value) == message
+        with pytest.raises(ValueError) as got:
+            models._draw_rows(AR1, [3, seed], 5)
+        assert str(got.value) == message
 
 
 class TestStationarity:
@@ -247,6 +300,42 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "model",
         [
+            TarModel(0.6, -0.3),
+            NlarModel(transition=lambda x: 0.5 * np.tanh(x), lipschitz_bound=0.5),
+            AR1,
+            LinearProcess(coeffs=(1.0, 0.5, 0.25), mean=1.0),
+        ],
+        ids=["TAR", "NLAR", "AR1", "MA"],
+    )
+    @pytest.mark.parametrize("burn_in", [None, 1500])
+    def test_ragged_rows_equal_single_paths(self, model, burn_in):
+        # sizes and seeds out of order, one size repeated
+        ns, seeds = [700, 50, 1, 700, 333], [41, 3, 17, 8, 5]
+        rows = simulate_ragged(model, ns, seeds, burn_in=burn_in)
+        assert len(rows) == 5
+        for row, n, s in zip(rows, ns, seeds):
+            assert row.shape == (n,)
+            assert_array_equal(row, simulate(model, n, burn_in=burn_in, seed=s))
+
+    def test_ragged_markov_rows_share_one_batch(self):
+        rows = simulate_ragged(TarModel(0.6, -0.3), [100, 300, 200], [1, 2, 3])
+        assert rows[0].base is not None
+        assert all(row.base is rows[0].base for row in rows[1:])
+
+    def test_ragged_validates_like_simulate(self):
+        assert simulate_ragged(TarModel(0.6, -0.3), [], []) == []
+        with pytest.raises(ValueError, match="one size per seed"):
+            simulate_ragged(TarModel(0.6, -0.3), [100, 200], [1])
+        with pytest.raises(ValueError, match="positive integer"):
+            simulate_ragged(TarModel(0.6, -0.3), [100, 0], [1, 2])
+        with pytest.raises(ValueError, match="burn_in"):
+            simulate_ragged(TarModel(0.6, -0.3), [100, 200], [1, 2], burn_in=10)
+        with pytest.raises(ModelValidityError):
+            simulate_ragged(TarModel(1.0, 0.3), [100, 200], [1, 2])
+
+    @pytest.mark.parametrize(
+        "model",
+        [
             ArmaModel(),
             ArmaModel(ma=(0.4,)),
             ArmaModel(ma=(0.4, -0.2), intercept=1.5),
@@ -322,6 +411,25 @@ class TestTarOracle:
         monkeypatch.setattr(models, "ORACLE_MAX_ITERATIONS", 2)
         with pytest.raises(RuntimeError, match="in 2 iterations; last sup-change"):
             tar_marginal_oracle(TarModel(0.9, 0.9))
+
+    def test_tar_iteration_count(self, monkeypatch):
+        # TAR(0.6, -0.3) reaches the 1e-10 tolerance in 23 mat-vecs
+        monkeypatch.setattr(models, "ORACLE_MAX_ITERATIONS", 22)
+        with pytest.raises(RuntimeError, match="in 22 iterations"):
+            tar_marginal_oracle(TarModel(0.6, -0.3))
+        monkeypatch.setattr(models, "ORACLE_MAX_ITERATIONS", 23)
+        tar_marginal_oracle(TarModel(0.6, -0.3))
+
+    def test_kernel_built_in_place(self):
+        # the 2001 x 2001 kernel takes 32 MB; out-of-place arithmetic on it
+        # would hold two or three of that size at once
+        tracemalloc.start()
+        try:
+            tar_marginal_oracle(TarModel(0.6, -0.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2001**2 * 8
 
     def test_grid_is_fixed(self):
         model = TarModel(0.6, -0.3, noise=NoiseSpec.gaussian(2.0))

@@ -29,3 +29,11 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random takes a few milliseconds to import; only simulation needs it
+    code = "import sys, polyfreq.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
