@@ -41,7 +41,6 @@ from .estimators import (
 from .models import (
     ArmaModel,
     ModelValidityError,
-    _pads_rows,
     contraction_proxy,
     model_from_spec,
     model_to_spec,
@@ -359,11 +358,11 @@ def cmd_rate(args: argparse.Namespace) -> int:
     while n <= args.n_max:
         n_values.append(n)
         n *= 2
-    # the larger of the simulation batch (every size's rows when they are
-    # padded into one) and the 500-round bootstrap table
-    rows = args.reps * len(n_values) if _pads_rows(model) else args.reps
-    _check_buffer(max(rows * (resolve_burn_in(model, None) + args.n_max),
-                      500 * len(n_values) * args.reps), "--n-min, --reps and --n-max")
+    # the larger of one size's simulation batch and the 500-round bootstrap
+    # table: models packs the rows of every size into one batch only while
+    # it holds at most MAX_PACKED_VALUES, no more than this cap
+    _check_buffer(args.reps * max(resolve_burn_in(model, None) + args.n_max, 500 * len(n_values)),
+                  "--reps and --n-max")
     try:
         report = rate_experiment(model, n_values, args.reps, seed=args.seed,
                                  max_workers=args.threads)
@@ -535,9 +534,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", help="sup-error convergence-rate experiment", description=(
         "CSV wall_time_ms: the replication's share of the simulation call that produced it "
-        "(one for all sizes of a Markov model, one per size otherwise), in proportion to its "
-        "steps burn_in + n, plus its own binning and evaluation; --threads runs sizes "
-        "concurrently"))
+        "(one for all sizes of a Markov model whose packed batch fits 2^28 values, one per "
+        "size otherwise), in proportion to its steps burn_in + n, plus its own binning and "
+        "evaluation; --threads runs sizes concurrently"))
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--reps", type=int, default=20)

@@ -41,7 +41,7 @@ from .estimators import (
 from .models import (
     MarginalTruth,
     Model,
-    _pads_rows,
+    _packs_rows,
     load_simulator,
     marginal_truth,
     resolve_burn_in,
@@ -256,9 +256,9 @@ class SupErrorRecord:
     """One replication's sup-norm error under the bandwidth schedule.
 
     ``wall_time_s`` is the replication's share of the simulation call that
-    produced it (one for all sizes of a Markov model, one per size
-    otherwise), in proportion to its steps ``burn_in + n``, plus its own
-    binning and sup-error evaluation.
+    produced it (one for all sizes when a Markov model's rows are packed,
+    one per size otherwise), in proportion to its steps ``burn_in + n``,
+    plus its own binning and sup-error evaluation.
     """
 
     n: int
@@ -382,10 +382,12 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     grid per the module constants, and the median error over replications
     (robust to the occasional bad path) feeds a log-log slope fit with a
     bootstrap confidence interval.  Replication ``k`` of the flattened
-    size-major grid is seeded ``seed + k``.  Markov models simulate every
-    replication of every size in one :func:`simulate_ragged` call before
-    any evaluation; ARMA and moving-average models, which are filtered one
-    size at a time anyway, simulate each size in its own task.  Up to
+    size-major grid is seeded ``seed + k``.  When :func:`simulate_ragged`
+    would pack the rows of every size into one batch (Markov models, up to
+    ``models.MAX_PACKED_VALUES`` values), every replication of every size
+    is simulated in that one call before any evaluation; otherwise (ARMA
+    and moving-average models, larger Markov runs) rows are simulated one
+    size at a time anyway, and each size simulates in its own task.  Up to
     ``max_workers`` sizes are binned and evaluated concurrently; records
     are aggregated by index, so the report is identical for any worker
     count.  The size grid is checked before anything is simulated.
@@ -407,15 +409,15 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     # of the sizes that happen to simulate first
     load_simulator(model)
     burn_in = resolve_burn_in(model, None)
-    if _pads_rows(model):
-        # one padded batch for every size, which every size waits for
+    if _packs_rows(model, np.repeat(ns, reps), burn_in):
+        # one packed batch for every size, which every size waits for
         sizes = _simulate_sizes(model, ns, reps, seed, burn_in)
 
         def size_records(i):
             return _size_records(truth, ns[i], *sizes[i])
     else:
-        # filtered one size at a time anyway: simulating in each size's task
-        # lets one size's compiled filter overlap another size's evaluation
+        # simulated one size at a time anyway: simulating in each size's task
+        # lets one size's simulation overlap another size's evaluation
         def size_records(i):
             [(samples, share)] = _simulate_sizes(model, ns[i:i + 1], reps, seed + i * reps,
                                                  burn_in)

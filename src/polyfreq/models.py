@@ -15,8 +15,6 @@ Randomness contract: every simulation consumes a fresh counter-based
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -61,18 +59,13 @@ ROOT_MARGIN = 1e-9
 #: iteration cap of the TAR fixed-point oracle
 ORACLE_MAX_ITERATIONS = 500
 
+#: largest packed Markov batch, in values; rows of several sizes that would
+#: need more are simulated one size at a time
+MAX_PACKED_VALUES = 2**28
+
 
 class ModelValidityError(ValueError):
     """Model parameters violate stationarity or contraction requirements."""
-
-
-@functools.cache
-def _fixed_seed_sequence() -> np.random.SeedSequence:
-    """Seeds a throwaway Philox key, so building a generator reads no OS entropy.
-
-    Built on first use: ``numpy.random`` takes a few milliseconds to import.
-    """
-    return np.random.SeedSequence(0)
 
 
 def _philox_state(seed: int) -> dict:
@@ -95,7 +88,7 @@ def make_rng(seed: int) -> np.random.Generator:
     its bit generator with ``_philox_state`` restarts it on another seed's
     stream.
     """
-    bits = np.random.Philox(_fixed_seed_sequence())
+    bits = np.random.Philox(0)  # a fixed seed: no OS entropy is read
     bits.state = _philox_state(seed)
     return np.random.Generator(bits)
 
@@ -522,22 +515,25 @@ def resolve_burn_in(model: Model, burn_in: int | None) -> int:
 
 
 def _draw_rows(model: Model, seeds: Sequence[int], width: int,
-               lengths: Sequence[int] | None = None) -> np.ndarray:
+               spans: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """One row of ``width`` innovations per seed, each from its own stream.
 
-    With ``lengths``, row ``i`` holds the first ``lengths[i]`` values of its
-    stream and zeros after them.  One generator is re-keyed per seed, which
-    gives the values of a fresh ``make_rng(seed)`` without building one.
+    With ``spans``, arrays ``(row, start, stop)`` with one entry per seed,
+    seed ``i``'s stream fills ``draws[row[i], start[i]:stop[i]]`` of a
+    zeroed array instead.  One generator is re-keyed per seed, which gives
+    the values of a fresh ``make_rng(seed)`` without building one.
     """
-    if lengths is None:
-        draws, lengths = np.empty((len(seeds), width)), itertools.repeat(width)
+    if spans is None:
+        draws = targets = np.empty((len(seeds), width))
     else:
-        draws = np.zeros((len(seeds), width))
+        row, start, stop = (a.tolist() for a in spans)
+        draws = np.zeros((max(row) + 1, width))
+        targets = (draws[i, a:b] for i, a, b in zip(row, start, stop))
     rng = make_rng(0)
     bits = rng.bit_generator
-    for row, s, length in zip(draws, seeds, lengths):
+    for target, s in zip(targets, seeds):
         bits.state = _philox_state(s)
-        model.noise.fill(rng, row[:length])
+        model.noise.fill(rng, target)
     return draws
 
 
@@ -618,30 +614,37 @@ def simulate_batch(model: Model, n: int, seeds: Sequence[int],
     burn_in = resolve_burn_in(model, burn_in)
     if not len(seeds):
         return np.empty((0, n))
-    [(_, values)] = _simulate_groups(model, [n] * len(seeds), seeds, burn_in)
-    return values
+    return _simulate_size(model, n, seeds, burn_in)
 
 
 def simulate_ragged(model: Model, ns: Sequence[int], seeds: Sequence[int],
                     burn_in: int | None = None) -> list[np.ndarray]:
     """Row ``i`` is ``simulate(model, ns[i], burn_in, seed=seeds[i])``.
 
-    Each row is drawn from its own stream.  Markov rows are laid out
-    left-aligned, zero-padded to the widest row, and stepped together by
-    one :func:`advance`; the padding only extends rows past their end.
-    ARMA rows go through one :func:`advance` per size, and finite
-    moving-average rows are each one ``np.convolve``.  The rows are views
-    into the arrays that hold them.
+    Each row is drawn from its own stream.  Markov rows of several sizes
+    are packed end to end into lanes as wide as the longest row, and the
+    lanes are stepped together: the Python loop runs ``burn_in + max(ns)``
+    steps once, over about as many values as the rows hold.  A packed
+    batch that would hold more than ``MAX_PACKED_VALUES`` values is not
+    formed; its rows are simulated one size at a time, like ARMA rows
+    (one :func:`advance` per size) and finite moving-average rows (one
+    ``np.convolve`` per row).  The rows are views into the arrays that
+    hold them.
     """
     if len(ns) != len(seeds):
         raise ValueError(f"need one size per seed, got {len(ns)} sizes and {len(seeds)} seeds")
     _check_sizes(ns)
     burn_in = resolve_burn_in(model, burn_in)
+    if not len(seeds):
+        return []
+    ns = np.asarray(ns, dtype=np.int64)
+    if _packs_rows(model, ns, burn_in):
+        return _simulate_packed(model, ns, seeds, burn_in)
     rows = [None] * len(seeds)
-    if len(seeds):
-        for index, values in _simulate_groups(model, ns, seeds, burn_in):
-            for i, row in zip(index, values):
-                rows[i] = row[:ns[i]]
+    for n in np.unique(ns).tolist():
+        index = np.flatnonzero(ns == n)
+        for i, row in zip(index, _simulate_size(model, n, [seeds[i] for i in index], burn_in)):
+            rows[i] = row
     return rows
 
 
@@ -651,44 +654,78 @@ def _check_sizes(ns: Sequence[int]) -> None:
             raise ValueError(f"n must be a positive integer, got {n!r}")
 
 
-def _pads_rows(model: Model) -> bool:
-    """Whether :func:`simulate_ragged` pads ``model``'s rows into one batch.
+def _simulate_size(model: Model, n: int, seeds: Sequence[int], burn_in: int) -> np.ndarray:
+    """Rows of one size, one per seed; ``burn_in`` is resolved."""
+    if isinstance(model, LinearProcess):
+        # output t combines eps[t..t+order], the newest weighted by coeffs[0]
+        draws = _draw_rows(model, seeds, n + model.order)
+        values = np.empty((len(seeds), n))
+        for eps, row in zip(draws, values):
+            np.add(model.mean, np.convolve(eps, model.coeffs, mode="valid"), out=row)
+        return values
+    draws = _draw_rows(model, seeds, burn_in + n)
+    values, _ = advance(model, initial_state(model, draws[:, 0]), draws[:, 1:])
+    return values[:, burn_in - 1 :]
 
-    Markov rows are padded and stepped together, because each Python step
-    costs the same for any number of rows; ARMA and moving-average rows are
-    filtered one size at a time, because compiled filters pay per column.
+
+def _pack_rows(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lane and start column of each row packed end to end into lanes as wide as the longest.
+
+    Longest rows first; the rows of each length fill the lanes in order,
+    each lane taking as many as fit in its free columns, then new lanes.
     """
-    return not isinstance(model, (ArmaModel, LinearProcess))
+    width = int(lengths.max())
+    lane = np.empty(len(lengths), dtype=np.int64)
+    start = np.empty_like(lane)
+    used = np.empty(0, dtype=np.int64)  # columns taken in each lane
+    for length in np.unique(lengths)[::-1].tolist():
+        rows = np.flatnonzero(lengths == length)
+        fit = (width - used) // length
+        new = -(-max(0, len(rows) - int(fit.sum())) // (width // length))
+        used = np.concatenate([used, np.zeros(new, dtype=np.int64)])
+        fit = np.concatenate([fit, np.full(new, width // length)])
+        ends = np.cumsum(fit)
+        slot = np.arange(len(rows))
+        at = np.searchsorted(ends, slot, side="right")
+        lane[rows] = at
+        start[rows] = used[at] + (slot - ends[at] + fit[at]) * length
+        used += np.bincount(at, minlength=len(used)) * length
+    return lane, start
 
 
-def _simulate_groups(model: Model, ns: Sequence[int], seeds: Sequence[int],
-                     burn_in: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(index, values)`` groups covering every row once.
+def _packs_rows(model: Model, ns: np.ndarray, burn_in: int) -> bool:
+    """Whether :func:`simulate_ragged` packs the rows of sizes ``ns`` into one batch.
 
-    ``values[j, :ns[index[j]]]`` is the path of row ``index[j]``; a group of
-    rows of one size has exactly that width.  ``burn_in`` is resolved.
+    Markov rows are, while the batch holds at most ``MAX_PACKED_VALUES``
+    values; ARMA and moving-average rows never are, because their compiled
+    filters would save nothing by it.
     """
-    ns = np.asarray(ns, dtype=np.int64)
-    if _pads_rows(model):
-        draws = _draw_rows(model, seeds, burn_in + int(ns.max()), burn_in + ns)
-        values, _ = advance(model, initial_state(model, draws[:, 0]), draws[:, 1:])
-        return [(np.arange(len(seeds)), values[:, burn_in - 1 :])]
-    groups = []
-    for n in np.unique(ns).tolist():
-        index = np.flatnonzero(ns == n)
-        group_seeds = [seeds[i] for i in index]
-        if isinstance(model, LinearProcess):
-            # output t combines eps[t..t+order], the newest weighted by coeffs[0]
-            draws = _draw_rows(model, group_seeds, n + model.order)
-            values = np.empty((len(index), n))
-            for eps, row in zip(draws, values):
-                np.add(model.mean, np.convolve(eps, model.coeffs, mode="valid"), out=row)
-        else:
-            draws = _draw_rows(model, group_seeds, burn_in + n)
-            values, _ = advance(model, initial_state(model, draws[:, 0]), draws[:, 1:])
-            values = values[:, burn_in - 1 :]
-        groups.append((index, values))
-    return groups
+    if isinstance(model, (ArmaModel, LinearProcess)):
+        return False
+    lengths = burn_in + np.asarray(ns, dtype=np.int64)
+    lane, _ = _pack_rows(lengths)
+    return (int(lane.max()) + 1) * int(lengths.max()) <= MAX_PACKED_VALUES
+
+
+def _simulate_packed(model: Model, ns: np.ndarray, seeds: Sequence[int],
+                     burn_in: int) -> list[np.ndarray]:
+    """Markov rows of sizes ``ns`` packed into lanes and stepped together."""
+    lengths = burn_in + ns
+    lane, start = _pack_rows(lengths)
+    draws = _draw_rows(model, seeds, int(lengths.max()), (lane, start, start + lengths))
+    # a row's first column is its starting state: every lane is stepped
+    # through a column where rows start, then those rows' starting states,
+    # which the step overwrote, are put back (the state views that column)
+    state, column = initial_state(model, draws[:, 0]), 1
+    for c in np.unique(start[start > 0]).tolist():
+        starting = lane[start == c]
+        x0 = draws[starting, c]
+        _, state = advance(model, state, draws[:, column:c + 1])
+        draws[starting, c] = x0
+        column = c + 1
+    advance(model, state, draws[:, column:])
+    return [draws[i, a + burn_in:a + m]
+            for i, a, m in zip(lane.tolist(), start.tolist(), lengths.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -577,21 +577,26 @@ class TestBufferCaps:
         err = capsys.readouterr().err
         assert flags in err and "above the limit of 268435456" in err
 
-    # 200 x (1000 + 2^20) values fit under the cap, but a Markov model pads
-    # the rows of all 11 sizes into one batch of 11 times that
-    PADDED_ARGV = ["rate", "--n-min", str(2**10), "--n-max", str(2**20), "--reps", "200"]
-
-    def test_rate_counts_the_padded_markov_batch(self, tmp_path, capsys):
-        path = tmp_path / "tar.json"
-        path.write_text(json.dumps(TAR_SPEC))
-        assert main([*self.PADDED_ARGV, "--model", str(path)]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "--n-min, --reps and --n-max" in err and "above the limit of 268435456" in err
-
-    def test_rate_filters_arma_one_size_at_a_time(self, ar1_model):
-        # no padded batch: the same flags pass the cap and reach the draws
+    @pytest.mark.parametrize("n_min,n_max,spec", [
+        # 200 x (1000 + 2^20) values fit under the cap; the 11 sizes would
+        # pack into about 200 x (11 x 1000 + 2^21), above it, so TAR is
+        # simulated one size at a time, as AR(1) is
+        (2**10, 2**20, TAR_SPEC), (2**10, 2**20, AR1_SPEC),
+        # 2^8..2^17 packs into about 200 x (10 x 1000 + 2^18) values
+        (2**8, 2**17, TAR_SPEC),
+    ], ids=["TAR-per-size", "AR1", "TAR-packed"])
+    def test_rate_accepts_what_one_size_fits(self, tmp_path, n_min, n_max, spec):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(spec))
         with pytest.raises(AssertionError, match="innovations drawn"):
-            main([*self.PADDED_ARGV, "--model", ar1_model])
+            main(["rate", "--n-min", str(n_min), "--n-max", str(n_max), "--reps", "200",
+                  "--model", str(path)])
+
+    def test_packed_batch_never_exceeds_the_cap(self):
+        tar = models.TarModel(0.6, -0.3)
+        assert models.MAX_PACKED_VALUES <= cli._MAX_BUFFER_VALUES
+        assert models._packs_rows(tar, np.repeat([2**k for k in range(8, 18)], 200), 1000)
+        assert not models._packs_rows(tar, np.repeat([2**k for k in range(10, 21)], 200), 1000)
 
 
 class TestOutputCheckedFirst:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
-from polyfreq import diagnostics
+from polyfreq import diagnostics, models
 from polyfreq.diagnostics import (
     DegenerateFitError,
     _range_extremes,
@@ -317,9 +317,27 @@ class TestRateExperiment:
         assert serial.slope_ci == threaded.slope_ci
 
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
-    @pytest.mark.parametrize("model,calls", [(AR1, 7), (TarModel(0.6, -0.3), 1)],
-                             ids=["AR1", "TAR"])
-    def test_wall_time_shares_the_simulation_by_steps(self, model, calls, monkeypatch):
+    def test_markov_report_unchanged_past_the_packing_budget(self, monkeypatch):
+        model = TarModel(0.6, -0.3)
+        packed = rate_experiment(model, self.N_GRID, 3, seed=5)
+        # room for the largest size's batch, not for every size packed
+        monkeypatch.setattr(models, "MAX_PACKED_VALUES", 3 * (1000 + 2**14))
+        per_size = rate_experiment(model, self.N_GRID, 3, seed=5)
+        for a, b in zip(packed.records, per_size.records):
+            assert (a.n, a.replication, a.sup_error, a.grid_error_bound) == (
+                b.n, b.replication, b.sup_error, b.grid_error_bound)
+        assert packed.median_errors == per_size.median_errors
+        assert packed.fitted_slope == per_size.fitted_slope
+        assert packed.slope_ci == per_size.slope_ci
+
+    @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
+    @pytest.mark.parametrize("model,budget,calls", [
+        (AR1, None, 7), (TarModel(0.6, -0.3), None, 1),
+        (TarModel(0.6, -0.3), 3 * (1000 + 2**14), 7),
+    ], ids=["AR1", "TAR", "TAR-past-budget"])
+    def test_wall_time_shares_the_simulation_by_steps(self, model, budget, calls, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(models, "MAX_PACKED_VALUES", budget)
         # a clock that only simulation calls move, 1 s each: a record's wall
         # time is then exactly its row's share of the call that simulated it
         clock, call_sizes = [0.0], []
@@ -335,8 +353,9 @@ class TestRateExperiment:
             perf_counter=lambda: clock[0]))
         # one worker: the fake clock is shared by every simulation
         report = rate_experiment(model, self.N_GRID, 3, seed=5, max_workers=1)
-        # ARMA simulates one size per call, a Markov model every size at once;
-        # both burn in 1000 steps
+        # ARMA, and a Markov model past the packing budget, simulate one size
+        # per call, a Markov model within it every size at once; all burn in
+        # 1000 steps
         assert len(call_sizes) == calls
         share = {n: (1000 + n) / sum(1000 + m for m in ns) for ns in call_sizes for n in ns}
         shares = [r.wall_time_s for r in report.records]
@@ -357,7 +376,7 @@ class TestRateExperiment:
             import sys
             import polyfreq.cli
             assert "scipy.signal" not in sys.modules
-            from polyfreq import diagnostics
+            from polyfreq import diagnostics, models
             from polyfreq.models import ArmaModel
             inner, loaded = diagnostics.simulate_ragged, []
             def simulate_ragged(*args, **kwargs):

@@ -102,13 +102,19 @@ class TestStreams:
 
     @pytest.mark.parametrize("spec", [NoiseSpec.gaussian(1.7), NoiseSpec.uniform(0.3),
                                       NoiseSpec.laplace(2.5)], ids=lambda s: s.distribution)
-    def test_ragged_rows_are_stream_prefixes_then_zeros(self, spec):
+    def test_spans_are_stream_prefixes_in_zeros(self, spec):
         model = TarModel(0.5, 0.5, noise=spec)
-        lengths = [1012, 1, 3, 1012, 0]
-        rows = models._draw_rows(model, SEED_TABLE, 1012, lengths)
-        for seed, length, row in zip(SEED_TABLE, lengths, rows):
-            assert_array_equal(row[:length], philox_reference(spec, seed, length))
-            assert not row[length:].any()
+        # (row, start, stop) per seed: a whole row, two streams end to end,
+        # a stream ending at the last column, and an empty span
+        row, start, stop = np.array([[0, 0, 1012], [1, 0, 1], [1, 1, 4], [2, 4, 1012],
+                                     [1, 4, 4]]).T
+        draws = models._draw_rows(model, SEED_TABLE, 1012, (row, start, stop))
+        assert draws.shape == (3, 1012)
+        covered = np.zeros(draws.shape, dtype=bool)
+        for seed, i, a, b in zip(SEED_TABLE, row, start, stop):
+            assert_array_equal(draws[i, a:b], philox_reference(spec, seed, b - a))
+            covered[i, a:b] = True
+        assert not draws[~covered].any()
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_out_of_range_seeds_refused_like_philox(self, seed):
@@ -309,18 +315,55 @@ class TestSimulate:
     )
     @pytest.mark.parametrize("burn_in", [None, 1500])
     def test_ragged_rows_equal_single_paths(self, model, burn_in):
-        # sizes and seeds out of order, one size repeated
-        ns, seeds = [700, 50, 1, 700, 333], [41, 3, 17, 8, 5]
+        # sizes and seeds out of order, one size repeated; Markov rows are
+        # packed with some starting mid-lane
+        ns, seeds = [700, 50, 1, 700, 333, 2000, 5], [41, 3, 17, 8, 5, 9, 10]
         rows = simulate_ragged(model, ns, seeds, burn_in=burn_in)
-        assert len(rows) == 5
+        assert len(rows) == 7
+        _, start = models._pack_rows(resolve_burn_in(model, burn_in) + np.array(ns))
+        assert start.any()
         for row, n, s in zip(rows, ns, seeds):
             assert row.shape == (n,)
             assert_array_equal(row, simulate(model, n, burn_in=burn_in, seed=s))
 
-    def test_ragged_markov_rows_share_one_batch(self):
-        rows = simulate_ragged(TarModel(0.6, -0.3), [100, 300, 200], [1, 2, 3])
-        assert rows[0].base is not None
-        assert all(row.base is rows[0].base for row in rows[1:])
+    def test_ragged_markov_rows_share_one_packed_batch(self):
+        # rows of 1000 + n steps: 3000 fills a lane, 1500 and 1300 share
+        # one, 1100 fits in neither
+        ns = [2000, 300, 500, 100]
+        rows = simulate_ragged(TarModel(0.6, -0.3), ns, [1, 2, 3, 4])
+        batch = rows[0].base
+        assert batch is not None and batch.shape == (3, 3000)
+        assert all(row.base is batch for row in rows[1:])
+
+    def test_ragged_markov_rows_past_the_budget_run_one_size_at_a_time(self, monkeypatch):
+        model = TarModel(0.6, -0.3)
+        ns, seeds = [2000, 300, 500, 100, 300], [1, 2, 3, 4, 5]
+        # one value short of the 3 x 3000 packed batch
+        monkeypatch.setattr(models, "MAX_PACKED_VALUES", 3 * 3000 - 1)
+        rows = simulate_ragged(model, ns, seeds)
+        for row, n, s in zip(rows, ns, seeds):
+            assert_array_equal(row, simulate(model, n, seed=s))
+        assert rows[1].base is rows[4].base
+        assert all(rows[i].base is not rows[1].base for i in (0, 2, 3))
+
+    @pytest.mark.parametrize("ns,slack", [
+        ([7], 1.0),
+        ([5, 9, 5000, 9, 5, 2000], None),
+        # the doubling grids of a rate experiment pack within 2% of the rows
+        (np.repeat([2**k for k in range(10, 18)], 20), 1.02),
+        (np.repeat([2**k for k in range(8, 15)], 200), 1.02),
+    ], ids=["one-row", "uneven", "reps-20", "reps-200"])
+    def test_packed_rows_do_not_overlap(self, ns, slack):
+        lengths = 1000 + np.asarray(ns)
+        lane, start = models._pack_rows(lengths)
+        width = lengths.max()
+        assert (start >= 0).all() and (start + lengths <= width).all()
+        for i in np.unique(lane):
+            mine = np.flatnonzero(lane == i)
+            order = np.argsort(start[mine])
+            assert (start[mine][order][1:] >= (start + lengths)[mine][order][:-1]).all()
+        if slack is not None:
+            assert (lane.max() + 1) * width <= slack * lengths.sum()
 
     def test_ragged_validates_like_simulate(self):
         assert simulate_ragged(TarModel(0.6, -0.3), [], []) == []
