@@ -105,8 +105,11 @@ def fp_max_slope(h: SparseHistogram) -> float:
     b = h.scheme.bin_width
     denom = h.n * b
     dens = h.values / denom
-    left = h.counts_at(h.keys - 1) / denom
-    right = h.counts_at(h.keys + 1) / denom
+    # keys are sorted, so bin z - 1 (z + 1), if occupied, is the entry before
+    # (after) bin z's
+    adjacent = np.diff(h.keys) == 1
+    left = np.concatenate(([0], np.where(adjacent, h.values[:-1], 0))) / denom
+    right = np.concatenate((np.where(adjacent, h.values[1:], 0), [0])) / denom
     steepest = np.maximum(np.abs(dens - left) / b, np.abs(dens - right) / b)
     return float(np.max(steepest, initial=0.0))
 

@@ -11,14 +11,17 @@ agreement everywhere, including exactly on bin edges and midpoints.
 Histograms are stored sparsely as a sorted pair of int64 arrays (occupied
 bin indices and their counts), so evaluation cost depends on the number of
 occupied bins and never on the sample size: each density query touches the
-two cells adjacent to the query point and nothing else.
+two cells adjacent to the query point and nothing else.  In
+:func:`fp_eval` those two cells cost one binary search among the ``p_n``
+occupied bins, ``O(log p_n)``: a scalar call does that one search and no
+other array work, and an array call does one search per point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NoReturn
 
 import numpy as np
 
@@ -30,7 +33,6 @@ __all__ = [
     "merge_histograms",
     "histogram_eval",
     "cdf_bin_density",
-    "interp_weight",
     "fp_eval",
     "fp_eval_classic",
     "stone_bandwidth",
@@ -75,16 +77,24 @@ class BinningScheme:
 
         Past ``2**52`` the floats of ``x/b`` are too coarse for the one-ulp
         cell corrections (at ``2**53``, ``z + 1 == z``), and the int64 cast
-        of a bin index can overflow.
+        of a bin index can overflow.  One comparison scans ``x`` for both
+        refusals, since it is false for nan and +-inf as well.
         """
-        arr, scalar = _as_finite_array(x)
+        arr = np.asarray(x, dtype=float)
         exact = np.abs(arr) < 2.0**52 * self.bin_width  # exact product, or inf
         if not exact.all():
-            raise ValueError(
-                f"|x / b| must be below 2**52 to index bins exactly; got x = "
-                f"{float(arr[~exact].flat[0])!r} with bin width {self.bin_width!r}"
-            )
-        return arr, scalar
+            bad = arr[~exact]
+            self._refuse(float(bad[0]) if np.isfinite(bad).all() else math.nan)
+        return arr, arr.ndim == 0
+
+    def _refuse(self, x: float) -> NoReturn:
+        """Raise the ``ValueError`` for a non-finite ``x`` or ``|x/b| >= 2**52``."""
+        if not math.isfinite(x):
+            raise ValueError("x must be finite")
+        raise ValueError(
+            f"|x / b| must be below 2**52 to index bins exactly; got x = "
+            f"{float(x)!r} with bin width {self.bin_width!r}"
+        )
 
     def bin_index(self, x):
         """Index ``z`` of the bin ``(z*b, (z+1)*b]`` containing ``x``.
@@ -115,23 +125,38 @@ class BinningScheme:
         point, ``7*b + b/2`` rounds below ``2.5`` and ``8*b - b/2`` rounds
         onto it), which would leave ``x = 2.5`` in neither cell.  Raises
         ``ValueError`` unless ``|x/b| < 2**52``.
+
+        A Python ``int`` or ``float`` (``np.float64`` included) gets an
+        ``int`` back from plain float arithmetic, with no array work; any
+        other input goes through numpy and gets floats back.
         """
-        arr, scalar = self._index_domain(x)
         b = self.bin_width
-        flat = arr.reshape(-1)
-        t = flat / b - 0.5
-        k = np.ceil(t)
-        # ceil(t) is the exact index unless t lies within its rounding error
-        # of an integer n: x then sits next to the edge (2n+1)*(b/2) between
-        # cells n and n+1, and the side is settled in exact arithmetic
-        n = np.rint(t)
-        near = np.abs(t - n) <= 2.0**-51 * (np.abs(t) + 1.0)
-        if near.any():
-            n = n[near]
+        if isinstance(x, (int, float)):
+            x = float(x)
+            if not abs(x) < 2.0**52 * b:
+                self._refuse(x)
+            # ceil(t) is the exact index unless t lies within its rounding
+            # error of an integer n: x then sits next to the edge (2n+1)*(b/2)
+            # between cells n and n+1, and the side is settled in exact
+            # arithmetic.  round() is half-even, like np.rint below.
+            t = x / b - 0.5
+            n = round(t)
+            if abs(t - n) > 2.0**-51 * (abs(t) + 1.0):
+                return math.ceil(t)
             # compare in units of b/2 = frac * 2**(e - 1): scaling by a power
             # of two is exact, and with frac in [0.5, 1) Dekker's product can
             # neither overflow nor underflow, as it can for b/2 itself near
             # either end of the float range
+            frac, e = math.frexp(b)
+            return n + _exceeds_product(math.ldexp(x, 1 - e), 2.0 * n + 1.0, frac)
+        arr, scalar = self._index_domain(x)
+        flat = arr.reshape(-1)
+        t = flat / b - 0.5
+        k = np.ceil(t)
+        n = np.rint(t)
+        near = np.abs(t - n) <= 2.0**-51 * (np.abs(t) + 1.0)
+        if near.any():
+            n = n[near]
             frac, e = math.frexp(b)
             k[near] = n + _exceeds_product(np.ldexp(flat[near], 1 - e), 2.0 * n + 1.0, frac)
         k = k.reshape(arr.shape)
@@ -297,24 +322,21 @@ def cdf_bin_density(F: Callable, scheme: BinningScheme, x):
 
 
 def _midpoint_cell(scheme: BinningScheme, x):
-    """Midpoint cell ``k`` of finite ``x`` and the weight ``u`` toward ``k*b + b/2``."""
-    k = scheme.half_grid_index(x)
-    return k, np.clip(0.5 - k + x / scheme.bin_width, 0.0, 1.0)
+    """Midpoint cell ``k`` of finite ``x`` and the weight ``u`` toward ``k*b + b/2``.
 
-
-def interp_weight(x, scheme: BinningScheme):
-    """Linear interpolation weight toward the midpoint above ``x``.
-
-    For ``x`` in the midpoint cell ``(k*b - b/2, k*b + b/2]`` this is
+    For ``x`` in the cell ``(k*b - b/2, k*b + b/2]`` the weight is
     ``1/2 - k + x/b``, rising from 0 (exclusive) at the lower midpoint to 1
-    at the cell's closed right end.  The result is clipped to ``[0, 1]``;
-    the value 0 itself is reachable only through rounding right at a cell
-    edge, where both neighbouring weight configurations give the same
-    density.
+    at the cell's closed right end.  It is clipped to ``[0, 1]``; the value
+    0 itself is reachable only through rounding right at a cell edge, where
+    both neighbouring weight configurations give the same density.  A
+    Python ``int`` or ``float`` gets an ``int`` and a ``float`` back (see
+    :meth:`BinningScheme.half_grid_index`), anything else arrays.
     """
-    arr, scalar = _as_finite_array(x)
-    _, u = _midpoint_cell(scheme, arr)
-    return float(u[()]) if scalar else u
+    k = scheme.half_grid_index(x)
+    u = 0.5 - k + x / scheme.bin_width
+    if isinstance(x, (int, float)):
+        return k, min(max(u, 0.0), 1.0)
+    return k, np.clip(u, 0.0, 1.0)
 
 
 def fp_eval(h: SparseHistogram, x):
@@ -328,16 +350,38 @@ def fp_eval(h: SparseHistogram, x):
     evaluated through those indices directly.  (Forming ``x - b/2`` in
     floating point first can round exactly onto a bin edge and flip the
     lookup into the wrong bin for ``x`` within one ulp of a cell edge.)
+
+    Bins ``k-1`` and ``k`` are adjacent, so one binary search of ``k-1``
+    among the occupied bins finds both: bin ``k``, if occupied, is the next
+    entry.  A Python ``int`` or ``float`` (``np.float64`` included) is
+    answered in plain float arithmetic with that one search and no other
+    array work; an array costs one search per point.
     """
-    arr, scalar = _as_finite_array(x)
-    arr1 = np.atleast_1d(arr)
-    k, u = _midpoint_cell(h.scheme, arr1)
-    ki = k.astype(np.int64)
+    keys, values = h.keys, h.values
     denom = h.n * h.scheme.bin_width
-    below = h.counts_at(ki - 1) / denom
-    above = h.counts_at(ki) / denom
+    if isinstance(x, (int, float)):
+        k, u = _midpoint_cell(h.scheme, x)
+        p = int(keys.searchsorted(k - 1))
+        below = above = 0
+        if p < len(keys) and keys.item(p) == k - 1:
+            below = values.item(p)
+            p += 1
+        if p < len(keys) and keys.item(p) == k:
+            above = values.item(p)
+        return float((1.0 - u) * (below / denom) + u * (above / denom))
+    arr = np.asarray(x, dtype=float)
+    k, u = _midpoint_cell(h.scheme, np.atleast_1d(arr))
+    ki = k.astype(np.int64)
+    # take(mode="clip") reads the last entry for a position past the end;
+    # that entry is below k - 1 (or is k - 1 itself), so it never matches
+    p = keys.searchsorted(ki - 1)
+    hit_lo = keys.take(p, mode="clip") == ki - 1
+    q = p + hit_lo
+    hit_hi = keys.take(q, mode="clip") == ki
+    below = np.where(hit_lo, values.take(p, mode="clip"), 0) / denom
+    above = np.where(hit_hi, values.take(q, mode="clip"), 0) / denom
     out = (1.0 - u) * below + u * above
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def fp_eval_classic(h: SparseHistogram, x):

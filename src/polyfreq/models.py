@@ -857,6 +857,8 @@ def marginal_truth(model: Model) -> MarginalTruth:
 
 
 def _noise_from_spec(obj: dict) -> NoiseSpec:
+    if not isinstance(obj, dict):
+        raise ValueError(f"\"noise\" must be a JSON object, got {obj!r}")
     dist = obj.get("distribution")
     if dist == "gaussian":
         return NoiseSpec.gaussian(float(obj["sigma"]))

@@ -386,6 +386,20 @@ class TestSimulateCommand:
         assert main(["simulate", "--model", bad.as_posix(), "--n", "10"]) == EXIT_MODEL
         assert "root modulus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise", [[], "x", 3], ids=["list", "string", "number"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "10"],
+        ["delta", "--kmax", "4"],
+        ["rate", "--n-min", "256", "--n-max", "16384"],
+    ], ids=lambda argv: argv[0])
+    def test_non_object_noise_is_data_error(self, tmp_path, capsys, argv, noise):
+        bad = tmp_path / "noise.json"
+        bad.write_text(json.dumps(dict(AR1_SPEC, noise=noise)))
+        assert main([*argv, "--model", str(bad)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("polyfreq: data error: ")
+        assert '"noise"' in err and "Traceback" not in err
+
     def test_env_seed_default(self, tmp_path, ar1_model, monkeypatch):
         monkeypatch.setenv("POLYFREQ_SEED", "31")
         a = tmp_path / "a.csv"

@@ -6,6 +6,7 @@ import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,10 +24,10 @@ from polyfreq.estimators import (
     fp_eval,
     fp_eval_classic,
     histogram_eval,
-    interp_weight,
     kde_eval_naive,
     merge_histograms,
     stone_bandwidth,
+    _midpoint_cell,
 )
 
 UNIT = BinningScheme(1.0)
@@ -299,7 +300,7 @@ class TestCdfBinDensity:
 class TestInterpWeight:
     @pytest.mark.parametrize("x,expected", [(0.0, 0.5), (0.25, 0.75), (0.5, 1.0)])
     def test_reference_values(self, x, expected):
-        assert interp_weight(x, UNIT) == expected
+        assert _midpoint_cell(UNIT, x)[1] == expected
 
     @given(
         x=st.floats(-1e5, 1e5, allow_nan=False),
@@ -307,7 +308,7 @@ class TestInterpWeight:
     )
     @settings(max_examples=300, deadline=None)
     def test_weight_in_unit_interval(self, x, width):
-        u = interp_weight(x, BinningScheme(width))
+        u = _midpoint_cell(BinningScheme(width), x)[1]
         assert 0.0 <= u <= 1.0
 
     @given(
@@ -544,6 +545,85 @@ class TestFrequencyPolygon:
             results = list(pool.map(lambda _: fp_eval(h, pts), range(8)))
         for r in results:
             assert_array_equal(r, expected)
+
+
+def _bits(value):
+    """The float's bit pattern, so that equal values of opposite sign differ."""
+    return np.asarray(value, dtype=float).view(np.int64)
+
+
+class TestScalarRoute:
+    """``fp_eval`` on a Python scalar must equal its array route bit for bit."""
+
+    # no histogram of width 5e-324 has finite densities (it would need over
+    # 10**15 occupied bins), so there only the midpoint cell is compared;
+    # 1e-309 is the subnormal width with histograms
+    WIDTHS = [5e-324, 1e-309, 1 / 3, 1.0, 1e300]
+
+    @staticmethod
+    def _top(width):
+        """Largest bin index whose edges are finite and within ``2**51``."""
+        return 2**51 if TOP / width > 2**51 else int(TOP / width)
+
+    @given(
+        width=st.sampled_from(WIDTHS),
+        place=st.sampled_from(["zero", "top", "bottom"]),
+        seed=st.integers(0, 2**32 - 1),
+        j=st.integers(-2, 97),
+        midpoint=st.booleans(),
+        ulps=st.sampled_from([-1, 0, 1]),
+    )
+    @settings(max_examples=400, deadline=None)
+    @example(width=1 / 3, place="zero", seed=0, j=55, midpoint=True, ulps=0)  # x = 2.5
+    @example(width=5e-324, place="top", seed=0, j=97, midpoint=True, ulps=1)
+    @example(width=1e300, place="top", seed=0, j=97, midpoint=False, ulps=0)
+    def test_scalar_equals_array_on_edges_and_midpoints(self, width, place, seed, j,
+                                                        midpoint, ulps):
+        top = self._top(width)
+        base = {"zero": -48, "top": top - 100, "bottom": 4 - top}[place]
+        x = (base + j + 0.5 * midpoint) * width
+        for _ in range(abs(ulps)):
+            x = math.nextafter(x, ulps * math.inf)
+        scheme = BinningScheme(width)
+        k, u = _midpoint_cell(scheme, x)
+        k_arr, u_arr = _midpoint_cell(scheme, np.array([x]))
+        assert type(k) is int and k == k_arr[0] and _bits(u) == _bits(u_arr[0])
+        if width == 5e-324:
+            return
+        rng = np.random.default_rng(seed)
+        keys = base + np.sort(rng.choice(96, 64, replace=False))
+        values = rng.integers(1, 4, keys.size)
+        h = SparseHistogram(scheme, keys, values, int(values.sum()))
+        scalar = fp_eval(h, x)
+        assert type(scalar) is float
+        assert _bits(scalar) == _bits(fp_eval(h, np.array([x]))[0])
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_scalar_and_array_refuse_alike(self, width):
+        scheme = BinningScheme(width)
+        if width == 5e-324:
+            route = scheme.half_grid_index
+        else:
+            h = SparseHistogram(scheme, np.arange(64), np.ones(64), 64)
+            route = partial(fp_eval, h)
+        far = 2.0**52 * width
+        bad = [math.nan, math.inf, -math.inf]
+        if math.isfinite(far):
+            bad += [far, -far, math.nextafter(far, math.inf)]
+        for x in bad:
+            with pytest.raises(ValueError) as scalar:
+                route(x)
+            with pytest.raises(ValueError) as array:
+                route(np.array([x]))
+            assert str(scalar.value) == str(array.value)
+
+    @pytest.mark.parametrize("x", [3, -2, True, False, np.float64(0.7), np.array(0.7)],
+                             ids=["int", "negative-int", "true", "false", "float64", "0-d"])
+    def test_scalar_input_types(self, x):
+        h = build_histogram([0.25, 0.75, 1.5, 2.9, -1.2], UNIT)
+        value = fp_eval(h, x)
+        assert type(value) is float
+        assert _bits(value) == _bits(fp_eval(h, np.array([float(x)]))[0])
 
 
 class TestStoneBandwidth:
