@@ -8,11 +8,13 @@ of their hex form.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from polyfreq import diagnostics
+from polyfreq.cli import main
 from polyfreq.dependence import estimate_delta_profile
 from polyfreq.diagnostics import rate_experiment
 from polyfreq.models import ArmaModel, NlarModel, TarModel, marginal_truth, tar_marginal_oracle
@@ -83,3 +85,69 @@ def test_tar_delta_profile():
     assert digest([(d.lag, d.delta_hat.hex(), d.std_error.hex(), d.replications)
                    for d in deltas]) == (
         "dcba19fff89068ec901074761dd977997ae9e3a3e8f49daf6a84d697350c46c3")
+
+
+# CLI artifacts: the text each command writes is pinned by its sha256, so a
+# faster parser or writer must reproduce every byte
+
+ARMA_SPEC = {"schema": 1, "family": "arma", "a0": 0.0, "ar": [0.5], "ma": [],
+             "noise": {"distribution": "gaussian", "sigma": 1.0}}
+TAR_SPEC = {"schema": 1, "family": "nlar_tar", "a": 0.6, "b": -0.3,
+            "noise": {"distribution": "gaussian", "sigma": 1.0}}
+
+
+def file_digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture
+def in_tmp(tmp_path, monkeypatch):
+    # relative paths keep the headers, and so the digests, independent of tmp_path
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("spec,expected", [
+    (ARMA_SPEC, "cddac9ebb60e663149bf40889fd471b8cc92bbcc12418fc5ffc63f7e7230001b"),
+    (TAR_SPEC, "684003e8d395801c50a305d13faeea85235c369ba19d7411578aabcbd2c0abf6"),
+], ids=["AR1", "TAR"])
+def test_simulate_csv_across_a_chunk_boundary(in_tmp, spec, expected):
+    (in_tmp / "model.json").write_text(json.dumps(spec))
+    assert main(["simulate", "--model", "model.json", "--n", "65537", "--seed", "3",
+                 "--output", "sample.csv"]) == 0
+    assert file_digest(in_tmp / "sample.csv") == expected
+
+
+def test_estimate_on_a_messy_input(in_tmp):
+    # a header, comments, blank lines, padded rows and a digit separator,
+    # spread over two chunks
+    rows = [format(0.001 * k * (-1) ** k, ".17g") for k in range(70_000)]
+    rows[0] = "value"
+    for k in range(3, 70_000, 997):
+        rows[k] = "# note"
+    for k in range(5, 70_000, 1009):
+        rows[k] = ""
+    for k in range(7, 70_000, 13):
+        rows[k] = f" \t{rows[k]}  "
+    rows[65_540] = "1_5"
+    (in_tmp / "messy.csv").write_text("\n".join(rows) + "\n")
+    digests = {}
+    for fmt in ("csv", "json"):
+        assert main(["estimate", "--input", "messy.csv", "--bandwidth", "0.5",
+                     "--format", fmt, "--output", f"estimate.{fmt}"]) == 0
+        digests[fmt] = file_digest(in_tmp / f"estimate.{fmt}")
+    assert digests == {
+        "csv": "3a80dcbc0060df49b44a947cbb3ba223a3df3bd555e83ef24902c80e4bf62b2c",
+        "json": "b944c89dba3f486c9eaf94231277220f0bd63da039f1a17d2940100ced25edf2",
+    }
+
+
+def test_rate_records_csv(in_tmp):
+    (in_tmp / "model.json").write_text(json.dumps(ARMA_SPEC))
+    assert main(["rate", "--model", "model.json", "--n-min", "256", "--n-max", "16384",
+                 "--reps", "3", "--seed", "13", "--output", "rate.csv"]) == 0
+    lines = (in_tmp / "rate.csv").read_text().splitlines()
+    without_wall_time = "\n".join(line if line.startswith("#") else line.rsplit(",", 1)[0]
+                                  for line in lines)
+    assert hashlib.sha256(without_wall_time.encode()).hexdigest() == (
+        "2e637467b4dfa772e5539cf24a7c977cc60df570db0c331897fd3e3419c5a81f")
