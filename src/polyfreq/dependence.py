@@ -21,7 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import LinearProcess, Model, _draw_rows, advance, initial_state, resolve_burn_in
+from .models import (
+    LinearProcess,
+    Model,
+    _advance_blocks,
+    _draw_rows,
+    advance,
+    initial_state,
+    resolve_burn_in,
+)
 
 __all__ = [
     "CoupledPair",
@@ -38,8 +46,6 @@ __all__ = [
 #: ``decay_ok`` holds when the fitted decay slope is at most
 #: ``log(contraction) + SLOPE_TOLERANCE``
 SLOPE_TOLERANCE = 0.05
-#: burn-in columns advanced per call in coupled batches
-_BURN_IN_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -105,14 +111,11 @@ def _coupled_batch(model: Model, lag: int, seeds: Sequence[int],
     if swap:
         e0, e0p = e0p, e0
     shared = draws[:, burn_in + 2 :]
-    # Markov families step the shared history in place on this view, so the
-    # reps x burn_in draws are never copied; ARMA models filter it a block of
-    # columns at a time, carrying the filter state, so only one block of the
-    # discarded burn-in values exists at once (the same operations in the
-    # same order as one call)
-    state = initial_state(model, draws[:, 0])
-    for start in range(1, burn_in, _BURN_IN_BLOCK):
-        _, state = advance(model, state, draws[:, start:min(start + _BURN_IN_BLOCK, burn_in)])
+    # the shared history is advanced in place on this view, so the reps x
+    # burn_in draws are never copied, and ARMA models keep only one block of
+    # the discarded burn-in values at once
+    state = _advance_blocks(model, initial_state(model, draws[:, 0]), draws[:, 1:burn_in],
+                            keep=False)
     path_a, _ = advance(model, state, np.column_stack([e0, shared]))
     path_b, _ = advance(model, state, np.column_stack([e0p, shared]))
     return path_a, path_b

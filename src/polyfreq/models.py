@@ -63,6 +63,9 @@ ORACLE_MAX_ITERATIONS = 500
 #: need more are simulated one size at a time
 MAX_PACKED_VALUES = 2**28
 
+#: values per block of columns when a recursion is advanced block by block
+_BLOCK_VALUES = 2**20
+
 
 class ModelValidityError(ValueError):
     """Model parameters violate stationarity or contraction requirements."""
@@ -582,6 +585,31 @@ def advance(model: Model, state, eps: np.ndarray):
     return eps, eps[:, -1]
 
 
+def _advance_blocks(model: Model, state, eps: np.ndarray, keep: bool = True):
+    """:func:`advance` over ``eps`` a block of columns at a time; returns the end state.
+
+    With ``keep``, the values are written back into ``eps`` (Markov
+    families do so in any case).  A block holds about ``_BLOCK_VALUES``
+    values, so an ARMA filter's output exists one block at a time rather
+    than beside a second array the size of ``eps``.  The state is carried
+    from block to block: the same operations in the same order as one call.
+    An ARMA model without an AR part keeps its values from one call:
+    ``lfilter``'s FIR route adds the carried state to the first outputs of
+    the next block's convolution, which groups their sums differently and
+    changes their last bits (the end state of a block at least ``q``
+    columns wide is the same).
+    """
+    step = max(1, _BLOCK_VALUES // max(1, len(eps)))
+    if keep and isinstance(model, ArmaModel) and not model.ar:
+        step = max(1, eps.shape[1])
+    for start in range(0, eps.shape[1], step):
+        block = eps[:, start:start + step]
+        values, state = advance(model, state, block)
+        if keep and values is not block:
+            block[...] = values
+    return state
+
+
 def load_simulator(model: Model) -> None:
     """Import now what :func:`initial_state` and :func:`advance` import lazily for ``model``.
 
@@ -663,9 +691,11 @@ def _simulate_size(model: Model, n: int, seeds: Sequence[int], burn_in: int) -> 
         for eps, row in zip(draws, values):
             np.add(model.mean, np.convolve(eps, model.coeffs, mode="valid"), out=row)
         return values
+    # the path overwrites its own draws: column 0 is the starting state and
+    # columns 1..burn_in - 1 are discarded
     draws = _draw_rows(model, seeds, burn_in + n)
-    values, _ = advance(model, initial_state(model, draws[:, 0]), draws[:, 1:])
-    return values[:, burn_in - 1 :]
+    _advance_blocks(model, initial_state(model, draws[:, 0]), draws[:, 1:])
+    return draws[:, burn_in:]
 
 
 def _pack_rows(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

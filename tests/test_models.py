@@ -212,6 +212,35 @@ class TestSimulate:
         assert_array_equal(a, b)
         assert not np.array_equal(a, simulate(AR1, 500, seed=12))
 
+    @pytest.mark.parametrize("model", [
+        AR1,
+        ArmaModel(ar=(0.5, -0.2), ma=(0.3,)),
+        ArmaModel(ar=(0.4,), ma=(0.3, -0.2)),
+        ArmaModel(ma=(0.4, 0.3)),
+        ArmaModel(),
+        TarModel(0.6, -0.3),
+    ], ids=["AR1", "ARMA21", "ARMA12", "MA2", "white", "TAR"])
+    def test_blocks_match_one_call(self, model, monkeypatch):
+        # the recursion state is carried across blocks of columns, so the
+        # paths are those of one call over the whole row, bit for bit
+        monkeypatch.setattr(models, "_BLOCK_VALUES", 2**40)
+        whole = simulate_batch(model, 2000, [3, 4], burn_in=1000)
+        monkeypatch.setattr(models, "_BLOCK_VALUES", 2 * 37)
+        assert simulate_batch(model, 2000, [3, 4], burn_in=1000).tobytes() == whole.tobytes()
+
+    def test_arma_holds_one_path_and_a_few_blocks(self):
+        # the filter's output is written back into the draws block by block,
+        # not held beside them
+        models.load_simulator(AR1)
+        n = 4 * 10**6
+        tracemalloc.start()
+        try:
+            simulate(AR1, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (default_burn_in(AR1) + n + 3 * models._BLOCK_VALUES)
+
     def test_tar_degenerate_is_pure_noise(self):
         model = TarModel(0.0, 0.0)
         out = simulate(model, 300, seed=7)
