@@ -4,7 +4,16 @@ Every output artifact embeds its fully resolved configuration (including
 the seed and any model spec) in a comment header, so a run can be
 reproduced byte-for-byte from its own output; measured wall times are the
 only nondeterministic fields.  Numbers are written with 17 significant
-digits for exact round-tripping.
+digits (``%.17g``) for exact round-tripping.
+
+Text moves in chunks of ``_CHUNK_LINES`` lines, each converted by one
+C-level call: ``estimate`` parses a chunk's raw lines with one
+``np.array(lines, dtype=float)``, and falls back to one call on its
+stripped rows, then to a per-line scan, only for a chunk that also holds
+skipped, padded or bad lines; the writers format a chunk of rows with one
+``%`` over a repeated row template.  Which lines are rows,
+and every byte written, are those of a per-value loop.  ``simulate`` and
+``delta`` refuse to write a non-finite value.
 
 Exit status contract: 0 success, 1 usage error, 2 data error, 3 model
 validity error.
@@ -22,7 +31,7 @@ import os
 import sys
 import time
 import warnings
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,7 +80,23 @@ class DataError(Exception):
     pass
 
 
-_fmt = "{:.17g}".format
+def _format_rows(template: str, *columns: np.ndarray) -> Iterator[str]:
+    """The rows of ``columns`` as lines of ``template``, one string per ``_CHUNK_LINES`` rows.
+
+    Each chunk is formatted by one ``%`` of the template repeated once per
+    row over the chunk's values in row order; ``%.17g`` writes the bytes of
+    ``format(v, ".17g")`` and ``%d`` those of ``str(int)``.
+    """
+    for i in range(0, len(columns[0]), _CHUNK_LINES):
+        parts = [c[i:i + _CHUNK_LINES].tolist() for c in columns]
+        values = parts[0] if len(parts) == 1 else itertools.chain.from_iterable(zip(*parts))
+        yield (template * len(parts[0])) % tuple(values)
+
+
+def _check_finite(model_path: str, what: str, values) -> None:
+    """Refuse to write ``values`` unless every one is finite: a data error naming the model."""
+    if not np.isfinite(values).all():
+        raise DataError(f"model {model_path} gives non-finite {what}; nothing was written")
 
 
 def _header(config: dict, *columns: str) -> str:
@@ -157,6 +182,15 @@ def _read_column(path: str):
     so such a line is bad like any other text (or skipped as line 1).  The
     text is read ``_CHUNK_LINES`` lines at a time; a chunk's float64 rows
     take 8 B each, less than their text.
+
+    A chunk is parsed by the first of three tiers that gives only finite
+    values: its raw lines in one call (``float()`` strips whitespace
+    itself), its stripped lines less blank and ``#`` lines in one call, then
+    :func:`_check_rows` line by line.  A value from either one-call tier is
+    ``float(line.strip())`` of its line, so every tier keeps the same rows.
+    A raw call that fails has converted the lines before the failing one
+    for nothing, so once a chunk past the first (which may open with a
+    header) drops a line, the next chunk starts at the second tier.
     """
     bad: list[str] = []
     last = 0  # line number of the previous chunk's last line
@@ -164,20 +198,30 @@ def _read_column(path: str):
         f = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot read input {path}: {exc.strerror or exc}") from exc
+    raw_first = True
     with f:
         while len(bad) < _MAX_BAD_ROWS and (lines := list(itertools.islice(f, _CHUNK_LINES))):
             first, last = last + 1, last + len(lines)
-            rows = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
-            try:
-                chunk = np.array(rows, dtype=float)  # float() on every row
-            except ValueError:
-                chunk = None
-            if chunk is None or not np.isfinite(chunk).all():
+            chunk = _parse_finite(lines) if raw_first else None
+            if chunk is None:
+                rows = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
+                chunk = _parse_finite(rows)
+                raw_first = first == 1 or len(rows) == len(lines)
+            if chunk is None:
                 chunk = _check_rows(lines, first, bad)
             if chunk.size and not bad:
                 yield chunk
     if bad:
         raise DataError(f"unparseable or non-finite rows at lines {', '.join(bad)}")
+
+
+def _parse_finite(texts: list[str]) -> np.ndarray | None:
+    """``float()`` of every text in one call, or ``None`` if one fails or is not finite."""
+    try:
+        values = np.array(texts, dtype=float)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
 
 
 def _check_rows(lines: list[str], first: int, bad: list[str]) -> np.ndarray:
@@ -256,11 +300,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         }
         _write_text(args.output, [json.dumps(payload, indent=2) + "\n"])
     else:
-        rows = (f"{_fmt(x)},{_fmt(hv)},{_fmt(fv)}\n"
-                for x, hv, fv in zip(grid, hist_vals, fp_vals))
+        rows = _format_rows("%.17g,%.17g,%.17g\n", grid, hist_vals, fp_vals)
         header = _header(config, "x,histogram,frequency_polygon")
         _write_text(args.output, itertools.chain([header], rows))
-    print(f"n={h.n} b={_fmt(bandwidth)} p_n={h.occupied}", file=sys.stderr)
+    print(f"n={h.n} b={bandwidth:.17g} p_n={h.occupied}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -280,7 +323,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(f"--burn-in: {exc}") from exc
     _check_buffer(burn_in + args.n, "--n and --burn-in")
-    sample = simulate(model, args.n, burn_in=burn_in, seed=args.seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # the guard below names the model
+        sample = simulate(model, args.n, burn_in=burn_in, seed=args.seed)
+    _check_finite(args.model, "values", sample)
     config = {
         "command": "simulate",
         "model": model_to_spec(model),
@@ -288,9 +333,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "burn_in": burn_in,
         "seed": args.seed,
     }
-    rows = ("\n".join(map(_fmt, sample[i:i + _CHUNK_LINES].tolist())) + "\n"
-            for i in range(0, args.n, _CHUNK_LINES))
-    _write_text(args.output, itertools.chain([_header(config)], rows))
+    _write_text(args.output, itertools.chain([_header(config)], _format_rows("%.17g\n", sample)))
     return EXIT_OK
 
 
@@ -305,7 +348,8 @@ def cmd_delta(args: argparse.Namespace) -> int:
         raise UsageError(f"--kmax must be nonnegative, got {args.kmax}")
     _check_buffer(args.reps * (resolve_burn_in(model, None) + args.kmax + 2), "--reps and --kmax")
     try:
-        deltas = estimate_delta_profile(model, args.kmax, args.reps, seed=args.seed)
+        with np.errstate(over="ignore", invalid="ignore"):  # the guard below names the model
+            deltas = estimate_delta_profile(model, args.kmax, args.reps, seed=args.seed)
     except ModelValidityError:
         raise
     except ValueError as exc:
@@ -321,6 +365,9 @@ def cmd_delta(args: argparse.Namespace) -> int:
         "contraction": rho,
     }
     decay = dataclasses.asdict(report)
+    _check_finite(args.model, "dependence coefficients",
+                  [*(v for d in deltas for v in (d.delta_hat, d.std_error)),
+                   *(v for v in decay.values() if isinstance(v, float))])
     if args.format == "json":
         payload = {
             "config": config,
@@ -387,8 +434,9 @@ def cmd_rate(args: argparse.Namespace) -> int:
         "mean_errors": list(report.mean_errors),
     }
     if args.output:
-        rows = (f"{r.n},{_fmt(r.bandwidth)},{r.replication},{_fmt(r.sup_error)},"
-                f"{_fmt(r.wall_time_s * 1000.0)}\n" for r in report.records)
+        columns = zip(*((r.n, r.bandwidth, r.replication, r.sup_error, r.wall_time_s * 1000.0)
+                        for r in report.records))
+        rows = _format_rows("%d,%.17g,%d,%.17g,%.17g\n", *map(np.array, columns))
         header = _header(config, "n,b,replication,sup_error,wall_time_ms")
         _write_text(args.output, itertools.chain([header], rows))
     sys.stdout.write(json.dumps(summary, indent=2) + "\n")
@@ -457,7 +505,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         sys.stdout.write(json.dumps(result, indent=2) + "\n")
         return EXIT_OK
     print(f"n={result['n']} m={result['m']} seed={result['seed']} "
-          f"b={_fmt(result['bandwidth'])} p_n={result['p_n']}")
+          f"b={result['bandwidth']:.17g} p_n={result['p_n']}")
     print(f"fp_build_s     {result['fp_build_s']:.6f}")
     print(f"fp_query_s     {result['fp_query_s']:.6f}")
     print(f"fp_total_s     {result['fp_total_s']:.6f}")

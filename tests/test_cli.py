@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from polyfreq import cli, dependence, models
@@ -20,6 +22,8 @@ from polyfreq.cli import (
     EXIT_OK,
     EXIT_USAGE,
     DataError,
+    _check_rows,
+    _format_rows,
     _read_column,
     main,
 )
@@ -309,6 +313,71 @@ class TestEstimateCommand:
         assert out.stdout.strip() == "[]"
 
 
+# one line of an ``estimate`` input: numbers in the spellings float() takes,
+# padding that float() strips itself or only once str.strip() has, skipped
+# lines, text, non-finite values and bytes that are not UTF-8
+_PADDING = st.sampled_from(["", " ", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2003"])
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".6e")),
+    st.integers(0, 10**6).map(lambda k: f"{k:_}.5"),
+    st.sampled_from(["1_5", "\u0661\u0662", "\uff13.5", "1E3", "+.5", "-0"]),
+)
+_LINE = st.one_of(
+    st.builds(lambda a, x, b: a + x + b, _PADDING, _NUMBER, _PADDING),
+    st.sampled_from(["", "   ", "#", "# note", "value", "1,2", "1 2", "1.5 # c", "nan", "-inf",
+                     "1e309", "\udcff\udcfe", "1\udcff"]),
+)
+
+
+class TestChunkParse:
+    """Every tier of the chunk parse keeps the rows of the row-by-row reference."""
+
+    @given(lines=st.lists(_LINE, max_size=40), chunk_lines=st.integers(1, 8))
+    @example(lines=["0.5", "\x1c1\x1f", "0.75"], chunk_lines=3)  # only the stripped line parses
+    @example(lines=["value", "0.5", "", "0.25", "0.75", "x", "1"], chunk_lines=2)
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_rows_and_errors_as_the_row_by_row_reference(self, tmp_path, lines,
+                                                              chunk_lines):
+        data = tmp_path / "d.csv"
+        data.write_text("".join(line + "\n" for line in lines), encoding="utf-8",
+                        errors="surrogateescape")
+        bad = []
+        expected = _check_rows([line + "\n" for line in lines], 1, bad)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_CHUNK_LINES", chunk_lines)
+            if bad:
+                with pytest.raises(DataError) as info:
+                    list(_read_column(str(data)))
+                assert str(info.value).endswith(f"at lines {', '.join(bad)}")
+            else:
+                values = np.concatenate([np.empty(0), *_read_column(str(data))])
+                assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected.tolist()]
+
+
+class TestChunkFormat:
+    SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 1e16, 1e17, 3.0,
+               -12.0, 2.0**53, 0.1, 1 / 3]
+
+    @given(values=st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()), max_size=30),
+           chunk_lines=st.integers(1, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_one_column_is_format_17g(self, values, chunk_lines):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_CHUNK_LINES", chunk_lines)
+            text = "".join(_format_rows("%.17g\n", np.array(values, dtype=float)))
+        assert text == "".join(format(v, ".17g") + "\n" for v in values)
+
+    def test_row_templates_across_a_chunk_boundary(self):
+        count = cli._CHUNK_LINES + 3
+        x = np.resize(np.array(self.SPECIAL), count)
+        k = np.arange(count) * 7
+        assert "".join(_format_rows("%d,%.17g,%d,%.17g\n", k, x, k, -x)) == "".join(
+            f"{a},{format(b, '.17g')},{a},{format(-b, '.17g')}\n"
+            for a, b in zip(k.tolist(), x.tolist()))
+
+
 class TestPinnedBytes:
     """sha256 of artifacts from the two-pass reader and the per-value writer
     that the one-pass reader and the chunked writer replaced: the bytes must
@@ -561,6 +630,30 @@ def test_thin_rate_warning_is_one_line(ar1_model):
         "polyfreq: warning: reps=2 is thin for a rate experiment; slope gates are "
         "calibrated for >= 10 replications"]
     assert "UserWarning" not in proc.stderr and ".py:" not in proc.stderr
+
+
+class TestNonFiniteOutputRefused:
+    """A model whose values leave the float range ends in exit 2, not in ``nan`` rows."""
+
+    SPEC = {"schema": 1, "family": "arma", "ar": [0.5], "a0": 1e308}
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "3"],
+        ["delta", "--kmax", "1", "--reps", "100"],
+        ["delta", "--kmax", "1", "--reps", "100", "--format", "json"],
+    ], ids=["simulate", "delta-csv", "delta-json"])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_exit_2_naming_the_model_and_nothing_written(self, tmp_path, capsys, argv, to_file):
+        spec = tmp_path / "huge.json"
+        spec.write_text(json.dumps(self.SPEC))
+        out = tmp_path / "out"
+        flags = ["--output", str(out)] if to_file else []
+        assert main([*argv, "--model", str(spec), *flags]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert f"data error: model {spec} " in captured.err
+        assert "nan" not in captured.err.lower() and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestBufferCaps:
