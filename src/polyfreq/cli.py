@@ -11,9 +11,9 @@ C-level call: ``estimate`` parses a chunk's raw lines with one
 ``np.array(lines, dtype=float)``, and falls back to one call on its
 stripped rows, then to a per-line scan, only for a chunk that also holds
 skipped, padded or bad lines; the writers format a chunk of rows with one
-``%`` over a repeated row template.  Which lines are rows,
-and every byte written, are those of a per-value loop.  ``simulate`` and
-``delta`` refuse to write a non-finite value.
+``%`` over a repeated row template.  Which lines are rows, and every byte
+written, are those of a per-value loop.  ``simulate`` and ``delta`` refuse
+to write a non-finite value.
 
 Exit status contract: 0 success, 1 usage error, 2 data error, 3 model
 validity error.

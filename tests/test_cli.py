@@ -651,7 +651,7 @@ class TestNonFiniteOutputRefused:
         assert main([*argv, "--model", str(spec), *flags]) == EXIT_DATA
         captured = capsys.readouterr()
         assert f"data error: model {spec} " in captured.err
-        assert "nan" not in captured.err.lower() and "Traceback" not in captured.err
+        assert "warning" not in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
         assert not out.exists()
 
