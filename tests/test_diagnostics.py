@@ -194,6 +194,24 @@ class TestModulusExact:
         got = modulus_exact(EmpiricalCdf(x), marginal_truth(AR1).cdf, stone_bandwidth(n))
         assert got.hex() == expected
 
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            # (Stone width, 0.5, 3.0) on the raw sample, then on it rounded to
+            # 2 decimals (ties); at width 3.0 most (y - b) + b round off y
+            (2**14, ["0x1.1fbc7c36e9280p-1", "0x1.a4492e5ec8b80p-1", "0x1.e5537e737bc00p+0",
+                     "0x1.acb42c8b8f200p-1", "0x1.2d7af4c540300p+0", "0x1.08622afd815a0p+1"]),
+            (2**19, ["0x1.1c1118e90e34ap-2", "0x1.ce0e43a75e5a7p-1", "0x1.340ffbbf4c059p+0",
+                     "0x1.55fd70d84ee44p+1", "0x1.94ed0f8f59fecp+1", "0x1.ac52cc5cb5d83p+1"]),
+        ],
+    )
+    def test_pinned_widths_and_ties(self, n, expected):
+        x = simulate(AR1, n, seed=101)
+        widths = [stone_bandwidth(n), 0.5, 3.0]
+        got = [modulus_exact(EmpiricalCdf(s), marginal_truth(AR1).cdf, b).hex()
+               for s in (x, np.round(x, 2)) for b in widths]
+        assert got == expected
+
     def test_bad_width(self, rng):
         ecdf = EmpiricalCdf(rng.normal(0, 1, 10))
         with pytest.raises(ValueError):
