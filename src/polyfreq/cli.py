@@ -12,8 +12,8 @@ C-level call: ``estimate`` parses a chunk's raw lines with one
 stripped rows, then to a per-line scan, only for a chunk that also holds
 skipped, padded or bad lines; the writers format a chunk of rows with one
 ``%`` over a repeated row template.  Which lines are rows, and every byte
-written, are those of a per-value loop.  ``simulate`` and ``delta`` refuse
-to write a non-finite value.
+written, are those of a per-value loop.  ``simulate``, ``delta`` and
+``rate`` refuse to write a non-finite value.
 
 Exit status contract: 0 success, 1 usage error, 2 data error, 3 model
 validity error.
@@ -417,6 +417,11 @@ def cmd_rate(args: argparse.Namespace) -> int:
         raise
     except ValueError as exc:  # the size grid, --reps and --threads are checked before any work
         raise UsageError(f"--n-min/--n-max/--reps/--threads: {exc}") from exc
+    except OverflowError as exc:  # so is the model's marginal
+        raise DataError(f"model {args.model} gives {exc}; nothing was written") from exc
+    _check_finite(args.model, "sup errors or summary values",
+                  [*(r.sup_error for r in report.records), report.fitted_slope,
+                   *(report.slope_ci or ()), *report.median_errors, *report.mean_errors])
     config = {
         "command": "rate",
         "model": model_to_spec(model),

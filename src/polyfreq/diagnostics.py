@@ -1,8 +1,8 @@
 """Sup-norm error measurement and empirical-process diagnostics.
 
 This module quantifies how far a density estimate sits from the truth
-(:func:`sup_error`), computes the scaled empirical process and the exact
-modulus of continuity of its fluctuations over windows of a given width
+(:func:`sup_error`), computes the exact modulus of continuity of the scaled
+empirical process ``sqrt(n) (F_n - F)`` over windows of a given width
 (:func:`modulus_exact`), and runs the convergence-rate experiment that
 checks the estimator's sup-norm error against the expected
 ``(log(n)/n)**(1/3)`` schedule (:func:`rate_experiment`).
@@ -10,12 +10,13 @@ checks the estimator's sup-norm error against the expected
 The modulus is computed by structural search rather than grid scanning:
 over half-open windows ``(v, u]`` the positive excursions of the
 empirical-minus-truth mass are extremal with the window's right end at a
-sample point, and the negative excursions with the window opening just
-after a sample point, at a width-b shift of one, or at an interior
-maximizer of the truth's window mass.  Enumerating those finitely many
-candidates, with the extreme of each candidate's window read from a
-sparse-table range query, gives the exact supremum in O(n log n) time and
-O(n) memory.
+sample point, and the negative excursions with the window opening at one
+of three anchor families: a width-b downshift of a sample point, the
+sample point itself, or an interior maximizer of the truth's window mass.
+The families are searched one at a time, each reusing what the positive
+half already holds, with the extreme of each window read from a
+sparse-table range query: the exact supremum in O(n log n) time and O(n)
+memory.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
     "DegenerateFitError",
     "make_eval_grid",
     "sup_error",
-    "empirical_process",
     "modulus_exact",
     "modulus_envelope",
     "fit_loglog_slope",
@@ -119,13 +119,6 @@ def fp_max_slope(h: SparseHistogram) -> float:
 # ---------------------------------------------------------------------------
 
 
-def empirical_process(ecdf: EmpiricalCdf, truth_cdf: Callable, x):
-    """Scaled ECDF deviation ``sqrt(n) * (F_n(x) - F(x))``."""
-    arr = np.asarray(x, dtype=float)
-    out = math.sqrt(ecdf.n) * (ecdf(arr) - np.asarray(truth_cdf(arr), dtype=float))
-    return float(out[()]) if arr.ndim == 0 else out
-
-
 def _range_extremes(values: np.ndarray, starts: np.ndarray, stops: np.ndarray,
                     take_max: bool) -> np.ndarray:
     """Extremes of ``values[starts[i]:stops[i]]`` for arbitrary windows.
@@ -188,47 +181,83 @@ def modulus_exact(ecdf: EmpiricalCdf, truth_cdf: Callable, b: float) -> float:
     candidates rather than scanning a grid.  Windows are half-open
     ``(v, u]``, matching the ECDF's right continuity; both excursion signs
     are searched, and the result is nondecreasing in ``b``.  Each window's
-    extreme comes from a sparse-table range query and every ECDF value
-    from one search of the distinct sample points: O(n log n) time and
-    O(n) memory.
+    extreme comes from a sparse-table range query and each ECDF value from
+    a search of the distinct sample points.  A negative window anchored at
+    a downshift ``y - b`` reuses the positive window ending at ``y``, so
+    only the downshifts whose ``(y - b) + b`` rounds off ``y`` are searched
+    again: O(n log n) time and O(n) memory, about 12 sample-sized arrays at
+    the peak.
     """
     if not (b > 0 and math.isfinite(b)):
         raise ValueError(f"b must be positive and finite, got {b!r}")
     n = ecdf.n
-    ys, first_pos, mult = np.unique(ecdf.sorted_sample, return_index=True, return_counts=True)
+    sample = ecdf.sorted_sample
+    new = np.empty(n, dtype=bool)                          # first of each run of ties
+    new[0] = True
+    np.not_equal(sample[1:], sample[:-1], out=new[1:])
+    ys = sample[new]
     # counts[k] = number of sample points <= the k-th distinct point (1-based),
     # so a right-sided search of ys that lands at k gives F_n = counts[k] / n
-    counts = np.concatenate([[0], first_pos + mult])
-    cum_at = counts[1:] / n                    # F_n at each distinct point
-    cum_before = counts[:-1] / n               # F_n just below each distinct point
+    counts = np.append(np.flatnonzero(new), n)
+    del new
     f_at = np.asarray(truth_cdf(ys), dtype=float)
 
     # Positive excursions: window mass of F_n minus mass of F is maximal with
     # the right end u at a sample point; the left end either sits at u - b or
     # approaches a sample point in (u - b, u] from the left.
-    base = cum_at - f_at                                   # F_n(u) - F(u)
-    left_limit_gain = f_at - cum_before                    # F(y) - F_n(y-)
-    starts = np.searchsorted(ys, ys - b, side="right")     # first y strictly above u - b
+    base = counts[1:] / n - f_at                           # F_n(u) - F(u)
+    left_limit_gain = f_at - counts[:-1] / n               # F(y) - F_n(y-)
+    del f_at
+    lows = ys - b
+    starts = np.searchsorted(ys, lows, side="right")       # first y strictly above u - b
     stops = np.arange(1, len(ys) + 1)                      # include u itself
     inner = _range_extremes(left_limit_gain, starts, stops, take_max=True)
-    endpoint_gain = np.asarray(truth_cdf(ys - b), dtype=float) - counts[starts] / n
+    endpoint_gain = np.asarray(truth_cdf(lows), dtype=float) - counts[starts] / n
     positive = float(np.max(base + np.maximum(inner, endpoint_gain)))
 
-    # Negative excursions: truth mass minus F_n mass over (v, v + b].  The
-    # anchor v ranges over sample points, their width-b downshifts, and the
-    # interior maximizers of the truth's window mass (which dominate any
-    # sample-free stretch they fall in).
+    # Negative excursions: truth mass minus F_n mass over (v, v + b], with
+    # F_n(y-) - F(y) = -left_limit_gain inside the window.  The anchor v
+    # ranges over three families, and the max over the families is the max
+    # over their union: the width-b downshifts v = y - b, the sample points
+    # v = y, and the interior maximizers of the truth's window mass (which
+    # dominate any sample-free stretch they fall in).  A downshift's window
+    # opens where the positive window does, so its anchor term and inner
+    # extreme are the positive half's; where (y - b) + b == y it closes
+    # just after y, whose end term is base.
+    ends = lows + b
+    del lows
+    off = np.flatnonzero(ends != ys)                       # ends that round off y
+    ends = ends[off]
+    term = np.minimum(base, -inner)
+    del inner
+    np.subtract(-endpoint_gain, term, out=term)
+    term[off] = -math.inf
+    negative = float(np.max(term))
+    off_gain = -endpoint_gain[off]
+    off_starts = starts[off]
+    del term, endpoint_gain, starts, off
+
+    # The remaining windows share one search, one CDF call and one range
+    # query: v = y (opening just after y, anchor term base), the downshifts
+    # whose end rounds off y, and the peaks.
     scale = max(float(ys[-1] - ys[0]), b, 1e-3)
     peaks = _window_mass_peaks(truth_cdf, float(ys[0]) - b - 8.0 * scale,
                                float(ys[-1]) + 8.0 * scale, b)
-    anchors = np.unique(np.concatenate([ys, ys - b, peaks]))
-    w_starts = np.searchsorted(ys, anchors, side="right")  # samples strictly above v
-    w_stops = np.searchsorted(ys, anchors + b, side="right")
-    g_minus_anchor = counts[w_starts] / n - np.asarray(truth_cdf(anchors), dtype=float)
-    g_minus_end = counts[w_stops] / n - np.asarray(truth_cdf(anchors + b), dtype=float)
-    g_minus_left = cum_before - f_at                       # F_n(y-) - F(y)
-    inner_min = _range_extremes(g_minus_left, w_starts, w_stops, take_max=False)
-    negative = float(np.max(g_minus_anchor - np.minimum(g_minus_end, inner_min)))
+    peak_starts = np.searchsorted(ys, peaks, side="right")
+    w_ends = np.concatenate([ys + b, ends, peaks + b])
+    w_stops = np.searchsorted(ys, w_ends, side="right")
+    g_minus_end = counts[w_stops] / n - np.asarray(truth_cdf(w_ends), dtype=float)
+    del w_ends
+    w_starts = np.concatenate([stops, off_starts, peak_starts])
+    del stops
+    inner_max = _range_extremes(left_limit_gain, w_starts, w_stops, take_max=True)
+    del w_starts, w_stops
+    term = np.minimum(g_minus_end, -inner_max)
+    del g_minus_end, inner_max
+    g_minus_anchor = np.concatenate([
+        base, off_gain,
+        counts[peak_starts] / n - np.asarray(truth_cdf(peaks), dtype=float)])
+    negative = max(negative, float(np.max(g_minus_anchor - term)))
 
     return math.sqrt(n) * max(positive, negative, 0.0)
 
@@ -393,7 +422,9 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     size at a time anyway, and each size simulates in its own task.  Up to
     ``max_workers`` sizes are binned and evaluated concurrently; records
     are aggregated by index, so the report is identical for any worker
-    count.  The size grid is checked before anything is simulated.
+    count.  The size grid, and that the truth's support is a finite
+    interval (else ``OverflowError``), are checked before anything is
+    simulated.
     """
     ns = sorted(int(n) for n in n_values)
     _check_size_grid(ns)
@@ -408,6 +439,9 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be positive, got {max_workers}")
     truth = marginal_truth(model)
+    lo, hi = truth.support()
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise OverflowError(f"a marginal outside the float range (support [{lo}, {hi}])")
     # a first import (scipy.signal for ARMA) must not land in the wall times
     # of the sizes that happen to simulate first
     load_simulator(model)

@@ -109,7 +109,8 @@ class NoiseSpec:
 
     ``scale`` is the family's natural parameter: the standard deviation for
     gaussian noise, the half-width ``c`` of ``uniform(-c, c)``, or the
-    laplace scale.
+    laplace scale.  The variance and its inverse must both be finite
+    positive floats.
     """
 
     distribution: str = "gaussian"
@@ -125,6 +126,13 @@ class NoiseSpec:
         if not (math.isfinite(s) and s > 0.0):
             raise ValueError(f"noise scale must be positive, got {self.scale!r}")
         object.__setattr__(self, "scale", s)
+        try:
+            variance = self.variance
+        except OverflowError:  # scale**2 past the float range
+            variance = math.inf
+        if not (0.0 < variance < math.inf and 1.0 / variance < math.inf):
+            raise ValueError(f"noise scale {s!r} puts the variance {variance!r} or its "
+                             "inverse outside the float range")
 
     @classmethod
     def gaussian(cls, sigma: float = 1.0) -> "NoiseSpec":
@@ -886,22 +894,26 @@ def marginal_truth(model: Model) -> MarginalTruth:
 # ---------------------------------------------------------------------------
 
 
+#: the JSON field that holds each noise family's scale
+_NOISE_SCALE_FIELDS = {"gaussian": "sigma", "uniform": "c", "laplace": "scale"}
+
+
 def _noise_from_spec(obj: dict) -> NoiseSpec:
     if not isinstance(obj, dict):
         raise ValueError(f"\"noise\" must be a JSON object, got {obj!r}")
     dist = obj.get("distribution")
-    if dist == "gaussian":
-        return NoiseSpec.gaussian(float(obj["sigma"]))
-    if dist == "uniform":
-        return NoiseSpec.uniform(float(obj["c"]))
-    if dist == "laplace":
-        return NoiseSpec.laplace(float(obj["scale"]))
-    raise ValueError(f"unknown noise distribution {dist!r}")
+    if dist not in _NOISE_FAMILIES:
+        raise ValueError(f"unknown noise distribution {dist!r}")
+    field = _NOISE_SCALE_FIELDS[dist]
+    try:
+        return NoiseSpec(dist, float(obj[field]))
+    except ValueError as exc:
+        raise ValueError(f"noise \"{field}\": {exc}") from exc
 
 
 def _noise_to_spec(noise: NoiseSpec) -> dict:
-    key = {"gaussian": "sigma", "uniform": "c", "laplace": "scale"}[noise.distribution]
-    return {"distribution": noise.distribution, key: noise.scale}
+    return {"distribution": noise.distribution,
+            _NOISE_SCALE_FIELDS[noise.distribution]: noise.scale}
 
 
 def model_from_spec(obj: dict) -> Model:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line harness."""
 
 import builtins
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from polyfreq import cli, dependence, models
+from polyfreq import cli, dependence, diagnostics, models
 
 from polyfreq.cli import (
     EXIT_DATA,
@@ -641,7 +642,8 @@ class TestNonFiniteOutputRefused:
         ["simulate", "--n", "3"],
         ["delta", "--kmax", "1", "--reps", "100"],
         ["delta", "--kmax", "1", "--reps", "100", "--format", "json"],
-    ], ids=["simulate", "delta-csv", "delta-json"])
+        ["rate", "--n-min", "256", "--n-max", "16384", "--reps", "10"],
+    ], ids=["simulate", "delta-csv", "delta-json", "rate"])
     @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
     def test_exit_2_naming_the_model_and_nothing_written(self, tmp_path, capsys, argv, to_file):
         spec = tmp_path / "huge.json"
@@ -651,7 +653,68 @@ class TestNonFiniteOutputRefused:
         assert main([*argv, "--model", str(spec), *flags]) == EXIT_DATA
         captured = capsys.readouterr()
         assert f"data error: model {spec} " in captured.err
+        assert len(captured.err.splitlines()) == 1
         assert "warning" not in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_rate_checks_the_marginal_before_simulating(self, tmp_path, monkeypatch, capsys):
+        spec = tmp_path / "huge.json"
+        spec.write_text(json.dumps(self.SPEC))
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a model whose marginal leaves the float range")
+
+        monkeypatch.setattr(diagnostics, "simulate_ragged", no_simulation)
+        assert main(["rate", "--model", str(spec), "--n-min", "256", "--n-max", "16384",
+                     "--reps", "10"]) == EXIT_DATA
+        assert "usage error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spoil", [
+        lambda rep: dataclasses.replace(rep, records=(
+            dataclasses.replace(rep.records[0], sup_error=math.nan), *rep.records[1:])),
+        lambda rep: dataclasses.replace(rep, fitted_slope=math.inf),
+        lambda rep: dataclasses.replace(rep, median_errors=(math.nan, *rep.median_errors[1:])),
+        lambda rep: dataclasses.replace(rep, slope_ci=(math.nan, math.nan)),
+    ], ids=["sup-error", "slope", "median", "ci"])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_rate_refuses_a_non_finite_result(self, tmp_path, ar1_model, monkeypatch, capsys,
+                                              spoil, to_file):
+        real = cli.rate_experiment
+        monkeypatch.setattr(cli, "rate_experiment", lambda *a, **k: spoil(real(*a, **k)))
+        out = tmp_path / "out"
+        flags = ["--output", str(out)] if to_file else []
+        assert main(["rate", "--model", ar1_model, "--n-min", "64", "--n-max", "4096",
+                     "--reps", "10", *flags]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"polyfreq: data error: model {ar1_model} gives non-finite sup errors or summary "
+            "values; nothing was written"]
+        assert captured.out == ""
+        assert not out.exists()
+
+
+class TestNoiseScaleOutOfRange:
+    """A noise scale whose variance, or its inverse, leaves the float range is a data error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "3"],
+        ["delta", "--kmax", "1", "--reps", "100"],
+        ["rate", "--n-min", "256", "--n-max", "16384", "--reps", "10"],
+    ], ids=["simulate", "delta", "rate"])
+    @pytest.mark.parametrize("dist,field", [("gaussian", "sigma"), ("uniform", "c"),
+                                            ("laplace", "scale")])
+    @pytest.mark.parametrize("scale", [1e300, 1e-320])
+    def test_exit_2_naming_the_field(self, tmp_path, capsys, argv, dist, field, scale):
+        spec = tmp_path / "noise.json"
+        spec.write_text(json.dumps({"schema": 1, "family": "arma", "ar": [0.5],
+                                    "noise": {"distribution": dist, field: scale}}))
+        out = tmp_path / "out"
+        assert main([*argv, "--model", str(spec), "--output", str(out)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"polyfreq: data error: model spec {spec} ")
+        assert f'"{field}"' in line
         assert captured.out == ""
         assert not out.exists()
 

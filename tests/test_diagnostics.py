@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy import stats
+from scipy import special, stats
 
 from polyfreq import diagnostics, models
 from polyfreq.diagnostics import (
@@ -21,7 +21,6 @@ from polyfreq.diagnostics import (
     _slope_ci,
     SupErrorRecord,
     RateReport,
-    empirical_process,
     error_decomposition,
     fit_loglog_slope,
     fp_max_slope,
@@ -51,13 +50,14 @@ from polyfreq.models import (
 AR1 = ArmaModel(ar=(0.5,))
 
 
-def brute_modulus(sample, truth_cdf, b, pad=8.0, dense=6001):
-    """Grid search over window endpoints, including one-sided sample limits."""
+def brute_modulus(sample, truth_cdf, b, pad=8.0, dense=6001, extra=()):
+    """Grid search over window endpoints, including one-sided sample limits and ``extra``."""
     ys = np.sort(np.asarray(sample, dtype=float))
     pts = np.unique(
         np.concatenate(
             [
                 np.linspace(ys[0] - b - pad, ys[-1] + b + pad, dense),
+                np.asarray(extra, dtype=float),
                 ys,
                 np.nextafter(ys, -np.inf),
                 ys - b,
@@ -80,21 +80,23 @@ def brute_modulus(sample, truth_cdf, b, pad=8.0, dense=6001):
 
 
 class TestEmpiricalProcess:
+    """The scaled ECDF deviation ``sqrt(n) * (F_n(x) - F(x))``."""
+
     def test_zero_where_both_cdfs_vanish(self):
         ecdf = EmpiricalCdf([0.5])
         uniform_cdf = lambda t: np.clip(t, 0.0, 1.0)
-        assert empirical_process(ecdf, uniform_cdf, -1.0) == 0.0
+        assert math.sqrt(ecdf.n) * (ecdf(-1.0) - uniform_cdf(-1.0)) == 0.0
 
     def test_single_observation_value(self):
         ecdf = EmpiricalCdf([0.0])
-        assert empirical_process(ecdf, stats.norm.cdf, 0.0) == pytest.approx(0.5)
+        assert math.sqrt(ecdf.n) * (ecdf(0.0) - stats.norm.cdf(0.0)) == pytest.approx(0.5)
 
     def test_max_matches_ks_statistic_scale(self):
         x = simulate(ArmaModel(), 10**4, seed=55)
         ecdf = EmpiricalCdf(x)
         # KS candidate set: sample points and their left limits
         pts = np.concatenate([x, np.nextafter(x, -np.inf)])
-        sup = np.max(np.abs(empirical_process(ecdf, stats.norm.cdf, pts)))
+        sup = np.max(np.abs(math.sqrt(ecdf.n) * (ecdf(pts) - stats.norm.cdf(pts))))
         ks = stats.kstest(x, stats.norm.cdf).statistic * math.sqrt(x.size)
         assert sup == pytest.approx(ks, rel=1e-9)
         assert sup < 3.0
@@ -144,6 +146,20 @@ class TestModulusExact:
         truth = stats.norm(loc, scale).cdf
         exact = modulus_exact(EmpiricalCdf(x), truth, b)
         brute = brute_modulus(x, truth, b)
+        assert exact >= brute - 1e-12
+        assert exact - brute <= 1e-6
+
+    @given(sample=st.lists(st.integers(-30, 30).map(lambda k: k / 10), min_size=1, max_size=40),
+           b=st.floats(1e-3, 4.0))
+    @settings(max_examples=30, deadline=None)
+    @example(sample=[-1.2, -0.3, -0.3, 0.4, 0.4, 0.4, 1.1, 2.5], b=2.9)
+    @example(sample=[0.0, 0.0, 0.1], b=1e-3)
+    @example(sample=[0.6, -0.6, 1.6], b=1.0)
+    def test_matches_brute_force_with_ties(self, sample, b):
+        # tenths tie often, and for most widths some (y - b) + b round off y;
+        # the grid alone can miss the truth's heaviest window, (-b/2, b/2]
+        exact = modulus_exact(EmpiricalCdf(sample), special.ndtr, b)
+        brute = brute_modulus(sample, special.ndtr, b, extra=[-b / 2, b / 2])
         assert exact >= brute - 1e-12
         assert exact - brute <= 1e-6
 
@@ -427,6 +443,15 @@ class TestRateExperiment:
         with pytest.raises(ValueError, match="distinct"):
             rate_experiment(AR1, [256, 16384], 2, seed=1)
         assert calls == []
+
+    @pytest.mark.parametrize("intercept", [1e308, 1e300])  # support [inf, inf], a point
+    def test_marginal_outside_the_float_range_rejected(self, monkeypatch, intercept):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a model whose marginal leaves the float range")
+
+        monkeypatch.setattr(diagnostics, "simulate_ragged", no_simulation)
+        with pytest.raises(OverflowError, match="support"):
+            rate_experiment(ArmaModel(ar=(0.5,), intercept=intercept), self.N_GRID, 10, seed=1)
 
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
     def test_model_without_truth_rejected(self):

@@ -71,6 +71,22 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match="scale"):
             NoiseSpec("gaussian", 0.0)
 
+    @pytest.mark.parametrize("dist,scale", [
+        ("gaussian", 1e300), ("uniform", 1e300), ("laplace", 1e300),  # scale**2 overflows
+        ("laplace", 1e154),                                           # 2 * scale**2 is inf
+        ("gaussian", 1e-320), ("uniform", 1e-320), ("laplace", 1e-320),  # variance is 0
+        ("gaussian", 1e-155), ("uniform", 1e-160),                    # 1 / variance is inf
+    ])
+    def test_variance_outside_the_float_range(self, dist, scale):
+        with pytest.raises(ValueError, match="scale"):
+            NoiseSpec(dist, scale)
+
+    @pytest.mark.parametrize("dist", ["gaussian", "uniform", "laplace"])
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_extreme_scales_with_a_float_variance_accepted(self, dist, scale):
+        variance = NoiseSpec(dist, scale).variance
+        assert 0.0 < variance < math.inf and 1.0 / variance < math.inf
+
 
 SEED_TABLE = [0, 1, 2**64 - 1, 2**64, 2**128 - 1]
 
