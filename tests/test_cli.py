@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from polyfreq import cli, dependence, diagnostics, models
+from polyfreq import cli, dependence, models
 
 from polyfreq.cli import (
     EXIT_DATA,
@@ -657,18 +657,6 @@ class TestNonFiniteOutputRefused:
         assert "warning" not in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
         assert not out.exists()
-
-    def test_rate_checks_the_marginal_before_simulating(self, tmp_path, monkeypatch, capsys):
-        spec = tmp_path / "huge.json"
-        spec.write_text(json.dumps(self.SPEC))
-
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("simulated a model whose marginal leaves the float range")
-
-        monkeypatch.setattr(diagnostics, "simulate_ragged", no_simulation)
-        assert main(["rate", "--model", str(spec), "--n-min", "256", "--n-max", "16384",
-                     "--reps", "10"]) == EXIT_DATA
-        assert "usage error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("spoil", [
         lambda rep: dataclasses.replace(rep, records=(
