@@ -17,7 +17,8 @@ from polyfreq import diagnostics
 from polyfreq.cli import main
 from polyfreq.dependence import estimate_delta_profile
 from polyfreq.diagnostics import rate_experiment
-from polyfreq.models import ArmaModel, NlarModel, TarModel, marginal_truth, tar_marginal_oracle
+from polyfreq.models import (ArmaModel, LinearProcess, NlarModel, TarModel, marginal_truth,
+                             simulate, simulate_ragged, tar_marginal_oracle)
 
 N_GRID = [2**k for k in range(6, 13)]
 
@@ -85,6 +86,40 @@ def test_tar_delta_profile():
     assert digest([(d.lag, d.delta_hat.hex(), d.std_error.hex(), d.replications)
                    for d in deltas]) == (
         "dcba19fff89068ec901074761dd977997ae9e3a3e8f49daf6a84d697350c46c3")
+
+
+SIM_MODELS = {
+    "TAR": TarModel(0.6, -0.3),
+    "NLAR": NlarModel(transition=lambda x: 0.5 * np.tanh(x), lipschitz_bound=0.5),
+    "AR1": ArmaModel(ar=(0.5,)),
+    "MA2": ArmaModel(ma=(0.4, 0.3)),
+    "linear": LinearProcess((1, 0.5, 0.25), 1),
+}
+
+
+def rows_digest(rows):
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(row.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name,paths,ragged", [
+    ("TAR", "11fdb3957245987920fa8d59f8906f62878dbeb3140340118014db3aca0a93dc",
+     "90ffa7837666e760fd21bf3eccca73aba67b70f597ecd102f2d4faa06d81260a"),
+    ("NLAR", "a4e3fe06c458fd2041c0ecb74e1088265b8ddb44cee0daf9ee74eb15d5ed150f",
+     "fe2dea129445530cc50768df7068d3864ee5dd0da0f65fb531be671f46aae41d"),
+    ("AR1", "fd6dcf161645aa27bed7ed9be1d454a6d40d900523a56a894dbd63771884ace1",
+     "a0df4303208ee10cb3f14ab6a516340c794f03e41c573866d4d0ba7a3d738fa7"),
+    ("MA2", "9da3c086ea62b88ef7634617900e90f0245be92c37eedad7f63509b8ca0fc8b8",
+     "2b1152c2a5613da8d55abf50e8e10263ab0ba99641264ce9be48a4b0d9a9fd0c"),
+    ("linear", "7b0dbabcf1c080d26b14a0bc09f2ff82b0bbddc139d84f6c68f2b8ab6fdede42",
+     "74bc5fca619f81e731971a5bb71ef5133d9a8f35f1ebf74206f4a33aaa29c3c3"),
+])
+def test_simulate_rows(name, paths, ragged):
+    model, seeds = SIM_MODELS[name], [0, 3, 2**64 + 1]
+    assert rows_digest([simulate(model, 5000, seed=s) for s in seeds]) == paths
+    assert rows_digest(simulate_ragged(model, [5, 700, 5, 2000], [*seeds, 5])) == ragged
 
 
 # CLI artifacts: the text each command writes is pinned by its sha256, so a
