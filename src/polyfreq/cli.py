@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .dependence import check_summability, deltas_to_csv, estimate_delta_profile
-from .diagnostics import rate_experiment
+from .diagnostics import MAX_GRID_POINTS, rate_experiment
 from .estimators import (
     BinningScheme,
     build_histogram,
@@ -64,8 +64,6 @@ EXIT_MODEL = 3
 
 _CHUNK_LINES = 65536
 _MAX_BAD_ROWS = 10
-#: largest ``estimate`` grid, 80 MB per output column
-_MAX_GRID_POINTS = 10**7
 #: largest array a ``simulate``, ``delta`` or ``rate`` run may ask for, 2 GiB of float64
 _MAX_BUFFER_VALUES = 2**28
 #: ``bench`` reports the fastest of this many frequency polygon builds and queries
@@ -272,10 +270,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if not gmax > gmin:
         raise UsageError(f"--grid-max must be above --grid-min, got [{gmin}, {gmax}]")
     steps = np.floor((gmax - gmin) / gstep + 1e-9)
-    if not steps < _MAX_GRID_POINTS:
+    if not steps < MAX_GRID_POINTS:
         raise UsageError(f"--grid-min/--grid-max/--grid-step: grid [{gmin}, {gmax}] step "
                          f"{gstep} has {steps + 1:.6g} points, above the limit of "
-                         f"{_MAX_GRID_POINTS}")
+                         f"{MAX_GRID_POINTS}")
     count = int(steps) + 1
     grid = gmin + gstep * np.arange(count)
 
@@ -406,8 +404,8 @@ def cmd_rate(args: argparse.Namespace) -> int:
         n_values.append(n)
         n *= 2
     # the larger of one size's simulation batch and the 500-round bootstrap
-    # table: models packs the rows of every size into one batch only while
-    # it holds at most MAX_PACKED_VALUES, no more than this cap
+    # table: rate_experiment packs the rows of every size into one batch only
+    # while it holds at most MAX_PACKED_VALUES, no more than this cap
     _check_buffer(args.reps * max(resolve_burn_in(model, None) + args.n_max, 500 * len(n_values)),
                   "--reps and --n-max")
     try:
@@ -417,7 +415,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
         raise
     except ValueError as exc:  # the size grid, --reps and --threads are checked before any work
         raise UsageError(f"--n-min/--n-max/--reps/--threads: {exc}") from exc
-    except OverflowError as exc:  # so is the model's marginal
+    except OverflowError as exc:  # so are the model's marginal and evaluation grid
         raise DataError(f"model {args.model} gives {exc}; nothing was written") from exc
     _check_finite(args.model, "sup errors or summary values",
                   [*(r.sup_error for r in report.records), report.fitted_slope,
@@ -594,7 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--threads", type=int, default=None,
-                   help="cap concurrent workers (default: machine parallelism)")
+                   help="cap concurrent workers (default: the thread pool's own, "
+                   "min(32, CPU count + 4))")
     p.add_argument("--output", default=None,
                    help="records CSV path (default: no records file is written)")
     add_common(p, "--seed", "--model")

@@ -61,10 +61,6 @@ class CoupledPair:
     path: np.ndarray
     coupled_path: np.ndarray
 
-    def difference(self, k: int | None = None) -> float:
-        k = self.lag if k is None else k
-        return float(self.path[k] - self.coupled_path[k])
-
 
 @dataclass(frozen=True)
 class DeltaEstimate:

@@ -70,6 +70,9 @@ GRID_POINTS_PER_BIN = 10
 #: evaluation grids extend this many bin widths beyond the truth's support
 GRID_MARGIN_BINS = 4
 
+#: largest evaluation grid, 80 MB per evaluated column
+MAX_GRID_POINTS = 10**7
+
 
 class DegenerateFitError(ValueError):
     """Slope fit rejected: the errors carry no usable variation."""
@@ -80,15 +83,31 @@ class DegenerateFitError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def make_eval_grid(lo: float, hi: float, bandwidth: float) -> np.ndarray:
-    """Uniform grid over ``[lo - 4b, hi + 4b]`` with spacing ``b/10``."""
+def _eval_grid_span(lo: float, hi: float, bandwidth: float) -> tuple[float, float, int]:
+    """Ends and point count of :func:`make_eval_grid`'s grid, counted before any allocation.
+
+    A grid of more than ``MAX_GRID_POINTS`` points raises ``OverflowError``.
+    """
     if not (hi > lo):
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
     start = lo - GRID_MARGIN_BINS * bandwidth
     stop = hi + GRID_MARGIN_BINS * bandwidth
     spacing = bandwidth / GRID_POINTS_PER_BIN
-    count = int(math.ceil((stop - start) / spacing)) + 1
-    return np.linspace(start, stop, count)
+    steps = (stop - start) / spacing
+    if not steps <= MAX_GRID_POINTS - 1:
+        raise OverflowError(f"an evaluation grid over [{start!r}, {stop!r}] at spacing "
+                            f"{spacing!r}, more than {MAX_GRID_POINTS} points "
+                            f"({steps + 1:.6g})")
+    return start, stop, math.ceil(steps) + 1
+
+
+def make_eval_grid(lo: float, hi: float, bandwidth: float) -> np.ndarray:
+    """Uniform grid over ``[lo - 4b, hi + 4b]`` with spacing ``b/10``.
+
+    A grid of more than ``MAX_GRID_POINTS`` points is refused with
+    ``OverflowError`` before it is allocated.
+    """
+    return np.linspace(*_eval_grid_span(lo, hi, bandwidth))
 
 
 def sup_error(estimate: Callable, truth: Callable, eval_grid) -> float:
@@ -414,17 +433,17 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     grid per the module constants, and the median error over replications
     (robust to the occasional bad path) feeds a log-log slope fit with a
     bootstrap confidence interval.  Replication ``k`` of the flattened
-    size-major grid is seeded ``seed + k``.  When :func:`simulate_ragged`
-    would pack the rows of every size into one batch (Markov models, up to
-    ``models.MAX_PACKED_VALUES`` values), every replication of every size
-    is simulated in that one call before any evaluation; otherwise (ARMA
-    and moving-average models, larger Markov runs) rows are simulated one
-    size at a time anyway, and each size simulates in its own task.  Up to
+    size-major grid is seeded ``seed + k``.  A Markov model whose packed
+    rows fit ``models.MAX_PACKED_VALUES`` values simulates every
+    replication of every size in one :func:`simulate_ragged` call before
+    any evaluation; otherwise (ARMA and moving-average models, larger
+    Markov runs) each size simulates in its own task.  Up to
     ``max_workers`` sizes are binned and evaluated concurrently; records
     are aggregated by index, so the report is identical for any worker
-    count.  The size grid, and that the truth's support is a finite
-    interval (else ``OverflowError``), are checked before anything is
-    simulated.
+    count.  The size grid, that the truth's support is a finite interval,
+    and that the largest size's evaluation grid holds at most
+    ``MAX_GRID_POINTS`` points (else ``OverflowError``) are checked before
+    anything is simulated.
     """
     ns = sorted(int(n) for n in n_values)
     _check_size_grid(ns)
@@ -442,6 +461,7 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     lo, hi = truth.support()
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise OverflowError(f"a marginal outside the float range (support [{lo}, {hi}])")
+    _eval_grid_span(lo, hi, stone_bandwidth(ns[-1]))  # the finest grid
     # a first import (scipy.signal for ARMA) must not land in the wall times
     # of the sizes that happen to simulate first
     load_simulator(model)
@@ -453,8 +473,11 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
         def size_records(i):
             return _size_records(truth, ns[i], *sizes[i])
     else:
-        # simulated one size at a time anyway: simulating in each size's task
-        # lets one size's simulation overlap another size's evaluation
+        # scipy.signal.lfilter releases the GIL, so ARMA sizes simulated in
+        # their own tasks run in parallel (4 filters of 20 x 2**17 rows: 0.13 s
+        # serially, 0.05 s on 2 threads); simulating every size first and
+        # then evaluating measured slower on AR(1) x 20 over 2**10..2**17
+        # (medians 0.46 vs 0.32 s at 2 workers)
         def size_records(i):
             [(samples, share)] = _simulate_sizes(model, ns[i:i + 1], reps, seed + i * reps,
                                                  burn_in)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NoReturn
+from typing import Callable, Iterable, NoReturn
 
 import numpy as np
 
@@ -240,10 +240,6 @@ class SparseHistogram:
         hit = (pos < len(self.keys)) & (self.keys[pos_c] == z)
         return np.where(hit, self.values[pos_c], 0)
 
-    def occupied_range(self) -> tuple[int, int]:
-        """Smallest and largest occupied bin index."""
-        return int(self.keys[0]), int(self.keys[-1])
-
     def to_json_obj(self) -> dict:
         """JSON-ready form: ``{bin_width, n, bins: [[index, count], ...]}``."""
         return {
@@ -251,11 +247,6 @@ class SparseHistogram:
             "n": self.n,
             "bins": np.column_stack([self.keys, self.values]).tolist(),
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "SparseHistogram":
-        bins = np.array(obj["bins"], dtype=np.int64).reshape(-1, 2)
-        return cls(BinningScheme(obj["bin_width"]), bins[:, 0], bins[:, 1], int(obj["n"]))
 
     def __repr__(self) -> str:
         return (

@@ -40,7 +40,6 @@ __all__ = [
     "initial_state",
     "advance",
     "simulate",
-    "simulate_batch",
     "simulate_ragged",
     "nlar_soft_check",
     "tar_marginal_oracle",
@@ -59,8 +58,8 @@ ROOT_MARGIN = 1e-9
 #: iteration cap of the TAR fixed-point oracle
 ORACLE_MAX_ITERATIONS = 500
 
-#: largest packed Markov batch, in values; rows of several sizes that would
-#: need more are simulated one size at a time
+#: largest packed Markov batch, in values, in which a rate experiment
+#: simulates every size at once; past it, each size is its own batch
 MAX_PACKED_VALUES = 2**28
 
 #: values per block of columns when a recursion is advanced block by block
@@ -134,18 +133,6 @@ class NoiseSpec:
             raise ValueError(f"noise scale {s!r} puts the variance {variance!r} or its "
                              "inverse outside the float range")
 
-    @classmethod
-    def gaussian(cls, sigma: float = 1.0) -> "NoiseSpec":
-        return cls("gaussian", sigma)
-
-    @classmethod
-    def uniform(cls, half_width: float) -> "NoiseSpec":
-        return cls("uniform", half_width)
-
-    @classmethod
-    def laplace(cls, scale: float) -> "NoiseSpec":
-        return cls("laplace", scale)
-
     @property
     def variance(self) -> float:
         if self.distribution == "gaussian":
@@ -157,9 +144,6 @@ class NoiseSpec:
     @property
     def std(self) -> float:
         return math.sqrt(self.variance)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.fill(rng, np.empty(size))
 
     def fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         """Draw ``out.size`` innovations into the contiguous float64 array ``out``.
@@ -186,20 +170,6 @@ class NoiseSpec:
         if self.distribution == "uniform":
             return np.where(np.abs(x) <= self.scale, 1.0 / (2.0 * self.scale), 0.0)
         return np.exp(-np.abs(x) / self.scale) / (2.0 * self.scale)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.distribution == "gaussian":
-            from scipy import special
-
-            return special.ndtr(x / self.scale)
-        if self.distribution == "uniform":
-            return np.clip((x + self.scale) / (2.0 * self.scale), 0.0, 1.0)
-        return np.where(
-            x < 0,
-            0.5 * np.exp(x / self.scale),
-            1.0 - 0.5 * np.exp(-x / self.scale),
-        )
 
 
 def _gaussian_pdf_in_place(x: np.ndarray, sigma: float) -> np.ndarray:
@@ -637,44 +607,32 @@ def simulate(model: Model, n: int, burn_in: int | None = None, seed: int = 0) ->
     be set below it.  The finite moving average is constructed exactly from
     an ``n + order`` innovation buffer and ignores burn-in.
     """
-    return simulate_batch(model, n, [seed], burn_in)[0]
-
-
-def simulate_batch(model: Model, n: int, seeds: Sequence[int],
-                   burn_in: int | None = None) -> np.ndarray:
-    """Row ``i`` is ``simulate(model, n, burn_in, seed=seeds[i])``.
-
-    The one-size case of :func:`simulate_ragged`, returned as one array.
-    """
-    _check_sizes([n])
-    burn_in = resolve_burn_in(model, burn_in)
-    if not len(seeds):
-        return np.empty((0, n))
-    return _simulate_size(model, n, seeds, burn_in)
+    return simulate_ragged(model, [n], [seed], burn_in)[0]
 
 
 def simulate_ragged(model: Model, ns: Sequence[int], seeds: Sequence[int],
                     burn_in: int | None = None) -> list[np.ndarray]:
     """Row ``i`` is ``simulate(model, ns[i], burn_in, seed=seeds[i])``.
 
-    Each row is drawn from its own stream.  Markov rows of several sizes
-    are packed end to end into lanes as wide as the longest row, and the
-    lanes are stepped together: the Python loop runs ``burn_in + max(ns)``
-    steps once, over about as many values as the rows hold.  A packed
-    batch that would hold more than ``MAX_PACKED_VALUES`` values is not
-    formed; its rows are simulated one size at a time, like ARMA rows
-    (one :func:`advance` per size) and finite moving-average rows (one
-    ``np.convolve`` per row).  The rows are views into the arrays that
-    hold them.
+    Each row is drawn from its own stream.  Markov rows are packed end to
+    end into lanes as wide as the longest row, and the lanes are stepped
+    together: the Python loop runs ``burn_in + max(ns)`` steps once, over
+    about as many values as the rows hold.  ARMA rows are filtered one
+    size at a time (one :func:`advance` per size) and finite
+    moving-average rows one ``np.convolve`` per row, because packing would
+    save their compiled filters nothing.  The rows are views into the
+    arrays that hold them.
     """
     if len(ns) != len(seeds):
         raise ValueError(f"need one size per seed, got {len(ns)} sizes and {len(seeds)} seeds")
-    _check_sizes(ns)
+    for n in ns:
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
     burn_in = resolve_burn_in(model, burn_in)
     if not len(seeds):
         return []
     ns = np.asarray(ns, dtype=np.int64)
-    if _packs_rows(model, ns, burn_in):
+    if not isinstance(model, (ArmaModel, LinearProcess)):
         return _simulate_packed(model, ns, seeds, burn_in)
     rows = [None] * len(seeds)
     for n in np.unique(ns).tolist():
@@ -684,14 +642,9 @@ def simulate_ragged(model: Model, ns: Sequence[int], seeds: Sequence[int],
     return rows
 
 
-def _check_sizes(ns: Sequence[int]) -> None:
-    for n in ns:
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
-
-
-def _simulate_size(model: Model, n: int, seeds: Sequence[int], burn_in: int) -> np.ndarray:
-    """Rows of one size, one per seed; ``burn_in`` is resolved."""
+def _simulate_size(model: ArmaModel | LinearProcess, n: int, seeds: Sequence[int],
+                   burn_in: int) -> np.ndarray:
+    """ARMA or moving-average rows of one size, one per seed; ``burn_in`` is resolved."""
     if isinstance(model, LinearProcess):
         # output t combines eps[t..t+order], the newest weighted by coeffs[0]
         draws = _draw_rows(model, seeds, n + model.order)
@@ -732,11 +685,10 @@ def _pack_rows(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _packs_rows(model: Model, ns: np.ndarray, burn_in: int) -> bool:
-    """Whether :func:`simulate_ragged` packs the rows of sizes ``ns`` into one batch.
+    """Whether a rate experiment simulates the rows of sizes ``ns`` in one packed batch.
 
     Markov rows are, while the batch holds at most ``MAX_PACKED_VALUES``
-    values; ARMA and moving-average rows never are, because their compiled
-    filters would save nothing by it.
+    values; ARMA and moving-average rows are never packed.
     """
     if isinstance(model, (ArmaModel, LinearProcess)):
         return False
@@ -897,6 +849,10 @@ def marginal_truth(model: Model) -> MarginalTruth:
 #: the JSON field that holds each noise family's scale
 _NOISE_SCALE_FIELDS = {"gaussian": "sigma", "uniform": "c", "laplace": "scale"}
 
+#: longest ARMA part a spec may give: the stationarity check's ``np.roots``
+#: takes O(p**2) memory and O(p**3) time (about 2 s at order 1000)
+MAX_SPEC_ORDER = 1000
+
 
 def _noise_from_spec(obj: dict) -> NoiseSpec:
     if not isinstance(obj, dict):
@@ -928,12 +884,12 @@ def model_from_spec(obj: dict) -> Model:
     family = obj.get("family")
     noise = _noise_from_spec(obj.get("noise", {"distribution": "gaussian", "sigma": 1.0}))
     if family == "arma":
-        return ArmaModel(
-            ar=tuple(obj.get("ar", ())),
-            ma=tuple(obj.get("ma", ())),
-            intercept=float(obj.get("a0", 0.0)),
-            noise=noise,
-        )
+        ar, ma = tuple(obj.get("ar", ())), tuple(obj.get("ma", ()))
+        for field, coeffs in (("ar", ar), ("ma", ma)):
+            if len(coeffs) > MAX_SPEC_ORDER:
+                raise ValueError(f"\"{field}\" holds {len(coeffs)} coefficients, above the "
+                                 f"limit of {MAX_SPEC_ORDER}")
+        return ArmaModel(ar=ar, ma=ma, intercept=float(obj.get("a0", 0.0)), noise=noise)
     if family == "linear":
         return LinearProcess(
             coeffs=tuple(obj["coeffs"]), mean=float(obj.get("mean", 0.0)), noise=noise

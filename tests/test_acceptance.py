@@ -62,7 +62,7 @@ def test_1_operator_identity_suite():
         width = float(np.exp(rng.uniform(np.log(0.05), np.log(2.0))))
         scheme = BinningScheme(width)
         h = build_histogram(_mixed_sample(rng, n, trial % 4), scheme)
-        lo, hi = h.occupied_range()
+        lo, hi = h.keys[[0, -1]]
         zs = np.arange(lo - 2, hi + 3)
         structured = np.concatenate([zs * width, (zs + 0.5) * width])
         random_pts = rng.uniform((lo - 3) * width, (hi + 3) * width, 100_000 - structured.size)
@@ -85,7 +85,7 @@ def test_2_fp_structural_suite():
     for trial, width in enumerate([0.5, 0.25, 0.1, 0.37, 1.0, 2.0]):
         scheme = BinningScheme(width)
         h = build_histogram(_mixed_sample(rng, 4000, trial % 4), scheme)
-        lo, hi = h.occupied_range()
+        lo, hi = h.keys[[0, -1]]
         zs = np.arange(lo - 1, hi + 2)
         mids = (zs + 0.5) * width
 

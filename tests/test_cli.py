@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from polyfreq import cli, dependence, models
+from polyfreq import cli, dependence, diagnostics, models
 
 from polyfreq.cli import (
     EXIT_DATA,
@@ -705,6 +705,48 @@ class TestNoiseScaleOutOfRange:
         assert f'"{field}"' in line
         assert captured.out == ""
         assert not out.exists()
+
+
+class TestModelSizeLimits:
+    """A spec whose ARMA order or evaluation grid is past its limit is a data error,
+    refused before any characteristic root is computed or anything is simulated."""
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("work started on an oversized model")
+
+    def refused(self, tmp_path, capsys, argv, spec_obj):
+        spec = tmp_path / "model.json"
+        spec.write_text(json.dumps(spec_obj))
+        out = tmp_path / "out"
+        assert main([*argv, "--model", str(spec), "--output", str(out)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not out.exists()
+        [line] = captured.err.splitlines()
+        return spec, line
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "3"],
+        ["delta", "--kmax", "1", "--reps", "100"],
+        ["rate", "--n-min", "256", "--n-max", "16384", "--reps", "10"],
+    ], ids=["simulate", "delta", "rate"])
+    @pytest.mark.parametrize("field,order", [("ar", 1001), ("ma", 1001), ("ar", 200_001)])
+    def test_arma_order(self, tmp_path, capsys, monkeypatch, argv, field, order):
+        monkeypatch.setattr(models, "_char_roots", self.refuse)
+        spec, line = self.refused(tmp_path, capsys, argv,
+                                  {"schema": 1, "family": "arma", field: [1e-6] * order})
+        assert line == (f"polyfreq: data error: model spec {spec} is malformed: \"{field}\" "
+                        f"holds {order} coefficients, above the limit of 1000")
+
+    def test_rate_evaluation_grid(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(diagnostics, "simulate_ragged", self.refuse)
+        spec, line = self.refused(
+            tmp_path, capsys, ["rate", "--n-min", "2048", "--n-max", "131072"],
+            {**AR1_SPEC, "noise": {"distribution": "gaussian", "sigma": 1e6}})
+        assert line.startswith(f"polyfreq: data error: model {spec} gives an evaluation grid "
+                               "over [")
+        assert line.endswith(", more than 10000000 points (3.09198e+09); nothing was written")
 
 
 class TestBufferCaps:

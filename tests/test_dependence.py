@@ -59,18 +59,19 @@ class TestCoupledConstruction:
         pair = simulate_coupled(lp, 10, seed=5)
         buf = make_rng(5).standard_normal(order + 10 + 2)
         gap = buf[order] - buf[order + 1]
+        difference = pair.path - pair.coupled_path
         for k in range(11):
             expected = 0.5**k * gap
-            assert pair.difference(k) == pytest.approx(expected, rel=1e-10)
+            assert difference[k] == pytest.approx(expected, rel=1e-10)
 
     def test_arma_difference_follows_ma_coefficients(self):
         # for ARMA the difference sequence is beta_k times the innovation gap
         model = ArmaModel(ar=(0.5,), ma=(0.2,))
         pair = simulate_coupled(model, 8, seed=23)
-        gap = pair.difference(0)
+        difference = pair.path - pair.coupled_path
         beta = [1.0, 0.7, 0.35, 0.175, 0.0875]
         for k, bk in enumerate(beta):
-            assert pair.difference(k) == pytest.approx(bk * gap, rel=1e-9)
+            assert difference[k] == pytest.approx(bk * difference[0], rel=1e-9)
 
     @pytest.mark.parametrize(
         "model",
@@ -79,7 +80,7 @@ class TestCoupledConstruction:
             ArmaModel(ar=(0.5, -0.2), ma=(0.4,), intercept=1.5),
             ArmaModel(intercept=0.3),
             TarModel(0.6, -0.3),
-            TarModel(0.6, -0.3, noise=NoiseSpec.uniform(1.0)),
+            TarModel(0.6, -0.3, noise=NoiseSpec("uniform", 1.0)),
             NlarModel(transition=lambda x: 0.5 * np.tanh(x), lipschitz_bound=0.5),
         ],
         ids=["AR1", "ARMA21", "white", "TAR", "TAR-uniform", "NLAR"],
@@ -88,7 +89,7 @@ class TestCoupledConstruction:
         # stream: [x0 | burn - 1 shared | eps_0 | eps_0' | eps_1..eps_lag]; each
         # path is the simulation recursion run with the other time-0 draw removed
         lag, seed, burn = 7, 13, default_burn_in(model)
-        stream = model.noise.sample(make_rng(seed), burn + lag + 2)
+        stream = model.noise.fill(make_rng(seed), np.empty(burn + lag + 2))
         pair = simulate_coupled(model, lag, seed)
         for path, other in ((pair.path, burn + 1), (pair.coupled_path, burn)):
             eps = np.delete(stream, other)[None, :]

@@ -286,6 +286,13 @@ class TestSupError:
         assert grid[-1] >= 1.0 + 4 * 0.5 - 1e-12
         assert np.diff(grid).max() <= 0.5 / 10 + 1e-12
 
+    def test_grid_past_the_point_limit_refused(self):
+        # bandwidth 10 spaces the grid by exactly 1.0 over [lo - 40, hi + 40]
+        top = float(diagnostics.MAX_GRID_POINTS - 81)
+        assert make_eval_grid(0.0, top, 10.0).size == diagnostics.MAX_GRID_POINTS
+        with pytest.raises(OverflowError, match="more than 10000000 points"):
+            make_eval_grid(0.0, top + 1.0, 10.0)
+
     def test_fp_max_slope(self):
         h = build_histogram([0.25, 0.75], BinningScheme(1.0))
         assert fp_max_slope(h) == pytest.approx(1.0)  # density 1 to empty neighbour
@@ -452,6 +459,17 @@ class TestRateExperiment:
         monkeypatch.setattr(diagnostics, "simulate_ragged", no_simulation)
         with pytest.raises(OverflowError, match="support"):
             rate_experiment(ArmaModel(ar=(0.5,), intercept=intercept), self.N_GRID, 10, seed=1)
+
+    def test_grid_past_the_point_limit_rejected_before_simulation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before the evaluation grid was sized")
+
+        monkeypatch.setattr(diagnostics, "load_simulator", refuse)
+        monkeypatch.setattr(diagnostics, "simulate_ragged", refuse)
+        # 3.09e9 points at n = 2**17, 25 GB of float64
+        model = ArmaModel(ar=(0.5,), noise=models.NoiseSpec("gaussian", 1e6))
+        with pytest.raises(OverflowError, match=r"more than 10000000 points \(3.09198e\+09\)"):
+            rate_experiment(model, [2**k for k in range(11, 18)], 10, seed=1)
 
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
     def test_model_without_truth_rejected(self):

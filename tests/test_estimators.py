@@ -214,11 +214,11 @@ class TestBuildHistogram:
     def test_json_round_trip(self, rng):
         h = build_histogram(rng.normal(0, 1, 500), BinningScheme(0.25))
         obj = json.loads(json.dumps(h.to_json_obj()))
-        back = SparseHistogram.from_json_obj(obj)
-        assert_array_equal(back.keys, h.keys)
-        assert_array_equal(back.values, h.values)
-        assert back.n == h.n
-        assert back.scheme.bin_width == h.scheme.bin_width
+        bins = np.array(obj["bins"], dtype=np.int64).reshape(-1, 2)
+        assert_array_equal(bins[:, 0], h.keys)
+        assert_array_equal(bins[:, 1], h.values)
+        assert obj["n"] == h.n
+        assert obj["bin_width"] == h.scheme.bin_width
         assert [z for z, _ in obj["bins"]] == sorted(z for z, _ in obj["bins"])
 
 
@@ -429,7 +429,7 @@ class TestFrequencyPolygon:
             b = float(np.exp(rng.uniform(np.log(0.05), np.log(2.0))))
             scheme = BinningScheme(b)
             h = build_histogram(_mixed_sample(rng, n, trial % 4), scheme)
-            lo, hi = h.occupied_range()
+            lo, hi = h.keys[[0, -1]]
             zs = np.arange(lo - 2, hi + 3)
             pts = np.concatenate(
                 [
@@ -494,7 +494,7 @@ class TestFrequencyPolygon:
         # bitwise; fractional widths are covered by the 1e-12 identity suite
         scheme = BinningScheme(width)
         h = build_histogram(rng.normal(0, 2, 2000), scheme)
-        lo, hi = h.occupied_range()
+        lo, hi = h.keys[[0, -1]]
         for z in range(lo - 3, hi + 4):
             m = (z + 0.5) * width
             assert fp_eval(h, m) == histogram_eval(h, m)
@@ -503,7 +503,7 @@ class TestFrequencyPolygon:
     def test_midpoint_near_exact_on_general_widths(self, rng, width):
         scheme = BinningScheme(width)
         h = build_histogram(rng.normal(0, 2, 2000), scheme)
-        lo, hi = h.occupied_range()
+        lo, hi = h.keys[[0, -1]]
         zs = np.arange(lo - 3, hi + 4)
         m = (zs + 0.5) * width
         assert np.max(np.abs(fp_eval(h, m) - histogram_eval(h, m))) <= 1e-12
@@ -511,7 +511,7 @@ class TestFrequencyPolygon:
     def test_continuity_at_knots(self, rng):
         b = 0.4
         h = build_histogram(rng.normal(0, 1, 1500), BinningScheme(b))
-        lo, hi = h.occupied_range()
+        lo, hi = h.keys[[0, -1]]
         eps = 1e-9 * b
         max_density = h.values.max() / (h.n * b)
         for z in range(lo - 2, hi + 3):
@@ -522,7 +522,7 @@ class TestFrequencyPolygon:
     def test_mass_conservation(self, rng):
         b = 0.23
         h = build_histogram(rng.normal(0, 1, 5000), BinningScheme(b))
-        lo, hi = h.occupied_range()
+        lo, hi = h.keys[[0, -1]]
         zs = np.arange(lo - 1, hi + 2)
         # histogram mass through midpoint values
         hist_mass = float(np.sum(b * histogram_eval(h, zs * b + b / 2)))

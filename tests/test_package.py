@@ -15,6 +15,31 @@ def test_all_is_the_union_of_module_exports():
     assert len(set(polyfreq.__all__)) == len(polyfreq.__all__)
 
 
+def test_public_surface_snapshot():
+    # a name added to or removed from the public surface shows up here
+    assert polyfreq.__all__ == [
+        # dependence
+        "CoupledPair", "DeltaEstimate", "SummabilityReport", "simulate_coupled",
+        "coupled_paths", "estimate_delta", "estimate_delta_profile", "check_summability",
+        "deltas_to_csv",
+        # diagnostics
+        "SupErrorRecord", "RateReport", "DegenerateFitError", "make_eval_grid", "sup_error",
+        "modulus_exact", "modulus_envelope", "fit_loglog_slope", "rate_experiment",
+        "fp_max_slope", "error_decomposition",
+        # estimators
+        "BinningScheme", "SparseHistogram", "EmpiricalCdf", "build_histogram",
+        "merge_histograms", "histogram_eval", "cdf_bin_density", "fp_eval", "fp_eval_classic",
+        "stone_bandwidth", "kde_eval_naive",
+        # models
+        "ModelValidityError", "NoiseSpec", "ArmaModel", "LinearProcess", "NlarModel",
+        "TarModel", "StationarityCheck", "MarginalTruth", "arma_check_stationary",
+        "require_valid", "arma_to_ma_coeffs", "arma_marginal", "contraction_proxy",
+        "default_burn_in", "resolve_burn_in", "initial_state", "advance", "simulate",
+        "simulate_ragged", "nlar_soft_check", "tar_marginal_oracle", "marginal_truth",
+        "model_from_spec", "model_to_spec", "make_rng",
+    ]
+
+
 def test_every_export_resolves_to_a_non_module():
     for name in polyfreq.__all__:
         value = getattr(polyfreq, name)
