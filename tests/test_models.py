@@ -207,7 +207,8 @@ class TestArmaMarginal:
         assert var == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_white_noise(self):
-        assert arma_marginal(ArmaModel(noise=NoiseSpec("gaussian", 2.0))) == (0.0, pytest.approx(4.0))
+        white = ArmaModel(noise=NoiseSpec("gaussian", 2.0))
+        assert arma_marginal(white) == (0.0, pytest.approx(4.0))
 
     def test_ma1(self):
         _, var = arma_marginal(ArmaModel(ma=(0.7,)))
