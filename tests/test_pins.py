@@ -17,6 +17,8 @@ from polyfreq import diagnostics
 from polyfreq.cli import main
 from polyfreq.dependence import estimate_delta_profile
 from polyfreq.diagnostics import rate_experiment
+from polyfreq.estimators import (BinningScheme, SparseHistogram, build_histogram, fp_eval,
+                                 stone_bandwidth)
 from polyfreq.models import (ArmaModel, LinearProcess, NlarModel, TarModel, marginal_truth,
                              simulate, simulate_ragged, tar_marginal_oracle)
 
@@ -122,6 +124,46 @@ def test_simulate_rows(name, paths, ragged):
     assert rows_digest(simulate_ragged(model, [5, 700, 5, 2000], [*seeds, 5])) == ragged
 
 
+# fp_eval: a faster array route must give the same bits on random queries, on
+# every bin edge and midpoint and one ulp to either side of them, and beyond
+# the occupied bins
+
+
+@pytest.fixture(scope="module")
+def ar1_hist():
+    n = 2**19
+    return build_histogram(simulate(ArmaModel(ar=(0.5,)), n, seed=5),
+                           BinningScheme(stone_bandwidth(n)))
+
+
+def test_fp_eval_on_an_ar1_histogram(ar1_hist):
+    b = ar1_hist.scheme.bin_width
+    z = np.arange(ar1_hist.keys[0] - 2, ar1_hist.keys[-1] + 3, dtype=float)
+    marks = np.concatenate([z * b, (z + 0.5) * b])
+    x = np.concatenate([np.random.default_rng(11).uniform((z[0] - 3) * b, (z[-1] + 3) * b, 10**5),
+                        marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf)])
+    assert (ar1_hist.occupied, x.size) == (335, 102184)
+    assert hashlib.sha256(fp_eval(ar1_hist, x).tobytes()).hexdigest() == (
+        "65d2f439892f9391f3798370ac0622ff30f86ae1d98e337f22c416510b0f890b")
+
+
+def test_fp_eval_between_two_far_bins():
+    h = SparseHistogram(BinningScheme(1.0), [0, 2**40], [1, 2], 3)
+    assert hexes(fp_eval(h, np.array([0.5, 2.0**40 + 0.75, -1.25]))) == [
+        "0x1.5555555555555p-2", "0x1.0000000000000p-1", "0x0.0p+0"]
+
+
+def test_fp_eval_array_shapes(ar1_hist):
+    b = ar1_hist.scheme.bin_width
+    value = fp_eval(ar1_hist, np.array(0.3))
+    assert type(value) is float and value.hex() == "0x1.53ea5468c553ap-2"
+    grid = fp_eval(ar1_hist, np.array([[0.3, -1.7], [b, 2.5 * b]]))
+    assert grid.shape == (2, 2)
+    assert hexes(grid.ravel()) == ["0x1.53ea5468c553ap-2", "0x1.e61f9cdf181e9p-4",
+                                   "0x1.6274ffdbcbf53p-2", "0x1.5b745fb5fabe4p-2"]
+    assert fp_eval(ar1_hist, np.empty((0, 3))).shape == (0, 3)
+
+
 # CLI artifacts: the text each command writes is pinned by its sha256, so a
 # faster parser or writer must reproduce every byte
 
@@ -186,3 +228,12 @@ def test_rate_records_csv(in_tmp):
                                   for line in lines)
     assert hashlib.sha256(without_wall_time.encode()).hexdigest() == (
         "2e637467b4dfa772e5539cf24a7c977cc60df570db0c331897fd3e3419c5a81f")
+
+
+def test_estimate_on_two_far_rows(in_tmp):
+    # 10**12 bins apart: the query route must not size its work by the span
+    (in_tmp / "rows.csv").write_text("0\n1e12\n")
+    assert main(["estimate", "--input", "rows.csv", "--bandwidth", "1", "--grid-min", "0",
+                 "--grid-max", "1e12", "--grid-step", "5e11", "--output", "estimate.csv"]) == 0
+    assert file_digest(in_tmp / "estimate.csv") == (
+        "ac16d14c92e53a5eb59c0e564bd9260dc42c38069350e8cbcbdb3ad41738b163")
