@@ -12,9 +12,12 @@ Histograms are stored sparsely as a sorted pair of int64 arrays (occupied
 bin indices and their counts), so evaluation cost depends on the number of
 occupied bins and never on the sample size: each density query touches the
 two cells adjacent to the query point and nothing else.  In
-:func:`fp_eval` those two cells cost one binary search among the ``p_n``
-occupied bins, ``O(log p_n)``: a scalar call does that one search and no
-other array work, and an array call does one search per point.
+:func:`fp_eval` a scalar call finds both cells with one binary search among
+the ``p_n`` occupied bins, ``O(log p_n)``, and does no other array work.  An
+array of ``m`` points reads both cells of every point from a dense density
+table over the occupied span, ``O(span + m)`` in all, whenever that table
+is no larger than the call's inputs (``span + 2 <= m + p_n``); a histogram
+too sparse for that costs one search per point, ``O(m log p_n)``.
 """
 
 from __future__ import annotations
@@ -346,7 +349,12 @@ def fp_eval(h: SparseHistogram, x):
     among the occupied bins finds both: bin ``k``, if occupied, is the next
     entry.  A Python ``int`` or ``float`` (``np.float64`` included) is
     answered in plain float arithmetic with that one search and no other
-    array work; an array costs one search per point.
+    array work.  An array of ``m`` points spanning ``span`` bins from the
+    lowest occupied bin to the highest reads both densities from a table of
+    ``span + 2`` entries (every bin of the span, plus an empty bin at each
+    end), ``O(span + m)``, when ``span + 2 <= m + p_n``, so that the table
+    is never larger than the call's inputs; otherwise it costs one search
+    per point, ``O(m log p_n)``.  Both give the same bits.
     """
     keys, values = h.keys, h.values
     denom = h.n * h.scheme.bin_width
@@ -363,14 +371,25 @@ def fp_eval(h: SparseHistogram, x):
     arr = np.asarray(x, dtype=float)
     k, u = _midpoint_cell(h.scheme, np.atleast_1d(arr))
     ki = k.astype(np.int64)
-    # take(mode="clip") reads the last entry for a position past the end;
-    # that entry is below k - 1 (or is k - 1 itself), so it never matches
-    p = keys.searchsorted(ki - 1)
-    hit_lo = keys.take(p, mode="clip") == ki - 1
-    q = p + hit_lo
-    hit_hi = keys.take(q, mode="clip") == ki
-    below = np.where(hit_lo, values.take(p, mode="clip"), 0) / denom
-    above = np.where(hit_hi, values.take(q, mode="clip"), 0) / denom
+    base = int(keys[0]) - 1
+    size = int(keys[-1]) - base + 2
+    if size <= ki.size + len(keys):
+        # entry z - base holds bin z's density; the zero entries at each end
+        # (bins keys[0] - 1 and keys[-1] + 1) answer every clipped position
+        table = np.zeros(size)
+        table[keys - base] = values / denom
+        ki -= base
+        below = table.take(ki - 1, mode="clip")
+        above = table.take(ki, mode="clip")
+    else:
+        # take(mode="clip") reads the last entry for a position past the end;
+        # that entry is below k - 1 (or is k - 1 itself), so it never matches
+        p = keys.searchsorted(ki - 1)
+        hit_lo = keys.take(p, mode="clip") == ki - 1
+        q = p + hit_lo
+        hit_hi = keys.take(q, mode="clip") == ki
+        below = np.where(hit_lo, values.take(p, mode="clip"), 0) / denom
+        above = np.where(hit_hi, values.take(q, mode="clip"), 0) / denom
     out = (1.0 - u) * below + u * above
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
