@@ -555,21 +555,33 @@ def advance(model: Model, state, eps: np.ndarray):
         values, end = signal.lfilter(*_arma_polys(model), eps, axis=1, zi=state)
         values += model.mean
         return values, end
+    _markov_steps(model, state, eps, write=True)
+    return eps, eps[:, -1]
+
+
+def _markov_steps(model: Model, state, eps: np.ndarray, write: bool):
+    """Step ``x = transition(x) + eps[:, t]`` over the columns of ``eps``; returns the last ``x``.
+
+    With ``write`` each step's values are written into its column of ``eps``.
+    """
     r = model.transition
     columns, x = (eps[0], state[0]) if len(eps) == 1 else (eps.T, state)
     for t in range(len(columns)):
         x = r(x) + columns[t]
-        columns[t] = x
-    return eps, eps[:, -1]
+        if write:
+            columns[t] = x
+    return x
 
 
 def _advance_blocks(model: Model, state, eps: np.ndarray, keep: bool = True):
     """:func:`advance` over ``eps`` a block of columns at a time; returns the end state.
 
-    With ``keep``, the values are written back into ``eps`` (Markov
-    families do so in any case).  A block holds about ``_BLOCK_VALUES``
-    values, so an ARMA filter's output exists one block at a time rather
-    than beside a second array the size of ``eps``.  The state is carried
+    With ``keep``, the values are written back into ``eps``; without it a
+    Markov family steps over ``eps`` read-only, in one pass, because writing
+    each step's values into a column of a row-major ``eps`` costs a strided
+    store per value.  A block holds about ``_BLOCK_VALUES`` values, so an
+    ARMA filter's output exists one block at a time rather than beside a
+    second array the size of ``eps``.  The state is carried
     from block to block: the same operations in the same order as one call.
     An ARMA model without an AR part keeps its values from one call:
     ``lfilter``'s FIR route adds the carried state to the first outputs of
@@ -577,6 +589,8 @@ def _advance_blocks(model: Model, state, eps: np.ndarray, keep: bool = True):
     changes their last bits (the end state of a block at least ``q``
     columns wide is the same).
     """
+    if not keep and not isinstance(model, ArmaModel):
+        return np.atleast_1d(_markov_steps(model, state, eps, write=False))
     step = max(1, _BLOCK_VALUES // max(1, len(eps)))
     if keep and isinstance(model, ArmaModel) and not model.ar:
         step = max(1, eps.shape[1])
