@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -624,6 +625,50 @@ class TestScalarRoute:
         value = fp_eval(h, x)
         assert type(value) is float
         assert _bits(value) == _bits(fp_eval(h, np.array([float(x)]))[0])
+
+
+class TestArrayRoute:
+    """An ``fp_eval`` array reads a density table while the occupied span is no
+    larger than the call's inputs, and searches the occupied bins past that;
+    either way it must equal the scalar route bit for bit."""
+
+    @given(
+        width=st.sampled_from([1 / 3, 1.0, 0.029, 1e300]),
+        gaps=st.lists(st.sampled_from([1, 1, 2, 3, 100, 10**6]), max_size=24),
+        counts=st.lists(st.integers(1, 5), min_size=25, max_size=25),
+        queries=st.lists(st.tuples(st.integers(0, 24), st.integers(-5, 5),
+                                   st.sampled_from([-1, 0, 1])), max_size=48),
+    )
+    @settings(max_examples=200, deadline=None)
+    # dense: a 3-bin span against 3 bins and 2 points, the table's largest size
+    @example(width=1.0, gaps=[1, 1], counts=[1] * 25, queries=[(0, -3, 0), (2, 3, 1)])
+    # one bin past the table's largest size: the search route
+    @example(width=1.0, gaps=[1, 2], counts=[1] * 25, queries=[(0, -3, 0), (2, 3, 1)])
+    def test_array_equals_scalar_calls(self, width, gaps, counts, queries):
+        # at width 1e300 the highest bins end next to the float maximum
+        low = int(TOP / width) - 25 * 10**6 if width == 1e300 else -10**6
+        keys = low + np.cumsum([0, *gaps])
+        h = SparseHistogram(BinningScheme(width), keys, counts[:keys.size],
+                            sum(counts[:keys.size]))
+        x = []
+        for i, half_steps, ulps in queries:
+            v = (keys[i % keys.size] + 0.5 * half_steps) * width
+            x.append(math.nextafter(v, ulps * math.inf) if ulps else v)
+        out = fp_eval(h, np.array(x))
+        expected = [fp_eval(h, v) for v in x]
+        assert _bits(out).tolist() == _bits(expected).tolist()
+
+    def test_far_bins_allocate_nothing_by_their_span(self):
+        h = SparseHistogram(UNIT, [0, 2**50], [1, 2], 3)
+        x = np.array([0.5, 2.0**50 + 0.25, -7.0])
+        tracemalloc.start()
+        try:
+            out = fp_eval(h, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert out.tolist() == [fp_eval(h, v) for v in x.tolist()]
 
 
 class TestStoneBandwidth:
