@@ -349,12 +349,11 @@ def fp_eval(h: SparseHistogram, x):
     among the occupied bins finds both: bin ``k``, if occupied, is the next
     entry.  A Python ``int`` or ``float`` (``np.float64`` included) is
     answered in plain float arithmetic with that one search and no other
-    array work.  An array of ``m`` points spanning ``span`` bins from the
-    lowest occupied bin to the highest reads both densities from a table of
-    ``span + 2`` entries (every bin of the span, plus an empty bin at each
-    end), ``O(span + m)``, when ``span + 2 <= m + p_n``, so that the table
-    is never larger than the call's inputs; otherwise it costs one search
-    per point, ``O(m log p_n)``.  Both give the same bits.
+    array work.  An array of ``m`` points reads both densities from a table
+    of the ``span + 2`` bins from ``keys[0] - 1`` to ``keys[-1] + 1``,
+    ``O(span + m)``, while ``span + 2 <= m + p_n``, so that the table holds
+    no more entries than the call's inputs; past that it costs one search
+    per point, ``O(m log p_n)``.  Both routes give the same bits.
     """
     keys, values = h.keys, h.values
     denom = h.n * h.scheme.bin_width

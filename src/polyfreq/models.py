@@ -590,6 +590,7 @@ def _advance_blocks(model: Model, state, eps: np.ndarray, keep: bool = True):
     columns wide is the same).
     """
     if not keep and not isinstance(model, ArmaModel):
+        # a one-row eps is stepped with a scalar state
         return np.atleast_1d(_markov_steps(model, state, eps, write=False))
     step = max(1, _BLOCK_VALUES // max(1, len(eps)))
     if keep and isinstance(model, ArmaModel) and not model.ar:
