@@ -237,3 +237,38 @@ def test_estimate_on_two_far_rows(in_tmp):
                  "--grid-max", "1e12", "--grid-step", "5e11", "--output", "estimate.csv"]) == 0
     assert file_digest(in_tmp / "estimate.csv") == (
         "ac16d14c92e53a5eb59c0e564bd9260dc42c38069350e8cbcbdb3ad41738b163")
+
+
+LINEAR_SPEC = {"schema": 1, "family": "linear", "mean": 0.5, "coeffs": [1.0, 0.6, 0.3, 0.1],
+               "noise": {"distribution": "gaussian", "sigma": 1.0}}
+
+
+#: the sha256 of no bytes: the JSON format writes nothing to stderr
+NOTHING = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+
+@pytest.mark.parametrize("spec,expected", [
+    (ARMA_SPEC, {
+        "csv": ("ae3badfa1cf010b52a00bcb726d994ac237fe8524e223ca2bee4bb9a22c2922e",
+                "d76a26508cd41f9fe3a688c666af352afa78263dff7d8821ef42839876db7cd1"),
+        "json": ("0a786ff8e38c9f52f24bed412b4003e1dd0a08a177beb3d3d87e4cf62e374664", NOTHING)}),
+    (TAR_SPEC, {
+        "csv": ("b3160e316c4deda53cdf245f0e1b7d7604defd10239eeb194ca1060cec6dadc1",
+                "75dfe9c395c2d0402ee54550d723d70a4b8c529e59c5af94ca979b67c59f4b44"),
+        "json": ("7c8a968e390e922684791637a1fc11b6e9254bd4aaf2c670edd07fb929444379", NOTHING)}),
+    (LINEAR_SPEC, {
+        "csv": ("9628580887d75b4a88f35b0e7a6abfaa1800f79c5b77c686a07e4ebc2ce01c47",
+                "3597e566deaa83a3cc3f4d348a424d4f782c5174460457e5031b4fff8169f01c"),
+        "json": ("52c31c69142cdaf08ddaf37b6186815c142cfae27e4143f5228efb1ad87dff18", NOTHING)}),
+], ids=["AR1", "TAR", "linear"])
+def test_delta_stdout_and_stderr(in_tmp, capsys, spec, expected):
+    # the delta CSV goes to stdout and its decay report to stderr; the JSON
+    # format carries both on stdout
+    (in_tmp / "model.json").write_text(json.dumps(spec))
+    digests = {}
+    for fmt in ("csv", "json"):
+        assert main(["delta", "--model", "model.json", "--kmax", "6", "--reps", "300",
+                     "--seed", "9", "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        digests[fmt] = tuple(hashlib.sha256(s.encode()).hexdigest() for s in (out, err))
+    assert digests == expected
