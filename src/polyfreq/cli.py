@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .dependence import check_summability, deltas_to_csv, estimate_delta_profile
+from .dependence import check_summability, estimate_delta_profile
 from .diagnostics import MAX_GRID_POINTS, rate_experiment
 from .estimators import (
     BinningScheme,
@@ -382,7 +382,10 @@ def cmd_delta(args: argparse.Namespace) -> int:
         }
         _write_text(args.output, [json.dumps(payload, indent=2) + "\n"])
     else:
-        _write_text(args.output, [_header(config), deltas_to_csv(deltas)])
+        columns = zip(*((d.lag, d.delta_hat, d.std_error, d.replications) for d in deltas))
+        rows = _format_rows("%d,%.17g,%.17g,%d\n", *map(np.array, columns))
+        header = _header(config, "k,delta_hat,std_error,replications")
+        _write_text(args.output, itertools.chain([header], rows))
         print(json.dumps(decay), file=sys.stderr)
     return EXIT_OK
 

@@ -40,7 +40,6 @@ __all__ = [
     "estimate_delta",
     "estimate_delta_profile",
     "check_summability",
-    "deltas_to_csv",
 ]
 
 #: ``decay_ok`` holds when the fitted decay slope is at most
@@ -54,7 +53,8 @@ class CoupledPair:
 
     ``path[j]`` and ``coupled_path[j]`` hold the original and coupled values
     at time ``j``; they are driven by identical innovations at times 1..lag
-    and differ only through the time-0 innovation.
+    and differ only through the time-0 innovation.  A view of one row of
+    :func:`coupled_paths`, kept while the benchmark tracer binds it (ROADMAP item 4).
     """
 
     lag: int
@@ -72,9 +72,9 @@ class DeltaEstimate:
     replications: int
 
 
-def _coupled_batch(model: Model, lag: int, seeds: Sequence[int],
-                   burn_in: int | None, swap: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Coupled trajectories for many replications; rows follow ``seeds`` order.
+def coupled_paths(model: Model, lag: int, seeds: Sequence[int],
+                  burn_in: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Batched coupled trajectories, one row per replication seed.
 
     Stream layout per replication: one initial variate, ``burn_in - 1``
     burn-in innovations (reaching the shared time -1 state), the time-0
@@ -90,12 +90,9 @@ def _coupled_batch(model: Model, lag: int, seeds: Sequence[int],
         # columns: [eps_{-order}..eps_{-1} | eps_0 | eps_0' | eps_1..eps_lag]
         k_ma = model.order
         draws = _draw_rows(model, seeds, k_ma + lag + 2)
-        base, alt = draws[:, k_ma], draws[:, k_ma + 1]
-        if swap:
-            base, alt = alt, base
-        shared = draws[:, k_ma + 2 :]
-        eps_a = np.concatenate([draws[:, :k_ma], base[:, None], shared], axis=1)
-        eps_b = np.concatenate([draws[:, :k_ma], alt[:, None], shared], axis=1)
+        history, shared = draws[:, :k_ma], draws[:, k_ma + 2 :]
+        eps_a = np.concatenate([history, draws[:, k_ma, None], shared], axis=1)
+        eps_b = np.concatenate([history, draws[:, k_ma + 1, None], shared], axis=1)
         coeffs = np.asarray(model.coeffs)[::-1]
         win_a = np.lib.stride_tricks.sliding_window_view(eps_a, k_ma + 1, axis=1)
         win_b = np.lib.stride_tricks.sliding_window_view(eps_b, k_ma + 1, axis=1)
@@ -103,10 +100,7 @@ def _coupled_batch(model: Model, lag: int, seeds: Sequence[int],
 
     # columns: [initial | burn-in eps (burn_in - 1) | eps_0 | eps_0' | eps_1..eps_lag]
     draws = _draw_rows(model, seeds, burn_in + lag + 2)
-    e0, e0p = draws[:, burn_in], draws[:, burn_in + 1]
-    if swap:
-        e0, e0p = e0p, e0
-    shared = draws[:, burn_in + 2 :]
+    e0, e0p, shared = draws[:, burn_in], draws[:, burn_in + 1], draws[:, burn_in + 2 :]
     # the shared history is advanced in place on this view, so the reps x
     # burn_in draws are never copied, and ARMA models keep only one block of
     # the discarded burn-in values at once
@@ -117,21 +111,11 @@ def _coupled_batch(model: Model, lag: int, seeds: Sequence[int],
     return path_a, path_b
 
 
-def coupled_paths(model: Model, lag: int, seeds: Sequence[int],
-                  burn_in: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Batched coupled trajectories, one row per replication seed."""
-    return _coupled_batch(model, lag, seeds, burn_in, swap=False)
-
-
-def simulate_coupled(model: Model, lag: int, seed: int = 0, burn_in: int | None = None,
-                     swap_innovations: bool = False) -> CoupledPair:
-    """One coupled trajectory pair.
-
-    With ``swap_innovations`` the time-0 innovation and its replacement
-    trade places while every other draw stays put, exactly exchanging the
-    roles of the two trajectories.
-    """
-    a, b = _coupled_batch(model, lag, [seed], burn_in, swap=swap_innovations)
+def simulate_coupled(model: Model, lag: int, seed: int = 0,
+                     burn_in: int | None = None) -> CoupledPair:
+    """One coupled trajectory pair: a view of one row of :func:`coupled_paths`,
+    kept while the benchmark tracer binds it (ROADMAP item 4)."""
+    a, b = coupled_paths(model, lag, [seed], burn_in)
     return CoupledPair(lag=lag, path=a[0], coupled_path=b[0])
 
 
@@ -150,7 +134,8 @@ def _delta_from_diffs(lag: int, diffs: np.ndarray) -> DeltaEstimate:
 
 def estimate_delta(model: Model, lag: int, replications: int, seed: int = 0,
                    burn_in: int | None = None) -> DeltaEstimate:
-    """Dependence coefficient at one lag from independent coupled replications."""
+    """Dependence coefficient at one lag: a view of entry ``lag`` of
+    :func:`estimate_delta_profile`, kept while the benchmark tracer binds it (ROADMAP item 4)."""
     return estimate_delta_profile(model, lag, replications, seed, burn_in)[lag]
 
 
@@ -164,7 +149,7 @@ def estimate_delta_profile(model: Model, max_lag: int, replications: int, seed: 
     if replications < 100:
         raise ValueError(f"need at least 100 replications, got {replications}")
     seeds = [seed + i for i in range(replications)]
-    a, b = _coupled_batch(model, max_lag, seeds, burn_in, swap=False)
+    a, b = coupled_paths(model, max_lag, seeds, burn_in)
     diffs = a - b
     return [_delta_from_diffs(k, diffs[:, k]) for k in range(max_lag + 1)]
 
@@ -230,12 +215,3 @@ def check_summability(deltas: Sequence[DeltaEstimate], contraction: float) -> Su
         conclusive=conclusive,
     )
 
-
-def deltas_to_csv(deltas: Sequence[DeltaEstimate]) -> str:
-    """Serialize estimates as ``k, delta_hat, std_error, replications`` rows."""
-    lines = ["k,delta_hat,std_error,replications"]
-    for d in deltas:
-        lines.append(
-            f"{d.lag},{format(d.delta_hat, '.17g')},{format(d.std_error, '.17g')},{d.replications}"
-        )
-    return "\n".join(lines) + "\n"

@@ -45,14 +45,6 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _as_finite_array(x, name: str = "x") -> tuple[np.ndarray, bool]:
-    """Coerce to a float array, rejecting non-finite entries."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr, arr.ndim == 0
-
-
 @dataclass(frozen=True)
 class BinningScheme:
     """Uniform bin geometry: a positive width with the grid anchored at 0.
@@ -293,7 +285,7 @@ def merge_histograms(parts: Iterable[SparseHistogram]) -> SparseHistogram:
 
 def histogram_eval(h: SparseHistogram, x):
     """Histogram density ``count / (n * b)`` of the bin containing ``x``."""
-    arr, scalar = _as_finite_array(x)
+    arr, scalar = h.scheme._index_domain(x)
     z = h.scheme.bin_index(np.atleast_1d(arr))
     dens = h.counts_at(z) / (h.n * h.scheme.bin_width)
     return float(dens[0]) if scalar else dens.reshape(arr.shape)
@@ -308,7 +300,7 @@ def cdf_bin_density(F: Callable, scheme: BinningScheme, x):
     density, whose error is bounded by the density's Lipschitz constant
     times the bin width.  ``F`` must accept numpy arrays.
     """
-    arr, scalar = _as_finite_array(x)
+    arr, scalar = scheme._index_domain(x)
     b = scheme.bin_width
     z = scheme.bin_index(np.atleast_1d(arr)).astype(float)
     out = (np.asarray(F((z + 1.0) * b), dtype=float) - np.asarray(F(z * b), dtype=float)) / b
@@ -401,7 +393,7 @@ def fp_eval_classic(h: SparseHistogram, x):
     independent evaluation route: it must agree with :func:`fp_eval` at
     every point, bin edges and midpoints included.
     """
-    arr, scalar = _as_finite_array(x)
+    arr, scalar = h.scheme._index_domain(x)
     b = h.scheme.bin_width
     k, w_hi = _midpoint_cell(h.scheme, arr)
     w_lo = np.clip(0.5 + k - arr / b, 0.0, 1.0)
@@ -445,7 +437,9 @@ def kde_eval_naive(sample, bandwidth: float, x):
         raise ValueError("sample must be nonempty")
     if not (math.isfinite(bandwidth) and bandwidth > 0):
         raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
-    xs, scalar = _as_finite_array(x)
+    xs = np.asarray(x, dtype=float)
+    if not np.isfinite(xs).all():
+        raise ValueError("x must be finite")
     xs1 = np.atleast_1d(xs)
     out = np.empty(xs1.shape, dtype=float)
     scale = 1.0 / (arr.size * bandwidth * _SQRT_2PI)
@@ -460,7 +454,7 @@ def kde_eval_naive(sample, bandwidth: float, x):
         work *= -0.5
         np.exp(work, out=work)
         out[i] = work.sum() * scale
-    return float(out[0]) if scalar else out.reshape(xs.shape)
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 class EmpiricalCdf:

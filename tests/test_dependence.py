@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from polyfreq.dependence import (
     check_summability,
     coupled_paths,
-    deltas_to_csv,
     estimate_delta,
     estimate_delta_profile,
     simulate_coupled,
@@ -32,25 +31,6 @@ SQRT2 = math.sqrt(2.0)
 
 
 class TestCoupledConstruction:
-    def test_lag_zero_difference_is_innovation_gap(self):
-        # the two trajectories branch through the time-0 innovation only,
-        # so swapping it must exchange the paths exactly
-        pair = simulate_coupled(TarModel(0.6, -0.3), 0, seed=5)
-        swapped = simulate_coupled(TarModel(0.6, -0.3), 0, seed=5, swap_innovations=True)
-        assert pair.path[0] != pair.coupled_path[0]
-        assert pair.path[0] == swapped.coupled_path[0]
-        assert pair.coupled_path[0] == swapped.path[0]
-
-    @pytest.mark.parametrize(
-        "model",
-        [AR1, LinearProcess(coeffs=(1.0, 0.5, 0.25)), TarModel(0.6, -0.3)],
-    )
-    def test_swap_exchanges_roles_exactly(self, model):
-        pair = simulate_coupled(model, 6, seed=17)
-        swapped = simulate_coupled(model, 6, seed=17, swap_innovations=True)
-        assert_array_equal(pair.path, swapped.coupled_path)
-        assert_array_equal(pair.coupled_path, swapped.path)
-
     def test_linear_process_exact_cancellation(self):
         # every shared innovation term cancels, leaving coeff[k] times the
         # time-0 innovation gap (up to accumulation rounding)
@@ -220,13 +200,3 @@ class TestSummability:
             check_summability(profile[1:], 0.5)
         with pytest.raises(ValueError, match="contraction"):
             check_summability(profile, 1.0)
-
-    def test_csv_serialization(self):
-        profile = estimate_delta_profile(AR1, 2, 200, seed=1)
-        text = deltas_to_csv(profile)
-        lines = text.strip().split("\n")
-        assert lines[0] == "k,delta_hat,std_error,replications"
-        assert len(lines) == 4
-        k, dh, se, reps = lines[1].split(",")
-        assert (int(k), int(reps)) == (0, 200)
-        assert float(dh) == profile[0].delta_hat  # 17 digits round-trip

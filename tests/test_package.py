@@ -21,7 +21,6 @@ def test_public_surface_snapshot():
         # dependence
         "CoupledPair", "DeltaEstimate", "SummabilityReport", "simulate_coupled",
         "coupled_paths", "estimate_delta", "estimate_delta_profile", "check_summability",
-        "deltas_to_csv",
         # diagnostics
         "SupErrorRecord", "RateReport", "DegenerateFitError", "make_eval_grid", "sup_error",
         "modulus_exact", "modulus_envelope", "fit_loglog_slope", "rate_experiment",
