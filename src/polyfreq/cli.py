@@ -48,6 +48,7 @@ from .estimators import (
     stone_bandwidth,
 )
 from .models import (
+    MAX_BUFFER_VALUES,
     ArmaModel,
     ModelValidityError,
     contraction_proxy,
@@ -64,8 +65,6 @@ EXIT_MODEL = 3
 
 _CHUNK_LINES = 65536
 _MAX_BAD_ROWS = 10
-#: largest array a ``simulate``, ``delta`` or ``rate`` run may ask for, 2 GiB of float64
-_MAX_BUFFER_VALUES = 2**28
 #: ``bench`` reports the fastest of this many frequency polygon builds and queries
 _BENCH_REPEATS = 5
 
@@ -140,10 +139,10 @@ def _check_output(path: str) -> None:
 
 
 def _check_buffer(values: int, flags: str) -> None:
-    """Refuse a run whose largest array would exceed ``_MAX_BUFFER_VALUES`` values."""
-    if values > _MAX_BUFFER_VALUES:
+    """Refuse a run whose largest array would exceed ``MAX_BUFFER_VALUES`` values."""
+    if values > MAX_BUFFER_VALUES:
         raise UsageError(f"{flags} need a buffer of {values} values, "
-                         f"above the limit of {_MAX_BUFFER_VALUES}")
+                         f"above the limit of {MAX_BUFFER_VALUES}")
 
 
 def _load_model(path: str):
@@ -408,7 +407,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
         n *= 2
     # the larger of one size's simulation batch and the 500-round bootstrap
     # table: rate_experiment packs the rows of every size into one batch only
-    # while it holds at most MAX_PACKED_VALUES, no more than this cap
+    # while it holds at most MAX_BUFFER_VALUES, the same cap
     _check_buffer(args.reps * max(resolve_burn_in(model, None) + args.n_max, 500 * len(n_values)),
                   "--reps and --n-max")
     try:

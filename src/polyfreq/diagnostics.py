@@ -434,7 +434,7 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     (robust to the occasional bad path) feeds a log-log slope fit with a
     bootstrap confidence interval.  Replication ``k`` of the flattened
     size-major grid is seeded ``seed + k``.  A Markov model whose packed
-    rows fit ``models.MAX_PACKED_VALUES`` values simulates every
+    rows fit ``models.MAX_BUFFER_VALUES`` values simulates every
     replication of every size in one :func:`simulate_ragged` call before
     any evaluation; otherwise (ARMA and moving-average models, larger
     Markov runs) each size simulates in its own task.  Up to

@@ -58,9 +58,10 @@ ROOT_MARGIN = 1e-9
 #: iteration cap of the TAR fixed-point oracle
 ORACLE_MAX_ITERATIONS = 500
 
-#: largest packed Markov batch, in values, in which a rate experiment
-#: simulates every size at once; past it, each size is its own batch
-MAX_PACKED_VALUES = 2**28
+#: largest buffer, in values (2 GiB of float64), that a CLI run may ask for,
+#: and the largest packed Markov batch in which a rate experiment simulates
+#: every size at once; past it, each size is its own batch
+MAX_BUFFER_VALUES = 2**28
 
 #: values per block of columns when a recursion is advanced block by block
 _BLOCK_VALUES = 2**20
@@ -702,14 +703,14 @@ def _pack_rows(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _packs_rows(model: Model, ns: np.ndarray, burn_in: int) -> bool:
     """Whether a rate experiment simulates the rows of sizes ``ns`` in one packed batch.
 
-    Markov rows are, while the batch holds at most ``MAX_PACKED_VALUES``
+    Markov rows are, while the batch holds at most ``MAX_BUFFER_VALUES``
     values; ARMA and moving-average rows are never packed.
     """
     if isinstance(model, (ArmaModel, LinearProcess)):
         return False
     lengths = burn_in + np.asarray(ns, dtype=np.int64)
     lane, _ = _pack_rows(lengths)
-    return (int(lane.max()) + 1) * int(lengths.max()) <= MAX_PACKED_VALUES
+    return (int(lane.max()) + 1) * int(lengths.max()) <= MAX_BUFFER_VALUES
 
 
 def _simulate_packed(model: Model, ns: np.ndarray, seeds: Sequence[int],

@@ -794,7 +794,6 @@ class TestBufferCaps:
 
     def test_packed_batch_never_exceeds_the_cap(self):
         tar = models.TarModel(0.6, -0.3)
-        assert models.MAX_PACKED_VALUES <= cli._MAX_BUFFER_VALUES
         assert models._packs_rows(tar, np.repeat([2**k for k in range(8, 18)], 200), 1000)
         assert not models._packs_rows(tar, np.repeat([2**k for k in range(10, 21)], 200), 1000)
 

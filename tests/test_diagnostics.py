@@ -362,7 +362,7 @@ class TestRateExperiment:
         model = TarModel(0.6, -0.3)
         packed = rate_experiment(model, self.N_GRID, 3, seed=5)
         # room for the largest size's batch, not for every size packed
-        monkeypatch.setattr(models, "MAX_PACKED_VALUES", 3 * (1000 + 2**14))
+        monkeypatch.setattr(models, "MAX_BUFFER_VALUES", 3 * (1000 + 2**14))
         per_size = rate_experiment(model, self.N_GRID, 3, seed=5)
         for a, b in zip(packed.records, per_size.records):
             assert (a.n, a.replication, a.sup_error, a.grid_error_bound) == (
@@ -378,7 +378,7 @@ class TestRateExperiment:
     ], ids=["AR1", "TAR", "TAR-past-budget"])
     def test_wall_time_shares_the_simulation_by_steps(self, model, budget, calls, monkeypatch):
         if budget is not None:
-            monkeypatch.setattr(models, "MAX_PACKED_VALUES", budget)
+            monkeypatch.setattr(models, "MAX_BUFFER_VALUES", budget)
         # a clock that only simulation calls move, 1 s each: a record's wall
         # time is then exactly its row's share of the call that simulated it
         clock, call_sizes = [0.0], []
