@@ -90,6 +90,8 @@ def _eval_grid_span(lo: float, hi: float, bandwidth: float) -> tuple[float, floa
     """
     if not (hi > lo):
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
+    if not 0.0 < bandwidth < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth!r}")
     start = lo - GRID_MARGIN_BINS * bandwidth
     stop = hi + GRID_MARGIN_BINS * bandwidth
     spacing = bandwidth / GRID_POINTS_PER_BIN
@@ -104,8 +106,9 @@ def _eval_grid_span(lo: float, hi: float, bandwidth: float) -> tuple[float, floa
 def make_eval_grid(lo: float, hi: float, bandwidth: float) -> np.ndarray:
     """Uniform grid over ``[lo - 4b, hi + 4b]`` with spacing ``b/10``.
 
-    A grid of more than ``MAX_GRID_POINTS`` points is refused with
-    ``OverflowError`` before it is allocated.
+    A bandwidth that is not positive and finite is refused with
+    ``ValueError``, and a grid of more than ``MAX_GRID_POINTS`` points with
+    ``OverflowError``, before it is allocated.
     """
     return np.linspace(*_eval_grid_span(lo, hi, bandwidth))
 
@@ -351,12 +354,17 @@ def fit_loglog_slope(n_values: Sequence[int], errors: Sequence[float]) -> float:
     """Least-squares slope of ``log(error)`` against ``log(n)``.
 
     Rejects degenerate inputs (non-positive errors, as when the truth is
-    replayed as the estimate, or error sequences without variation).
+    replayed as the estimate, or error sequences without variation), and
+    sizes that are not positive and finite or errors that are not finite.
     """
     ns = np.asarray(n_values, dtype=float)
     errs = np.asarray(errors, dtype=float)
     if ns.size != errs.size or ns.size < 2:
         raise ValueError("need matching n/error sequences with >= 2 entries")
+    if not np.all((0.0 < ns) & (ns < math.inf)):
+        raise ValueError(f"n_values must be positive and finite, got {ns.tolist()}")
+    if not np.isfinite(errs).all():
+        raise ValueError(f"errors must be finite, got {errs.tolist()}")
     if np.any(errs <= 0.0):
         raise DegenerateFitError("errors must be strictly positive to fit a log-log slope")
     logs = np.log(errs)

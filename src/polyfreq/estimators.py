@@ -472,8 +472,10 @@ class EmpiricalCdf:
         self.n = int(arr.size)
 
     def __call__(self, x):
-        """Fraction of sample points ``<= x``."""
+        """Fraction of sample points ``<= x``; ``-inf`` and ``inf`` give 0 and 1."""
         arr = np.asarray(x, dtype=float)
+        if np.isnan(arr).any():
+            raise ValueError("x must not be nan")
         out = np.searchsorted(self.sorted_sample, arr, side="right") / self.n
         return float(out[()]) if arr.ndim == 0 else out
 

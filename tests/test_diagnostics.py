@@ -293,6 +293,11 @@ class TestSupError:
         with pytest.raises(OverflowError, match="more than 10000000 points"):
             make_eval_grid(0.0, top + 1.0, 10.0)
 
+    @pytest.mark.parametrize("bandwidth", [0.0, -0.1, math.nan, math.inf])
+    def test_grid_bandwidth_must_be_positive_and_finite(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            make_eval_grid(0.0, 1.0, bandwidth)
+
     def test_fp_max_slope(self):
         h = build_histogram([0.25, 0.75], BinningScheme(1.0))
         assert fp_max_slope(h) == pytest.approx(1.0)  # density 1 to empty neighbour
@@ -321,6 +326,17 @@ class TestRateFit:
     def test_constant_errors_rejected(self):
         with pytest.raises(DegenerateFitError):
             fit_loglog_slope([100, 200, 400], [0.1, 0.1, 0.1])
+
+    @pytest.mark.parametrize("errors", [[1.0, math.nan, 0.5, 0.3], [1.0, math.inf, 0.5, 0.3]])
+    def test_non_finite_errors_refused(self, errors):
+        with pytest.raises(ValueError, match="errors must be finite"):
+            fit_loglog_slope([1, 2, 4, 8], errors)
+
+    @pytest.mark.parametrize("size", [0, -4, math.inf, math.nan])
+    def test_sizes_must_be_positive_and_finite(self, size, capfd):
+        with pytest.raises(ValueError, match="n_values must be positive and finite"):
+            fit_loglog_slope([1, 2, size, 8], [1.0, 0.7, 0.5, 0.3])
+        assert capfd.readouterr().err == ""  # nothing reaches LAPACK
 
     def test_exact_power_law_recovered(self):
         ns = [2**k for k in range(8, 14)]

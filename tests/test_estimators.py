@@ -732,3 +732,15 @@ class TestEmpiricalCdf:
         with pytest.raises(ValueError):
             EmpiricalCdf([1.0, math.nan])
 
+    def test_refuses_a_nan_query(self):
+        # searchsorted sorts nan above every sample, which would read as 1
+        F = EmpiricalCdf([1.0, 2.0, 3.0])
+        for x in (math.nan, np.array(math.nan), [math.nan, 1.5]):
+            with pytest.raises(ValueError, match="x must not be nan"):
+                F(x)
+
+    def test_infinite_queries_are_the_limits(self):
+        F = EmpiricalCdf([1.0, 2.0, 3.0])
+        assert (F(-math.inf), F(math.inf)) == (0.0, 1.0)
+        assert_array_equal(F(np.array([-math.inf, 2.0, math.inf])), [0.0, 2 / 3, 1.0])
+
