@@ -725,6 +725,7 @@ class TestEmpiricalCdf:
         assert F(2.0) == 0.75
         assert F(10.0) == 1.0
         assert F(np.nextafter(2.0, -np.inf)) == 0.25  # left limit at a sample point
+        assert_array_equal(F(np.array([-math.inf, 2.0, math.inf])), [0.0, 0.75, 1.0])
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -738,9 +739,4 @@ class TestEmpiricalCdf:
         for x in (math.nan, np.array(math.nan), [math.nan, 1.5]):
             with pytest.raises(ValueError, match="x must not be nan"):
                 F(x)
-
-    def test_infinite_queries_are_the_limits(self):
-        F = EmpiricalCdf([1.0, 2.0, 3.0])
-        assert (F(-math.inf), F(math.inf)) == (0.0, 1.0)
-        assert_array_equal(F(np.array([-math.inf, 2.0, math.inf])), [0.0, 2 / 3, 1.0])
 
