@@ -90,6 +90,16 @@ def test_tar_delta_profile():
         "dcba19fff89068ec901074761dd977997ae9e3a3e8f49daf6a84d697350c46c3")
 
 
+def test_tar_delta_profile_at_burn_in_1000():
+    # the coupled stream layout depends only on the burn-in used: an explicit
+    # 1000 steps reproduce the profile of the rule that defaulted to them
+    deltas = estimate_delta_profile(TarModel(0.6, -0.3), 6, 500, seed=23, burn_in=1000)
+    assert deltas[6].delta_hat.hex() == "0x1.a832fdf233bdbp-6"
+    assert digest([(d.lag, d.delta_hat.hex(), d.std_error.hex(), d.replications)
+                   for d in deltas]) == (
+        "dcba19fff89068ec901074761dd977997ae9e3a3e8f49daf6a84d697350c46c3")
+
+
 SIM_MODELS = {
     "TAR": TarModel(0.6, -0.3),
     "NLAR": NlarModel(transition=lambda x: 0.5 * np.tanh(x), lipschitz_bound=0.5),
@@ -122,6 +132,20 @@ def test_simulate_rows(name, paths, ragged):
     model, seeds = SIM_MODELS[name], [0, 3, 2**64 + 1]
     assert rows_digest([simulate(model, 5000, seed=s) for s in seeds]) == paths
     assert rows_digest(simulate_ragged(model, [5, 700, 5, 2000], [*seeds, 5])) == ragged
+
+
+@pytest.mark.parametrize("name,paths,ragged", [
+    ("TAR", "11fdb3957245987920fa8d59f8906f62878dbeb3140340118014db3aca0a93dc",
+     "90ffa7837666e760fd21bf3eccca73aba67b70f597ecd102f2d4faa06d81260a"),
+    ("NLAR", "a4e3fe06c458fd2041c0ecb74e1088265b8ddb44cee0daf9ee74eb15d5ed150f",
+     "fe2dea129445530cc50768df7068d3864ee5dd0da0f65fb531be671f46aae41d"),
+], ids=["TAR", "NLAR"])
+def test_simulate_rows_at_burn_in_1000(name, paths, ragged):
+    # the stream layout depends only on the burn-in used: an explicit 1000
+    # steps reproduce the rows of the rule that defaulted to them
+    model, seeds = SIM_MODELS[name], [0, 3, 2**64 + 1]
+    assert rows_digest([simulate(model, 5000, 1000, seed=s) for s in seeds]) == paths
+    assert rows_digest(simulate_ragged(model, [5, 700, 5, 2000], [*seeds, 5], 1000)) == ragged
 
 
 # fp_eval: a faster array route must give the same bits on random queries, on
@@ -193,6 +217,16 @@ def test_simulate_csv_across_a_chunk_boundary(in_tmp, spec, expected):
     assert main(["simulate", "--model", "model.json", "--n", "65537", "--seed", "3",
                  "--output", "sample.csv"]) == 0
     assert file_digest(in_tmp / "sample.csv") == expected
+
+
+def test_tar_simulate_csv_at_burn_in_1000(in_tmp):
+    # the header records the burn-in used, so an explicit 1000 steps give
+    # the bytes of the rule that defaulted to them
+    (in_tmp / "model.json").write_text(json.dumps(TAR_SPEC))
+    assert main(["simulate", "--model", "model.json", "--n", "65537", "--seed", "3",
+                 "--burn-in", "1000", "--output", "sample.csv"]) == 0
+    assert file_digest(in_tmp / "sample.csv") == (
+        "684003e8d395801c50a305d13faeea85235c369ba19d7411578aabcbd2c0abf6")
 
 
 def test_estimate_on_a_messy_input(in_tmp):
