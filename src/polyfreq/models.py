@@ -480,10 +480,13 @@ def arma_marginal(model: ArmaModel) -> tuple[float, float]:
 def resolve_burn_in(model: Model, burn_in: int | None) -> int:
     """Burn-in a simulation of ``model`` uses: ``burn_in``, else the default.
 
-    The model must be valid, and ``burn_in`` may not be set below
-    :func:`default_burn_in`.  The finite moving average is built exactly,
-    so its burn-in is always 0.
+    The model must be valid, and ``burn_in`` must be a nonnegative integer
+    (``bool`` is refused) no smaller than :func:`default_burn_in`.  The
+    finite moving average is built exactly, so its burn-in is always 0.
     """
+    if burn_in is not None and (not isinstance(burn_in, (int, np.integer))
+                                or isinstance(burn_in, bool) or burn_in < 0):
+        raise ValueError(f"burn_in must be a nonnegative integer, got {burn_in!r}")
     require_valid(model)
     floor = default_burn_in(model)
     if burn_in is not None and burn_in < floor:
@@ -493,7 +496,7 @@ def resolve_burn_in(model: Model, burn_in: int | None) -> int:
         )
     if isinstance(model, LinearProcess):
         return 0
-    return floor if burn_in is None else burn_in
+    return floor if burn_in is None else int(burn_in)
 
 
 def _draw_rows(model: Model, seeds: Sequence[int], width: int,

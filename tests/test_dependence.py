@@ -142,6 +142,10 @@ class TestEstimateDelta:
         with pytest.raises(ValueError, match="100"):
             estimate_delta(AR1, 1, 50)
 
+    def test_burn_in_must_be_a_nonnegative_integer(self):
+        with pytest.raises(ValueError, match="burn_in must be a nonnegative integer"):
+            estimate_delta_profile(TarModel(0.6, -0.3), 3, 200, burn_in=1500.5)
+
     def test_exact_zero_lags_have_zero_error(self):
         profile = estimate_delta_profile(TarModel(0.0, 0.0), 3, 200, seed=2)
         for d in profile[1:]:

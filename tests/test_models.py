@@ -439,6 +439,20 @@ class TestSimulate:
         with pytest.raises(ModelValidityError):
             resolve_burn_in(ArmaModel(ar=(1.2,)), None)
 
+    @pytest.mark.parametrize("burn_in", [1500.5, 1500.0, True, "1500", -1],
+                             ids=["fraction", "integral-float", "bool", "str", "negative"])
+    def test_burn_in_must_be_a_nonnegative_integer(self, burn_in):
+        # the rule of simulate_ragged's n check: bool is refused
+        with pytest.raises(ValueError, match="burn_in must be a nonnegative integer"):
+            simulate(TarModel(0.6, -0.3), 5, burn_in=burn_in)
+        with pytest.raises(ValueError, match="burn_in must be a nonnegative integer"):
+            resolve_burn_in(LinearProcess(coeffs=(1.0, 0.5)), burn_in)
+
+    def test_numpy_integer_burn_in_accepted(self):
+        assert resolve_burn_in(AR1, np.int64(1500)) == 1500
+        assert_array_equal(simulate(TarModel(0.6, -0.3), 5, burn_in=np.int32(1500)),
+                           simulate(TarModel(0.6, -0.3), 5, burn_in=1500))
+
     def test_default_burn_in_scales_with_memory(self):
         assert default_burn_in(AR1) == 1000
         assert default_burn_in(ArmaModel(ar=(0.99,))) == 5000
