@@ -88,6 +88,8 @@ def _eval_grid_span(lo: float, hi: float, bandwidth: float) -> tuple[float, floa
 
     A grid of more than ``MAX_GRID_POINTS`` points raises ``OverflowError``.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid ends lo and hi must be finite, got [{lo}, {hi}]")
     if not (hi > lo):
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
     if not 0.0 < bandwidth < math.inf:
@@ -106,8 +108,8 @@ def _eval_grid_span(lo: float, hi: float, bandwidth: float) -> tuple[float, floa
 def make_eval_grid(lo: float, hi: float, bandwidth: float) -> np.ndarray:
     """Uniform grid over ``[lo - 4b, hi + 4b]`` with spacing ``b/10``.
 
-    A bandwidth that is not positive and finite is refused with
-    ``ValueError``, and a grid of more than ``MAX_GRID_POINTS`` points with
+    Ends that are not finite and a bandwidth that is not positive and
+    finite are refused with ``ValueError``, and a grid of more than ``MAX_GRID_POINTS`` points with
     ``OverflowError``, before it is allocated.
     """
     return np.linspace(*_eval_grid_span(lo, hi, bandwidth))

@@ -293,6 +293,12 @@ class TestSupError:
         with pytest.raises(OverflowError, match="more than 10000000 points"):
             make_eval_grid(0.0, top + 1.0, 10.0)
 
+    @pytest.mark.parametrize("lo,hi", [(-math.inf, 0.0), (0.0, math.inf),
+                                       (-math.inf, math.inf), (math.nan, 1.0)])
+    def test_grid_ends_must_be_finite(self, lo, hi):
+        with pytest.raises(ValueError, match=r"grid ends lo and hi must be finite"):
+            make_eval_grid(lo, hi, 0.1)
+
     @pytest.mark.parametrize("bandwidth", [0.0, -0.1, math.nan, math.inf])
     def test_grid_bandwidth_must_be_positive_and_finite(self, bandwidth):
         with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
