@@ -63,6 +63,12 @@ ORACLE_MAX_ITERATIONS = 500
 #: every size at once; past it, each size is its own batch
 MAX_BUFFER_VALUES = 2**28
 
+#: a TAR or NLAR model's default burn-in shrinks a start-state gap to at
+#: most ``2**-MARKOV_GAP_BITS`` of its size, in at least
+#: ``MIN_MARKOV_BURN_IN`` steps
+MARKOV_GAP_BITS = 60
+MIN_MARKOV_BURN_IN = 64
+
 #: values per block of columns when a recursion is advanced block by block
 _BLOCK_VALUES = 2**20
 
@@ -386,9 +392,15 @@ def require_valid(model: Model) -> None:
 def contraction_proxy(model: Model) -> float:
     """Geometric-forgetting rate proxy used for burn-in depth and decay fits.
 
-    For the finite moving average this is the largest consecutive-coefficient
-    ratio, which upper-bounds the decay rate of the coefficient tail (and is
-    0 for a white-noise process).
+    For TAR and NLAR models this is the one-step Lipschitz constant ``rho``
+    of the transition map, ``|r(x) - r(y)| <= rho |x - y|``, so a gap
+    between two starts shrinks by at least ``rho**k`` in ``k`` steps; it
+    sizes their burn-in exactly (see :func:`default_burn_in`).  For ARMA
+    models it is the largest characteristic-root modulus, which
+    understates the transient of repeated roots.  For the finite moving
+    average it is the largest consecutive-coefficient ratio, which
+    upper-bounds the decay rate of the coefficient tail (and is 0 for a
+    white-noise process).
     """
     if isinstance(model, ArmaModel):
         return arma_check_stationary(model).max_modulus
@@ -407,13 +419,24 @@ def contraction_proxy(model: Model) -> float:
 def default_burn_in(model: Model) -> int:
     """Burn-in depth that pushes initialization bias below noise level.
 
-    Scales with the geometric forgetting time ``1/(1 - rho)``; the finite
-    moving average is simulated exactly and needs no burn-in.
+    TAR and NLAR models contract a start-state gap by their Lipschitz
+    constant ``rho`` (:func:`contraction_proxy`) at every step, so their
+    burn-in is the first ``k`` with ``rho**k <= 2**-60``,
+    ``ceil(log(2**-60) / log(rho))``, and at least
+    ``MIN_MARKOV_BURN_IN`` (also for ``rho = 0``).  ARMA models keep
+    ``max(1000, 50 * ceil(1/(1 - rho)))``: ``rho**k`` understates the
+    transient of repeated roots, which needs a rule on the tail of the
+    moving-average coefficients.  The finite moving average is simulated
+    exactly and needs no burn-in.
     """
     if isinstance(model, LinearProcess):
         return 0
     rho = contraction_proxy(model)
-    return max(1000, 50 * math.ceil(1.0 / (1.0 - rho)))
+    if isinstance(model, ArmaModel):
+        return max(1000, 50 * math.ceil(1.0 / (1.0 - rho)))
+    if rho == 0.0:
+        return MIN_MARKOV_BURN_IN
+    return max(MIN_MARKOV_BURN_IN, math.ceil(-MARKOV_GAP_BITS / math.log2(rho)))
 
 
 # ---------------------------------------------------------------------------

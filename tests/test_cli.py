@@ -778,11 +778,11 @@ class TestBufferCaps:
         assert flags in err and "above the limit of 268435456" in err
 
     @pytest.mark.parametrize("n_min,n_max,spec", [
-        # 200 x (1000 + 2^20) values fit under the cap; the 11 sizes would
-        # pack into about 200 x (11 x 1000 + 2^21), above it, so TAR is
-        # simulated one size at a time, as AR(1) is
+        # 200 x (82 + 2^20) values fit under the cap; the 11 sizes would
+        # pack into about 200 x (11 x 82 + 2^21), above it, so TAR is
+        # simulated one size at a time, as AR(1) is (burn-in 1000)
         (2**10, 2**20, TAR_SPEC), (2**10, 2**20, AR1_SPEC),
-        # 2^8..2^17 packs into about 200 x (10 x 1000 + 2^18) values
+        # 2^8..2^17 packs into about 200 x (10 x 82 + 2^18) values
         (2**8, 2**17, TAR_SPEC),
     ], ids=["TAR-per-size", "AR1", "TAR-packed"])
     def test_rate_accepts_what_one_size_fits(self, tmp_path, n_min, n_max, spec):

@@ -43,6 +43,7 @@ from polyfreq.models import (
     ModelValidityError,
     NlarModel,
     TarModel,
+    default_burn_in,
     marginal_truth,
     simulate,
 )
@@ -384,7 +385,8 @@ class TestRateExperiment:
         model = TarModel(0.6, -0.3)
         packed = rate_experiment(model, self.N_GRID, 3, seed=5)
         # room for the largest size's batch, not for every size packed
-        monkeypatch.setattr(models, "MAX_BUFFER_VALUES", 3 * (1000 + 2**14))
+        budget = 3 * (default_burn_in(model) + 2**14)
+        monkeypatch.setattr(models, "MAX_BUFFER_VALUES", budget)
         per_size = rate_experiment(model, self.N_GRID, 3, seed=5)
         for a, b in zip(packed.records, per_size.records):
             assert (a.n, a.replication, a.sup_error, a.grid_error_bound) == (
@@ -396,7 +398,7 @@ class TestRateExperiment:
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
     @pytest.mark.parametrize("model,budget,calls", [
         (AR1, None, 7), (TarModel(0.6, -0.3), None, 1),
-        (TarModel(0.6, -0.3), 3 * (1000 + 2**14), 7),
+        (TarModel(0.6, -0.3), 3 * (default_burn_in(TarModel(0.6, -0.3)) + 2**14), 7),
     ], ids=["AR1", "TAR", "TAR-past-budget"])
     def test_wall_time_shares_the_simulation_by_steps(self, model, budget, calls, monkeypatch):
         if budget is not None:
@@ -417,10 +419,10 @@ class TestRateExperiment:
         # one worker: the fake clock is shared by every simulation
         report = rate_experiment(model, self.N_GRID, 3, seed=5, max_workers=1)
         # ARMA, and a Markov model past the packing budget, simulate one size
-        # per call, a Markov model within it every size at once; all burn in
-        # 1000 steps
+        # per call, a Markov model within it every size at once
         assert len(call_sizes) == calls
-        share = {n: (1000 + n) / sum(1000 + m for m in ns) for ns in call_sizes for n in ns}
+        burn = default_burn_in(model)
+        share = {n: (burn + n) / sum(burn + m for m in ns) for ns in call_sizes for n in ns}
         shares = [r.wall_time_s for r in report.records]
         assert shares == pytest.approx([share[r.n] for r in report.records], rel=1e-12)
         assert all(s > 0.0 for s in shares)

@@ -376,9 +376,10 @@ class TestSimulate:
             assert_array_equal(row, simulate(model, n, burn_in=burn_in, seed=s))
 
     def test_ragged_markov_rows_share_one_packed_batch(self):
-        # rows of 1000 + n steps: 3000 fills a lane, 1500 and 1300 share
+        # rows of burn_in + n steps: 3000 fills a lane, 1500 and 1300 share
         # one, 1100 fits in neither
-        ns = [2000, 300, 500, 100]
+        burn = default_burn_in(TarModel(0.6, -0.3))
+        ns = [3000 - burn, 1300 - burn, 1500 - burn, 1100 - burn]
         rows = simulate_ragged(TarModel(0.6, -0.3), ns, [1, 2, 3, 4])
         batch = rows[0].base
         assert batch is not None and batch.shape == (3, 3000)
@@ -454,9 +455,34 @@ class TestSimulate:
                            simulate(TarModel(0.6, -0.3), 5, burn_in=1500))
 
     def test_default_burn_in_scales_with_memory(self):
+        # Markov families: the first k with rho**k <= 2**-60, at least 64
+        assert default_burn_in(TarModel(0.6, -0.3)) == 82
+        assert default_burn_in(TarModel(0.95, -0.9)) == 811
+        assert default_burn_in(TarModel(0.99, 0.0)) == 4139
+        assert default_burn_in(NlarModel(lambda x: 0.5 * np.tanh(x), 0.5)) == 64
+        assert default_burn_in(NlarModel(lambda x: 0.0 * x, 0.0)) == 64
+        assert default_burn_in(TarModel(0.0, 0.0)) == 64
+        # ARMA keeps max(1000, 50 / (1 - rho))
         assert default_burn_in(AR1) == 1000
         assert default_burn_in(ArmaModel(ar=(0.99,))) == 5000
         assert default_burn_in(LinearProcess(coeffs=(1.0, 0.5))) == 0
+
+    @pytest.mark.parametrize("model", [
+        TarModel(0.6, -0.3),
+        TarModel(0.95, -0.9),
+        NlarModel(transition=lambda x: 0.5 * np.tanh(x), lipschitz_bound=0.5),
+        NlarModel(transition=lambda x: 0.9 * np.tanh(x), lipschitz_bound=0.9),
+        NlarModel(transition=lambda x: 0.0 * x, lipschitz_bound=0.0),
+    ], ids=["TAR", "TAR-0.95", "NLAR", "NLAR-0.9", "NLAR-0"])
+    def test_markov_starts_coalesce_within_the_default_burn_in(self, model):
+        # two starts 20 stationary spreads apart, driven by the same
+        # innovations, forget where they began bit for bit
+        burn, rho = default_burn_in(model), contraction_proxy(model)
+        spread = model.noise.std / math.sqrt(1.0 - rho**2)
+        eps = make_rng(8).standard_normal((1000, burn + 16))
+        paths = [advance(model, initial_state(model, np.full(1000, x0)), eps.copy())[0]
+                 for x0 in (10.0 * spread, -10.0 * spread)]
+        assert_array_equal(paths[0][:, burn:], paths[1][:, burn:])
 
 
 class TestNlarChecks:
