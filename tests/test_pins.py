@@ -4,7 +4,9 @@ The values were computed with one batch per sample size, a fresh
 ``Generator(Philox(key=seed))`` per row and an out-of-place oracle kernel.
 Any faster route through the same streams must reproduce them bit for bit:
 floats are compared by ``float.hex``, and long record lists by the sha256
-of their hex form.
+of their hex form.  TAR and NLAR pins at the default burn-in hold the
+contraction rule's depth (82 and 64 steps); the ``_at_burn_in_1000`` twins
+pin the same streams at an explicit 1000 steps, the earlier default.
 """
 
 import hashlib
@@ -56,12 +58,12 @@ def test_tar_oracle():
 @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
 def test_tar_rate_experiment():
     assert rate_pin(rate_experiment(TarModel(0.6, -0.3), N_GRID, 4, seed=97)) == (
-        "9ec45e49d3764c5de3c5caddbf4b0fc83e5718f12bcdf7cdb65dc5a42695c242",
-        ["0x1.5e7748ced1298p-3", "0x1.561d532a809c6p-3", "0x1.c68f6c9cf05dap-4",
-         "0x1.14a7287112bbep-4", "0x1.3d627ffeab56bp-4", "0x1.eb61705c64ae0p-5",
-         "0x1.619c19fba5ac0p-5"],
-        "-0x1.590be4ce7ca21p-2",
-        ["-0x1.b00aa3023c6a3p-2", "-0x1.78c8938cd6945p-3"],
+        "e444cdf02014250cc1d866e0a56319ea8c800fa91d25f409eb338b1b88790c37",
+        ["0x1.4a8cea2c7308cp-3", "0x1.938dacbe40cbep-3", "0x1.e50e368e6c866p-4",
+         "0x1.703bbfc00fb65p-4", "0x1.31e2ba4701854p-4", "0x1.ee406f6b36c4cp-5",
+         "0x1.e3a4f2d8b9704p-5"],
+        "-0x1.3467c055abe2ep-2",
+        ["-0x1.93fb2f94420cfp-2", "-0x1.98842e26dd68cp-3"],
     )
 
 
@@ -73,21 +75,21 @@ def test_nlar_rate_experiment(monkeypatch):
     monkeypatch.setattr(diagnostics, "marginal_truth", lambda model: stand_in)
     model = NlarModel(transition=lambda x: 0.5 * np.tanh(x), lipschitz_bound=0.5)
     assert rate_pin(rate_experiment(model, N_GRID, 4, seed=41)) == (
-        "6cd4012ae8f4edb6a8e8e74a83ac198256f8f5c1b21fe8e05e8359d5605fa182",
-        ["0x1.2112e133b7540p-3", "0x1.536762961c962p-3", "0x1.ce0dcf3c97cedp-4",
-         "0x1.ea1c7f407d1dcp-4", "0x1.4f114f4fa20acp-4", "0x1.45db57669b542p-4",
-         "0x1.15a118573b15ap-4"],
-        "-0x1.a5021d55916ffp-3",
-        ["-0x1.128d59048eb42p-2", "-0x1.21c945ce638eap-3"],
+        "09a837e8a36c85defbca8455da7a654058130ff67c9438a177a88f0027fe8167",
+        ["0x1.ca7ecb2815a64p-3", "0x1.e1c68515dedbbp-4", "0x1.6fe19b94c3162p-4",
+         "0x1.0bb2bd29b71b5p-4", "0x1.45d87f8ce772fp-4", "0x1.746cbadeb198cp-4",
+         "0x1.ad79fc71e6cecp-5"],
+        "-0x1.07587eb36f384p-2",
+        ["-0x1.5417ff5aa15ffp-2", "-0x1.7a81e568457ecp-3"],
     )
 
 
 def test_tar_delta_profile():
     deltas = estimate_delta_profile(TarModel(0.6, -0.3), 6, 500, seed=23)
-    assert deltas[6].delta_hat.hex() == "0x1.a832fdf233bdbp-6"
+    assert deltas[6].delta_hat.hex() == "0x1.71b44c9188f61p-6"
     assert digest([(d.lag, d.delta_hat.hex(), d.std_error.hex(), d.replications)
                    for d in deltas]) == (
-        "dcba19fff89068ec901074761dd977997ae9e3a3e8f49daf6a84d697350c46c3")
+        "1d5dd9e49b0d854bd0385f00ae69f70642bd5124aa0b60419493467f4ac4c9da")
 
 
 def test_tar_delta_profile_at_burn_in_1000():
@@ -117,10 +119,10 @@ def rows_digest(rows):
 
 
 @pytest.mark.parametrize("name,paths,ragged", [
-    ("TAR", "11fdb3957245987920fa8d59f8906f62878dbeb3140340118014db3aca0a93dc",
-     "90ffa7837666e760fd21bf3eccca73aba67b70f597ecd102f2d4faa06d81260a"),
-    ("NLAR", "a4e3fe06c458fd2041c0ecb74e1088265b8ddb44cee0daf9ee74eb15d5ed150f",
-     "fe2dea129445530cc50768df7068d3864ee5dd0da0f65fb531be671f46aae41d"),
+    ("TAR", "4c8796968c1e9ce510cf0a8bd196e69bfc16bfd3e417bcfb027ea5da795c0490",
+     "06a88a6ae5fb21082a3939426c1d48e9dc7628e6ff29e8d17558908539b1cd5f"),
+    ("NLAR", "4c3605ad7697c36a5431f94d097d9df608aa6f007f6045321cc42d1ea089e0d9",
+     "e2ed572e7fec8b3cb2d61c63b0b09645d730b06ddb122ae1332a1eedc43b5ae5"),
     ("AR1", "fd6dcf161645aa27bed7ed9be1d454a6d40d900523a56a894dbd63771884ace1",
      "a0df4303208ee10cb3f14ab6a516340c794f03e41c573866d4d0ba7a3d738fa7"),
     ("MA2", "9da3c086ea62b88ef7634617900e90f0245be92c37eedad7f63509b8ca0fc8b8",
@@ -210,7 +212,7 @@ def in_tmp(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("spec,expected", [
     (ARMA_SPEC, "cddac9ebb60e663149bf40889fd471b8cc92bbcc12418fc5ffc63f7e7230001b"),
-    (TAR_SPEC, "684003e8d395801c50a305d13faeea85235c369ba19d7411578aabcbd2c0abf6"),
+    (TAR_SPEC, "05d6d1055c07133c5a8925bf7caaa04040bcbb8d8610f3cd1141f439c5b48064"),
 ], ids=["AR1", "TAR"])
 def test_simulate_csv_across_a_chunk_boundary(in_tmp, spec, expected):
     (in_tmp / "model.json").write_text(json.dumps(spec))
@@ -287,9 +289,9 @@ NOTHING = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
                 "d76a26508cd41f9fe3a688c666af352afa78263dff7d8821ef42839876db7cd1"),
         "json": ("0a786ff8e38c9f52f24bed412b4003e1dd0a08a177beb3d3d87e4cf62e374664", NOTHING)}),
     (TAR_SPEC, {
-        "csv": ("b3160e316c4deda53cdf245f0e1b7d7604defd10239eeb194ca1060cec6dadc1",
-                "75dfe9c395c2d0402ee54550d723d70a4b8c529e59c5af94ca979b67c59f4b44"),
-        "json": ("7c8a968e390e922684791637a1fc11b6e9254bd4aaf2c670edd07fb929444379", NOTHING)}),
+        "csv": ("7fb1b52630f5abcec2873eb3cbc7e76a56affdce4eb2681363cb3260c886bb00",
+                "d8be4c4b93286adc9e1964044aca012cff246543c0fa97a1d31ce5a5159da13f"),
+        "json": ("b0d7a53e4564df8926211c50985591d52f941d38880dbdda4d3d26fd54aaed87", NOTHING)}),
     (LINEAR_SPEC, {
         "csv": ("9628580887d75b4a88f35b0e7a6abfaa1800f79c5b77c686a07e4ebc2ce01c47",
                 "3597e566deaa83a3cc3f4d348a424d4f782c5174460457e5031b4fff8169f01c"),
