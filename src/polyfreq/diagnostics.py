@@ -109,8 +109,9 @@ def make_eval_grid(lo: float, hi: float, bandwidth: float) -> np.ndarray:
     """Uniform grid over ``[lo - 4b, hi + 4b]`` with spacing ``b/10``.
 
     Ends that are not finite and a bandwidth that is not positive and
-    finite are refused with ``ValueError``, and a grid of more than ``MAX_GRID_POINTS`` points with
-    ``OverflowError``, before it is allocated.
+    finite are refused with ``ValueError``, and a grid of more than
+    ``MAX_GRID_POINTS`` points with ``OverflowError``, before it is
+    allocated.
     """
     return np.linspace(*_eval_grid_span(lo, hi, bandwidth))
 
