@@ -59,8 +59,9 @@ ROOT_MARGIN = 1e-9
 ORACLE_MAX_ITERATIONS = 500
 
 #: largest buffer, in values (2 GiB of float64), that a CLI run may ask for,
-#: and the largest packed Markov batch in which a rate experiment simulates
-#: every size at once; past it, each size is its own batch
+#: and the largest packed Markov batch, padded to whole segments, in which a
+#: rate experiment simulates every size at once; past it, each size is its
+#: own batch
 MAX_BUFFER_VALUES = 2**28
 
 #: a TAR or NLAR model's default burn-in shrinks a start-state gap to at
@@ -71,6 +72,10 @@ MIN_MARKOV_BURN_IN = 64
 
 #: values per block of columns when a recursion is advanced block by block
 _BLOCK_VALUES = 2**20
+
+#: least width, in columns, of the segments a packed Markov batch is
+#: stepped in (see :func:`simulate_ragged`)
+SEGMENT_COLUMNS = 2048
 
 
 class ModelValidityError(ValueError):
@@ -657,13 +662,16 @@ def simulate_ragged(model: Model, ns: Sequence[int], seeds: Sequence[int],
     """Row ``i`` is ``simulate(model, ns[i], burn_in, seed=seeds[i])``.
 
     Each row is drawn from its own stream.  Markov rows are packed end to
-    end into lanes as wide as the longest row, and the lanes are stepped
-    together: the Python loop runs ``burn_in + max(ns)`` steps once, over
-    about as many values as the rows hold.  ARMA rows are filtered one
-    size at a time (one :func:`advance` per size) and finite
-    moving-average rows one ``np.convolve`` per row, because packing would
-    save their compiled filters nothing.  The rows are views into the
-    arrays that hold them.
+    end into one run of draws, cut into segments of
+    ``max(SEGMENT_COLUMNS, 4 * default_burn_in(model))`` columns (at most
+    the longest row), and the segments are stepped together: the Python
+    loop runs ``default_burn_in(model)`` warm-up steps and one segment's
+    width, whatever ``n`` is, and checks that every segment joins its
+    predecessor bit for bit, so the rows equal sequential runs.  ARMA rows
+    are filtered one size at a time (one :func:`advance` per size) and
+    finite moving-average rows one ``np.convolve`` per row, because
+    packing would save their compiled filters nothing.  The rows are views
+    into the arrays that hold them.
     """
     if len(ns) != len(seeds):
         raise ValueError(f"need one size per seed, got {len(ns)} sizes and {len(seeds)} seeds")
@@ -701,63 +709,122 @@ def _simulate_size(model: ArmaModel | LinearProcess, n: int, seeds: Sequence[int
     return draws[:, burn_in:]
 
 
-def _pack_rows(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lane and start column of each row packed end to end into lanes as wide as the longest.
+def _segment_width(model: Model, lengths: np.ndarray) -> int:
+    """Columns per segment of a packed Markov batch of rows ``lengths`` long.
 
-    Longest rows first; the rows of each length fill the lanes in order,
-    each lane taking as many as fit in its free columns, then new lanes.
+    ``max(SEGMENT_COLUMNS, 4 * default_burn_in(model))``, so a segment is at
+    least four warm-ups wide, but no wider than the longest row: rows that
+    each fit one segment step no more columns than the longest of them.
     """
-    width = int(lengths.max())
-    lane = np.empty(len(lengths), dtype=np.int64)
-    start = np.empty_like(lane)
-    used = np.empty(0, dtype=np.int64)  # columns taken in each lane
-    for length in np.unique(lengths)[::-1].tolist():
-        rows = np.flatnonzero(lengths == length)
-        fit = (width - used) // length
-        new = -(-max(0, len(rows) - int(fit.sum())) // (width // length))
-        used = np.concatenate([used, np.zeros(new, dtype=np.int64)])
-        fit = np.concatenate([fit, np.full(new, width // length)])
-        ends = np.cumsum(fit)
-        slot = np.arange(len(rows))
-        at = np.searchsorted(ends, slot, side="right")
-        lane[rows] = at
-        start[rows] = used[at] + (slot - ends[at] + fit[at]) * length
-        used += np.bincount(at, minlength=len(used)) * length
-    return lane, start
+    return min(max(SEGMENT_COLUMNS, 4 * default_burn_in(model)), int(lengths.max()))
 
 
 def _packs_rows(model: Model, ns: np.ndarray, burn_in: int) -> bool:
     """Whether a rate experiment simulates the rows of sizes ``ns`` in one packed batch.
 
-    Markov rows are, while the batch holds at most ``MAX_BUFFER_VALUES``
-    values; ARMA and moving-average rows are never packed.
+    Markov rows are, while their batch, padded to whole segments, holds at
+    most ``MAX_BUFFER_VALUES`` values; ARMA and moving-average rows are
+    never packed.
     """
     if isinstance(model, (ArmaModel, LinearProcess)):
         return False
     lengths = burn_in + np.asarray(ns, dtype=np.int64)
-    lane, _ = _pack_rows(lengths)
-    return (int(lane.max()) + 1) * int(lengths.max()) <= MAX_BUFFER_VALUES
+    width = _segment_width(model, lengths)
+    return -(-int(lengths.sum()) // width) * width <= MAX_BUFFER_VALUES
+
+
+def _step_restarting(model: Model, state, block: np.ndarray, rows: np.ndarray,
+                     cols: np.ndarray, write: bool) -> np.ndarray:
+    """:func:`_markov_steps` over ``block`` from ``state``; returns the end state.
+
+    A path starts at each ``block[rows[k], cols[k]]``: that draw is the
+    path's value there, whatever the state before it.
+    """
+    column = 0
+    for c in np.unique(cols).tolist():
+        at = rows[cols == c]
+        x0 = block[at, c]
+        state = np.atleast_1d(_markov_steps(model, state, block[:, column:c + 1], write))
+        state[at] = x0
+        if write:
+            block[at, c] = x0
+        column = c + 1
+    if column < block.shape[1]:
+        state = np.atleast_1d(_markov_steps(model, state, block[:, column:], write))
+    return state
+
+
+def _stream_at(model: Model, seed: int, skip: int) -> np.random.Generator:
+    """A generator on ``seed``'s stream with its first ``skip`` innovations drawn.
+
+    They are drawn a segment at a time into a scratch array; the stream is
+    counter-based, so the values after them are the ones drawn before.
+    """
+    rng = make_rng(seed)
+    scratch = np.empty(min(skip, SEGMENT_COLUMNS))
+    while skip:
+        skip -= len(model.noise.fill(rng, scratch[:min(skip, len(scratch))]))
+    return rng
 
 
 def _simulate_packed(model: Model, ns: np.ndarray, seeds: Sequence[int],
                      burn_in: int) -> list[np.ndarray]:
-    """Markov rows of sizes ``ns`` packed into lanes and stepped together."""
-    lengths = burn_in + ns
-    lane, start = _pack_rows(lengths)
-    draws = _draw_rows(model, seeds, int(lengths.max()), (lane, start, start + lengths))
-    # a row's first column is its starting state: every lane is stepped
-    # through a column where rows start, then those rows' starting states,
-    # which the step overwrote, are put back (the state views that column)
-    state, column = initial_state(model, draws[:, 0]), 1
-    for c in np.unique(start[start > 0]).tolist():
-        starting = lane[start == c]
-        x0 = draws[starting, c]
-        _, state = advance(model, state, draws[:, column:c + 1])
-        draws[starting, c] = x0
-        column = c + 1
-    advance(model, state, draws[:, column:])
-    return [draws[i, a + burn_in:a + m]
-            for i, a, m in zip(lane.tolist(), start.tolist(), lengths.tolist())]
+    """Markov rows of sizes ``ns`` packed end to end and stepped in segments.
+
+    Row ``i`` fills ``burn_in + ns[i]`` columns of one run of draws, which is
+    cut into segments of ``width`` columns: the rows of one
+    ``(segments, width)`` array, so every output row is a contiguous view.
+    All segments step together, ``width`` steps in all.  A segment that
+    starts where a row starts takes the row's first draw as its value; one
+    that starts mid-row starts from a warm-up: ``default_burn_in(model)``
+    steps from 0 over the innovations just before it, which the stable map
+    makes forget its start.  The join check makes this exact: the warm-up's
+    last value must equal its predecessor's final value bit for bit, and
+    from there the segment has the state, innovations and operations of a
+    sequential run.  A segment whose join fails is stepped again from the
+    exact state before it, on innovations re-drawn from its row's seed, and
+    so is each next segment of the row while its join fails against the new
+    values.
+    """
+    stop = np.cumsum(burn_in + ns)
+    start = stop - (burn_in + ns)
+    width = _segment_width(model, burn_in + ns)
+    segments = -(-int(stop[-1]) // width)
+    flat = _draw_rows(model, seeds, segments * width,
+                      (np.zeros_like(start), start, stop)).reshape(-1)
+    draws = flat.reshape(segments, width)
+    first_seg, first_col = np.divmod(start, width)
+    # a segment whose first column continues a row
+    mid = np.ones(segments, dtype=bool)
+    mid[first_seg[first_col == 0]] = False
+    state = np.zeros(segments)
+    if mid.any():
+        # every segment's warm-up over the last columns of the one before it,
+        # read-only before they are overwritten; a row starting there
+        # restarts the warm-up
+        warm = default_burn_in(model)
+        inside = (first_col >= width - warm) & (first_seg < segments - 1)
+        state[1:] = _step_restarting(model, state[1:], draws[:-1, width - warm:],
+                                     first_seg[inside], first_col[inside] - (width - warm),
+                                     write=False)
+    _step_restarting(model, state, draws, first_seg, first_col, write=True)
+    failed = np.flatnonzero(mid[1:] & (state[1:] != draws[:-1, -1])) + 1
+    stepped = 0  # segments before it were stepped again
+    for j in failed.tolist():
+        if j < stepped:
+            continue
+        i = int(np.searchsorted(start, j * width, side="right")) - 1
+        row_stop = int(stop[i])
+        rng = _stream_at(model, seeds[i], j * width - int(start[i]))
+        while True:
+            a, b = j * width, min((j + 1) * width, row_stop)
+            model.noise.fill(rng, flat[a:b])
+            _markov_steps(model, flat[a - 1:a], flat[None, a:b], write=True)
+            j += 1
+            if b == row_stop or state[j] == flat[b - 1]:
+                break
+        stepped = j
+    return [flat[a + burn_in:b] for a, b in zip(start.tolist(), stop.tolist())]
 
 
 # ---------------------------------------------------------------------------

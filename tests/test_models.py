@@ -40,6 +40,32 @@ from polyfreq.models import (
 AR1 = ArmaModel(ar=(0.5,))
 
 
+def assert_packed_end_to_end(model, rows, burn_in):
+    """Markov rows are contiguous views of one batch of whole segments, their
+    draws end to end from its start; returns the segment width and each
+    row's first column in the flattened batch."""
+    lengths = burn_in + np.array([len(row) for row in rows])
+    width = models._segment_width(model, lengths)
+    start = np.cumsum(lengths) - lengths
+    batch = rows[0].base
+    assert batch.size == -(-lengths.sum() // width) * width
+    origin = batch.__array_interface__["data"][0]
+    for row, a in zip(rows, start):
+        assert row.base is batch and row.flags.c_contiguous
+        assert row.__array_interface__["data"][0] - origin == 8 * (a + burn_in)
+    return width, start
+
+
+def sequential_path(model, n, burn_in, seed):
+    """``simulate`` by a plain loop, one step at a time, over ``make_rng(seed)`` draws."""
+    draws = model.noise.fill(make_rng(seed), np.empty(burn_in + n))
+    x = draws[0]
+    for t in range(1, len(draws)):
+        x = model.transition(x) + draws[t]
+        draws[t] = x
+    return draws[burn_in:]
+
+
 class TestNoiseSpec:
     @pytest.mark.parametrize(
         "spec,variance",
@@ -365,25 +391,30 @@ class TestSimulate:
     @pytest.mark.parametrize("burn_in", [None, 1500])
     def test_ragged_rows_equal_single_paths(self, model, burn_in):
         # sizes and seeds out of order, one size repeated; Markov rows are
-        # packed with some starting mid-lane
+        # packed end to end, with some starting mid-segment and some
+        # segments starting mid-row
         ns, seeds = [700, 50, 1, 700, 333, 2000, 5], [41, 3, 17, 8, 5, 9, 10]
         rows = simulate_ragged(model, ns, seeds, burn_in=burn_in)
         assert len(rows) == 7
-        _, start = models._pack_rows(resolve_burn_in(model, burn_in) + np.array(ns))
-        assert start.any()
+        if isinstance(model, (TarModel, NlarModel)):
+            burn = resolve_burn_in(model, burn_in)
+            width, start = assert_packed_end_to_end(model, rows, burn)
+            assert (start % width).any()
+            joins = np.arange(width, start[-1] + burn + ns[-1], width)
+            assert np.setdiff1d(joins, start).size
         for row, n, s in zip(rows, ns, seeds):
             assert row.shape == (n,)
             assert_array_equal(row, simulate(model, n, burn_in=burn_in, seed=s))
 
     def test_ragged_markov_rows_share_one_packed_batch(self):
-        # rows of burn_in + n steps: 3000 fills a lane, 1500 and 1300 share
-        # one, 1100 fits in neither
+        # rows of burn_in + n steps, 6900 in all, end to end in 4 segments
+        # of 2048 columns
         burn = default_burn_in(TarModel(0.6, -0.3))
         ns = [3000 - burn, 1300 - burn, 1500 - burn, 1100 - burn]
         rows = simulate_ragged(TarModel(0.6, -0.3), ns, [1, 2, 3, 4])
-        batch = rows[0].base
-        assert batch is not None and batch.shape == (3, 3000)
-        assert all(row.base is batch for row in rows[1:])
+        width, start = assert_packed_end_to_end(TarModel(0.6, -0.3), rows, burn)
+        assert width == models.SEGMENT_COLUMNS and rows[0].base.size == 4 * width
+        assert start.tolist() == [0, 3000, 4300, 5800]
 
     @pytest.mark.parametrize("ns,slack", [
         ([7], 1.0),
@@ -393,16 +424,71 @@ class TestSimulate:
         (np.repeat([2**k for k in range(8, 15)], 200), 1.02),
     ], ids=["one-row", "uneven", "reps-20", "reps-200"])
     def test_packed_rows_do_not_overlap(self, ns, slack):
+        # rows lie end to end, so the batch pads them by less than a segment
+        model = TarModel(0.6, -0.3)
+        rows = simulate_ragged(model, list(ns), range(len(ns)), burn_in=1000)
         lengths = 1000 + np.asarray(ns)
-        lane, start = models._pack_rows(lengths)
-        width = lengths.max()
-        assert (start >= 0).all() and (start + lengths <= width).all()
-        for i in np.unique(lane):
-            mine = np.flatnonzero(lane == i)
-            order = np.argsort(start[mine])
-            assert (start[mine][order][1:] >= (start + lengths)[mine][order][:-1]).all()
+        width, _ = assert_packed_end_to_end(model, rows, 1000)
+        assert rows[0].base.size - lengths.sum() < width
         if slack is not None:
-            assert (lane.max() + 1) * width <= slack * lengths.sum()
+            assert rows[0].base.size <= slack * lengths.sum()
+
+    BOUNDARY_MODELS = {
+        "TAR": TarModel(0.6, -0.3),
+        "TAR95": TarModel(0.95, -0.9),
+        "NLAR": NlarModel(transition=lambda x: 0.5 * np.tanh(x), lipschitz_bound=0.5),
+        "TAR-laplace": TarModel(0.6, -0.3, NoiseSpec("laplace", 2.5)),
+    }
+
+    @pytest.mark.parametrize("name", list(BOUNDARY_MODELS))
+    @pytest.mark.parametrize("burn_in", [None, 1000])
+    @pytest.mark.parametrize("joins", ["checked", "all-fail"])
+    def test_rows_at_segment_boundaries_equal_sequential_runs(self, name, burn_in, joins,
+                                                              monkeypatch):
+        # rows of 3 segments less one column, exactly, and one more; alone
+        # and end to end in one batch
+        model = self.BOUNDARY_MODELS[name]
+        burn = resolve_burn_in(model, burn_in)
+        skips = []
+        if joins == "all-fail":
+            # a 2-step warm-up cannot forget its start: every join fails
+            # unless its warm-up begins at the row's first draw, and each row
+            # is stepped again from its first failed join on
+            monkeypatch.setattr(models, "default_burn_in", lambda model: 2)
+            inner = models._stream_at
+
+            def stream_at(model, seed, skip):
+                skips.append((seed, skip))
+                return inner(model, seed, skip)
+
+            monkeypatch.setattr(models, "_stream_at", stream_at)
+        width = models._segment_width(model, np.array([10**9]))
+        seeds = [3, 7, 11]
+        ns = [3 * width + d - burn for d in (-1, 0, 1)]
+        expected = [sequential_path(model, n, burn, s) for n, s in zip(ns, seeds)]
+        for n, s, path in zip(ns, seeds, expected):
+            assert_array_equal(simulate(model, n, burn, seed=s), path)
+        rows = simulate_ragged(model, ns, seeds, burn)
+        for row, path in zip(rows, expected):
+            assert_array_equal(row, path)
+        if joins == "all-fail":
+            _, start = assert_packed_end_to_end(model, rows, burn)
+            first = ((start + 2) // width + 1) * width
+            assert skips == [(s, width) for s in seeds] + list(zip(seeds, first - start))
+
+    def test_markov_batch_holds_its_segments_and_little_else(self):
+        model = TarModel(0.6, -0.3)
+        ns = np.repeat([2**k for k in range(9, 15)], 10).tolist()
+        simulate_ragged(model, ns[:2], [0, 1])  # first-call caches stay out of the trace
+        tracemalloc.start()
+        try:
+            rows = simulate_ragged(model, ns, range(len(ns)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        batch = rows[0].base.size
+        segments = batch // models._segment_width(model, np.array(ns))
+        assert peak <= 8 * (batch + segments * default_burn_in(model))
 
     def test_ragged_validates_like_simulate(self):
         assert simulate_ragged(TarModel(0.6, -0.3), [], []) == []

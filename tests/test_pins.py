@@ -129,7 +129,7 @@ def rows_digest(rows):
      "2b1152c2a5613da8d55abf50e8e10263ab0ba99641264ce9be48a4b0d9a9fd0c"),
     ("linear", "7b0dbabcf1c080d26b14a0bc09f2ff82b0bbddc139d84f6c68f2b8ab6fdede42",
      "74bc5fca619f81e731971a5bb71ef5133d9a8f35f1ebf74206f4a33aaa29c3c3"),
-])
+], ids=["TAR", "NLAR", "AR1", "MA2", "linear"])
 def test_simulate_rows(name, paths, ragged):
     model, seeds = SIM_MODELS[name], [0, 3, 2**64 + 1]
     assert rows_digest([simulate(model, 5000, seed=s) for s in seeds]) == paths
