@@ -25,6 +25,7 @@ from .models import (
     LinearProcess,
     Model,
     _advance_blocks,
+    _count,
     _draw_rows,
     advance,
     initial_state,
@@ -83,8 +84,7 @@ def coupled_paths(model: Model, lag: int, seeds: Sequence[int],
     the tail, so trajectories for smaller lags are prefixes of larger ones.
     """
     burn_in = resolve_burn_in(model, burn_in)
-    if lag < 0:
-        raise ValueError(f"lag must be nonnegative, got {lag}")
+    lag = _count(lag, "lag")
 
     if isinstance(model, LinearProcess):
         # columns: [eps_{-order}..eps_{-1} | eps_0 | eps_0' | eps_1..eps_lag]
@@ -146,8 +146,8 @@ def estimate_delta_profile(model: Model, max_lag: int, replications: int, seed: 
     Because the coupled stream layout is lag-extensible, entry ``k`` equals
     ``estimate_delta(model, k, replications, seed)`` exactly.
     """
-    if replications < 100:
-        raise ValueError(f"need at least 100 replications, got {replications}")
+    max_lag = _count(max_lag, "max_lag")
+    replications = _count(replications, "replications", 100)
     seeds = [seed + i for i in range(replications)]
     a, b = coupled_paths(model, max_lag, seeds, burn_in)
     diffs = a - b

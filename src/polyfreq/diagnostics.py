@@ -42,6 +42,7 @@ from .estimators import (
 from .models import (
     MarginalTruth,
     Model,
+    _count,
     _packs_rows,
     load_simulator,
     marginal_truth,
@@ -456,10 +457,9 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     ``MAX_GRID_POINTS`` points (else ``OverflowError``) are checked before
     anything is simulated.
     """
-    ns = sorted(int(n) for n in n_values)
+    ns = sorted(_count(n, "n_values", 2) for n in n_values)
     _check_size_grid(ns)
-    if reps < 1:
-        raise ValueError(f"reps must be positive, got {reps}")
+    reps = _count(reps, "reps", 1)
     if reps < 10:
         warnings.warn(
             f"reps={reps} is thin for a rate experiment; slope gates are "

@@ -505,6 +505,19 @@ def arma_marginal(model: ArmaModel) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _count(value, name: str, least: int = 0) -> int:
+    """``value`` as an ``int``, refused unless it is an integer of at least ``least``.
+
+    Python and numpy integers pass; a ``bool`` or a float with an integer
+    value does not.  The ``ValueError`` names ``name``.
+    """
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+            least, f"an integer of at least {least}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
+
+
 def resolve_burn_in(model: Model, burn_in: int | None) -> int:
     """Burn-in a simulation of ``model`` uses: ``burn_in``, else the default.
 
@@ -512,9 +525,8 @@ def resolve_burn_in(model: Model, burn_in: int | None) -> int:
     (``bool`` is refused) no smaller than :func:`default_burn_in`.  The
     finite moving average is built exactly, so its burn-in is always 0.
     """
-    if burn_in is not None and (not isinstance(burn_in, (int, np.integer))
-                                or isinstance(burn_in, bool) or burn_in < 0):
-        raise ValueError(f"burn_in must be a nonnegative integer, got {burn_in!r}")
+    if burn_in is not None:
+        burn_in = _count(burn_in, "burn_in")
     require_valid(model)
     floor = default_burn_in(model)
     if burn_in is not None and burn_in < floor:
@@ -524,7 +536,7 @@ def resolve_burn_in(model: Model, burn_in: int | None) -> int:
         )
     if isinstance(model, LinearProcess):
         return 0
-    return floor if burn_in is None else int(burn_in)
+    return floor if burn_in is None else burn_in
 
 
 def _draw_rows(model: Model, seeds: Sequence[int], width: int,
@@ -676,8 +688,7 @@ def simulate_ragged(model: Model, ns: Sequence[int], seeds: Sequence[int],
     if len(ns) != len(seeds):
         raise ValueError(f"need one size per seed, got {len(ns)} sizes and {len(seeds)} seeds")
     for n in ns:
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
+        _count(n, "n", 1)
     burn_in = resolve_burn_in(model, burn_in)
     if not len(seeds):
         return []

@@ -142,6 +142,19 @@ class TestEstimateDelta:
         with pytest.raises(ValueError, match="100"):
             estimate_delta(AR1, 1, 50)
 
+    @pytest.mark.parametrize("call,name", [
+        (lambda: estimate_delta_profile(AR1, 2.5, 100), "max_lag"),
+        (lambda: estimate_delta_profile(AR1, True, 100), "max_lag"),
+        (lambda: estimate_delta_profile(AR1, 2, 100.0), "replications"),
+        (lambda: estimate_delta_profile(AR1, 2, True), "replications"),
+        (lambda: coupled_paths(AR1, 1.5, range(3)), "lag"),
+        (lambda: coupled_paths(TarModel(0.6, -0.3), 1.5, range(3)), "lag"),
+    ], ids=["max_lag-float", "max_lag-bool", "replications-float", "replications-bool",
+            "lag-float", "lag-float-TAR"])
+    def test_counts_must_be_integers(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call()
+
     def test_burn_in_must_be_a_nonnegative_integer(self):
         with pytest.raises(ValueError, match="burn_in must be a nonnegative integer"):
             estimate_delta_profile(TarModel(0.6, -0.3), 3, 200, burn_in=1500.5)

@@ -354,6 +354,16 @@ class TestRateFit:
 class TestRateExperiment:
     N_GRID = [2**k for k in range(8, 15)]  # ratio 64, 7 values: quick but valid
 
+    @pytest.mark.parametrize("n_values,reps,name", [
+        ([256.5, 512, 1024, 4096, 32768], 10, "n_values"),
+        ([256, 512, 1024, 4096, True], 10, "n_values"),
+        (N_GRID, 10.5, "reps"),
+        (N_GRID, True, "reps"),
+    ], ids=["size-float", "size-bool", "reps-float", "reps-bool"])
+    def test_counts_must_be_integers(self, n_values, reps, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            rate_experiment(AR1, n_values, reps)
+
     def test_report_shape_and_gate(self):
         report = rate_experiment(AR1, self.N_GRID, 10, seed=314)
         assert report.n_values == tuple(self.N_GRID)
