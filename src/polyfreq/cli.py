@@ -138,13 +138,6 @@ def _check_output(path: str) -> None:
     raise UsageError(f"cannot write --output {path}: {os.strerror(reason)}")
 
 
-def _check_buffer(values: int, flags: str) -> None:
-    """Refuse a run whose largest array would exceed ``MAX_BUFFER_VALUES`` values."""
-    if values > MAX_BUFFER_VALUES:
-        raise UsageError(f"{flags} need a buffer of {values} values, "
-                         f"above the limit of {MAX_BUFFER_VALUES}")
-
-
 def _load_model(path: str):
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -311,17 +304,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-    if args.n < 1:
-        raise UsageError(f"--n must be positive, got {args.n}")
     try:
         burn_in = resolve_burn_in(model, args.burn_in)
+        with np.errstate(over="ignore", invalid="ignore"):  # the guard below names the model
+            sample = simulate(model, args.n, burn_in=burn_in, seed=args.seed)
     except ModelValidityError:
         raise
     except ValueError as exc:
-        raise UsageError(f"--burn-in: {exc}") from exc
-    _check_buffer(burn_in + args.n, "--n and --burn-in")
-    with np.errstate(over="ignore", invalid="ignore"):  # the guard below names the model
-        sample = simulate(model, args.n, burn_in=burn_in, seed=args.seed)
+        raise UsageError(f"--n/--burn-in: {exc}") from exc
     _check_finite(args.model, "values", sample)
     config = {
         "command": "simulate",
@@ -341,16 +331,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_delta(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-    if args.kmax < 0:
-        raise UsageError(f"--kmax must be nonnegative, got {args.kmax}")
-    _check_buffer(args.reps * (resolve_burn_in(model, None) + args.kmax + 2), "--reps and --kmax")
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # the guard below names the model
             deltas = estimate_delta_profile(model, args.kmax, args.reps, seed=args.seed)
     except ModelValidityError:
         raise
     except ValueError as exc:
-        raise UsageError(f"--reps: {exc}") from exc
+        raise UsageError(f"--kmax/--reps: {exc}") from exc
     rho = contraction_proxy(model)
     report = check_summability(deltas, rho)
     config = {
@@ -405,17 +392,12 @@ def cmd_rate(args: argparse.Namespace) -> int:
     while n <= args.n_max:
         n_values.append(n)
         n *= 2
-    # the larger of one size's simulation batch and the 500-round bootstrap
-    # table: rate_experiment packs the rows of every size into one batch only
-    # while it holds at most MAX_BUFFER_VALUES, the same cap
-    _check_buffer(args.reps * max(resolve_burn_in(model, None) + args.n_max, 500 * len(n_values)),
-                  "--reps and --n-max")
     try:
         report = rate_experiment(model, n_values, args.reps, seed=args.seed,
                                  max_workers=args.threads)
     except ModelValidityError:
         raise
-    except ValueError as exc:  # the size grid, --reps and --threads are checked before any work
+    except ValueError as exc:  # the size grid, --reps, --threads and buffers: before any work
         raise UsageError(f"--n-min/--n-max/--reps/--threads: {exc}") from exc
     except OverflowError as exc:  # so are the model's marginal and evaluation grid
         raise DataError(f"model {args.model} gives {exc}; nothing was written") from exc
@@ -464,12 +446,12 @@ def run_benchmark(n: int, m: int, seed: int = 0) -> dict:
     """
     if n < 10_000:
         raise UsageError(f"--n must be at least 10000, got {n}")
-    if m < 100:
-        raise UsageError(f"--m must be at least 100, got {m}")
-    model = ArmaModel()
-    _check_buffer(resolve_burn_in(model, None) + n, "--n")
-    _check_buffer(m, "--m")
-    sample = simulate(model, n, seed=seed)
+    if not 100 <= m <= MAX_BUFFER_VALUES:
+        raise UsageError(f"--m must be at least 100 and at most {MAX_BUFFER_VALUES}, got {m}")
+    try:
+        sample = simulate(ArmaModel(), n, seed=seed)
+    except ValueError as exc:  # a path past the simulation's size cap
+        raise UsageError(f"--n: {exc}") from exc
     bandwidth = stone_bandwidth(n)
     queries = np.linspace(float(sample.min()), float(sample.max()), m)
 

@@ -148,8 +148,7 @@ def estimate_delta_profile(model: Model, max_lag: int, replications: int, seed: 
     """
     max_lag = _count(max_lag, "max_lag")
     replications = _count(replications, "replications", 100)
-    seeds = [seed + i for i in range(replications)]
-    a, b = coupled_paths(model, max_lag, seeds, burn_in)
+    a, b = coupled_paths(model, max_lag, range(seed, seed + replications), burn_in)
     diffs = a - b
     return [_delta_from_diffs(k, diffs[:, k]) for k in range(max_lag + 1)]
 

@@ -452,10 +452,13 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     Markov runs) each size simulates in its own task.  Up to
     ``max_workers`` sizes are binned and evaluated concurrently; records
     are aggregated by index, so the report is identical for any worker
-    count.  The size grid, that the truth's support is a finite interval,
-    and that the largest size's evaluation grid holds at most
-    ``MAX_GRID_POINTS`` points (else ``OverflowError``) are checked before
-    anything is simulated.
+    count.  Right after the size grid, the ``500 * sizes * reps``
+    bootstrap table and the largest size's batch of draws (a Markov batch
+    padded to whole segments) are refused past ``models.MAX_BUFFER_VALUES``
+    values, before the truth is built.  That the truth's support is a
+    finite interval, and that the largest size's evaluation grid holds at
+    most ``MAX_GRID_POINTS`` points (else ``OverflowError``), are checked
+    before anything is simulated.
     """
     ns = sorted(_count(n, "n_values", 2) for n in n_values)
     _check_size_grid(ns)
@@ -468,6 +471,9 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
         )
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be positive, got {max_workers}")
+    burn_in = resolve_burn_in(model, None)
+    _count(500 * len(ns) * reps, f"a bootstrap table of 500 x {len(ns)} sizes x {reps}")
+    packed = _packs_rows(model, ns, reps, burn_in)
     truth = marginal_truth(model)
     lo, hi = truth.support()
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
@@ -476,8 +482,7 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     # a first import (scipy.signal for ARMA) must not land in the wall times
     # of the sizes that happen to simulate first
     load_simulator(model)
-    burn_in = resolve_burn_in(model, None)
-    if _packs_rows(model, np.repeat(ns, reps), burn_in):
+    if packed:
         # one packed batch for every size, which every size waits for
         sizes = _simulate_sizes(model, ns, reps, seed, burn_in)
 

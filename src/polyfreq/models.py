@@ -58,10 +58,8 @@ ROOT_MARGIN = 1e-9
 #: iteration cap of the TAR fixed-point oracle
 ORACLE_MAX_ITERATIONS = 500
 
-#: largest buffer, in values (2 GiB of float64), that a CLI run may ask for,
-#: and the largest packed Markov batch, padded to whole segments, in which a
-#: rate experiment simulates every size at once; past it, each size is its
-#: own batch
+#: largest array, in values (2 GiB of float64), that a simulation or a
+#: coupling draws, a Markov batch's padding to whole segments included
 MAX_BUFFER_VALUES = 2**28
 
 #: a TAR or NLAR model's default burn-in shrinks a start-state gap to at
@@ -506,15 +504,19 @@ def arma_marginal(model: ArmaModel) -> tuple[float, float]:
 
 
 def _count(value, name: str, least: int = 0) -> int:
-    """``value`` as an ``int``, refused unless it is an integer of at least ``least``.
+    """``value`` as an ``int``, if it is an integer from ``least`` to ``MAX_BUFFER_VALUES``.
 
     Python and numpy integers pass; a ``bool`` or a float with an integer
-    value does not.  The ``ValueError`` names ``name``.
+    value does not.  Every count here sizes an array of at least as many
+    values, so one past the cap is refused before numpy sees it.  The
+    ``ValueError`` names ``name``.
     """
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
         kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(
             least, f"an integer of at least {least}")
         raise ValueError(f"{name} must be {kind}, got {value!r}")
+    if value > MAX_BUFFER_VALUES:
+        raise ValueError(f"{name}: {value} values, above the limit of {MAX_BUFFER_VALUES}")
     return int(value)
 
 
@@ -522,8 +524,9 @@ def resolve_burn_in(model: Model, burn_in: int | None) -> int:
     """Burn-in a simulation of ``model`` uses: ``burn_in``, else the default.
 
     The model must be valid, and ``burn_in`` must be a nonnegative integer
-    (``bool`` is refused) no smaller than :func:`default_burn_in`.  The
-    finite moving average is built exactly, so its burn-in is always 0.
+    (``bool`` is refused) no smaller than :func:`default_burn_in` and no
+    larger than ``MAX_BUFFER_VALUES``.  The finite moving average is built
+    exactly, so its burn-in is always 0.
     """
     if burn_in is not None:
         burn_in = _count(burn_in, "burn_in")
@@ -546,13 +549,17 @@ def _draw_rows(model: Model, seeds: Sequence[int], width: int,
     With ``spans``, arrays ``(row, start, stop)`` with one entry per seed,
     seed ``i``'s stream fills ``draws[row[i], start[i]:stop[i]]`` of a
     zeroed array instead.  One generator is re-keyed per seed, which gives
-    the values of a fresh ``make_rng(seed)`` without building one.
+    the values of a fresh ``make_rng(seed)`` without building one.  An
+    array of more than ``MAX_BUFFER_VALUES`` values is refused before it is
+    allocated.
     """
+    rows = len(seeds) if spans is None else int(spans[0].max()) + 1
+    _count(rows * width, f"a batch of {rows} x {width} draws")
     if spans is None:
-        draws = targets = np.empty((len(seeds), width))
+        draws = targets = np.empty((rows, width))
     else:
         row, start, stop = (a.tolist() for a in spans)
-        draws = np.zeros((max(row) + 1, width))
+        draws = np.zeros((rows, width))
         targets = (draws[i, a:b] for i, a, b in zip(row, start, stop))
     rng = make_rng(0)
     bits = rng.bit_generator
@@ -683,7 +690,9 @@ def simulate_ragged(model: Model, ns: Sequence[int], seeds: Sequence[int],
     are filtered one size at a time (one :func:`advance` per size) and
     finite moving-average rows one ``np.convolve`` per row, because
     packing would save their compiled filters nothing.  The rows are views
-    into the arrays that hold them.
+    into the arrays that hold them.  An ``n`` or a burn-in past
+    ``MAX_BUFFER_VALUES``, and an array of draws past it (a Markov batch
+    padded to whole segments), are refused before anything is drawn.
     """
     if len(ns) != len(seeds):
         raise ValueError(f"need one size per seed, got {len(ns)} sizes and {len(seeds)} seeds")
@@ -720,28 +729,37 @@ def _simulate_size(model: ArmaModel | LinearProcess, n: int, seeds: Sequence[int
     return draws[:, burn_in:]
 
 
-def _segment_width(model: Model, lengths: np.ndarray) -> int:
-    """Columns per segment of a packed Markov batch of rows ``lengths`` long.
+def _segments(model: Model, longest: int, total: int) -> tuple[int, int]:
+    """Width and count of the segments a packed Markov batch is cut into.
 
-    ``max(SEGMENT_COLUMNS, 4 * default_burn_in(model))``, so a segment is at
-    least four warm-ups wide, but no wider than the longest row: rows that
-    each fit one segment step no more columns than the longest of them.
+    The rows hold ``total`` columns end to end, the longest ``longest``.  A
+    segment is ``max(SEGMENT_COLUMNS, 4 * default_burn_in(model))`` columns
+    wide, so it is at least four warm-ups wide, but no wider than the
+    longest row: rows that each fit one segment step no more columns than
+    the longest of them.  The last segment is padded to the full width.
     """
-    return min(max(SEGMENT_COLUMNS, 4 * default_burn_in(model)), int(lengths.max()))
+    width = min(max(SEGMENT_COLUMNS, 4 * default_burn_in(model)), longest)
+    return width, -(-total // width)
 
 
-def _packs_rows(model: Model, ns: np.ndarray, burn_in: int) -> bool:
-    """Whether a rate experiment simulates the rows of sizes ``ns`` in one packed batch.
+def _packs_rows(model: Model, ns: Sequence[int], rows: int, burn_in: int) -> bool:
+    """Whether a rate experiment simulates ``rows`` rows of each size in ``ns`` in one batch.
 
-    Markov rows are, while their batch, padded to whole segments, holds at
-    most ``MAX_BUFFER_VALUES`` values; ARMA and moving-average rows are
-    never packed.
+    Markov rows are packed while their batch, padded to whole segments,
+    holds at most ``MAX_BUFFER_VALUES`` values; ARMA and moving-average
+    rows never are.  The batch of the largest size's rows alone, which
+    simulating one size at a time draws, is refused past that cap.
     """
+    n = max(ns)
     if isinstance(model, (ArmaModel, LinearProcess)):
+        # a moving-average row draws its order more values than n, an ARMA row its burn-in
+        _count(rows * (n + (model.order if isinstance(model, LinearProcess) else burn_in)),
+               f"a batch of {rows} paths of n={n}")
         return False
-    lengths = burn_in + np.asarray(ns, dtype=np.int64)
-    width = _segment_width(model, lengths)
-    return -(-int(lengths.sum()) // width) * width <= MAX_BUFFER_VALUES
+    _count(math.prod(_segments(model, burn_in + n, rows * (burn_in + n))),
+           f"a batch of {rows} paths of n={n}")
+    total = rows * (len(ns) * burn_in + sum(ns))
+    return math.prod(_segments(model, burn_in + n, total)) <= MAX_BUFFER_VALUES
 
 
 def _step_restarting(model: Model, state, block: np.ndarray, rows: np.ndarray,
@@ -799,8 +817,7 @@ def _simulate_packed(model: Model, ns: np.ndarray, seeds: Sequence[int],
     """
     stop = np.cumsum(burn_in + ns)
     start = stop - (burn_in + ns)
-    width = _segment_width(model, burn_in + ns)
-    segments = -(-int(stop[-1]) // width)
+    width, segments = _segments(model, burn_in + int(ns.max()), int(stop[-1]))
     flat = _draw_rows(model, seeds, segments * width,
                       (np.zeros_like(start), start, stop)).reshape(-1)
     draws = flat.reshape(segments, width)

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -750,7 +751,7 @@ class TestModelSizeLimits:
 
 
 class TestBufferCaps:
-    """Flags that would size a simulation buffer past the cap are refused
+    """Flags that would size an array of draws past the cap are refused
     before any innovation is drawn."""
 
     @pytest.fixture(autouse=True)
@@ -758,24 +759,60 @@ class TestBufferCaps:
         def refuse(*args):
             raise AssertionError("innovations drawn")
 
-        # dependence imports _draw_rows by name
-        monkeypatch.setattr(models, "_draw_rows", refuse)
-        monkeypatch.setattr(dependence, "_draw_rows", refuse)
+        # every simulation and coupling draws through NoiseSpec.fill
+        monkeypatch.setattr(models.NoiseSpec, "fill", refuse)
 
     @pytest.mark.parametrize("argv,flags", [
-        (["simulate", "--n", str(10**12)], "--n and --burn-in"),
-        (["simulate", "--n", "10", "--burn-in", str(10**12)], "--n and --burn-in"),
-        (["delta", "--kmax", str(10**8)], "--reps and --kmax"),
-        (["delta", "--kmax", "4", "--reps", str(10**6)], "--reps and --kmax"),
-        (["rate", "--n-min", "256", "--n-max", str(10**12)], "--reps and --n-max"),
+        (["simulate", "--n", str(10**12)], "--n/--burn-in"),
+        (["simulate", "--n", "10", "--burn-in", str(10**12)], "--n/--burn-in"),
+        (["delta", "--kmax", str(10**8)], "--kmax/--reps"),
+        (["delta", "--kmax", "4", "--reps", str(10**6)], "--kmax/--reps"),
+        (["rate", "--n-min", "256", "--n-max", str(10**12)], "--n-min/--n-max/--reps/--threads"),
         # within the simulation cap, but 500 x 7 x 10^5 bootstrap values are not
-        (["rate", "--n-min", "2", "--n-max", "128", "--reps", str(10**5)], "--reps and --n-max"),
+        (["rate", "--n-min", "2", "--n-max", "128", "--reps", str(10**5)],
+         "--n-min/--n-max/--reps/--threads"),
     ], ids=["simulate-n", "simulate-burn-in", "delta-kmax", "delta-reps", "rate-n-max",
             "rate-bootstrap"])
     def test_refused_before_any_draw(self, ar1_model, argv, flags, capsys):
         assert main([*argv, "--model", ar1_model]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert flags in err and "above the limit of 268435456" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", str(10**19)],
+        ["simulate", "--n", "10", "--burn-in", str(10**19)],
+        ["delta", "--kmax", str(10**19)],
+        ["delta", "--kmax", "2", "--reps", str(10**12)],
+        ["delta", "--kmax", "2", "--reps", str(10**19)],
+        ["rate", "--n-min", "256", "--n-max", str(10**19)],
+        ["rate", "--n-min", "256", "--n-max", "16384", "--reps", str(10**12)],
+        ["bench", "--n", str(10**19), "--m", "200"],
+    ])
+    @pytest.mark.parametrize("spec", [AR1_SPEC, TAR_SPEC], ids=["AR1", "TAR"])
+    def test_sizes_past_int64_refused_at_once(self, tmp_path, spec, argv, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(spec))
+        args = argv if argv[0] == "bench" else [*argv, "--model", str(path)]
+        start = time.perf_counter()
+        assert main(args) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "above the limit of 268435456" in err
+
+    @pytest.mark.parametrize("argv,flags", [
+        # burn-in 811 + n is exactly 2^28, padded to 82,749 segments of 3,244
+        # columns: 268,437,756 values
+        (["simulate", "--n", "268434645"], "--n/--burn-in"),
+        # the largest size's one row, 811 + 268,434,624 columns, pads to the same
+        (["rate", "--reps", "1", "--n-min", "4194291", "--n-max", "268434624"],
+         "--n-min/--n-max/--reps/--threads"),
+    ], ids=["simulate", "rate"])
+    def test_padded_markov_batch_refused(self, tmp_path, argv, flags, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**TAR_SPEC, "a": 0.95, "b": -0.9}))
+        assert main([*argv, "--model", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert flags in err and "268437756 values, above the limit of 268435456" in err
 
     @pytest.mark.parametrize("n_min,n_max,spec", [
         # 200 x (82 + 2^20) values fit under the cap; the 11 sizes would
@@ -794,8 +831,8 @@ class TestBufferCaps:
 
     def test_packed_batch_never_exceeds_the_cap(self):
         tar = models.TarModel(0.6, -0.3)
-        assert models._packs_rows(tar, np.repeat([2**k for k in range(8, 18)], 200), 1000)
-        assert not models._packs_rows(tar, np.repeat([2**k for k in range(10, 21)], 200), 1000)
+        assert models._packs_rows(tar, [2**k for k in range(8, 18)], 200, 1000)
+        assert not models._packs_rows(tar, [2**k for k in range(10, 21)], 200, 1000)
 
 
 class TestOutputCheckedFirst:

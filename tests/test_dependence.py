@@ -172,6 +172,29 @@ class TestEstimateDelta:
         assert np.all(d[:, 1:] <= 0.6 * d[:, :-1] + slack)
 
 
+class TestDrawCap:
+    """Coupled batches past ``MAX_BUFFER_VALUES`` values are refused before
+    anything is drawn, also for counts past int64."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("innovations drawn")
+
+        monkeypatch.setattr(NoiseSpec, "fill", refuse)
+
+    @pytest.mark.parametrize("model", [AR1, LinearProcess((1.0, 0.5)), TarModel(0.6, -0.3)],
+                             ids=["AR1", "MA1", "TAR"])
+    @pytest.mark.parametrize("lag,reps", [(10**19, 100), (2, 10**12), (2, 10**19)],
+                             ids=["lag", "reps", "reps-past-int64"])
+    def test_refused(self, model, lag, reps):
+        with pytest.raises(ValueError, match="above the limit of 268435456"):
+            estimate_delta_profile(model, lag, reps)
+        if reps < 2**63:
+            with pytest.raises(ValueError, match="above the limit of 268435456"):
+                coupled_paths(model, lag, range(reps))
+
+
 class TestSummability:
     def test_ar1_slope_recovers_log_half(self):
         profile = estimate_delta_profile(AR1, 8, 4000, seed=12)

@@ -351,8 +351,44 @@ class TestRateFit:
         assert fit_loglog_slope(ns, errs) == pytest.approx(-1.0 / 3.0, rel=1e-12)
 
 
+class TestRateBufferCaps:
+    """A bootstrap table or one size's batch past ``models.MAX_BUFFER_VALUES``
+    is refused right after the size grid: before the truth or any draw."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(diagnostics, "marginal_truth", refuse)
+        monkeypatch.setattr(models.NoiseSpec, "fill", refuse)
+
+    @pytest.mark.parametrize("model", [AR1, TarModel(0.6, -0.3)], ids=["AR1", "TAR"])
+    @pytest.mark.parametrize("n_max,reps,what", [
+        (2**14, 10**12, "reps: "), (10**19, 20, "n_values: "),
+        # its batches fit: 2 * 10**5 x (1000 + 128) values for AR(1)
+        (128, 2 * 10**5, "bootstrap table"),
+        # every count and the bootstrap table fit
+        (2**27, 20, "paths of n="),
+    ], ids=["reps", "n-past-int64", "bootstrap", "batch"])
+    def test_refused(self, model, n_max, reps, what):
+        ns = [n_max // 64, n_max // 16, n_max // 8, n_max // 4, n_max]
+        with pytest.raises(ValueError, match=f"{what}.* above the limit of 268435456"):
+            rate_experiment(model, ns, reps)
+
+    @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
+    def test_padded_markov_batch_refused(self):
+        # one row of 811 + 268,434,624 columns, padded to whole segments
+        ns = [4194291 * 2**k for k in range(7)]
+        with pytest.raises(ValueError, match="268437756 values, above the limit"):
+            rate_experiment(TarModel(0.95, -0.9), ns, 1)
+
+
 class TestRateExperiment:
     N_GRID = [2**k for k in range(8, 15)]  # ratio 64, 7 values: quick but valid
+    # TAR(0.6, -0.3)'s batch for the largest size, 3 rows of 82 + 2**14
+    # columns padded to 25 segments of 2048: room for it, not for every size
+    PAST_BUDGET = 25 * 2048
 
     @pytest.mark.parametrize("n_values,reps,name", [
         ([256.5, 512, 1024, 4096, 32768], 10, "n_values"),
@@ -395,8 +431,7 @@ class TestRateExperiment:
         model = TarModel(0.6, -0.3)
         packed = rate_experiment(model, self.N_GRID, 3, seed=5)
         # room for the largest size's batch, not for every size packed
-        budget = 3 * (default_burn_in(model) + 2**14)
-        monkeypatch.setattr(models, "MAX_BUFFER_VALUES", budget)
+        monkeypatch.setattr(models, "MAX_BUFFER_VALUES", self.PAST_BUDGET)
         per_size = rate_experiment(model, self.N_GRID, 3, seed=5)
         for a, b in zip(packed.records, per_size.records):
             assert (a.n, a.replication, a.sup_error, a.grid_error_bound) == (
@@ -408,7 +443,7 @@ class TestRateExperiment:
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
     @pytest.mark.parametrize("model,budget,calls", [
         (AR1, None, 7), (TarModel(0.6, -0.3), None, 1),
-        (TarModel(0.6, -0.3), 3 * (default_burn_in(TarModel(0.6, -0.3)) + 2**14), 7),
+        (TarModel(0.6, -0.3), PAST_BUDGET, 7),
     ], ids=["AR1", "TAR", "TAR-past-budget"])
     def test_wall_time_shares_the_simulation_by_steps(self, model, budget, calls, monkeypatch):
         if budget is not None:

@@ -45,7 +45,7 @@ def assert_packed_end_to_end(model, rows, burn_in):
     draws end to end from its start; returns the segment width and each
     row's first column in the flattened batch."""
     lengths = burn_in + np.array([len(row) for row in rows])
-    width = models._segment_width(model, lengths)
+    width, _ = models._segments(model, int(lengths.max()), int(lengths.sum()))
     start = np.cumsum(lengths) - lengths
     batch = rows[0].base
     assert batch.size == -(-lengths.sum() // width) * width
@@ -462,7 +462,7 @@ class TestSimulate:
                 return inner(model, seed, skip)
 
             monkeypatch.setattr(models, "_stream_at", stream_at)
-        width = models._segment_width(model, np.array([10**9]))
+        width, _ = models._segments(model, 10**9, 10**9)
         seeds = [3, 7, 11]
         ns = [3 * width + d - burn for d in (-1, 0, 1)]
         expected = [sequential_path(model, n, burn, s) for n, s in zip(ns, seeds)]
@@ -487,7 +487,7 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         batch = rows[0].base.size
-        segments = batch // models._segment_width(model, np.array(ns))
+        segments = batch // models._segments(model, max(ns), sum(ns))[0]
         assert peak <= 8 * (batch + segments * default_burn_in(model))
 
     def test_ragged_validates_like_simulate(self):
@@ -569,6 +569,52 @@ class TestSimulate:
         paths = [advance(model, initial_state(model, np.full(1000, x0)), eps.copy())[0]
                  for x0 in (10.0 * spread, -10.0 * spread)]
         assert_array_equal(paths[0][:, burn:], paths[1][:, burn:])
+
+
+class TestDrawCap:
+    """No array of draws holds more than ``MAX_BUFFER_VALUES`` values, padding
+    included; a larger one is refused before anything is drawn."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("innovations drawn")
+
+        monkeypatch.setattr(NoiseSpec, "fill", refuse)
+
+    @pytest.mark.parametrize("model", [AR1, LinearProcess((1.0, 0.5)), TarModel(0.6, -0.3)],
+                             ids=["AR1", "MA1", "TAR"])
+    @pytest.mark.parametrize("n", [2**28 + 1, 10**19])
+    def test_long_path_refused(self, model, n):
+        with pytest.raises(ValueError, match="above the limit of 268435456"):
+            simulate(model, n)
+        with pytest.raises(ValueError, match="above the limit of 268435456"):
+            simulate_ragged(model, [10, n], [0, 1])
+
+    @pytest.mark.parametrize("model", [AR1, TarModel(0.6, -0.3)], ids=["AR1", "TAR"])
+    @pytest.mark.parametrize("burn_in", [2**28 + 1, 10**19])
+    def test_deep_burn_in_refused(self, model, burn_in):
+        with pytest.raises(ValueError, match="burn_in: .* above the limit of 268435456"):
+            simulate(model, 10, burn_in=burn_in)
+
+    def test_padding_counts(self):
+        # burn-in 811 + n = 2**28 and the order's extra columns pass the cap
+        tar = TarModel(0.95, -0.9)
+        with pytest.raises(ValueError, match="268437756 values, above the limit"):
+            simulate(tar, 2**28 - default_burn_in(tar))
+        with pytest.raises(ValueError, match="268435457 values, above the limit"):
+            simulate(LinearProcess((1.0, 0.5)), 2**28)
+
+    @pytest.mark.parametrize("model", [AR1, TarModel(0.6, -0.3)], ids=["AR1", "TAR"])
+    def test_many_rows_refused(self, model):
+        # each row fits; one size's rows (ARMA) or the packed batch (TAR) do not
+        with pytest.raises(ValueError, match="above the limit of 268435456"):
+            simulate_ragged(model, [2**27] * 3, [0, 1, 2])
+
+    def test_batch_at_the_cap_is_drawn(self):
+        # 2**28 values exactly: the refusal is past the cap, not at it
+        with pytest.raises(AssertionError, match="innovations drawn"):
+            models._draw_rows(AR1, range(4), 2**26)
 
 
 class TestNlarChecks:
