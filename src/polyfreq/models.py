@@ -593,8 +593,7 @@ def advance(model: Model, state, eps: np.ndarray):
     driven by ``eps[:, t]`` and ``end_state`` continues the recursion.  ARMA
     models filter every row at once; Markov families step all rows in
     lockstep, ``x = transition(x) + eps[:, t]``, writing the values into
-    ``eps`` in place.  A one-row ``eps`` steps a 1-d view with a scalar
-    state, which is about twice as fast as a ``(1,)`` state.
+    ``eps`` in place.
     """
     if isinstance(model, ArmaModel):
         if not len(eps):
@@ -616,7 +615,7 @@ def _markov_steps(model: Model, state, eps: np.ndarray, write: bool):
     With ``write`` each step's values are written into its column of ``eps``.
     """
     r = model.transition
-    columns, x = (eps[0], state[0]) if len(eps) == 1 else (eps.T, state)
+    columns, x = eps.T, state
     for t in range(len(columns)):
         x = r(x) + columns[t]
         if write:
@@ -627,29 +626,29 @@ def _markov_steps(model: Model, state, eps: np.ndarray, write: bool):
 def _advance_blocks(model: Model, state, eps: np.ndarray, keep: bool = True):
     """:func:`advance` over ``eps`` a block of columns at a time; returns the end state.
 
-    With ``keep``, the values are written back into ``eps``; without it a
-    Markov family steps over ``eps`` read-only, in one pass, because writing
-    each step's values into a column of a row-major ``eps`` costs a strided
-    store per value.  A block holds about ``_BLOCK_VALUES`` values, so an
-    ARMA filter's output exists one block at a time rather than beside a
-    second array the size of ``eps``.  The state is carried
-    from block to block: the same operations in the same order as one call.
+    With ``keep``, the values are written back into ``eps``.  A Markov
+    family steps over ``eps`` in one pass, read-only without ``keep``,
+    because writing each step's values into a column of a row-major ``eps``
+    costs a strided store per value.  An ARMA block holds about
+    ``_BLOCK_VALUES`` values, so the filter's output exists one block at a
+    time rather than beside a second array the size of ``eps``.  The state
+    is carried from block to block: the same operations in the same order
+    as one call.
     An ARMA model without an AR part keeps its values from one call:
     ``lfilter``'s FIR route adds the carried state to the first outputs of
     the next block's convolution, which groups their sums differently and
     changes their last bits (the end state of a block at least ``q``
     columns wide is the same).
     """
-    if not keep and not isinstance(model, ArmaModel):
-        # a one-row eps is stepped with a scalar state
-        return np.atleast_1d(_markov_steps(model, state, eps, write=False))
+    if not isinstance(model, ArmaModel):
+        return _markov_steps(model, state, eps, write=keep)
     step = max(1, _BLOCK_VALUES // max(1, len(eps)))
-    if keep and isinstance(model, ArmaModel) and not model.ar:
+    if keep and not model.ar:
         step = max(1, eps.shape[1])
     for start in range(0, eps.shape[1], step):
         block = eps[:, start:start + step]
         values, state = advance(model, state, block)
-        if keep and values is not block:
+        if keep:
             block[...] = values
     return state
 
@@ -773,14 +772,12 @@ def _step_restarting(model: Model, state, block: np.ndarray, rows: np.ndarray,
     for c in np.unique(cols).tolist():
         at = rows[cols == c]
         x0 = block[at, c]
-        state = np.atleast_1d(_markov_steps(model, state, block[:, column:c + 1], write))
+        state = _markov_steps(model, state, block[:, column:c + 1], write)
         state[at] = x0
         if write:
             block[at, c] = x0
         column = c + 1
-    if column < block.shape[1]:
-        state = np.atleast_1d(_markov_steps(model, state, block[:, column:], write))
-    return state
+    return _markov_steps(model, state, block[:, column:], write)
 
 
 def _stream_at(model: Model, seed: int, skip: int) -> np.random.Generator:
