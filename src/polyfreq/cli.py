@@ -337,7 +337,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
     except ModelValidityError:
         raise
     except ValueError as exc:
-        raise UsageError(f"--kmax/--reps: {exc}") from exc
+        raise UsageError(f"--kmax/--reps/--seed: {exc}") from exc
     rho = contraction_proxy(model)
     report = check_summability(deltas, rho)
     config = {
@@ -397,8 +397,8 @@ def cmd_rate(args: argparse.Namespace) -> int:
                                  max_workers=args.threads)
     except ModelValidityError:
         raise
-    except ValueError as exc:  # the size grid, --reps, --threads and buffers: before any work
-        raise UsageError(f"--n-min/--n-max/--reps/--threads: {exc}") from exc
+    except ValueError as exc:  # sizes, --reps, --threads, buffers and seeds: before any work
+        raise UsageError(f"--n-min/--n-max/--reps/--threads/--seed: {exc}") from exc
     except OverflowError as exc:  # so are the model's marginal and evaluation grid
         raise DataError(f"model {args.model} gives {exc}; nothing was written") from exc
     _check_finite(args.model, "sup errors or summary values",
@@ -522,9 +522,9 @@ def _seed(text: str) -> int:
         seed = int(text)
     except ValueError:
         seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(
-            f"seed must be a nonnegative integer (--seed or POLYFREQ_SEED), got {text!r}")
+    if not 0 <= seed < 2**128:
+        raise argparse.ArgumentTypeError("seed must be an integer from 0 to 2**128 - 1 "
+                                         f"(--seed or POLYFREQ_SEED), got {text!r}")
     return seed
 
 

@@ -25,6 +25,7 @@ from .models import (
     LinearProcess,
     Model,
     _advance_blocks,
+    _check_seeds,
     _count,
     _draw_rows,
     advance,
@@ -148,6 +149,7 @@ def estimate_delta_profile(model: Model, max_lag: int, replications: int, seed: 
     """
     max_lag = _count(max_lag, "max_lag")
     replications = _count(replications, "replications", 100)
+    _check_seeds([seed])
     a, b = coupled_paths(model, max_lag, range(seed, seed + replications), burn_in)
     diffs = a - b
     return [_delta_from_diffs(k, diffs[:, k]) for k in range(max_lag + 1)]

@@ -42,6 +42,7 @@ from .estimators import (
 from .models import (
     MarginalTruth,
     Model,
+    _check_seeds,
     _count,
     _packs_rows,
     load_simulator,
@@ -455,7 +456,8 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     count.  Right after the size grid, the ``500 * sizes * reps``
     bootstrap table and the largest size's batch of draws (a Markov batch
     padded to whole segments) are refused past ``models.MAX_BUFFER_VALUES``
-    values, before the truth is built.  That the truth's support is a
+    values, and so are seeds that are not integers or run past ``2**128``,
+    before the truth is built.  That the truth's support is a
     finite interval, and that the largest size's evaluation grid holds at
     most ``MAX_GRID_POINTS`` points (else ``OverflowError``), are checked
     before anything is simulated.
@@ -473,6 +475,8 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
         raise ValueError(f"max_workers must be positive, got {max_workers}")
     burn_in = resolve_burn_in(model, None)
     _count(500 * len(ns) * reps, f"a bootstrap table of 500 x {len(ns)} sizes x {reps}")
+    _check_seeds([seed])
+    _check_seeds(range(seed, seed + len(ns) * reps))
     packed = _packs_rows(model, ns, reps, burn_in)
     truth = marginal_truth(model)
     lo, hi = truth.support()

@@ -80,14 +80,22 @@ class ModelValidityError(ValueError):
     """Model parameters violate stationarity or contraction requirements."""
 
 
-def _philox_state(seed: int) -> dict:
-    """State of ``np.random.Philox(key=seed)`` before its first draw.
+def _check_seeds(seeds: Sequence[int]) -> None:
+    """Refuse any seed that is not an integer key of Philox, in ``[0, 2**128)``.
 
-    Keys outside ``[0, 2**128)`` are refused with Philox's own message.
+    A ``bool`` or a float is refused; a key outside the range gets Philox's
+    own message.  A ``range`` holds integers, so only its ends are read.
     """
+    for seed in (seeds[0], seeds[-1]) if isinstance(seeds, range) and seeds else seeds:
+        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        if not 0 <= seed < 2**128:
+            raise ValueError("key must be positive and less than 2**128.")
+
+
+def _philox_state(seed: int) -> dict:
+    """State of ``np.random.Philox(key=seed)`` before its first draw; see :func:`_check_seeds`."""
     key = int(seed)
-    if not 0 <= key < 2**128:
-        raise ValueError("key must be positive and less than 2**128.")
     return {"bit_generator": "Philox",
             "state": {"counter": (0, 0, 0, 0), "key": (key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64)},
             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -100,6 +108,7 @@ def make_rng(seed: int) -> np.random.Generator:
     its bit generator with ``_philox_state`` restarts it on another seed's
     stream.
     """
+    _check_seeds([seed])
     bits = np.random.Philox(0)  # a fixed seed: no OS entropy is read
     bits.state = _philox_state(seed)
     return np.random.Generator(bits)
@@ -550,11 +559,12 @@ def _draw_rows(model: Model, seeds: Sequence[int], width: int,
     seed ``i``'s stream fills ``draws[row[i], start[i]:stop[i]]`` of a
     zeroed array instead.  One generator is re-keyed per seed, which gives
     the values of a fresh ``make_rng(seed)`` without building one.  An
-    array of more than ``MAX_BUFFER_VALUES`` values is refused before it is
-    allocated.
+    array of more than ``MAX_BUFFER_VALUES`` values, then any seed that is
+    not a Philox key, is refused before the array is allocated.
     """
     rows = len(seeds) if spans is None else int(spans[0].max()) + 1
     _count(rows * width, f"a batch of {rows} x {width} draws")
+    _check_seeds(seeds)
     if spans is None:
         draws = targets = np.empty((rows, width))
     else:

@@ -490,6 +490,21 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "--seed" in err and "'-1'" in err
 
+    @pytest.mark.parametrize("env", [False, True], ids=["flag", "env"])
+    def test_seed_past_philox_keys_is_usage_error(self, ar1_model, monkeypatch, capsys, env):
+        seed = str(2**128)
+        if env:
+            monkeypatch.setenv("POLYFREQ_SEED", seed)
+        argv = ["simulate", "--model", ar1_model, "--n", "10"] + ([] if env else ["--seed", seed])
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--seed or POLYFREQ_SEED" in err and seed in err and "Traceback" not in err
+
+    def test_largest_seed_accepted(self, tmp_path, ar1_model):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--model", ar1_model, "--n", "10", "--seed", str(2**128 - 1),
+                     "--output", str(out)]) == EXIT_OK
+
     def test_flag_seed_overrides_bad_env_seed(self, tmp_path, ar1_model, monkeypatch):
         monkeypatch.setenv("POLYFREQ_SEED", "abc")
         out = tmp_path / "x.csv"

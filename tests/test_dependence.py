@@ -155,6 +155,16 @@ class TestEstimateDelta:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             call()
 
+    @pytest.mark.parametrize("seed", [1.5, True, "5"], ids=repr)
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            estimate_delta_profile(AR1, 2, 100, seed=seed)
+
+    def test_seed_range_past_philox_keys_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(NoiseSpec, "fill", lambda *args: pytest.fail("innovations drawn"))
+        with pytest.raises(ValueError, match="less than 2\\*\\*128"):
+            estimate_delta_profile(TarModel(0.6, -0.3), 2, 100, seed=2**128 - 50)
+
     def test_burn_in_must_be_a_nonnegative_integer(self):
         with pytest.raises(ValueError, match="burn_in must be a nonnegative integer"):
             estimate_delta_profile(TarModel(0.6, -0.3), 3, 200, burn_in=1500.5)

@@ -400,6 +400,13 @@ class TestRateExperiment:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             rate_experiment(AR1, n_values, reps)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "5", 2**128 - 5], ids=repr)
+    def test_seeds_checked_before_any_work(self, seed, monkeypatch):
+        # the last seed of the grid, 2**128 - 5 + 7 * 10 - 1, is past Philox's keys
+        monkeypatch.setattr(diagnostics, "marginal_truth", lambda *args: pytest.fail("work"))
+        with pytest.raises(ValueError, match="seed must be an integer|less than 2\\*\\*128"):
+            rate_experiment(AR1, self.N_GRID, 10, seed=seed)
+
     def test_report_shape_and_gate(self):
         report = rate_experiment(AR1, self.N_GRID, 10, seed=314)
         assert report.n_values == tuple(self.N_GRID)

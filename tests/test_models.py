@@ -171,6 +171,34 @@ class TestStreams:
             models._draw_rows(AR1, [3, seed], 5)
         assert str(got.value) == message
 
+    @pytest.mark.parametrize("seed", [1.5, 5.0, True, "5", None], ids=repr)
+    @pytest.mark.parametrize("model", [AR1, TarModel(0.6, -0.3)], ids=["AR1", "TAR"])
+    def test_seeds_that_are_not_integers_refused(self, model, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            simulate(model, 10, seed=seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            make_rng(seed)
+
+    def test_numpy_integer_seeds_accepted(self):
+        assert_array_equal(simulate(AR1, 10, seed=np.uint64(2**64 - 1)),
+                           simulate(AR1, 10, seed=2**64 - 1))
+
+    def test_seed_range_checked_before_any_draw(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("innovations drawn")
+
+        monkeypatch.setattr(NoiseSpec, "fill", refuse)
+        # only a range's ends are read; a list's seeds are all read
+        with pytest.raises(ValueError, match="less than 2\\*\\*128"):
+            models._draw_rows(AR1, range(2**128 - 10**6, 2**128 + 1), 1)
+        with pytest.raises(ValueError, match="less than 2\\*\\*128"):
+            models._draw_rows(AR1, [0, 2**128, 1], 1)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            simulate_ragged(TarModel(0.6, -0.3), [10, 20], [0, 1.0])
+        # the size cap comes first: range(10**12) is never walked
+        with pytest.raises(ValueError, match="above the limit of 268435456"):
+            models._draw_rows(AR1, range(10**12), 5)
+
 
 class TestStationarity:
     def test_ar1_half_passes(self):
