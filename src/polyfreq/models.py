@@ -700,13 +700,15 @@ def simulate_ragged(model: Model, ns: Sequence[int], seeds: Sequence[int],
     finite moving-average rows one ``np.convolve`` per row, because
     packing would save their compiled filters nothing.  The rows are views
     into the arrays that hold them.  An ``n`` or a burn-in past
-    ``MAX_BUFFER_VALUES``, and an array of draws past it (a Markov batch
-    padded to whole segments), are refused before anything is drawn.
+    ``MAX_BUFFER_VALUES``, a seed that is not a Philox key, and an array of
+    draws past the cap (a Markov batch padded to whole segments), are
+    refused before anything is drawn.
     """
     if len(ns) != len(seeds):
         raise ValueError(f"need one size per seed, got {len(ns)} sizes and {len(seeds)} seeds")
     for n in ns:
         _count(n, "n", 1)
+    _check_seeds(seeds)  # ARMA rows are drawn one size at a time
     burn_in = resolve_burn_in(model, burn_in)
     if not len(seeds):
         return []

@@ -793,26 +793,27 @@ class TestBufferCaps:
         err = capsys.readouterr().err
         assert flags in err and "above the limit of 268435456" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--n", str(10**19)],
-        ["simulate", "--n", "10", "--burn-in", str(10**19)],
-        ["delta", "--kmax", str(10**19)],
-        ["delta", "--kmax", "2", "--reps", str(10**12)],
-        ["delta", "--kmax", "2", "--reps", str(10**19)],
-        ["rate", "--n-min", "256", "--n-max", str(10**19)],
-        ["rate", "--n-min", "256", "--n-max", "16384", "--reps", str(10**12)],
-        ["bench", "--n", str(10**19), "--m", "200"],
-    ])
+    @pytest.mark.parametrize("argv,flags", [
+        (["simulate", "--n", str(10**19)], "--n/--burn-in"),
+        (["simulate", "--n", "10", "--burn-in", str(10**19)], "--n/--burn-in"),
+        (["delta", "--kmax", str(10**19)], "--kmax/--reps"),
+        (["delta", "--kmax", "2", "--reps", str(10**12)], "--kmax/--reps"),
+        (["delta", "--kmax", "2", "--reps", str(10**19)], "--kmax/--reps"),
+        (["rate", "--n-min", "256", "--n-max", str(10**19)], "--n-min/--n-max/--reps/--threads"),
+        (["rate", "--n-min", "256", "--n-max", "16384", "--reps", str(10**12)],
+         "--n-min/--n-max/--reps/--threads"),
+        (["bench", "--n", str(10**19), "--m", "200"], "--n"),
+    ], ids=["simulate-n", "simulate-burn-in", "delta-kmax", "delta-reps", "delta-reps-past-int64",
+            "rate-n-max", "rate-reps", "bench-n"])
     @pytest.mark.parametrize("spec", [AR1_SPEC, TAR_SPEC], ids=["AR1", "TAR"])
-    def test_sizes_past_int64_refused_at_once(self, tmp_path, spec, argv, capsys):
+    def test_counts_past_int64_refused_at_once(self, tmp_path, spec, argv, flags, capsys):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(spec))
-        args = argv if argv[0] == "bench" else [*argv, "--model", str(path)]
         start = time.perf_counter()
-        assert main(args) == EXIT_USAGE
+        assert main(argv if argv[0] == "bench" else [*argv, "--model", str(path)]) == EXIT_USAGE
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
-        assert "Traceback" not in err and "above the limit of 268435456" in err
+        assert flags in err and "above the limit of 268435456" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv,flags", [
         # burn-in 811 + n is exactly 2^28, padded to 82,749 segments of 3,244

@@ -195,6 +195,9 @@ class TestStreams:
             models._draw_rows(AR1, [0, 2**128, 1], 1)
         with pytest.raises(ValueError, match="seed must be an integer"):
             simulate_ragged(TarModel(0.6, -0.3), [10, 20], [0, 1.0])
+        # ARMA rows are drawn one size at a time: every seed is read first
+        with pytest.raises(ValueError, match="less than 2\\*\\*128"):
+            simulate_ragged(AR1, [10, 20], [0, 2**128])
         # the size cap comes first: range(10**12) is never walked
         with pytest.raises(ValueError, match="above the limit of 268435456"):
             models._draw_rows(AR1, range(10**12), 5)
