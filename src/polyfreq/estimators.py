@@ -285,10 +285,9 @@ def merge_histograms(parts: Iterable[SparseHistogram]) -> SparseHistogram:
 
 def histogram_eval(h: SparseHistogram, x):
     """Histogram density ``count / (n * b)`` of the bin containing ``x``."""
-    arr, scalar = h.scheme._index_domain(x)
-    z = h.scheme.bin_index(np.atleast_1d(arr))
-    dens = h.counts_at(z) / (h.n * h.scheme.bin_width)
-    return float(dens[0]) if scalar else dens.reshape(arr.shape)
+    z = h.scheme.bin_index(x)
+    dens = h.counts_at(np.atleast_1d(z)) / (h.n * h.scheme.bin_width)
+    return float(dens[0]) if np.ndim(z) == 0 else dens.reshape(z.shape)
 
 
 def cdf_bin_density(F: Callable, scheme: BinningScheme, x):
@@ -300,11 +299,11 @@ def cdf_bin_density(F: Callable, scheme: BinningScheme, x):
     density, whose error is bounded by the density's Lipschitz constant
     times the bin width.  ``F`` must accept numpy arrays.
     """
-    arr, scalar = scheme._index_domain(x)
+    index = scheme.bin_index(x)
     b = scheme.bin_width
-    z = scheme.bin_index(np.atleast_1d(arr)).astype(float)
+    z = np.atleast_1d(index).astype(float)
     out = (np.asarray(F((z + 1.0) * b), dtype=float) - np.asarray(F(z * b), dtype=float)) / b
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return float(out[0]) if np.ndim(index) == 0 else out.reshape(index.shape)
 
 
 def _midpoint_cell(scheme: BinningScheme, x):
