@@ -84,13 +84,16 @@ def _check_seeds(seeds: Sequence[int]) -> None:
     """Refuse any seed that is not an integer key of Philox, in ``[0, 2**128)``.
 
     A ``bool`` or a float is refused; a key outside the range gets Philox's
-    own message.  A ``range`` holds integers, so only its ends are read.
+    own message.  A ``range`` holds integers, so only its ends are read, and
+    its refusal names them.
     """
-    for seed in (seeds[0], seeds[-1]) if isinstance(seeds, range) and seeds else seeds:
+    ends = isinstance(seeds, range) and seeds
+    for seed in (seeds[0], seeds[-1]) if ends else seeds:
         if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
             raise ValueError(f"seed must be an integer, got {seed!r}")
         if not 0 <= seed < 2**128:
-            raise ValueError("key must be positive and less than 2**128.")
+            where = f"seeds {seeds[0]}..{seeds[-1]}: " if ends else ""
+            raise ValueError(f"{where}key must be positive and less than 2**128.")
 
 
 def _philox_state(seed: int) -> dict:
@@ -552,25 +555,24 @@ def resolve_burn_in(model: Model, burn_in: int | None) -> int:
 
 
 def _draw_rows(model: Model, seeds: Sequence[int], width: int,
-               spans: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+               spans: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """One row of ``width`` innovations per seed, each from its own stream.
 
-    With ``spans``, arrays ``(row, start, stop)`` with one entry per seed,
-    seed ``i``'s stream fills ``draws[row[i], start[i]:stop[i]]`` of a
-    zeroed array instead.  One generator is re-keyed per seed, which gives
-    the values of a fresh ``make_rng(seed)`` without building one.  An
-    array of more than ``MAX_BUFFER_VALUES`` values, then any seed that is
-    not a Philox key, is refused before the array is allocated.
+    With ``spans``, arrays ``(start, stop)`` with one entry per seed, seed
+    ``i``'s stream fills ``draws[0, start[i]:stop[i]]`` of one zeroed row
+    instead.  One generator is re-keyed per seed, which gives the values of
+    a fresh ``make_rng(seed)`` without building one.  An array of more than
+    ``MAX_BUFFER_VALUES`` values, then any seed that is not a Philox key, is
+    refused before the array is allocated.
     """
-    rows = len(seeds) if spans is None else int(spans[0].max()) + 1
+    rows = len(seeds) if spans is None else 1
     _count(rows * width, f"a batch of {rows} x {width} draws")
     _check_seeds(seeds)
     if spans is None:
         draws = targets = np.empty((rows, width))
     else:
-        row, start, stop = (a.tolist() for a in spans)
-        draws = np.zeros((rows, width))
-        targets = (draws[i, a:b] for i, a, b in zip(row, start, stop))
+        draws = np.zeros((1, width))
+        targets = (draws[0, a:b] for a, b in zip(*(s.tolist() for s in spans)))
     rng = make_rng(0)
     bits = rng.bit_generator
     for target, s in zip(targets, seeds):
@@ -580,7 +582,15 @@ def _draw_rows(model: Model, seeds: Sequence[int], width: int,
 
 
 def _arma_polys(model: ArmaModel) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([1.0, *model.ma]), np.array([1.0, *(-a for a in model.ar)])
+    """The filter ``(b, a)`` of ``model``, zero-padded to one length of at least 2.
+
+    ``lfilter`` then runs its compiled recursion, whose state carries
+    exactly from one call to the next, also without an AR part, where
+    ``len(a) == 1`` would send it to ``np.convolve`` row by row.
+    """
+    b, a = np.array([1.0, *model.ma]), np.array([1.0, *(-c for c in model.ar)])
+    m = max(len(b), len(a), 2)
+    return np.pad(b, (0, m - len(b))), np.pad(a, (0, m - len(a)))
 
 
 def initial_state(model: Model, x0: np.ndarray):
@@ -600,16 +610,14 @@ def advance(model: Model, state, eps: np.ndarray):
     """Run the recursion over innovations ``eps`` (one row per path).
 
     Returns ``(values, end_state)``: ``values[:, t]`` is the path at the step
-    driven by ``eps[:, t]`` and ``end_state`` continues the recursion.  ARMA
-    models filter every row at once; Markov families step all rows in
-    lockstep, ``x = transition(x) + eps[:, t]``, writing the values into
-    ``eps`` in place.
+    driven by ``eps[:, t]`` and ``end_state`` continues the recursion: two
+    calls over a row's columns give the values of one call, bit for bit.
+    ARMA models filter every row at once on ``lfilter``'s compiled
+    recursion, with or without an AR part (see :func:`_arma_polys`); Markov
+    families step all rows in lockstep, ``x = transition(x) + eps[:, t]``,
+    writing the values into ``eps`` in place.
     """
     if isinstance(model, ArmaModel):
-        if not len(eps):
-            # lfilter maps its len(a) == 1 route (no AR part) over the rows
-            # with apply_along_axis, which refuses zero rows
-            return eps + model.mean, state
         from scipy import signal
 
         values, end = signal.lfilter(*_arma_polys(model), eps, axis=1, zi=state)
@@ -641,20 +649,13 @@ def _advance_blocks(model: Model, state, eps: np.ndarray, keep: bool = True):
     because writing each step's values into a column of a row-major ``eps``
     costs a strided store per value.  An ARMA block holds about
     ``_BLOCK_VALUES`` values, so the filter's output exists one block at a
-    time rather than beside a second array the size of ``eps``.  The state
-    is carried from block to block: the same operations in the same order
-    as one call.
-    An ARMA model without an AR part keeps its values from one call:
-    ``lfilter``'s FIR route adds the carried state to the first outputs of
-    the next block's convolution, which groups their sums differently and
-    changes their last bits (the end state of a block at least ``q``
-    columns wide is the same).
+    time rather than beside a second array the size of ``eps``, with or
+    without an AR part.  The state is carried from block to block: the same
+    operations in the same order as one call.
     """
     if not isinstance(model, ArmaModel):
         return _markov_steps(model, state, eps, write=keep)
     step = max(1, _BLOCK_VALUES // max(1, len(eps)))
-    if keep and not model.ar:
-        step = max(1, eps.shape[1])
     for start in range(0, eps.shape[1], step):
         block = eps[:, start:start + step]
         values, state = advance(model, state, block)
@@ -696,13 +697,13 @@ def simulate_ragged(model: Model, ns: Sequence[int], seeds: Sequence[int],
     loop runs ``default_burn_in(model)`` warm-up steps and one segment's
     width, whatever ``n`` is, and checks that every segment joins its
     predecessor bit for bit, so the rows equal sequential runs.  ARMA rows
-    are filtered one size at a time (one :func:`advance` per size) and
-    finite moving-average rows one ``np.convolve`` per row, because
-    packing would save their compiled filters nothing.  The rows are views
-    into the arrays that hold them.  An ``n`` or a burn-in past
-    ``MAX_BUFFER_VALUES``, a seed that is not a Philox key, and an array of
-    draws past the cap (a Markov batch padded to whole segments), are
-    refused before anything is drawn.
+    are filtered one size at a time (block by block, see
+    :func:`_advance_blocks`) and finite moving-average rows one
+    ``np.convolve`` per row, because packing would save their compiled
+    filters nothing.  The rows are views into the arrays that hold them.
+    An ``n`` or a burn-in past ``MAX_BUFFER_VALUES``, a seed that is not a
+    Philox key, and an array of draws past the cap (a Markov batch padded
+    to whole segments), are refused before anything is drawn.
     """
     if len(ns) != len(seeds):
         raise ValueError(f"need one size per seed, got {len(ns)} sizes and {len(seeds)} seeds")
@@ -827,8 +828,7 @@ def _simulate_packed(model: Model, ns: np.ndarray, seeds: Sequence[int],
     stop = np.cumsum(burn_in + ns)
     start = stop - (burn_in + ns)
     width, segments = _segments(model, burn_in + int(ns.max()), int(stop[-1]))
-    flat = _draw_rows(model, seeds, segments * width,
-                      (np.zeros_like(start), start, stop)).reshape(-1)
+    flat = _draw_rows(model, seeds, segments * width, (start, stop)).reshape(-1)
     draws = flat.reshape(segments, width)
     first_seg, first_col = np.divmod(start, width)
     # a segment whose first column continues a row

@@ -505,6 +505,21 @@ class TestSimulateCommand:
         assert main(["simulate", "--model", ar1_model, "--n", "10", "--seed", str(2**128 - 1),
                      "--output", str(out)]) == EXIT_OK
 
+    @pytest.mark.parametrize("argv,count,flags", [
+        (["delta", "--kmax", "2", "--reps", "100"], 100, "--kmax/--reps/--seed"),
+        # seven sizes, 256 to 16384, of two replications each
+        (["rate", "--n-min", "256", "--n-max", "16384", "--reps", "2"], 14,
+         "--n-min/--n-max/--reps/--threads/--seed"),
+    ], ids=["delta", "rate"])
+    def test_seed_range_past_philox_keys_names_its_ends(self, ar1_model, capsys, argv, count,
+                                                        flags):
+        seed = 2**128 - count // 2
+        assert main([*argv, "--model", ar1_model, "--seed", str(seed)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert (f"{flags}: seeds {seed}..{seed + count - 1}: "
+                "key must be positive and less than 2**128.") in err
+        assert "Traceback" not in err
+
     def test_flag_seed_overrides_bad_env_seed(self, tmp_path, ar1_model, monkeypatch):
         monkeypatch.setenv("POLYFREQ_SEED", "abc")
         out = tmp_path / "x.csv"

@@ -24,6 +24,8 @@ from polyfreq.models import (
     default_burn_in,
     initial_state,
     make_rng,
+    simulate,
+    simulate_ragged,
 )
 
 AR1 = ArmaModel(ar=(0.5,))
@@ -91,13 +93,27 @@ class TestCoupledConstruction:
 
     @pytest.mark.parametrize(
         "model",
-        [ArmaModel(), ArmaModel(ma=(0.4, -0.2)), AR1, TarModel(0.6, -0.3),
-         LinearProcess(coeffs=(1.0, 0.5))],
-        ids=["white", "MA2", "AR1", "TAR", "linear"],
+        [ArmaModel(), ArmaModel(ma=(0.4,)), ArmaModel(ma=(0.4, -0.2)), AR1,
+         TarModel(0.6, -0.3), LinearProcess(coeffs=(1.0, 0.5))],
+        ids=["white", "MA1", "MA2", "AR1", "TAR", "linear"],
     )
     def test_empty_seed_list_gives_no_rows(self, model):
         a, b = coupled_paths(model, 4, [])
         assert a.shape == b.shape == (0, 5)
+
+    @pytest.mark.parametrize("model", [ArmaModel(), ArmaModel(ma=(0.4,)),
+                                       ArmaModel(ma=(0.4, 0.3, -0.2)), AR1],
+                             ids=["white", "MA1", "MA3", "AR1"])
+    def test_arma_rows_are_filtered_together(self, model, monkeypatch):
+        # lfilter's route for a model without an AR part maps np.convolve
+        # over the rows one by one; every ARMA model takes the compiled one
+        monkeypatch.setattr(np, "apply_along_axis",
+                            lambda *args, **kwargs: pytest.fail("rows filtered one by one"))
+        simulate(model, 3000, seed=1)
+        simulate_ragged(model, [10, 20, 20], [1, 2, 3])
+        coupled_paths(model, 4, range(5))
+        coupled_paths(model, 4, [])
+        estimate_delta_profile(model, 3, 100, seed=2)
 
     def test_tar_degenerate_no_propagation(self):
         a, b = coupled_paths(TarModel(0.0, 0.0), 5, list(range(50)))

@@ -147,17 +147,18 @@ class TestStreams:
                                       NoiseSpec("laplace", 2.5)], ids=lambda s: s.distribution)
     def test_spans_are_stream_prefixes_in_zeros(self, spec):
         model = TarModel(0.5, 0.5, noise=spec)
-        # (row, start, stop) per seed: a whole row, two streams end to end,
-        # a stream ending at the last column, and an empty span
-        row, start, stop = np.array([[0, 0, 1012], [1, 0, 1], [1, 1, 4], [2, 4, 1012],
-                                     [1, 4, 4]]).T
-        draws = models._draw_rows(model, SEED_TABLE, 1012, (row, start, stop))
-        assert draws.shape == (3, 1012)
-        covered = np.zeros(draws.shape, dtype=bool)
-        for seed, i, a, b in zip(SEED_TABLE, row, start, stop):
-            assert_array_equal(draws[i, a:b], philox_reference(spec, seed, b - a))
-            covered[i, a:b] = True
-        assert not draws[~covered].any()
+        # (start, stop) per seed in one row: a long stream, two streams end
+        # to end, a stream ending at the last column after a gap, and an
+        # empty span
+        start, stop = np.array([[0, 1012], [1012, 1013], [1013, 1016], [1020, 2032],
+                                [1016, 1016]]).T
+        draws = models._draw_rows(model, SEED_TABLE, 2032, (start, stop))
+        assert draws.shape == (1, 2032)
+        covered = np.zeros(2032, dtype=bool)
+        for seed, a, b in zip(SEED_TABLE, start, stop):
+            assert_array_equal(draws[0, a:b], philox_reference(spec, seed, b - a))
+            covered[a:b] = True
+        assert not draws[0, ~covered].any()
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_out_of_range_seeds_refused_like_philox(self, seed):
@@ -317,6 +318,19 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert peak < 8 * (default_burn_in(AR1) + n + 3 * models._BLOCK_VALUES)
+
+    def test_moving_average_holds_one_path_and_a_few_blocks(self):
+        # an ARMA model without an AR part is filtered block by block too
+        model = ArmaModel(ma=(0.4, 0.3))
+        models.load_simulator(model)
+        n = 4 * 10**6
+        tracemalloc.start()
+        try:
+            simulate(model, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (default_burn_in(model) + n + 3 * models._BLOCK_VALUES)
 
     def test_tar_degenerate_is_pure_noise(self):
         model = TarModel(0.0, 0.0)
@@ -600,6 +614,24 @@ class TestSimulate:
         paths = [advance(model, initial_state(model, np.full(1000, x0)), eps.copy())[0]
                  for x0 in (10.0 * spread, -10.0 * spread)]
         assert_array_equal(paths[0][:, burn:], paths[1][:, burn:])
+
+
+class TestAdvance:
+    @pytest.mark.parametrize("split", [1, 2, 3, 7, 200])
+    @pytest.mark.parametrize("model", [
+        ArmaModel(), ArmaModel(ma=(0.4,)), ArmaModel(ma=(0.4, 0.3)),
+        ArmaModel(ma=(0.4, 0.3, -0.2)), AR1, ArmaModel(ar=(0.5, -0.2), ma=(0.3,), intercept=1.5),
+    ], ids=["white", "MA1", "MA2", "MA3", "AR1", "ARMA21"])
+    def test_two_calls_equal_one(self, model, split, rng):
+        # the end state carries the recursion exactly: a row's columns split
+        # between two calls give the values and end state of one call
+        eps = rng.standard_normal((20, 401))
+        state = initial_state(model, eps[:, 0])
+        whole, end = advance(model, state, eps[:, 1:])
+        head, middle = advance(model, state, eps[:, 1:split + 1])
+        tail, end_of_two = advance(model, middle, eps[:, split + 1:])
+        assert np.hstack([head, tail]).tobytes() == whole.tobytes()
+        assert end_of_two.tobytes() == end.tobytes()
 
 
 class TestDrawCap:
