@@ -102,6 +102,17 @@ def test_tar_delta_profile_at_burn_in_1000():
         "dcba19fff89068ec901074761dd977997ae9e3a3e8f49daf6a84d697350c46c3")
 
 
+def test_ma2_delta_profile():
+    # recorded on lfilter's compiled recursion, which carries the filter
+    # state exactly; its len(a) == 1 route added the state after the
+    # convolution and changed the last bits of some coupled values
+    deltas = estimate_delta_profile(ArmaModel(ma=(0.4, 0.3)), 10, 10**4, seed=4)
+    assert deltas[2].delta_hat.hex() == "0x1.b1a4808dd2e8dp-2"
+    assert digest([(d.lag, d.delta_hat.hex(), d.std_error.hex(), d.replications)
+                   for d in deltas]) == (
+        "01caeb79ea45b36a5366f34031d2847f643c227d52e161168ed8e75586b7d9f8")
+
+
 SIM_MODELS = {
     "TAR": TarModel(0.6, -0.3),
     "NLAR": NlarModel(transition=lambda x: 0.5 * np.tanh(x), lipschitz_bound=0.5),
