@@ -1,14 +1,20 @@
 """Count the code lines of Python files: lines that are not blank, comments or docstrings.
 
-Usage: ``python3 tools/code_lines.py FILE...``.  Prints one ``count path``
-line per file and a total, like ``wc -l``.  A line counts when a token
-other than a comment, a newline or an indent starts or continues on it;
-docstrings (the first string statement of a module, class or function)
-do not count.  Only the standard library is used.
+Usage: ``python3 tools/code_lines.py [--against REV] FILE...``.  Prints one
+``count path`` line per file and a total, like ``wc -l``.  A line counts
+when a token other than a comment, a newline or an indent starts or
+continues on it; docstrings (the first string statement of a module, class
+or function) do not count.  With ``--against REV`` each file is also
+counted as it is at the git revision ``REV`` (``git show REV:path``; a file
+missing there counts 0), and each line reads ``count-at-REV count change
+path``.  Only the standard library is used.
 """
 
+import argparse
 import ast
 import io
+import os
+import subprocess
 import sys
 import tokenize
 
@@ -28,9 +34,8 @@ def docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
-def code_lines(path: str) -> int:
-    with open(path, "rb") as f:
-        source = f.read()
+def code_lines(source: bytes) -> int:
+    """The code lines of the Python ``source``."""
     docstrings = docstring_lines(ast.parse(source))
     lines = set()
     for tok in tokenize.tokenize(io.BytesIO(source).readline):
@@ -40,13 +45,39 @@ def code_lines(path: str) -> int:
     return len(lines)
 
 
-def main(paths: list[str]) -> int:
-    total = 0
-    for path in paths:
-        count = code_lines(path)
-        total += count
-        print(f"{count:7d} {path}")
-    print(f"{total:7d} total")
+def source_at(rev: str, path: str) -> bytes:
+    """``path`` as it is at the git revision ``rev``; empty if it is missing there."""
+    shown = subprocess.run(["git", "show", f"{rev}:./{os.path.relpath(path)}"],
+                           capture_output=True)
+    return shown.stdout if shown.returncode == 0 else b""
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="also count each file at this git revision")
+    parser.add_argument("paths", nargs="+", metavar="FILE")
+    args = parser.parse_args(argv)
+    if args.against is not None:
+        check = subprocess.run(["git", "rev-parse", "--verify", "--quiet",
+                                f"{args.against}^{{commit}}"], capture_output=True)
+        if check.returncode:
+            parser.error(f"--against: {args.against!r} is not a git revision")
+        print(f"{args.against:>7} {'now':>7} {'change':>7}")
+    totals = [0, 0]
+    for path in args.paths:
+        with open(path, "rb") as f:
+            count = code_lines(f.read())
+        totals[1] += count
+        if args.against is None:
+            print(f"{count:7d} {path}")
+            continue
+        before = code_lines(source_at(args.against, path))
+        totals[0] += before
+        print(f"{before:7d} {count:7d} {count - before:+7d} {path}")
+    before, total = totals
+    print(f"{total:7d} total" if args.against is None
+          else f"{before:7d} {total:7d} {total - before:+7d} total")
     return 0
 
 
