@@ -41,17 +41,20 @@ def test_counts_code_lines_only(tmp_path):
 def test_against_counts_each_file_at_the_revision(tmp_path):
     git(tmp_path, "init", "-q")
     (tmp_path / "a.py").write_text(SOURCE)
-    git(tmp_path, "add", "a.py")
+    (tmp_path / "c.py").write_text("w = 1\nv = 2\n")
+    git(tmp_path, "add", "a.py", "c.py")
     git(tmp_path, "commit", "-q", "-m", "one")
     (tmp_path / "a.py").write_text(SOURCE + "y = 2\n")
-    (tmp_path / "b.py").write_text("z = 3\n")  # missing at HEAD: counts 0
-    out = run(tmp_path, "--against", "HEAD", "a.py", "b.py")
+    (tmp_path / "b.py").write_text("z = 3\n")  # missing at HEAD: counts 0 there
+    (tmp_path / "c.py").unlink()  # missing now: counts 0 now
+    out = run(tmp_path, "--against", "HEAD", "a.py", "b.py", "c.py")
     assert out.returncode == 0
     assert [line.split() for line in out.stdout.splitlines()] == [
         ["HEAD", "now", "change"],
         ["3", "4", "+1", "a.py"],
         ["0", "1", "+1", "b.py"],
-        ["3", "5", "+2", "total"],
+        ["2", "0", "-2", "c.py"],
+        ["5", "5", "+0", "total"],
     ]
     refused = run(tmp_path, "--against", "no-such-rev", "a.py")
     assert refused.returncode == 2 and "--against" in refused.stderr

@@ -5,9 +5,10 @@ Usage: ``python3 tools/code_lines.py [--against REV] FILE...``.  Prints one
 when a token other than a comment, a newline or an indent starts or
 continues on it; docstrings (the first string statement of a module, class
 or function) do not count.  With ``--against REV`` each file is also
-counted as it is at the git revision ``REV`` (``git show REV:path``; a file
-missing there counts 0), and each line reads ``count-at-REV count change
-path``.  Only the standard library is used.
+counted as it is at the git revision ``REV`` (``git show REV:path``), a
+file missing at ``REV`` or in the working tree counts 0 there, and each line
+reads ``count-at-REV count change path``.  Only the standard library is
+used.
 """
 
 import argparse
@@ -64,20 +65,22 @@ def main(argv: list[str]) -> int:
         if check.returncode:
             parser.error(f"--against: {args.against!r} is not a git revision")
         print(f"{args.against:>7} {'now':>7} {'change':>7}")
-    totals = [0, 0]
+    total = total_before = 0
     for path in args.paths:
-        with open(path, "rb") as f:
-            count = code_lines(f.read())
-        totals[1] += count
+        if args.against is not None and not os.path.exists(path):
+            count = 0  # deleted since REV
+        else:
+            with open(path, "rb") as f:
+                count = code_lines(f.read())
+        total += count
         if args.against is None:
             print(f"{count:7d} {path}")
             continue
         before = code_lines(source_at(args.against, path))
-        totals[0] += before
+        total_before += before
         print(f"{before:7d} {count:7d} {count - before:+7d} {path}")
-    before, total = totals
     print(f"{total:7d} total" if args.against is None
-          else f"{before:7d} {total:7d} {total - before:+7d} total")
+          else f"{total_before:7d} {total:7d} {total - total_before:+7d} total")
     return 0
 
 
