@@ -559,8 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=None,
                    help="steps discarded before the first value, at least the default "
-                   "(TAR: ceil(log 2^-60 / log rho), at least 64; ARMA: "
-                   "max(1000, 50 / (1 - rho)); moving average: 0)")
+                   "(TAR and NLAR: ceil(log 2^-60 / log rho), at least 64; ARMA: "
+                   "max(1000, 50 * ceil(1 / (1 - rho))); moving average: 0)")
     add_common(p, "--seed", "--output", "--model")
     p.set_defaults(func=cmd_simulate)
 

@@ -45,7 +45,6 @@ from .models import (
     _check_seeds,
     _count,
     _packs_rows,
-    load_simulator,
     marginal_truth,
     resolve_burn_in,
     simulate_ragged,
@@ -483,9 +482,6 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise OverflowError(f"a marginal outside the float range (support [{lo}, {hi}])")
     _eval_grid_span(lo, hi, stone_bandwidth(ns[-1]))  # the finest grid
-    # a first import (scipy.signal for ARMA) must not land in the wall times
-    # of the sizes that happen to simulate first
-    load_simulator(model)
     if packed:
         # one packed batch for every size, which every size waits for
         sizes = _simulate_sizes(model, ns, reps, seed, burn_in)
@@ -493,7 +489,7 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
         def size_records(i):
             return _size_records(truth, ns[i], *sizes[i])
     else:
-        # scipy.signal.lfilter releases the GIL, so ARMA sizes simulated in
+        # the compiled ARMA filter releases the GIL, so ARMA sizes simulated in
         # their own tasks run in parallel (4 filters of 20 x 2**17 rows: 0.13 s
         # serially, 0.05 s on 2 threads); simulating every size first and
         # then evaluating measured slower on AR(1) x 20 over 2**10..2**17

@@ -388,9 +388,12 @@ def fp_eval_classic(h: SparseHistogram, x):
     """Frequency polygon density via the classical midpoint interpolation.
 
     Locates the integer ``k`` with ``k*b - b/2 < x <= k*b + b/2`` and blends
-    the densities of the bins below and above ``k*b``.  Kept as a fully
-    independent evaluation route: it must agree with :func:`fp_eval` at
-    every point, bin edges and midpoints included.
+    the densities of the bins below and above ``k*b``.  Kept as a second
+    evaluation route, independent of :func:`fp_eval` in its weights and bin
+    lookups only: both find ``k`` through ``_midpoint_cell`` (that is,
+    :meth:`BinningScheme.half_grid_index`), so a wrong cell index is caught
+    by the half-grid tests, not by the operator identity.  It must agree
+    with :func:`fp_eval` at every point, bin edges and midpoints included.
     """
     arr, scalar = h.scheme._index_domain(x)
     b = h.scheme.bin_width

@@ -15,7 +15,12 @@ Randomness contract: every simulation consumes a fresh counter-based
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -600,10 +605,51 @@ def initial_state(model: Model, x0: np.ndarray):
     and zero respectively; the result feeds :func:`advance`.
     """
     if isinstance(model, ArmaModel):
-        from scipy import signal
-
-        return (x0 - model.mean)[:, None] * signal.lfiltic(*_arma_polys(model), [1.0])
+        # lfiltic(b, a, [1.0]) in closed form; 0.0 - a, not -a, gives its +0.0 where a is zero
+        return (x0 - model.mean)[:, None] * (0.0 - _arma_polys(model)[1][1:])
     return x0
+
+
+_SIGTOOLS = "scipy.signal._sigtools"
+_sigtools_lock = threading.Lock()
+
+
+def _load_sigtools():
+    """scipy's extension ``scipy/signal/_sigtools``, loaded from its file; None if it is missing.
+
+    Loading the file skips ``scipy.signal``'s ``__init__``, about a second
+    and 70 MB of imports.  The module is registered under its own name, so a
+    later ``import scipy.signal`` uses it.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    paths = [os.path.join(d, "signal", "_sigtools" + suffix)
+             for d in (scipy.submodule_search_locations if scipy else ())
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    for path in filter(os.path.isfile, paths):
+        spec = importlib.util.spec_from_file_location(_SIGTOOLS, path)
+        module = sys.modules[_SIGTOOLS] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+
+def _arma_filter(b: np.ndarray, a: np.ndarray, eps: np.ndarray, zi: np.ndarray):
+    """``scipy.signal.lfilter(b, a, eps, axis=1, zi=zi)``, bit for bit, without importing it.
+
+    For ``len(a) >= 2`` (see :func:`_arma_polys`) ``lfilter`` is this one
+    call into its compiled recursion, which releases the GIL.  The extension
+    is loaded on first use, once: the lock holds back the other threads of a
+    first parallel use.  If its file is missing, or the call fails with
+    ``AttributeError`` or ``TypeError`` (it is private to scipy and may
+    change), ``lfilter`` runs.
+    """
+    with _sigtools_lock:
+        sigtools = sys.modules.get(_SIGTOOLS) or _load_sigtools()
+    try:
+        return sigtools._linear_filter(b, a, eps, 1, zi)
+    except (AttributeError, TypeError):  # no file (None), or scipy changed the call
+        import scipy.signal
+
+        return scipy.signal.lfilter(b, a, eps, axis=1, zi=zi)
 
 
 def advance(model: Model, state, eps: np.ndarray):
@@ -613,14 +659,12 @@ def advance(model: Model, state, eps: np.ndarray):
     driven by ``eps[:, t]`` and ``end_state`` continues the recursion: two
     calls over a row's columns give the values of one call, bit for bit.
     ARMA models filter every row at once on ``lfilter``'s compiled
-    recursion, with or without an AR part (see :func:`_arma_polys`); Markov
+    recursion, with or without an AR part (see :func:`_arma_filter`); Markov
     families step all rows in lockstep, ``x = transition(x) + eps[:, t]``,
     writing the values into ``eps`` in place.
     """
     if isinstance(model, ArmaModel):
-        from scipy import signal
-
-        values, end = signal.lfilter(*_arma_polys(model), eps, axis=1, zi=state)
+        values, end = _arma_filter(*_arma_polys(model), eps, state)
         values += model.mean
         return values, end
     _markov_steps(model, state, eps, write=True)
@@ -662,16 +706,6 @@ def _advance_blocks(model: Model, state, eps: np.ndarray, keep: bool = True):
         if keep:
             block[...] = values
     return state
-
-
-def load_simulator(model: Model) -> None:
-    """Import now what :func:`initial_state` and :func:`advance` import lazily for ``model``.
-
-    ARMA models are filtered by ``scipy.signal``, whose first import takes
-    about a second; a timed simulation after this call does not pay it.
-    """
-    if isinstance(model, ArmaModel):
-        from scipy import signal  # noqa: F401
 
 
 def simulate(model: Model, n: int, burn_in: int | None = None, seed: int = 0) -> np.ndarray:

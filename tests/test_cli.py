@@ -533,6 +533,19 @@ class TestSimulateCommand:
                      *extra]) == EXIT_OK
         assert f"# burn_in={expected}\n" in out.read_text()
 
+    def test_burn_in_below_the_rounded_arma_default_refused(self, tmp_path, capsys):
+        # AR(0.985) burns in 50 * ceil(1 / (1 - rho)) = 3350 steps, not
+        # 50 / (1 - rho) = 3333.3: 3349 is refused and 3350 accepted
+        spec = tmp_path / "ar.json"
+        spec.write_text(json.dumps(dict(AR1_SPEC, ar=[0.985])))
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--model", str(spec), "--n", "10", "--output", str(out)]
+        assert main([*argv, "--burn-in", "3349"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "below the model's default 3350" in err
+        assert "Traceback" not in err and not out.exists()
+        assert main([*argv, "--burn-in", "3350"]) == EXIT_OK
+
     def test_moving_average_header_burn_in_is_zero(self, tmp_path):
         spec = tmp_path / "ma.json"
         spec.write_text(json.dumps({"schema": 1, "family": "linear", "mean": 0.0,

@@ -1,5 +1,6 @@
 """Tests for sup-error measurement, the modulus machinery, and rate fits."""
 
+import json
 import math
 import subprocess
 import sys
@@ -146,9 +147,21 @@ class TestModulusExact:
         x = rng.normal(loc, scale, n)
         truth = stats.norm(loc, scale).cdf
         exact = modulus_exact(EmpiricalCdf(x), truth, b)
-        brute = brute_modulus(x, truth, b)
+        brute = brute_modulus(x, truth, b, extra=[loc - b / 2, loc + b / 2])
         assert exact >= brute - 1e-12
         assert exact - brute <= 1e-6
+
+    @pytest.mark.parametrize("loc", [-2.5, 0.25, 7.0])
+    @pytest.mark.parametrize("b", [0.25, 0.5, 1.0])
+    def test_window_mass_peak_decides_for_a_nonzero_mean(self, loc, b):
+        # the sample sits above the truth's bulk, so the truth's heaviest
+        # window (loc - b/2, loc + b/2] holds no observation and sets the
+        # modulus; dyadic loc and b make the window's ends exact floats
+        truth = stats.norm(loc, 1.3).cdf
+        x = loc + 4 + 0.37 * np.arange(50)
+        exact = modulus_exact(EmpiricalCdf(x), truth, b)
+        brute = brute_modulus(x, truth, b, extra=[loc - b / 2, loc + b / 2])
+        assert exact == pytest.approx(brute, abs=1e-12)
 
     @given(sample=st.lists(st.integers(-30, 30).map(lambda k: k / 10), min_size=1, max_size=40),
            b=st.floats(1e-3, 4.0))
@@ -486,27 +499,22 @@ class TestRateExperiment:
             report = rate_experiment(AR1, self.N_GRID, 1, seed=3)
         assert report.slope_ci is None
 
-    def test_arma_rate_imports_scipy_signal_before_simulating(self):
-        # the import takes about a second; it must not land in the wall
-        # times of the sizes that happen to simulate first
-        code = textwrap.dedent("""
+    def test_arma_commands_leave_scipy_signal_unloaded(self, tmp_path):
+        # ARMA filtering loads scipy's compiled extension alone, registered
+        # under its own name, and not the second of imports of scipy.signal
+        spec = tmp_path / "ar1.json"
+        spec.write_text(json.dumps(models.model_to_spec(AR1)))
+        code = textwrap.dedent(f"""
             import sys
-            import polyfreq.cli
-            assert "scipy.signal" not in sys.modules
-            from polyfreq import diagnostics, models
-            from polyfreq.models import ArmaModel
-            inner, loaded = diagnostics.simulate_ragged, []
-            def simulate_ragged(*args, **kwargs):
-                loaded.append("scipy.signal" in sys.modules)
-                return inner(*args, **kwargs)
-            diagnostics.simulate_ragged = simulate_ragged
-            diagnostics.rate_experiment(ArmaModel(ar=(0.5,)), [2**k for k in range(6, 13)], 10,
-                                        max_workers=2)
-            print(len(loaded), all(loaded))
+            from polyfreq import cli
+            for argv in (["simulate", "--n", "1000"], ["delta", "--kmax", "3", "--reps", "100"],
+                         ["rate", "--n-min", "256", "--n-max", "16384", "--reps", "10"]):
+                assert cli.main([*argv, "--model", {str(spec)!r}]) == 0
+            print("scipy.signal" in sys.modules, "scipy.signal._sigtools" in sys.modules)
         """)
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True)
-        assert out.stdout.split() == ["7", "True"]
+        assert out.stdout.splitlines()[-1].split() == ["False", "True"]
 
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
     def test_span_validation(self, monkeypatch):
@@ -540,7 +548,6 @@ class TestRateExperiment:
         def refuse(*args, **kwargs):
             raise AssertionError("simulated before the evaluation grid was sized")
 
-        monkeypatch.setattr(diagnostics, "load_simulator", refuse)
         monkeypatch.setattr(diagnostics, "simulate_ragged", refuse)
         # 3.09e9 points at n = 2**17, 25 GB of float64
         model = ArmaModel(ar=(0.5,), noise=models.NoiseSpec("gaussian", 1e6))

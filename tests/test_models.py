@@ -308,8 +308,8 @@ class TestSimulate:
 
     def test_arma_holds_one_path_and_a_few_blocks(self):
         # the filter's output is written back into the draws block by block,
-        # not held beside them
-        models.load_simulator(AR1)
+        # not held beside them; a small run first loads the compiled filter
+        simulate(AR1, 10, seed=1)
         n = 4 * 10**6
         tracemalloc.start()
         try:
@@ -322,7 +322,7 @@ class TestSimulate:
     def test_moving_average_holds_one_path_and_a_few_blocks(self):
         # an ARMA model without an AR part is filtered block by block too
         model = ArmaModel(ma=(0.4, 0.3))
-        models.load_simulator(model)
+        simulate(model, 10, seed=1)
         n = 4 * 10**6
         tracemalloc.start()
         try:
@@ -593,8 +593,9 @@ class TestSimulate:
         assert default_burn_in(NlarModel(lambda x: 0.5 * np.tanh(x), 0.5)) == 64
         assert default_burn_in(NlarModel(lambda x: 0.0 * x, 0.0)) == 64
         assert default_burn_in(TarModel(0.0, 0.0)) == 64
-        # ARMA keeps max(1000, 50 / (1 - rho))
+        # ARMA keeps max(1000, 50 * ceil(1 / (1 - rho)))
         assert default_burn_in(AR1) == 1000
+        assert default_burn_in(ArmaModel(ar=(0.985,))) == 3350
         assert default_burn_in(ArmaModel(ar=(0.99,))) == 5000
         assert default_burn_in(LinearProcess(coeffs=(1.0, 0.5))) == 0
 
