@@ -47,9 +47,11 @@ from polyfreq.models import (
     default_burn_in,
     marginal_truth,
     simulate,
+    tar_marginal_oracle,
 )
 
 AR1 = ArmaModel(ar=(0.5,))
+TAR = TarModel(0.6, -0.3)
 
 
 def brute_modulus(sample, truth_cdf, b, pad=8.0, dense=6001, extra=()):
@@ -162,6 +164,19 @@ class TestModulusExact:
         exact = modulus_exact(EmpiricalCdf(x), truth, b)
         brute = brute_modulus(x, truth, b, extra=[loc - b / 2, loc + b / 2])
         assert exact == pytest.approx(brute, abs=1e-12)
+
+    @pytest.mark.parametrize("b", [0.25, 0.5, 1.0])
+    def test_window_mass_peak_decides_for_the_tar_oracle(self, b):
+        # the sample lies above the oracle grid, so the truth's heaviest
+        # window holds no observation and sets the modulus; the oracle's CDF
+        # interpolates the grid linearly, so both ends of every window with
+        # an end on the grid are brute-force points
+        grid, _ = tar_marginal_oracle(TAR)
+        truth = marginal_truth(TAR)
+        x = 12 + 0.37 * np.arange(50)
+        exact = modulus_exact(EmpiricalCdf(x), truth.cdf, b)
+        brute = brute_modulus(x, truth.cdf, b, extra=np.concatenate([grid - b, grid, grid + b]))
+        assert exact == pytest.approx(brute, abs=1e-9)
 
     @given(sample=st.lists(st.integers(-30, 30).map(lambda k: k / 10), min_size=1, max_size=40),
            b=st.floats(1e-3, 4.0))
