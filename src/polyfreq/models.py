@@ -661,8 +661,12 @@ def advance(model: Model, state, eps: np.ndarray):
     ARMA models filter every row at once on ``lfilter``'s compiled
     recursion, with or without an AR part (see :func:`_arma_filter`); Markov
     families step all rows in lockstep, ``x = transition(x) + eps[:, t]``,
-    writing the values into ``eps`` in place.
+    writing the values into ``eps`` in place.  Zero columns return no values
+    and ``state`` as given.
     """
+    if not eps.shape[1]:
+        # the compiled filter returns an uninitialised end state here
+        return eps, state
     if isinstance(model, ArmaModel):
         values, end = _arma_filter(*_arma_polys(model), eps, state)
         values += model.mean

@@ -618,19 +618,22 @@ class TestSimulate:
 
 
 class TestAdvance:
-    @pytest.mark.parametrize("split", [1, 2, 3, 7, 200])
+    @pytest.mark.parametrize("split", [0, 1, 2, 3, 7, 200])
     @pytest.mark.parametrize("model", [
         ArmaModel(), ArmaModel(ma=(0.4,)), ArmaModel(ma=(0.4, 0.3)),
         ArmaModel(ma=(0.4, 0.3, -0.2)), AR1, ArmaModel(ar=(0.5, -0.2), ma=(0.3,), intercept=1.5),
-    ], ids=["white", "MA1", "MA2", "MA3", "AR1", "ARMA21"])
+        TarModel(0.6, -0.3),
+    ], ids=["white", "MA1", "MA2", "MA3", "AR1", "ARMA21", "TAR"])
     def test_two_calls_equal_one(self, model, split, rng):
         # the end state carries the recursion exactly: a row's columns split
-        # between two calls give the values and end state of one call
+        # between two calls give the values and end state of one call, also
+        # when the first call gets no column; copies, as a Markov model
+        # writes its values into the innovations
         eps = rng.standard_normal((20, 401))
         state = initial_state(model, eps[:, 0])
-        whole, end = advance(model, state, eps[:, 1:])
-        head, middle = advance(model, state, eps[:, 1:split + 1])
-        tail, end_of_two = advance(model, middle, eps[:, split + 1:])
+        whole, end = advance(model, state, eps[:, 1:].copy())
+        head, middle = advance(model, state, eps[:, 1:split + 1].copy())
+        tail, end_of_two = advance(model, middle, eps[:, split + 1:].copy())
         assert np.hstack([head, tail]).tobytes() == whole.tobytes()
         assert end_of_two.tobytes() == end.tobytes()
 
