@@ -12,11 +12,13 @@ over half-open windows ``(v, u]`` the positive excursions of the
 empirical-minus-truth mass are extremal with the window's right end at a
 sample point, and the negative excursions with the window opening at one
 of three anchor families: a width-b downshift of a sample point, the
-sample point itself, or an interior maximizer of the truth's window mass.
-The families are searched one at a time, each reusing what the positive
-half already holds, with the extreme of each window read from a
-sparse-table range query: the exact supremum in O(n log n) time and O(n)
-memory.
+sample point itself, or a peak of the truth's window mass
+``F(v + b) - F(v)``.  Each truth gives its peaks exactly
+(``MarginalTruth.window_peaks``): ``mean - b/2`` for a gaussian truth and
+the interpolation kinks for the TAR oracle.  The families are searched one
+at a time, each reusing what the positive half already holds, with the
+extreme of each window read from a sparse-table range query: the exact
+supremum in O(n log n) time and O(n) memory.
 """
 
 from __future__ import annotations
@@ -173,46 +175,23 @@ def _range_extremes(values: np.ndarray, starts: np.ndarray, stops: np.ndarray,
     return out
 
 
-def _window_mass_peaks(truth_cdf: Callable, lo: float, hi: float, b: float) -> np.ndarray:
-    """Interior maximizers of ``v -> F(v + b) - F(v)`` over ``[lo, hi]``.
-
-    A coarse vectorized scan of 4096 points locates the local maxima; each
-    is then refined by bounded scalar minimization.  Smooth unimodal truths
-    have exactly one.
-    """
-    from scipy import optimize
-
-    vs = np.linspace(lo, hi, 4096)
-    psi = np.asarray(truth_cdf(vs + b), dtype=float) - np.asarray(truth_cdf(vs), dtype=float)
-    interior = np.flatnonzero(
-        (psi[1:-1] >= psi[:-2]) & (psi[1:-1] >= psi[2:]) & (psi[1:-1] > 0)
-    )
-    peaks = []
-    for i in interior + 1:
-        res = optimize.minimize_scalar(
-            lambda v: -(float(truth_cdf(v + b)) - float(truth_cdf(v))),
-            bounds=(vs[i - 1], vs[i + 1]),
-            method="bounded",
-            options={"xatol": 1e-13 * max(1.0, abs(vs[i]))},
-        )
-        peaks.append(float(res.x))
-    return np.asarray(peaks)
-
-
-def modulus_exact(ecdf: EmpiricalCdf, truth_cdf: Callable, b: float) -> float:
+def modulus_exact(ecdf: EmpiricalCdf, truth: MarginalTruth, b: float) -> float:
     """Exact modulus of continuity of the empirical process at width ``b``.
 
     Computes ``sup |G(u) - G(v)|`` over all pairs with ``|u - v| <= b``,
-    where ``G = sqrt(n) (F_n - F)``, by enumerating the structural
-    candidates rather than scanning a grid.  Windows are half-open
-    ``(v, u]``, matching the ECDF's right continuity; both excursion signs
-    are searched, and the result is nondecreasing in ``b``.  Each window's
-    extreme comes from a sparse-table range query and each ECDF value from
-    a search of the distinct sample points.  A negative window anchored at
-    a downshift ``y - b`` reuses the positive window ending at ``y``, so
-    only the downshifts whose ``(y - b) + b`` rounds off ``y`` are searched
-    again: O(n log n) time and O(n) memory, about 12 sample-sized arrays at
-    the peak.
+    where ``G = sqrt(n) (F_n - F)`` and ``F = truth.cdf``, by enumerating
+    the structural candidates rather than scanning a grid.  Windows are
+    half-open ``(v, u]``, matching the ECDF's right continuity; both
+    excursion signs are searched, and the result is nondecreasing in ``b``.
+    The negative windows open at a downshift ``y - b``, at a sample point,
+    or at one of the truth's exact window-mass peaks,
+    ``truth.window_peaks(b)``.  Each window's extreme comes from a
+    sparse-table range query and each ECDF value from a search of the
+    distinct sample points.  A negative window anchored at a downshift
+    ``y - b`` reuses the positive window ending at ``y``, so only the
+    downshifts whose ``(y - b) + b`` rounds off ``y`` are searched again:
+    O(n log n) time and O(n) memory, about 12 sample-sized arrays at the
+    peak.
     """
     if not (b > 0 and math.isfinite(b)):
         raise ValueError(f"b must be positive and finite, got {b!r}")
@@ -226,7 +205,7 @@ def modulus_exact(ecdf: EmpiricalCdf, truth_cdf: Callable, b: float) -> float:
     # so a right-sided search of ys that lands at k gives F_n = counts[k] / n
     counts = np.append(np.flatnonzero(new), n)
     del new
-    f_at = np.asarray(truth_cdf(ys), dtype=float)
+    f_at = np.asarray(truth.cdf(ys), dtype=float)
 
     # Positive excursions: window mass of F_n minus mass of F is maximal with
     # the right end u at a sample point; the left end either sits at u - b or
@@ -238,18 +217,18 @@ def modulus_exact(ecdf: EmpiricalCdf, truth_cdf: Callable, b: float) -> float:
     starts = np.searchsorted(ys, lows, side="right")       # first y strictly above u - b
     stops = np.arange(1, len(ys) + 1)                      # include u itself
     inner = _range_extremes(left_limit_gain, starts, stops, take_max=True)
-    endpoint_gain = np.asarray(truth_cdf(lows), dtype=float) - counts[starts] / n
+    endpoint_gain = np.asarray(truth.cdf(lows), dtype=float) - counts[starts] / n
     positive = float(np.max(base + np.maximum(inner, endpoint_gain)))
 
     # Negative excursions: truth mass minus F_n mass over (v, v + b], with
     # F_n(y-) - F(y) = -left_limit_gain inside the window.  The anchor v
     # ranges over three families, and the max over the families is the max
     # over their union: the width-b downshifts v = y - b, the sample points
-    # v = y, and the interior maximizers of the truth's window mass (which
-    # dominate any sample-free stretch they fall in).  A downshift's window
-    # opens where the positive window does, so its anchor term and inner
-    # extreme are the positive half's; where (y - b) + b == y it closes
-    # just after y, whose end term is base.
+    # v = y, and the truth's window-mass peaks (which dominate any
+    # sample-free stretch they fall in).  A downshift's window opens where
+    # the positive window does, so its anchor term and inner extreme are the
+    # positive half's; where (y - b) + b == y it closes just after y, whose
+    # end term is base.
     ends = lows + b
     del lows
     off = np.flatnonzero(ends != ys)                       # ends that round off y
@@ -265,14 +244,12 @@ def modulus_exact(ecdf: EmpiricalCdf, truth_cdf: Callable, b: float) -> float:
 
     # The remaining windows share one search, one CDF call and one range
     # query: v = y (opening just after y, anchor term base), the downshifts
-    # whose end rounds off y, and the peaks.
-    scale = max(float(ys[-1] - ys[0]), b, 1e-3)
-    peaks = _window_mass_peaks(truth_cdf, float(ys[0]) - b - 8.0 * scale,
-                               float(ys[-1]) + 8.0 * scale, b)
+    # whose end rounds off y, and the truth's exact window-mass peaks.
+    peaks = truth.window_peaks(b)
     peak_starts = np.searchsorted(ys, peaks, side="right")
     w_ends = np.concatenate([ys + b, ends, peaks + b])
     w_stops = np.searchsorted(ys, w_ends, side="right")
-    g_minus_end = counts[w_stops] / n - np.asarray(truth_cdf(w_ends), dtype=float)
+    g_minus_end = counts[w_stops] / n - np.asarray(truth.cdf(w_ends), dtype=float)
     del w_ends
     w_starts = np.concatenate([stops, off_starts, peak_starts])
     del stops
@@ -282,7 +259,7 @@ def modulus_exact(ecdf: EmpiricalCdf, truth_cdf: Callable, b: float) -> float:
     del g_minus_end, inner_max
     g_minus_anchor = np.concatenate([
         base, off_gain,
-        counts[peak_starts] / n - np.asarray(truth_cdf(peaks), dtype=float)])
+        counts[peak_starts] / n - np.asarray(truth.cdf(peaks), dtype=float)])
     negative = max(negative, float(np.max(g_minus_anchor - term)))
 
     return math.sqrt(n) * max(positive, negative, 0.0)
@@ -538,7 +515,7 @@ def error_decomposition(truth: MarginalTruth, sample, bandwidth: float) -> dict[
 
     h = build_histogram(sample, scheme)
     ecdf = EmpiricalCdf(sample)
-    modulus = modulus_exact(ecdf, truth.cdf, bandwidth)
+    modulus = modulus_exact(ecdf, truth, bandwidth)
     pdf_grid = np.asarray(truth.pdf(grid), dtype=float)
     fluct = modulus / (math.sqrt(n) * bandwidth)
     bias = float(np.max(np.abs(cdf_bin_density(truth.cdf, scheme, grid) - pdf_grid)))

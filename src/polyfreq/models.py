@@ -946,15 +946,22 @@ def tar_marginal_oracle(model: TarModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 class MarginalTruth:
-    """Ground-truth marginal density bundle for estimation experiments."""
+    """Ground-truth marginal density bundle for estimation experiments.
 
-    __slots__ = ("pdf", "cdf", "quantile", "lipschitz")
+    ``window_peaks(b)`` returns points ``v`` among which the window mass
+    ``cdf(v + b) - cdf(v)`` takes its largest value, exactly: the anchors
+    of the truth's heaviest width-``b`` windows in ``modulus_exact``.
+    """
 
-    def __init__(self, pdf: Callable, cdf: Callable, quantile: Callable, lipschitz: float):
+    __slots__ = ("pdf", "cdf", "quantile", "lipschitz", "window_peaks")
+
+    def __init__(self, pdf: Callable, cdf: Callable, quantile: Callable, lipschitz: float,
+                 window_peaks: Callable):
         self.pdf = pdf
         self.cdf = cdf
         self.quantile = quantile
         self.lipschitz = float(lipschitz)
+        self.window_peaks = window_peaks
 
     def support(self) -> tuple[float, float]:
         """Quantiles that leave a tail mass of 1e-9 outside each end."""
@@ -986,7 +993,11 @@ def _gaussian_truth(mean: float, variance: float) -> MarginalTruth:
     def quantile(q):
         return special.ndtri(np.asarray(q, dtype=float)) * sd + mean
 
-    return MarginalTruth(pdf, cdf, quantile, _NORMAL_PDF_MAX_SLOPE / variance)
+    def window_peaks(b):
+        # a symmetric unimodal density holds the most mass centred on its mode
+        return np.array([mean - b / 2])
+
+    return MarginalTruth(pdf, cdf, quantile, _NORMAL_PDF_MAX_SLOPE / variance, window_peaks)
 
 
 def marginal_truth(model: Model) -> MarginalTruth:
@@ -1019,7 +1030,12 @@ def marginal_truth(model: Model) -> MarginalTruth:
         def quantile(q):
             return np.interp(np.asarray(q, dtype=float), cum, grid)
 
-        return MarginalTruth(pdf, cdf, quantile, lipschitz)
+        def window_peaks(b):
+            # cdf is linear between grid points, so the window mass is linear
+            # between its kinks v = g and v = g - b, where its maxima lie
+            return np.union1d(grid, grid - b)
+
+        return MarginalTruth(pdf, cdf, quantile, lipschitz, window_peaks)
     raise ModelValidityError(
         f"{type(model).__name__} has no closed-form or oracle marginal density"
     )

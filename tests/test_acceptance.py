@@ -30,7 +30,14 @@ from polyfreq.estimators import (
     histogram_eval,
     stone_bandwidth,
 )
-from polyfreq.models import ArmaModel, TarModel, marginal_truth, simulate, tar_marginal_oracle
+from polyfreq.models import (
+    ArmaModel,
+    TarModel,
+    _gaussian_truth,
+    marginal_truth,
+    simulate,
+    tar_marginal_oracle,
+)
 from test_diagnostics import brute_modulus
 
 AR1 = ArmaModel(ar=(0.5,))
@@ -215,9 +222,9 @@ def test_7_modulus_machinery():
     for n in (1, 2, 5, 20, 50):
         for width in (0.05, 0.2, 1.0):
             x = rng.normal(0.2, 1.1, n)
-            truth = stats.norm(0.2, 1.1).cdf
+            truth = _gaussian_truth(0.2, 1.1**2)
             exact = modulus_exact(EmpiricalCdf(x), truth, width)
-            brute = brute_modulus(x, truth, width)
+            brute = brute_modulus(x, truth.cdf, width)
             if exact < brute - 1e-12:
                 worst_gap = math.inf
             worst_gap = max(worst_gap, exact - brute)
@@ -228,7 +235,7 @@ def test_7_modulus_machinery():
         b = stone_bandwidth(n)
         for rep in range(3):
             x = simulate(AR1, n, seed=9000 + 3 * i + rep)
-            d = modulus_exact(EmpiricalCdf(x), truth.cdf, b)
+            d = modulus_exact(EmpiricalCdf(x), truth, b)
             ratios.append(d / modulus_envelope(n, b)[0])
     ratios = np.asarray(ratios)
     spread = float(ratios.max() / np.median(ratios))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy import special, stats
+from scipy import stats
 
 from polyfreq import diagnostics, models
 from polyfreq.diagnostics import (
@@ -52,6 +52,7 @@ from polyfreq.models import (
 
 AR1 = ArmaModel(ar=(0.5,))
 TAR = TarModel(0.6, -0.3)
+NORMAL = models._gaussian_truth(0.0, 1.0)
 
 
 def brute_modulus(sample, truth_cdf, b, pad=8.0, dense=6001, extra=()):
@@ -147,9 +148,9 @@ class TestModulusExact:
     def test_matches_brute_force(self, rng, n, b):
         loc, scale = 0.3, 1.2
         x = rng.normal(loc, scale, n)
-        truth = stats.norm(loc, scale).cdf
+        truth = models._gaussian_truth(loc, scale**2)
         exact = modulus_exact(EmpiricalCdf(x), truth, b)
-        brute = brute_modulus(x, truth, b, extra=[loc - b / 2, loc + b / 2])
+        brute = brute_modulus(x, truth.cdf, b, extra=[loc - b / 2, loc + b / 2])
         assert exact >= brute - 1e-12
         assert exact - brute <= 1e-6
 
@@ -159,10 +160,10 @@ class TestModulusExact:
         # the sample sits above the truth's bulk, so the truth's heaviest
         # window (loc - b/2, loc + b/2] holds no observation and sets the
         # modulus; dyadic loc and b make the window's ends exact floats
-        truth = stats.norm(loc, 1.3).cdf
+        truth = models._gaussian_truth(loc, 1.3**2)
         x = loc + 4 + 0.37 * np.arange(50)
         exact = modulus_exact(EmpiricalCdf(x), truth, b)
-        brute = brute_modulus(x, truth, b, extra=[loc - b / 2, loc + b / 2])
+        brute = brute_modulus(x, truth.cdf, b, extra=[loc - b / 2, loc + b / 2])
         assert exact == pytest.approx(brute, abs=1e-12)
 
     @pytest.mark.parametrize("b", [0.25, 0.5, 1.0])
@@ -174,9 +175,9 @@ class TestModulusExact:
         grid, _ = tar_marginal_oracle(TAR)
         truth = marginal_truth(TAR)
         x = 12 + 0.37 * np.arange(50)
-        exact = modulus_exact(EmpiricalCdf(x), truth.cdf, b)
+        exact = modulus_exact(EmpiricalCdf(x), truth, b)
         brute = brute_modulus(x, truth.cdf, b, extra=np.concatenate([grid - b, grid, grid + b]))
-        assert exact == pytest.approx(brute, abs=1e-9)
+        assert exact == pytest.approx(brute, abs=1e-12)
 
     @given(sample=st.lists(st.integers(-30, 30).map(lambda k: k / 10), min_size=1, max_size=40),
            b=st.floats(1e-3, 4.0))
@@ -187,36 +188,36 @@ class TestModulusExact:
     def test_matches_brute_force_with_ties(self, sample, b):
         # tenths tie often, and for most widths some (y - b) + b round off y;
         # the grid alone can miss the truth's heaviest window, (-b/2, b/2]
-        exact = modulus_exact(EmpiricalCdf(sample), special.ndtr, b)
-        brute = brute_modulus(sample, special.ndtr, b, extra=[-b / 2, b / 2])
+        exact = modulus_exact(EmpiricalCdf(sample), NORMAL, b)
+        brute = brute_modulus(sample, NORMAL.cdf, b, extra=[-b / 2, b / 2])
         assert exact >= brute - 1e-12
         assert exact - brute <= 1e-6
 
     def test_single_point_jump_dominates(self):
         # the window shrinking onto the lone observation realizes the full
         # scaled jump of the empirical CDF
-        exact = modulus_exact(EmpiricalCdf([0.0]), stats.norm.cdf, 0.2)
+        exact = modulus_exact(EmpiricalCdf([0.0]), NORMAL, 0.2)
         assert exact == pytest.approx(1.0, abs=1e-12)
 
     def test_small_width_limit_is_max_jump(self, rng):
         x = np.repeat(rng.normal(0, 1, 20), [3] + [1] * 19)
         ecdf = EmpiricalCdf(x)
-        got = modulus_exact(ecdf, stats.norm.cdf, 1e-12)
+        got = modulus_exact(ecdf, NORMAL, 1e-12)
         assert got == pytest.approx(3.0 / math.sqrt(ecdf.n), rel=1e-6)
 
     def test_tail_sample_interior_window_found(self):
         # both observations far out in the tail: the dominant truth-mass
         # window sits near the mode, away from any sample anchor
         x = np.array([3.0, 3.1])
-        exact = modulus_exact(EmpiricalCdf(x), stats.norm.cdf, 0.5)
-        brute = brute_modulus(x, stats.norm.cdf, 0.5)
+        exact = modulus_exact(EmpiricalCdf(x), NORMAL, 0.5)
+        brute = brute_modulus(x, NORMAL.cdf, 0.5)
         assert exact == pytest.approx(brute, abs=1e-9)
 
     def test_monotone_in_width(self, rng):
         x = rng.normal(0, 1, 300)
         ecdf = EmpiricalCdf(x)
         widths = [0.01, 0.05, 0.1, 0.3, 0.5, 1.0, 2.0]
-        vals = [modulus_exact(ecdf, stats.norm.cdf, b) for b in widths]
+        vals = [modulus_exact(ecdf, NORMAL, b) for b in widths]
         assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize(
@@ -236,7 +237,7 @@ class TestModulusExact:
     def test_pinned_ar1_values(self, n, seed, expected):
         # frozen from the monotonic-deque sweep that the sparse table replaced
         x = simulate(AR1, n, seed=seed)
-        got = modulus_exact(EmpiricalCdf(x), marginal_truth(AR1).cdf, stone_bandwidth(n))
+        got = modulus_exact(EmpiricalCdf(x), marginal_truth(AR1), stone_bandwidth(n))
         assert got.hex() == expected
 
     @pytest.mark.parametrize(
@@ -253,14 +254,14 @@ class TestModulusExact:
     def test_pinned_widths_and_ties(self, n, expected):
         x = simulate(AR1, n, seed=101)
         widths = [stone_bandwidth(n), 0.5, 3.0]
-        got = [modulus_exact(EmpiricalCdf(s), marginal_truth(AR1).cdf, b).hex()
+        got = [modulus_exact(EmpiricalCdf(s), marginal_truth(AR1), b).hex()
                for s in (x, np.round(x, 2)) for b in widths]
         assert got == expected
 
     def test_bad_width(self, rng):
         ecdf = EmpiricalCdf(rng.normal(0, 1, 10))
         with pytest.raises(ValueError):
-            modulus_exact(ecdf, stats.norm.cdf, 0.0)
+            modulus_exact(ecdf, NORMAL, 0.0)
 
 
 class TestModulusEnvelope:
@@ -682,7 +683,7 @@ class TestErrorDecomposition:
         for i, n in enumerate([2**k for k in range(10, 17)]):
             b = stone_bandwidth(n)
             x = simulate(AR1, n, seed=880 + i)
-            d = modulus_exact(EmpiricalCdf(x), truth.cdf, b)
+            d = modulus_exact(EmpiricalCdf(x), truth, b)
             term1, term2 = modulus_envelope(n, b)
             ratios.append(d / term1)
             terms += [term1, term2]

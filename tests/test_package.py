@@ -2,7 +2,10 @@
 
 import subprocess
 import sys
+import textwrap
 import types
+
+import pytest
 
 import polyfreq
 from polyfreq import dependence, diagnostics, estimators, models
@@ -53,6 +56,28 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("model, loaded", [
+    ("TarModel(0.6, -0.3)", []),
+    ("ArmaModel(ar=(0.5,))", ["special"]),
+], ids=["TAR", "AR1"])
+def test_error_decomposition_loads_only_the_scipy_its_truth_needs(model, loaded):
+    # the window-mass peaks come from the truth, so no search loads
+    # scipy.optimize; a gaussian truth needs scipy.special's ndtr
+    code = textwrap.dedent(f"""
+        import sys
+        from polyfreq import models
+        from polyfreq.diagnostics import error_decomposition
+        model = models.{model}
+        x = models.simulate(model, 2000, seed=1)
+        error_decomposition(models.marginal_truth(model), x, 0.3)
+        import scipy
+        print(sorted(m for m in scipy.submodules if "scipy." + m in sys.modules))
+    """)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == str(loaded)
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
