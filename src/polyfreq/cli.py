@@ -387,11 +387,8 @@ def cmd_rate(args: argparse.Namespace) -> int:
         raise UsageError("--output - is not accepted: stdout carries the summary JSON")
     if args.n_min < 2:
         raise UsageError(f"--n-min must be at least 2, got {args.n_min}")
-    n_values = []
-    n = args.n_min
-    while n <= args.n_max:
-        n_values.append(n)
-        n *= 2
+    # the doubling grid n_min * 2**k up to n_max
+    n_values = [args.n_min << k for k in range(max(args.n_max // args.n_min, 0).bit_length())]
     try:
         report = rate_experiment(model, n_values, args.reps, seed=args.seed,
                                  max_workers=args.threads)
@@ -574,13 +571,14 @@ def build_parser() -> argparse.ArgumentParser:
         "CSV wall_time_ms: the replication's share of the simulation call that produced it "
         "(one for all sizes of a Markov model whose packed batch fits 2^28 values, one per "
         "size otherwise), in proportion to its steps burn_in + n, plus its own binning and "
-        "evaluation; --threads runs sizes concurrently"))
+        "evaluation; a packed Markov run evaluates its sizes in order, and --threads runs "
+        "the per-size tasks of other runs concurrently"))
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--threads", type=int, default=None,
-                   help="cap concurrent workers (default: the thread pool's own, "
-                   "min(32, CPU count + 4))")
+                   help="cap the per-size tasks that run at once, which a packed Markov run "
+                   "does not use (default: the thread pool's own, min(32, CPU count + 4))")
     p.add_argument("--output", default=None,
                    help="records CSV path (default: no records file is written)")
     add_common(p, "--seed", "--model")

@@ -424,12 +424,13 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     bootstrap confidence interval.  Replication ``k`` of the flattened
     size-major grid is seeded ``seed + k``.  A Markov model whose packed
     rows fit ``models.MAX_BUFFER_VALUES`` values simulates every
-    replication of every size in one :func:`simulate_ragged` call before
-    any evaluation; otherwise (ARMA and moving-average models, larger
-    Markov runs) each size simulates in its own task.  Up to
-    ``max_workers`` sizes are binned and evaluated concurrently; records
-    are aggregated by index, so the report is identical for any worker
-    count.  Right after the size grid, the ``500 * sizes * reps``
+    replication of every size in one :func:`simulate_ragged` call, then
+    bins and evaluates the sizes in order on the calling thread: that work
+    holds the GIL, so a pool would only add its overhead.  Otherwise (ARMA
+    and moving-average models, larger Markov runs) each size is simulated,
+    binned and evaluated in its own task, up to ``max_workers`` at once.
+    Records are aggregated by index, so the report is identical for any
+    worker count.  Right after the size grid, the ``500 * sizes * reps``
     bootstrap table and the largest size's batch of draws (a Markov batch
     padded to whole segments) are refused past ``models.MAX_BUFFER_VALUES``
     values, and so are seeds that are not integers or run past ``2**128``,
@@ -460,11 +461,10 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
         raise OverflowError(f"a marginal outside the float range (support [{lo}, {hi}])")
     _eval_grid_span(lo, hi, stone_bandwidth(ns[-1]))  # the finest grid
     if packed:
-        # one packed batch for every size, which every size waits for
+        # one batch for every size; binning and evaluating its rows holds the
+        # GIL, so a thread pool would only add its overhead
         sizes = _simulate_sizes(model, ns, reps, seed, burn_in)
-
-        def size_records(i):
-            return _size_records(truth, ns[i], *sizes[i])
+        per_size = [_size_records(truth, n, *size) for n, size in zip(ns, sizes)]
     else:
         # the compiled ARMA filter releases the GIL, so ARMA sizes simulated in
         # their own tasks run in parallel (4 filters of 20 x 2**17 rows: 0.13 s
@@ -472,11 +472,11 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
         # then evaluating measured slower on AR(1) x 20 over 2**10..2**17
         # (medians 0.46 vs 0.32 s at 2 workers)
         def size_records(i):
-            [(samples, share)] = _simulate_sizes(model, ns[i:i + 1], reps, seed + i * reps,
-                                                 burn_in)
-            return _size_records(truth, ns[i], samples, share)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        records = tuple(r for size in pool.map(size_records, range(len(ns))) for r in size)
+            [size] = _simulate_sizes(model, ns[i:i + 1], reps, seed + i * reps, burn_in)
+            return _size_records(truth, ns[i], *size)
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            per_size = list(pool.map(size_records, range(len(ns))))
+    records = tuple(r for size in per_size for r in size)
 
     errors = np.array([r.sup_error for r in records]).reshape(len(ns), reps)
     medians = np.median(errors, axis=1)

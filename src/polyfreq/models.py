@@ -76,10 +76,6 @@ MIN_MARKOV_BURN_IN = 64
 #: values per block of columns when a recursion is advanced block by block
 _BLOCK_VALUES = 2**20
 
-#: least width, in columns, of the segments a packed Markov batch is
-#: stepped in (see :func:`simulate_ragged`)
-SEGMENT_COLUMNS = 2048
-
 
 class ModelValidityError(ValueError):
     """Model parameters violate stationarity or contraction requirements."""
@@ -101,12 +97,16 @@ def _check_seeds(seeds: Sequence[int]) -> None:
             raise ValueError(f"{where}key must be positive and less than 2**128.")
 
 
-def _philox_state(seed: int) -> dict:
-    """State of ``np.random.Philox(key=seed)`` before its first draw; see :func:`_check_seeds`."""
-    key = int(seed)
-    return {"bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64)},
-            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+def _philox_state(seed: int, state: dict | None = None) -> dict:
+    """State of ``np.random.Philox(key=seed)`` before its first draw; see :func:`_check_seeds`.
+
+    Given another seed's ``state``, it re-keys that dict in place: only the
+    key changes, so one dict serves a run of seeds.
+    """
+    state = state or {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0)},
+                      "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    state["state"]["key"] = int(seed) & 0xFFFF_FFFF_FFFF_FFFF, int(seed) >> 64
+    return state
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -172,22 +172,30 @@ class NoiseSpec:
     def std(self) -> float:
         return math.sqrt(self.variance)
 
-    def fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    def fill(self, rng: np.random.Generator, out: np.ndarray, scaled: bool = True) -> np.ndarray:
         """Draw ``out.size`` innovations into the contiguous float64 array ``out``.
 
         The values equal ``rng.standard_normal(size) * scale``,
         ``rng.uniform(-c, c, size)`` and ``rng.laplace(0, scale, size)``
-        bit for bit; only laplace noise goes through a temporary.
+        bit for bit; only laplace noise goes through a temporary.  Without
+        ``scaled``, gaussian and uniform values are left standard normal and
+        in ``[0, 1)``, for :meth:`rescale` to give the same bits later.
         """
         if self.distribution == "gaussian":
             rng.standard_normal(out=out)
-            out *= self.scale
         elif self.distribution == "uniform":
             rng.random(out=out)
-            out *= 2.0 * self.scale
-            out += -self.scale
         else:
             out[...] = rng.laplace(0.0, self.scale, out.size)
+        return self.rescale(out) if scaled else out
+
+    def rescale(self, out: np.ndarray) -> np.ndarray:
+        """Scale, in place, the values an unscaled :meth:`fill` drew; laplace ones are kept."""
+        if self.distribution == "gaussian":
+            out *= self.scale
+        elif self.distribution == "uniform":
+            out *= 2.0 * self.scale
+            out += -self.scale
         return out
 
     def pdf(self, x):
@@ -560,29 +568,33 @@ def resolve_burn_in(model: Model, burn_in: int | None) -> int:
 
 
 def _draw_rows(model: Model, seeds: Sequence[int], width: int,
-               spans: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+               stops: np.ndarray | None = None) -> np.ndarray:
     """One row of ``width`` innovations per seed, each from its own stream.
 
-    With ``spans``, arrays ``(start, stop)`` with one entry per seed, seed
-    ``i``'s stream fills ``draws[0, start[i]:stop[i]]`` of one zeroed row
-    instead.  One generator is re-keyed per seed, which gives the values of
-    a fresh ``make_rng(seed)`` without building one.  An array of more than
+    With ``stops``, the nondecreasing ends of spans that lie end to end
+    from column 0, one per seed, seed ``i``'s stream fills
+    ``draws[0, stops[i - 1]:stops[i]]`` of one zeroed row instead, and the
+    columns past ``stops[-1]`` stay 0.0.  One generator is re-keyed per
+    seed (only the key of one state dict changes), which gives the values
+    of a fresh ``make_rng(seed)`` without building one; the unscaled values
+    are drawn seed by seed and scaled in one pass.  An array of more than
     ``MAX_BUFFER_VALUES`` values, then any seed that is not a Philox key, is
     refused before the array is allocated.
     """
-    rows = len(seeds) if spans is None else 1
+    rows = len(seeds) if stops is None else 1
     _count(rows * width, f"a batch of {rows} x {width} draws")
     _check_seeds(seeds)
-    if spans is None:
-        draws = targets = np.empty((rows, width))
+    if stops is None:
+        draws = drawn = targets = np.empty((rows, width))
     else:
         draws = np.zeros((1, width))
-        targets = (draws[0, a:b] for a, b in zip(*(s.tolist() for s in spans)))
-    rng = make_rng(0)
-    bits = rng.bit_generator
+        drawn = draws[0, :stops[-1]]
+        targets = (drawn[a:b] for a, b in zip([0, *stops[:-1].tolist()], stops.tolist()))
+    rng, state = make_rng(0), _philox_state(0)
     for target, s in zip(targets, seeds):
-        bits.state = _philox_state(s)
-        model.noise.fill(rng, target)
+        rng.bit_generator.state = _philox_state(s, state)
+        model.noise.fill(rng, target, False)  # unscaled
+    model.noise.rescale(drawn)
     return draws
 
 
@@ -730,12 +742,12 @@ def simulate_ragged(model: Model, ns: Sequence[int], seeds: Sequence[int],
 
     Each row is drawn from its own stream.  Markov rows are packed end to
     end into one run of draws, cut into segments of
-    ``max(SEGMENT_COLUMNS, 4 * default_burn_in(model))`` columns (at most
-    the longest row), and the segments are stepped together: the Python
-    loop runs ``default_burn_in(model)`` warm-up steps and one segment's
-    width, whatever ``n`` is, and checks that every segment joins its
-    predecessor bit for bit, so the rows equal sequential runs.  ARMA rows
-    are filtered one size at a time (block by block, see
+    ``4 * default_burn_in(model)`` columns (at most the longest row), and
+    the segments are stepped together: the Python loop runs
+    ``default_burn_in(model)`` warm-up steps and one segment's width, at
+    most five warm-ups in all whatever ``n`` is, and checks that every
+    segment joins its predecessor bit for bit, so the rows equal sequential
+    runs.  ARMA rows are filtered one size at a time (block by block, see
     :func:`_advance_blocks`) and finite moving-average rows one
     ``np.convolve`` per row, because packing would save their compiled
     filters nothing.  The rows are views into the arrays that hold them.
@@ -783,22 +795,25 @@ def _segments(model: Model, longest: int, total: int) -> tuple[int, int]:
     """Width and count of the segments a packed Markov batch is cut into.
 
     The rows hold ``total`` columns end to end, the longest ``longest``.  A
-    segment is ``max(SEGMENT_COLUMNS, 4 * default_burn_in(model))`` columns
-    wide, so it is at least four warm-ups wide, but no wider than the
-    longest row: rows that each fit one segment step no more columns than
-    the longest of them.  The last segment is padded to the full width.
+    segment is four warm-ups wide, ``4 * default_burn_in(model)`` columns,
+    so the warm-up steps are a fifth of the stepped columns, but no wider
+    than the longest row: rows that each fit one segment step no more
+    columns than the longest of them.  The last segment is padded to the
+    full width, which adds less than one segment to the batch.
     """
-    width = min(max(SEGMENT_COLUMNS, 4 * default_burn_in(model)), longest)
+    width = min(4 * default_burn_in(model), longest)
     return width, -(-total // width)
 
 
 def _packs_rows(model: Model, ns: Sequence[int], rows: int, burn_in: int) -> bool:
     """Whether a rate experiment simulates ``rows`` rows of each size in ``ns`` in one batch.
 
-    Markov rows are packed while their batch, padded to whole segments,
-    holds at most ``MAX_BUFFER_VALUES`` values; ARMA and moving-average
-    rows never are.  The batch of the largest size's rows alone, which
-    simulating one size at a time draws, is refused past that cap.
+    Markov rows are packed while their batch, padded to whole segments of
+    :func:`_segments`' width, holds at most ``MAX_BUFFER_VALUES`` values;
+    their sizes are then binned and evaluated in order, with no pool.  ARMA
+    and moving-average rows never are.  The batch of the largest size's
+    rows alone, which simulating one size at a time draws, is refused past
+    that cap.
     """
     n = max(ns)
     if isinstance(model, (ArmaModel, LinearProcess)):
@@ -834,11 +849,12 @@ def _step_restarting(model: Model, state, block: np.ndarray, rows: np.ndarray,
 def _stream_at(model: Model, seed: int, skip: int) -> np.random.Generator:
     """A generator on ``seed``'s stream with its first ``skip`` innovations drawn.
 
-    They are drawn a segment at a time into a scratch array; the stream is
-    counter-based, so the values after them are the ones drawn before.
+    They are drawn a segment's width at a time into a scratch array (``skip``
+    is positive); the stream is counter-based, so the values after them are
+    the ones drawn before.
     """
     rng = make_rng(seed)
-    scratch = np.empty(min(skip, SEGMENT_COLUMNS))
+    scratch = np.empty(_segments(model, skip, skip)[0])
     while skip:
         skip -= len(model.noise.fill(rng, scratch[:min(skip, len(scratch))]))
     return rng
@@ -866,7 +882,7 @@ def _simulate_packed(model: Model, ns: np.ndarray, seeds: Sequence[int],
     stop = np.cumsum(burn_in + ns)
     start = stop - (burn_in + ns)
     width, segments = _segments(model, burn_in + int(ns.max()), int(stop[-1]))
-    flat = _draw_rows(model, seeds, segments * width, (start, stop)).reshape(-1)
+    flat = _draw_rows(model, seeds, segments * width, stop).reshape(-1)
     draws = flat.reshape(segments, width)
     first_seg, first_col = np.divmod(start, width)
     # a segment whose first column continues a row

@@ -416,8 +416,9 @@ class TestRateBufferCaps:
 class TestRateExperiment:
     N_GRID = [2**k for k in range(8, 15)]  # ratio 64, 7 values: quick but valid
     # TAR(0.6, -0.3)'s batch for the largest size, 3 rows of 82 + 2**14
-    # columns padded to 25 segments of 2048: room for it, not for every size
-    PAST_BUDGET = 25 * 2048
+    # columns, pads to 151 segments of 328 (49,528 values), and every size's
+    # to 303 (99,384): room for the first, not the second
+    PAST_BUDGET = 51_200
 
     @pytest.mark.parametrize("n_values,reps,name", [
         ([256.5, 512, 1024, 4096, 32768], 10, "n_values"),
@@ -509,6 +510,28 @@ class TestRateExperiment:
         assert all(s > 0.0 for s in shares)
         assert [r.n for r in report.records] == sorted(r.n for r in report.records)
         assert shares == sorted(shares)
+
+    @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
+    def test_packed_sizes_evaluate_without_a_pool(self, monkeypatch):
+        def no_pool(max_workers=None):
+            pytest.fail("a packed Markov run built a thread pool")
+
+        monkeypatch.setattr(diagnostics, "ThreadPoolExecutor", no_pool)
+        report = rate_experiment(TarModel(0.6, -0.3), self.N_GRID, 3, seed=5, max_workers=2)
+        assert len(report.records) == 3 * len(self.N_GRID)
+
+    @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
+    def test_per_size_tasks_run_on_a_pool_of_max_workers(self, monkeypatch):
+        workers = []
+
+        class Pool(diagnostics.ThreadPoolExecutor):
+            def __init__(self, max_workers=None):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(diagnostics, "ThreadPoolExecutor", Pool)
+        rate_experiment(AR1, self.N_GRID, 3, seed=5, max_workers=3)
+        assert workers == [3]
 
     def test_single_rep_warns_without_ci(self):
         with pytest.warns(UserWarning, match="thin"):

@@ -147,18 +147,18 @@ class TestStreams:
                                       NoiseSpec("laplace", 2.5)], ids=lambda s: s.distribution)
     def test_spans_are_stream_prefixes_in_zeros(self, spec):
         model = TarModel(0.5, 0.5, noise=spec)
-        # (start, stop) per seed in one row: a long stream, two streams end
-        # to end, a stream ending at the last column after a gap, and an
-        # empty span
-        start, stop = np.array([[0, 1012], [1012, 1013], [1013, 1016], [1020, 2032],
-                                [1016, 1016]]).T
-        draws = models._draw_rows(model, SEED_TABLE, 2032, (start, stop))
+        # spans end to end in one row, one per seed: a long stream, a
+        # one-value stream, an empty span and two more, then 20 columns of
+        # padding
+        stop = np.array([1012, 1013, 1013, 1016, 2012])
+        start = np.r_[0, stop[:-1]]
+        draws = models._draw_rows(model, SEED_TABLE, 2032, stop)
         assert draws.shape == (1, 2032)
-        covered = np.zeros(2032, dtype=bool)
         for seed, a, b in zip(SEED_TABLE, start, stop):
-            assert_array_equal(draws[0, a:b], philox_reference(spec, seed, b - a))
-            covered[a:b] = True
-        assert not draws[0, ~covered].any()
+            assert_array_equal(draws[0, a:b].view(np.uint64),
+                               philox_reference(spec, seed, b - a).view(np.uint64))
+        # +0.0 exactly: the one pass of scaling stops at the last span
+        assert not draws[0, 2012:].view(np.uint64).any()
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_out_of_range_seeds_refused_like_philox(self, seed):
@@ -452,23 +452,26 @@ class TestSimulate:
             assert_array_equal(row, simulate(model, n, burn_in=burn_in, seed=s))
 
     def test_ragged_markov_rows_share_one_packed_batch(self):
-        # rows of burn_in + n steps, 6900 in all, end to end in 4 segments
-        # of 2048 columns
-        burn = default_burn_in(TarModel(0.6, -0.3))
+        # rows of burn_in + n steps, 6900 in all, end to end in whole
+        # segments four warm-ups wide
+        model = TarModel(0.6, -0.3)
+        burn = default_burn_in(model)
         ns = [3000 - burn, 1300 - burn, 1500 - burn, 1100 - burn]
-        rows = simulate_ragged(TarModel(0.6, -0.3), ns, [1, 2, 3, 4])
-        width, start = assert_packed_end_to_end(TarModel(0.6, -0.3), rows, burn)
-        assert width == models.SEGMENT_COLUMNS and rows[0].base.size == 4 * width
+        rows = simulate_ragged(model, ns, [1, 2, 3, 4])
+        width, start = assert_packed_end_to_end(model, rows, burn)
+        assert width == 4 * default_burn_in(model)
+        assert rows[0].base.size == math.ceil(6900 / width) * width
         assert start.tolist() == [0, 3000, 4300, 5800]
 
-    @pytest.mark.parametrize("ns,slack", [
-        ([7], 1.0),
-        ([5, 9, 5000, 9, 5, 2000], None),
+    @pytest.mark.parametrize("ns,slack,size", [
+        # one row of 1007 columns in 4 segments of 328
+        ([7], None, 1312),
+        ([5, 9, 5000, 9, 5, 2000], None, None),
         # the doubling grids of a rate experiment pack within 2% of the rows
-        (np.repeat([2**k for k in range(10, 18)], 20), 1.02),
-        (np.repeat([2**k for k in range(8, 15)], 200), 1.02),
+        (np.repeat([2**k for k in range(10, 18)], 20), 1.02, None),
+        (np.repeat([2**k for k in range(8, 15)], 200), 1.02, None),
     ], ids=["one-row", "uneven", "reps-20", "reps-200"])
-    def test_packed_rows_do_not_overlap(self, ns, slack):
+    def test_packed_rows_do_not_overlap(self, ns, slack, size):
         # rows lie end to end, so the batch pads them by less than a segment
         model = TarModel(0.6, -0.3)
         rows = simulate_ragged(model, list(ns), range(len(ns)), burn_in=1000)
@@ -477,6 +480,8 @@ class TestSimulate:
         assert rows[0].base.size - lengths.sum() < width
         if slack is not None:
             assert rows[0].base.size <= slack * lengths.sum()
+        if size is not None:
+            assert rows[0].base.size == size
 
     BOUNDARY_MODELS = {
         "TAR": TarModel(0.6, -0.3),
@@ -490,8 +495,9 @@ class TestSimulate:
     @pytest.mark.parametrize("joins", ["checked", "all-fail"])
     def test_rows_at_segment_boundaries_equal_sequential_runs(self, name, burn_in, joins,
                                                               monkeypatch):
-        # rows of 3 segments less one column, exactly, and one more; alone
-        # and end to end in one batch
+        # rows of k segments less one column, exactly, and one more, with the
+        # least k that leaves two joins after the burn-in; alone and end to
+        # end in one batch
         model = self.BOUNDARY_MODELS[name]
         burn = resolve_burn_in(model, burn_in)
         skips = []
@@ -509,7 +515,9 @@ class TestSimulate:
             monkeypatch.setattr(models, "_stream_at", stream_at)
         width, _ = models._segments(model, 10**9, 10**9)
         seeds = [3, 7, 11]
-        ns = [3 * width + d - burn for d in (-1, 0, 1)]
+        k = burn // width + 3
+        ns = [k * width + d - burn for d in (-1, 0, 1)]
+        assert np.count_nonzero(np.arange(1, k) * width > burn) == 2  # joins inside each row
         expected = [sequential_path(model, n, burn, s) for n, s in zip(ns, seeds)]
         for n, s, path in zip(ns, seeds, expected):
             assert_array_equal(simulate(model, n, burn, seed=s), path)
