@@ -235,6 +235,11 @@ def _check_rows(lines: list[str], first: int, bad: list[str]) -> np.ndarray:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    flags = {"--grid-min": args.grid_min, "--grid-max": args.grid_max,
+             "--grid-step": args.grid_step}
+    for flag, value in flags.items():
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"{flag} must be finite, got {value}")
     chunks = list(_read_column(args.input))
     n = sum(chunk.size for chunk in chunks)
     if n < 2:
@@ -267,6 +272,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                          f"{gstep} has {steps + 1:.6g} points, above the limit of "
                          f"{MAX_GRID_POINTS}")
     count = int(steps) + 1
+    # the grid rises from gmin to its last point, so its two ends decide
+    for flag, end in (("--grid-min", gmin), ("--grid-max", gmin + gstep * (count - 1))):
+        try:
+            scheme.bin_index(end)
+        except ValueError as exc:
+            raise UsageError(f"{flag}: {exc}") from exc
     grid = gmin + gstep * np.arange(count)
 
     config = {

@@ -6,7 +6,11 @@ sitting exactly on a bin edge belongs to the cell below it.  This strict
 lower-edge convention is what keeps the two frequency polygon evaluation
 routes (:func:`fp_eval`, built from shift operators acting on the empirical
 CDF, and :func:`fp_eval_classic`, the textbook midpoint interpolation) in
-agreement everywhere, including exactly on bin edges and midpoints.
+agreement everywhere, including exactly on bin edges and midpoints.  The
+routes locate the midpoint cell of an array independently (``fp_eval`` in
+its own blocked code, ``fp_eval_classic`` through
+:meth:`BinningScheme.half_grid_index`), so their agreement checks the cell
+location as well as the weights and bin lookups.
 
 Histograms are stored sparsely as a sorted pair of int64 arrays (occupied
 bin indices and their counts), so evaluation cost depends on the number of
@@ -17,7 +21,9 @@ the ``p_n`` occupied bins, ``O(log p_n)``, and does no other array work.  An
 array of ``m`` points reads both cells of every point from a dense density
 table over the occupied span, ``O(span + m)`` in all, whenever that table
 is no larger than the call's inputs (``span + 2 <= m + p_n``); a histogram
-too sparse for that costs one search per point, ``O(m log p_n)``.
+too sparse for that costs one search per point, ``O(m log p_n)``.  Either
+way the points go through in blocks of ``_BLOCK``, so an array call holds
+its output and a few block-sized buffers, not batch-sized temporaries.
 """
 
 from __future__ import annotations
@@ -43,6 +49,9 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+#: points per block of an ``fp_eval`` array call; its work buffers, about
+#: 40 bytes a point, then stay in cache
+_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -306,24 +315,6 @@ def cdf_bin_density(F: Callable, scheme: BinningScheme, x):
     return float(out[0]) if np.ndim(index) == 0 else out.reshape(index.shape)
 
 
-def _midpoint_cell(scheme: BinningScheme, x):
-    """Midpoint cell ``k`` of finite ``x`` and the weight ``u`` toward ``k*b + b/2``.
-
-    For ``x`` in the cell ``(k*b - b/2, k*b + b/2]`` the weight is
-    ``1/2 - k + x/b``, rising from 0 (exclusive) at the lower midpoint to 1
-    at the cell's closed right end.  It is clipped to ``[0, 1]``; the value
-    0 itself is reachable only through rounding right at a cell edge, where
-    both neighbouring weight configurations give the same density.  A
-    Python ``int`` or ``float`` gets an ``int`` and a ``float`` back (see
-    :meth:`BinningScheme.half_grid_index`), anything else arrays.
-    """
-    k = scheme.half_grid_index(x)
-    u = 0.5 - k + x / scheme.bin_width
-    if isinstance(x, (int, float)):
-        return k, min(max(u, 0.0), 1.0)
-    return k, np.clip(u, 0.0, 1.0)
-
-
 def fp_eval(h: SparseHistogram, x):
     """Frequency polygon density, evaluated in shift-operator form.
 
@@ -335,69 +326,122 @@ def fp_eval(h: SparseHistogram, x):
     evaluated through those indices directly.  (Forming ``x - b/2`` in
     floating point first can round exactly onto a bin edge and flip the
     lookup into the wrong bin for ``x`` within one ulp of a cell edge.)
+    The weight is ``u = 1/2 - k + x/b``; with ``k`` the exact cell it lies
+    in ``[0, 1]`` without clipping, since ``x/b`` rounds monotonically and
+    the cell ends ``k -+ 1/2`` are floats.
 
     Bins ``k-1`` and ``k`` are adjacent, so one binary search of ``k-1``
     among the occupied bins finds both: bin ``k``, if occupied, is the next
     entry.  A Python ``int`` or ``float`` (``np.float64`` included) is
-    answered in plain float arithmetic with that one search and no other
-    array work.  An array of ``m`` points reads both densities from a table
-    of the ``span + 2`` bins from ``keys[0] - 1`` to ``keys[-1] + 1``,
-    ``O(span + m)``, while ``span + 2 <= m + p_n``, so that the table holds
-    no more entries than the call's inputs; past that it costs one search
-    per point, ``O(m log p_n)``.  Both routes give the same bits.
+    answered in plain float arithmetic, with its cell from the scalar branch
+    of :meth:`BinningScheme.half_grid_index`, that one search and no other
+    array work.  An array is checked once as a whole (from its minimum and
+    maximum), then goes through in blocks of ``_BLOCK`` points: each block
+    divides by ``b`` once, locates its cells in this function's own code
+    (exactly, with Dekker's comparison for points next to a cell edge) and
+    writes every intermediate into a few reused block buffers.  It reads
+    both densities from a table of the ``span + 2`` bins from ``keys[0] - 1``
+    to ``keys[-1] + 1``, ``O(span + m)``, while ``span + 2 <= m + p_n`` for
+    the call's ``m`` points, so that the table holds no more entries than
+    the call's inputs; past that it costs one search per point,
+    ``O(m log p_n)``.  Both routes give the same bits.
     """
+    scheme = h.scheme
+    b = scheme.bin_width
     keys, values = h.keys, h.values
-    denom = h.n * h.scheme.bin_width
+    denom = h.n * b
     if isinstance(x, (int, float)):
-        k, u = _midpoint_cell(h.scheme, x)
+        k = scheme.half_grid_index(x)
+        u = 0.5 - k + x / b
         p = int(keys.searchsorted(k - 1))
+        occupied = len(keys)
         below = above = 0
-        if p < len(keys) and keys.item(p) == k - 1:
+        if p < occupied and keys.item(p) == k - 1:
             below = values.item(p)
             p += 1
-        if p < len(keys) and keys.item(p) == k:
+        if p < occupied and keys.item(p) == k:
             above = values.item(p)
         return float((1.0 - u) * (below / denom) + u * (above / denom))
     arr = np.asarray(x, dtype=float)
-    k, u = _midpoint_cell(h.scheme, np.atleast_1d(arr))
-    ki = k.astype(np.int64)
+    out = np.empty(arr.shape)
+    flat, out_flat = arr.reshape(-1), out.reshape(-1)
+    if not flat.size:
+        return out
+    # a nan propagates through min and max; the refusal names every bad value
+    limit = 2.0**52 * b
+    if not (abs(flat.min()) < limit and abs(flat.max()) < limit):
+        scheme._index_domain(arr)
     base = int(keys[0]) - 1
-    size = int(keys[-1]) - base + 2
-    if size <= ki.size + len(keys):
-        # entry z - base holds bin z's density; the zero entries at each end
-        # (bins keys[0] - 1 and keys[-1] + 1) answer every clipped position
-        table = np.zeros(size)
+    span = int(keys[-1]) - base + 2
+    dense = span <= flat.size + len(keys)
+    if dense:
+        # table[z - base] holds bin z's density, and lower[i] is table[i - 1];
+        # the zero entries at each end answer every clipped position
+        lower = np.zeros(span + 1)
+        table = lower[1:]
         table[keys - base] = values / denom
-        ki -= base
-        below = table.take(ki - 1, mode="clip")
-        above = table.take(ki, mode="clip")
-    else:
-        # take(mode="clip") reads the last entry for a position past the end;
-        # that entry is below k - 1 (or is k - 1 itself), so it never matches
-        p = keys.searchsorted(ki - 1)
-        hit_lo = keys.take(p, mode="clip") == ki - 1
-        q = p + hit_lo
-        hit_hi = keys.take(q, mode="clip") == ki
-        below = np.where(hit_lo, values.take(p, mode="clip"), 0) / denom
-        above = np.where(hit_hi, values.take(q, mode="clip"), 0) / denom
-    out = (1.0 - u) * below + u * above
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    frac, e = math.frexp(b)
+    q, t, k, r = np.empty((4, min(flat.size, _BLOCK)))
+    ki = np.empty(q.size, dtype=np.int64)
+    near = np.empty(q.size, dtype=bool)
+    for start in range(0, flat.size, _BLOCK):
+        xb = flat[start:start + _BLOCK]
+        if xb.size < q.size:  # the last block
+            q, t, k, r, ki, near = (a[:xb.size] for a in (q, t, k, r, ki, near))
+        np.divide(xb, b, out=q)
+        np.subtract(q, 0.5, out=t)
+        np.ceil(t, out=k)
+        # ceil(t) is exact unless t lies within its rounding error of an
+        # integer; a bound over the whole block picks a superset of those
+        # points, and Dekker's comparison is exact for any point
+        np.rint(t, out=r)
+        np.subtract(t, r, out=r)
+        np.abs(r, out=r)
+        bound = 2.0**-51 * (max(-t.min(), t.max()) + 1.0)
+        edge = np.flatnonzero(np.less_equal(r, bound, out=near))
+        if edge.size:
+            n = np.rint(t[edge])
+            k[edge] = n + _exceeds_product(np.ldexp(xb[edge], 1 - e), 2.0 * n + 1.0, frac)
+        np.subtract(0.5, k, out=r)
+        u = np.add(r, q, out=q)
+        np.copyto(ki, k, casting="unsafe")
+        below, above = r, t
+        if dense:
+            ki -= base
+            lower.take(ki, mode="clip", out=below)
+            table.take(ki, mode="clip", out=above)
+        else:
+            # take(mode="clip") reads the last entry for a position past the
+            # end; that entry is below k - 1 (or is k - 1 itself), so it never
+            # matches
+            p = keys.searchsorted(ki - 1)
+            hit_lo = keys.take(p, mode="clip") == ki - 1
+            p_hi = p + hit_lo
+            hit_hi = keys.take(p_hi, mode="clip") == ki
+            np.divide(np.where(hit_lo, values.take(p, mode="clip"), 0), denom, out=below)
+            np.divide(np.where(hit_hi, values.take(p_hi, mode="clip"), 0), denom, out=above)
+        w = np.subtract(1.0, u, out=k)
+        np.multiply(w, below, out=w)
+        np.multiply(u, above, out=u)
+        np.add(w, u, out=out_flat[start:start + _BLOCK])
+    return float(out[()]) if arr.ndim == 0 else out
 
 
 def fp_eval_classic(h: SparseHistogram, x):
     """Frequency polygon density via the classical midpoint interpolation.
 
-    Locates the integer ``k`` with ``k*b - b/2 < x <= k*b + b/2`` and blends
-    the densities of the bins below and above ``k*b``.  Kept as a second
-    evaluation route, independent of :func:`fp_eval` in its weights and bin
-    lookups only: both find ``k`` through ``_midpoint_cell`` (that is,
-    :meth:`BinningScheme.half_grid_index`), so a wrong cell index is caught
-    by the half-grid tests, not by the operator identity.  It must agree
-    with :func:`fp_eval` at every point, bin edges and midpoints included.
+    Locates the integer ``k`` with ``k*b - b/2 < x <= k*b + b/2`` through
+    :meth:`BinningScheme.half_grid_index` and blends the densities of the
+    bins below and above ``k*b``, each looked up by the binning rule.  Kept
+    as a second evaluation route, independent of :func:`fp_eval` in its
+    cell location, weights and bin lookups, so the operator identity
+    between the two checks each of them.  It must agree with
+    :func:`fp_eval` at every point, bin edges and midpoints included.
     """
     arr, scalar = h.scheme._index_domain(x)
     b = h.scheme.bin_width
-    k, w_hi = _midpoint_cell(h.scheme, arr)
+    k = h.scheme.half_grid_index(arr)
+    w_hi = np.clip(0.5 - k + arr / b, 0.0, 1.0)
     w_lo = np.clip(0.5 + k - arr / b, 0.0, 1.0)
     out = w_lo * _bin_density(h, k - 1.0) + w_hi * _bin_density(h, k)
     return float(out) if scalar else out

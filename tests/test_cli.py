@@ -168,6 +168,33 @@ class TestEstimateCommand:
         assert main(["estimate", "--input", str(data), "--bandwidth", "1.0", *grid]) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "grid,named",
+        [
+            (["--grid-step", "inf"], "--grid-step"),  # inf * 0 made a nan grid point
+            (["--grid-min", "nan"], "--grid-min"),  # read as an empty grid range
+            (["--grid-max", "inf"], "--grid-max"),
+            (["--grid-min=-inf", "--grid-max", "1"], "--grid-min"),
+            # finite flags whose grid ends leave the bin index range |x / b| < 2**52
+            (["--grid-min", "1e308", "--grid-max", "1.7e308", "--grid-step", "1e307"],
+             "--grid-min"),
+            (["--grid-min", "0", "--grid-max", "9.1e15", "--grid-step", "1e12"], "--grid-max"),
+        ],
+    )
+    def test_grid_flag_outside_the_domain_is_refused_by_name(self, tmp_path, capsys,
+                                                             monkeypatch, grid, named):
+        def unreachable(*args):
+            raise AssertionError("evaluated a refused grid")
+
+        monkeypatch.setattr(cli, "histogram_eval", unreachable)
+        monkeypatch.setattr(cli, "fp_eval", unreachable)
+        data = tmp_path / "d.csv"
+        data.write_text("0.25\n0.75\n")
+        assert main(["estimate", "--input", str(data), "--bandwidth", "1.0", *grid]) == EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"polyfreq: usage error: {named}")
+
     def test_density_scale_past_the_float_maximum_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("0.25\n0.75\n1.5\n")  # n * b = 3e308 overflows

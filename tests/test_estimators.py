@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
+from polyfreq import estimators
 from polyfreq.estimators import (
     BinningScheme,
     EmpiricalCdf,
@@ -28,7 +29,6 @@ from polyfreq.estimators import (
     kde_eval_naive,
     merge_histograms,
     stone_bandwidth,
-    _midpoint_cell,
 )
 
 UNIT = BinningScheme(1.0)
@@ -301,7 +301,10 @@ class TestCdfBinDensity:
 class TestInterpWeight:
     @pytest.mark.parametrize("x,expected", [(0.0, 0.5), (0.25, 0.75), (0.5, 1.0)])
     def test_reference_values(self, x, expected):
-        assert _midpoint_cell(UNIT, x)[1] == expected
+        # bin 0 alone is occupied, at density 1: fp_eval reads the weight toward it
+        h = SparseHistogram(UNIT, [0], [1], 1)
+        assert fp_eval(h, x) == expected
+        assert fp_eval(h, np.array([x]))[0] == expected
 
     @given(
         x=st.floats(-1e5, 1e5, allow_nan=False),
@@ -309,8 +312,13 @@ class TestInterpWeight:
     )
     @settings(max_examples=300, deadline=None)
     def test_weight_in_unit_interval(self, x, width):
-        u = _midpoint_cell(BinningScheme(width), x)[1]
+        # fp_eval's weight, which it does not clip
+        scheme = BinningScheme(width)
+        k = scheme.half_grid_index(x)
+        u = 0.5 - k + x / width
         assert 0.0 <= u <= 1.0
+        # bin k alone is occupied, at density 1 / width: fp_eval reads the weight
+        assert fp_eval(SparseHistogram(scheme, [k], [1], 1), x) == u * (1.0 / width)
 
     @given(
         x=st.floats(-1e5, 1e5, allow_nan=False),
@@ -586,8 +594,8 @@ class TestScalarRoute:
         for _ in range(abs(ulps)):
             x = math.nextafter(x, ulps * math.inf)
         scheme = BinningScheme(width)
-        k, u = _midpoint_cell(scheme, x)
-        k_arr, u_arr = _midpoint_cell(scheme, np.array([x]))
+        k, k_arr = scheme.half_grid_index(x), scheme.half_grid_index(np.array([x]))
+        u, u_arr = 0.5 - k + x / width, 0.5 - k_arr + np.array([x]) / width
         assert type(k) is int and k == k_arr[0] and _bits(u) == _bits(u_arr[0])
         if width == 5e-324:
             return
@@ -669,6 +677,140 @@ class TestArrayRoute:
             tracemalloc.stop()
         assert peak < 2**20
         assert out.tolist() == [fp_eval(h, v) for v in x.tolist()]
+
+
+B = estimators._BLOCK
+
+
+def _scalar_calls(h, x):
+    """``fp_eval``'s scalar route at every point of ``x``, in ``x``'s shape."""
+    return np.array([fp_eval(h, v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
+class TestBlockedRoute:
+    """An ``fp_eval`` array goes through in blocks of ``_BLOCK`` points and
+    locates its cells in its own code; every block, the short last one
+    included, must equal the scalar route bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def hist(self):
+        # bin 0 holds 3000 points more than bin -1: just above the cell edge
+        # -b/2, where x/b - 1/2 rounds onto -1, ceil's cell -1 would then give
+        # other bits than the exact cell 0
+        rng = np.random.default_rng(7)
+        sample = np.concatenate([rng.normal(0.0, 10.0, 20_000), np.full(3000, 0.05)])
+        return build_histogram(sample, BinningScheme(0.1))
+
+    @staticmethod
+    def _marks(h):
+        """Bin edges and midpoints of ``h`` and one ulp to either side, and
+        the points among them where ``ceil(x/b - 1/2)`` misses the cell."""
+        b = h.scheme.bin_width
+        z = np.arange(h.keys[0] - 2, h.keys[-1] + 3, dtype=float)
+        marks = np.concatenate([z * b, (z + 0.5) * b])
+        marks = np.concatenate([marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf)])
+        return marks, marks[np.ceil(marks / b - 0.5) != h.scheme.half_grid_index(marks)]
+
+    @pytest.mark.parametrize("size", [B - 1, B, B + 1, 2 * B + 1])
+    def test_batch_lengths_around_the_block(self, hist, rng, size):
+        marks, dekker = self._marks(hist)
+        b = hist.scheme.bin_width
+        assert np.nextafter(-b / 2, 0.0) in dekker and dekker.size >= 100
+        x = rng.uniform((hist.keys[0] - 3) * b, (hist.keys[-1] + 3) * b, size)
+        # the batch ends in edge points, a far point that widens its block's
+        # near-edge bound and the Dekker cases, the one next to -b/2 last, so
+        # that the last block holds them
+        tail = np.concatenate([rng.choice(marks, 500), [2.0**40 * b], dekker,
+                               [np.nextafter(-b / 2, 0.0)]])
+        x[-tail.size:] = tail
+        assert _bits(fp_eval(hist, x)).tolist() == _bits(_scalar_calls(hist, x)).tolist()
+
+    def test_sparse_route_across_blocks(self, rng):
+        keys = np.array([-10**9, -3, 0, 1, 5, 10**9])
+        h = SparseHistogram(BinningScheme(0.5), keys, [1, 2, 3, 1, 2, 1], 10)
+        x = rng.uniform(-4.0, 4.0, 2 * B + 1)
+        ends = (keys[[0, -1]] + np.array([[-1.0], [-0.5], [0.0], [0.5], [1.0]])).ravel() * 0.5
+        x[B - 5:B + 5] = ends
+        x[-ends.size:] = ends
+        assert int(keys[-1] - keys[0]) + 3 > x.size + keys.size  # the search route
+        assert _bits(fp_eval(h, x)).tolist() == _bits(_scalar_calls(h, x)).tolist()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({B + 7: math.nan}, "x must be finite"),
+            ({2 * B: -math.inf}, "x must be finite"),
+            ({B + 7: -2.0**51}, "|x / b| must be below 2**52 to index bins exactly; got x = "
+                                "-2251799813685248.0 with bin width 0.5"),
+            # the first bad value is named; any nan among them makes x non-finite
+            ({3: 1e300, 2 * B: -1e301}, "|x / b| must be below 2**52 to index bins exactly; "
+                                        "got x = 1e+300 with bin width 0.5"),
+            ({3: 1e300, 2 * B: math.nan}, "x must be finite"),
+        ],
+        ids=["nan", "inf", "past-2**52", "two-large", "large-then-nan"],
+    )
+    def test_refusal_from_a_later_block(self, bad, message):
+        h = SparseHistogram(BinningScheme(0.5), [0, 1], [1, 1], 2)
+        x = np.zeros(2 * B + 1)
+        for i, v in bad.items():
+            x[i] = v
+        with pytest.raises(ValueError) as refused:
+            fp_eval(h, x)
+        assert str(refused.value) == message
+        if len(bad) == 1:  # the scalar route refuses the value alike
+            with pytest.raises(ValueError) as scalar:
+                fp_eval(h, *bad.values())
+            assert str(scalar.value) == message
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 3)])
+    def test_empty_shapes(self, hist, shape):
+        out = fp_eval(hist, np.empty(shape))
+        assert out.shape == shape and out.dtype == np.float64
+
+    def test_zero_d_array(self, hist):
+        value = fp_eval(hist, np.array(2.5))
+        assert type(value) is float and _bits(value) == _bits(fp_eval(hist, 2.5))
+
+    def test_layouts_and_dtypes(self, hist, rng):
+        b = hist.scheme.bin_width
+        x = rng.uniform((hist.keys[0] - 3) * b, (hist.keys[-1] + 3) * b, (3, B // 2 + 7))
+        x[2, -600:] = rng.choice(self._marks(hist)[0], 600)
+        for view in (np.asfortranarray(x), x.T, x[:, ::2], x.ravel()[::3]):
+            assert _bits(fp_eval(hist, view)).tolist() == _bits(_scalar_calls(hist, view)).tolist()
+        ints = rng.integers(-40, 40, B + 3)
+        floats32 = x.ravel()[: B + 3].astype(np.float32)
+        for arr in (ints, floats32):
+            assert _bits(fp_eval(hist, arr)).tolist() == _bits(_scalar_calls(hist, arr)).tolist()
+
+    def test_peak_memory_is_the_output_and_a_few_blocks(self, hist, rng):
+        x = rng.uniform(-100.0, 100.0, 10**6)
+        tracemalloc.start()
+        try:
+            out = fp_eval(hist, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out.nbytes + 2 * 2**20
+
+    def test_operator_identity_checks_cell_location(self, hist, rng, monkeypatch):
+        # a wrong midpoint cell at a few hundred points of a batch moves the
+        # classic route only, so the identity between the two routes fails
+        b = hist.scheme.bin_width
+        x = rng.uniform((hist.keys[0] - 3) * b, (hist.keys[-1] + 3) * b, 50_000)
+        expected = fp_eval(hist, x)
+        wrong = rng.choice(x.size, 300, replace=False)
+        true_index = BinningScheme.half_grid_index
+
+        def shifted(self, points):
+            k = true_index(self, points)
+            if np.shape(points) == x.shape:
+                k[wrong] += 1
+            return k
+
+        monkeypatch.setattr(BinningScheme, "half_grid_index", shifted)
+        out = fp_eval(hist, x)
+        assert _bits(out).tolist() == _bits(expected).tolist()
+        assert np.max(np.abs(out - fp_eval_classic(hist, x))) > 1e-12
 
 
 class TestStoneBandwidth:
