@@ -718,6 +718,15 @@ class TestTarOracle:
         closed = stats.norm(0.0, math.sqrt(1.0 / 0.75)).pdf(grid)
         assert np.max(np.abs(dens - closed)) <= 1e-6
 
+    @pytest.mark.parametrize("sigma", [1e-6, 1e9])
+    def test_tolerance_scales_with_the_noise(self, sigma):
+        # the density scales as 1/sigma, so an absolute stop test never
+        # converges for small sigma and stops early for large sigma
+        model = TarModel(0.5, 0.5, noise=NoiseSpec("gaussian", sigma))
+        grid, dens = tar_marginal_oracle(model)
+        closed = stats.norm(0.0, sigma * math.sqrt(1.0 / 0.75)).pdf(grid)
+        assert np.max(np.abs(dens - closed)) <= 1e-9 * np.max(closed)
+
     @pytest.mark.parametrize("a,b", [(0.6, -0.3), (-0.4, 0.2), (0.3, 0.7)])
     def test_asymmetric_normalization(self, a, b):
         model = TarModel(a, b)
