@@ -429,8 +429,12 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     holds the GIL, so a pool would only add its overhead.  Otherwise (ARMA
     and moving-average models, larger Markov runs) each size is simulated,
     binned and evaluated in its own task, up to ``max_workers`` at once.
-    Records are aggregated by index, so the report is identical for any
-    worker count.  Right after the size grid, the ``500 * sizes * reps``
+    ``max_workers`` caps only those tasks: the TAR oracle builds its kernel,
+    and a packed batch draws its innovations, on a pool of one thread per
+    usable CPU (see :func:`models.tar_marginal_oracle` and
+    :func:`simulate_ragged`), and every sample is binned in cache-sized
+    blocks.  Records are aggregated by index, so the report is identical
+    for any worker count.  Right after the size grid, the ``500 * sizes * reps``
     bootstrap table and the largest size's batch of draws (a Markov batch
     padded to whole segments) are refused past ``models.MAX_BUFFER_VALUES``
     values, and so are seeds that are not integers or run past ``2**128``,

@@ -49,8 +49,8 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-#: points per block of an ``fp_eval`` array call; its work buffers, about
-#: 40 bytes a point, then stay in cache
+#: points per block of a ``bin_index`` or ``fp_eval`` array call; their work
+#: buffers, at most about 40 bytes a point, then stay in cache
 _BLOCK = 2**14
 
 
@@ -81,13 +81,15 @@ class BinningScheme:
 
         Past ``2**52`` the floats of ``x/b`` are too coarse for the one-ulp
         cell corrections (at ``2**53``, ``z + 1 == z``), and the int64 cast
-        of a bin index can overflow.  One comparison scans ``x`` for both
-        refusals, since it is false for nan and +-inf as well.
+        of a bin index can overflow.  The array is checked from its minimum
+        and maximum, through which a nan propagates; only a refused array is
+        scanned again, for the first value to name.
         """
         arr = np.asarray(x, dtype=float)
-        exact = np.abs(arr) < 2.0**52 * self.bin_width  # exact product, or inf
-        if not exact.all():
-            bad = arr[~exact]
+        limit = 2.0**52 * self.bin_width  # exact product, or inf
+        if arr.size and not (abs(arr.min()) < limit and abs(arr.max()) < limit):
+            # one comparison finds both refusals: it is false for nan and +-inf too
+            bad = arr[~(np.abs(arr) < limit)]
             self._refuse(float(bad[0]) if np.isfinite(bad).all() else math.nan)
         return arr, arr.ndim == 0
 
@@ -103,20 +105,37 @@ class BinningScheme:
     def bin_index(self, x):
         """Index ``z`` of the bin ``(z*b, (z+1)*b]`` containing ``x``.
 
-        Raises ``ValueError`` unless ``|x/b| < 2**52``.
+        Raises ``ValueError`` unless ``|x/b| < 2**52``.  The array is
+        checked once as a whole (from its minimum and maximum), then goes
+        through in blocks of ``_BLOCK`` points, each computed in two float
+        buffers and one bool buffer reused from block to block, and written
+        straight into the int64 output.  A scalar gets an ``int`` back.
         """
         arr, scalar = self._index_domain(x)
         b = self.bin_width
-        z = np.ceil(arr / b) - 1.0
+        out = np.empty(arr.shape, dtype=np.int64)
+        flat, out_flat = arr.reshape(-1), out.reshape(-1)
+        z, edge = np.empty((2, min(flat.size, _BLOCK)))
+        beyond = np.empty(z.size, dtype=bool)
         # x/b can land within an ulp of an integer; re-check against the
         # actual float bin edges so that z*b < x <= (z+1)*b always holds.
         # Near the float maximum an edge can round to +-inf; that is the
         # right edge, because a product that rounds to inf exceeds every
         # finite x in exact arithmetic too, so the overflow is not reported.
         with np.errstate(over="ignore"):
-            z = np.where(arr <= z * b, z - 1.0, z)
-            z = np.where(arr > (z + 1.0) * b, z + 1.0, z)
-        out = z.astype(np.int64)
+            for start in range(0, flat.size, _BLOCK):
+                xb = flat[start:start + _BLOCK]
+                if xb.size < z.size:  # the last block
+                    z, edge, beyond = z[:xb.size], edge[:xb.size], beyond[:xb.size]
+                np.divide(xb, b, out=z)
+                np.ceil(z, out=z)
+                z -= 1.0
+                np.multiply(z, b, out=edge)
+                np.subtract(z, 1.0, out=z, where=np.less_equal(xb, edge, out=beyond))
+                np.add(z, 1.0, out=edge)
+                edge *= b
+                np.add(z, 1.0, out=z, where=np.greater(xb, edge, out=beyond))
+                np.copyto(out_flat[start:start + _BLOCK], z, casting="unsafe")
         return int(out[()]) if scalar else out
 
     def half_grid_index(self, x):
@@ -263,17 +282,29 @@ def build_histogram(sample, scheme: BinningScheme) -> SparseHistogram:
     """Bin a sample in one pass; memory scales with the occupied-bin count.
 
     Entries must be finite; offending positions are reported in the raised
-    error.
+    error.  The sample is scanned for them only when its minimum or maximum
+    is not finite (a nan propagates through both).  Bins are counted with
+    ``np.bincount`` over the span of occupied indices while that span holds
+    at most the sample size, and with ``np.unique`` past it.
     """
     arr = np.asarray(sample, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("sample must be nonempty")
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
+    if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+        bad = np.flatnonzero(~np.isfinite(arr))
         shown = ", ".join(str(i) for i in bad[:10].tolist())
         more = "" if bad.size <= 10 else f" (+{bad.size - 10} more)"
         raise ValueError(f"non-finite sample entries at indices {shown}{more}")
-    keys, values = np.unique(scheme.bin_index(arr), return_counts=True)
+    z = scheme.bin_index(arr)
+    lo, hi = int(z.min()), int(z.max())
+    if hi - lo < arr.size:
+        z -= lo
+        counts = np.bincount(z, minlength=hi - lo + 1)
+        keys = np.flatnonzero(counts)
+        values = counts[keys]
+        keys += lo
+    else:
+        keys, values = np.unique(z, return_counts=True)
     return SparseHistogram(scheme, keys, values, arr.size)
 
 
@@ -362,15 +393,11 @@ def fp_eval(h: SparseHistogram, x):
         if p < occupied and keys.item(p) == k:
             above = values.item(p)
         return float((1.0 - u) * (below / denom) + u * (above / denom))
-    arr = np.asarray(x, dtype=float)
+    arr, scalar = scheme._index_domain(x)
     out = np.empty(arr.shape)
     flat, out_flat = arr.reshape(-1), out.reshape(-1)
     if not flat.size:
         return out
-    # a nan propagates through min and max; the refusal names every bad value
-    limit = 2.0**52 * b
-    if not (abs(flat.min()) < limit and abs(flat.max()) < limit):
-        scheme._index_domain(arr)
     base = int(keys[0]) - 1
     span = int(keys[-1]) - base + 2
     dense = span <= flat.size + len(keys)
@@ -424,7 +451,7 @@ def fp_eval(h: SparseHistogram, x):
         np.multiply(w, below, out=w)
         np.multiply(u, above, out=u)
         np.add(w, u, out=out_flat[start:start + _BLOCK])
-    return float(out[()]) if arr.ndim == 0 else out
+    return float(out[()]) if scalar else out
 
 
 def fp_eval_classic(h: SparseHistogram, x):

@@ -21,8 +21,9 @@ import math
 import os
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -76,6 +77,9 @@ MIN_MARKOV_BURN_IN = 64
 #: values per block of columns when a recursion is advanced block by block
 _BLOCK_VALUES = 2**20
 
+#: rows per block of the TAR oracle's kernel, about 1 MB of its 2001 columns
+_ORACLE_ROWS = 64
+
 
 class ModelValidityError(ValueError):
     """Model parameters violate stationarity or contraction requirements."""
@@ -107,6 +111,29 @@ def _philox_state(seed: int, state: dict | None = None) -> dict:
                       "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     state["state"]["key"] = int(seed) & 0xFFFF_FFFF_FFFF_FFFF, int(seed) >> 64
     return state
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_on_cpus(fn: Callable, items: Sequence) -> None:
+    """Call ``fn`` on every item, up to one call per usable CPU at a time.
+
+    One worker or one item runs on the calling thread, with no pool.  The
+    pool is built per call; an exception in any call is raised here.
+    """
+    workers = min(_usable_cpus(), len(items))
+    if workers < 2:
+        for item in items:
+            fn(item)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(fn, items))
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -574,28 +601,50 @@ def _draw_rows(model: Model, seeds: Sequence[int], width: int,
     With ``stops``, the nondecreasing ends of spans that lie end to end
     from column 0, one per seed, seed ``i``'s stream fills
     ``draws[0, stops[i - 1]:stops[i]]`` of one zeroed row instead, and the
-    columns past ``stops[-1]`` stay 0.0.  One generator is re-keyed per
-    seed (only the key of one state dict changes), which gives the values
-    of a fresh ``make_rng(seed)`` without building one; the unscaled values
-    are drawn seed by seed and scaled in one pass.  An array of more than
-    ``MAX_BUFFER_VALUES`` values, then any seed that is not a Philox key, is
-    refused before the array is allocated.
+    columns past ``stops[-1]`` stay 0.0.  The seeds are then split into
+    contiguous runs of about equal value counts, one per usable CPU, each
+    drawn by its own generator on a thread pool (one run is drawn on the
+    calling thread); without ``stops`` the rows are drawn on the calling
+    thread.  A generator is re-keyed per seed (only the key of one state
+    dict changes), which gives the values of a fresh ``make_rng(seed)``
+    without building one; a run's unscaled values are drawn seed by seed
+    and scaled in one pass.  An array of more than ``MAX_BUFFER_VALUES``
+    values, then any seed that is not a Philox key, is refused before the
+    array is allocated.
     """
     rows = len(seeds) if stops is None else 1
     _count(rows * width, f"a batch of {rows} x {width} draws")
     _check_seeds(seeds)
     if stops is None:
-        draws = drawn = targets = np.empty((rows, width))
-    else:
-        draws = np.zeros((1, width))
-        drawn = draws[0, :stops[-1]]
-        targets = (drawn[a:b] for a, b in zip([0, *stops[:-1].tolist()], stops.tolist()))
+        draws = np.empty((rows, width))
+        _fill_streams(model, seeds, draws, draws)
+        return draws
+    draws = np.zeros((1, width))
+    ends = stops.tolist()
+    starts = [0, *ends[:-1]]
+    workers = min(_usable_cpus(), len(seeds))
+    # run k ends at the first seed whose span reaches k / workers of the values
+    cuts = np.searchsorted(stops, np.arange(1, workers) * (ends[-1] / workers)) + 1
+    bounds = np.unique([0, *cuts.tolist(), len(seeds)]).tolist()
+
+    def draw_run(run: tuple[int, int]) -> None:
+        a, b = run
+        spans = zip(starts[a:b], ends[a:b])
+        _fill_streams(model, seeds[a:b], (draws[0, lo:hi] for lo, hi in spans),
+                      draws[0, starts[a]:ends[b - 1]])
+
+    _map_on_cpus(draw_run, list(zip(bounds[:-1], bounds[1:])))
+    return draws
+
+
+def _fill_streams(model: Model, seeds: Sequence[int], targets: Iterable[np.ndarray],
+                  drawn: np.ndarray) -> None:
+    """Fill each target from its seed's stream, then scale ``drawn``, the span they cover."""
     rng, state = make_rng(0), _philox_state(0)
     for target, s in zip(targets, seeds):
         rng.bit_generator.state = _philox_state(s, state)
         model.noise.fill(rng, target, False)  # unscaled
     model.noise.rescale(drawn)
-    return draws
 
 
 def _arma_polys(model: ArmaModel) -> tuple[np.ndarray, np.ndarray]:
@@ -741,7 +790,9 @@ def simulate_ragged(model: Model, ns: Sequence[int], seeds: Sequence[int],
     """Row ``i`` is ``simulate(model, ns[i], burn_in, seed=seeds[i])``.
 
     Each row is drawn from its own stream.  Markov rows are packed end to
-    end into one run of draws, cut into segments of
+    end into one run of draws (more than one row is drawn on a pool of one
+    thread per usable CPU, each thread with a contiguous run of rows of
+    about equal value counts), cut into segments of
     ``4 * default_burn_in(model)`` columns (at most the longest row), and
     the segments are stepped together: the Python loop runs
     ``default_burn_in(model)`` warm-up steps and one segment's width, at
@@ -931,7 +982,13 @@ def tar_marginal_oracle(model: TarModel) -> tuple[np.ndarray, np.ndarray]:
     so truncated tail mass is far below the convergence tolerance.  The
     Markov density map ``f <- integral of noise_pdf(x - r(y)) f(y) dy`` is
     iterated with trapezoid quadrature on that grid until the sup-norm
-    change drops below ``1e-10``, within ``ORACLE_MAX_ITERATIONS`` rounds.
+    change, times the noise's standard deviation, drops below ``1e-10``
+    (the density scales as ``1/std``, so the test is relative to its
+    scale), within ``ORACLE_MAX_ITERATIONS`` rounds.  The 2001 x 2001
+    kernel (32 MB) is built in place, in blocks of ``_ORACLE_ROWS`` rows
+    (about 1 MB) on a pool of one thread per usable CPU; the elementwise
+    arithmetic gives the same bits in any block order.  Nothing is cached:
+    every call builds the kernel afresh.
     """
     require_valid(model)
     if model.noise.distribution != "gaussian":
@@ -943,17 +1000,24 @@ def tar_marginal_oracle(model: TarModel) -> tuple[np.ndarray, np.ndarray]:
     weights[-1] = 0.5 * (grid[-1] - grid[-2])
     weights[1:-1] = 0.5 * (grid[2:] - grid[:-2])
 
-    # the 2001 x 2001 kernel (32 MB) is built in its own buffer, without
-    # temporaries of its size
-    kernel = _gaussian_pdf_in_place(np.subtract.outer(grid, model.transition(grid)),
-                                    model.noise.scale)
-    kernel *= weights
+    # each block is built in its own rows of the kernel, without temporaries
+    # of its size
+    kernel = np.empty((grid.size, grid.size))
+    images = model.transition(grid)
+
+    def build_rows(start: int) -> None:
+        block = kernel[start:start + _ORACLE_ROWS]
+        np.subtract.outer(grid[start:start + _ORACLE_ROWS], images, out=block)
+        _gaussian_pdf_in_place(block, model.noise.scale)
+        block *= weights
+
+    _map_on_cpus(build_rows, range(0, grid.size, _ORACLE_ROWS))
     f = model.noise.pdf(grid)
     for _ in range(ORACLE_MAX_ITERATIONS):
         f_next = kernel @ f
         change = float(np.max(np.abs(f_next - f)))
         f = f_next
-        if change < 1e-10:
+        if change * model.noise.std < 1e-10:
             return grid, f
     raise RuntimeError(
         f"fixed-point iteration did not converge in {ORACLE_MAX_ITERATIONS} iterations; "

@@ -514,7 +514,7 @@ class TestRateExperiment:
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
     def test_packed_sizes_evaluate_without_a_pool(self, monkeypatch):
         def no_pool(max_workers=None):
-            pytest.fail("a packed Markov run built a thread pool")
+            pytest.fail("a packed Markov run built a per-size thread pool")
 
         monkeypatch.setattr(diagnostics, "ThreadPoolExecutor", no_pool)
         report = rate_experiment(TarModel(0.6, -0.3), self.N_GRID, 3, seed=5, max_workers=2)

@@ -115,6 +115,110 @@ class TestBinning:
         assert k * width - width / 2 < x <= k * width + width / 2
 
 
+def whole_array_bin_index(scheme, x):
+    """``bin_index`` as one whole-array expression, the route the blocks replace."""
+    arr, b = np.asarray(x, dtype=float), scheme.bin_width
+    z = np.ceil(arr / b) - 1.0
+    with np.errstate(over="ignore"):
+        z = np.where(arr <= z * b, z - 1.0, z)
+        z = np.where(arr > (z + 1.0) * b, z + 1.0, z)
+    return z.astype(np.int64)
+
+
+class TestBlockedBinning:
+    """``bin_index`` works through an array in blocks of ``_BLOCK`` points
+    with reused buffers; it must equal the whole-array expression."""
+
+    @pytest.mark.parametrize("width", [1 / 3, 0.029, 1e-300, 1e300])
+    def test_edges_and_one_ulp_either_side(self, rng, width):
+        scheme = BinningScheme(width)
+        # indices near 0, spread up to the exact range, and, for 1e300, near
+        # the float maximum, where the upper edge rounds to inf
+        reach = min(2.0**52 - 2.0, TOP / width)
+        z = np.concatenate([np.arange(-3000.0, 3000.0),
+                            np.round(rng.uniform(-reach, reach, 20_000)),
+                            np.floor(reach) - np.arange(5.0)])
+        edges = z * width
+        x = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        x = x[np.isfinite(x) & (np.abs(x) < 2.0**52 * width)]
+        assert x.size > 3 * estimators._BLOCK
+        got = scheme.bin_index(x)
+        assert_array_equal(got, whole_array_bin_index(scheme, x))
+        # the strict lower-edge rule, against the float edges
+        with np.errstate(over="ignore"):
+            assert np.all((got * width < x) & (x <= (got + 1.0) * width))
+
+    @pytest.mark.parametrize("size", [1, estimators._BLOCK - 1, estimators._BLOCK,
+                                      estimators._BLOCK + 1, 3 * estimators._BLOCK + 5])
+    def test_arrays_across_block_boundaries(self, rng, size):
+        scheme = BinningScheme(0.029)
+        x = rng.normal(0.0, 3.0, size)
+        x[::7] = np.round(x[::7] / 0.029) * 0.029  # on or next to the edges
+        assert_array_equal(scheme.bin_index(x), whole_array_bin_index(scheme, x))
+
+    def test_shapes_and_dtypes(self, rng):
+        scheme = BinningScheme(1 / 3)
+        x = rng.normal(0.0, 5.0, (300, 200))
+        for arg in (x, x[:, ::3], x.T, x[::2, 1::2], np.arange(-40, 40).reshape(8, 10),
+                    np.empty((0, 3))):
+            got = scheme.bin_index(arg)
+            assert got.dtype == np.int64 and got.shape == np.shape(arg)
+            assert_array_equal(got, whole_array_bin_index(scheme, arg))
+        for arg in (np.float64(2.5), np.array(2.5), 2.5, 7):
+            got = scheme.bin_index(arg)
+            assert type(got) is int and got == int(whole_array_bin_index(scheme, arg))
+
+    @pytest.mark.parametrize("bad,message", [
+        (2.0**53, re.escape(f"got x = {2.0**53!r} with bin width 1.0")),
+        (math.nan, "x must be finite"), (-math.inf, "x must be finite"),
+    ])
+    def test_refusal_in_a_later_block(self, rng, bad, message):
+        x = rng.normal(0.0, 1.0, 3 * estimators._BLOCK)
+        x[2 * estimators._BLOCK + 11] = bad
+        for index in (UNIT.bin_index, UNIT.half_grid_index):
+            with pytest.raises(ValueError, match=message):
+                index(x)
+        # the first value past the range is named; a non-finite one anywhere wins
+        x[5] = -2.0**60
+        first = re.escape(f"got x = {-2.0**60!r}")
+        with pytest.raises(ValueError, match=first if math.isfinite(bad) else message):
+            UNIT.bin_index(x)
+
+    def test_non_finite_sample_message(self):
+        x = np.zeros(3 * estimators._BLOCK)
+        x[[4, 40_000]] = math.nan
+        x[20_000] = math.inf
+        with pytest.raises(ValueError, match=r"^non-finite sample entries at indices "
+                                             r"4, 20000, 40000$"):
+            build_histogram(x, UNIT)
+        x[100:120] = -math.inf
+        with pytest.raises(ValueError, match=r"indices 4, 100, 101, .*, 108 \(\+13 more\)$"):
+            build_histogram(x, UNIT)
+
+    @pytest.mark.parametrize("kind", ["dense", "one_point", "two_clusters"])
+    def test_counting_routes_equal_unique(self, rng, monkeypatch, kind):
+        scheme = BinningScheme(0.05)
+        x = {"dense": rng.normal(0.0, 1.0, 50_000),
+             "one_point": np.full(10, 0.3),
+             "two_clusters": np.concatenate([rng.normal(0.0, 1.0, 5000),
+                                             rng.normal(1e9 * 0.05, 1.0, 5000)])}[kind]
+        routes = []
+        for name in ("bincount", "unique"):
+            monkeypatch.setattr(np, name, partial(self._record, routes, name, getattr(np, name)))
+        h = build_histogram(x, scheme)
+        monkeypatch.undo()
+        assert routes == (["unique"] if kind == "two_clusters" else ["bincount"])
+        keys, values = np.unique(whole_array_bin_index(scheme, x), return_counts=True)
+        assert h.keys.dtype == h.values.dtype == np.int64
+        assert_array_equal(h.keys, keys)
+        assert_array_equal(h.values, values)
+
+    @staticmethod
+    def _record(routes, name, fn, *args, **kwargs):
+        routes.append(name)
+        return fn(*args, **kwargs)
+
+
 class TestBuildHistogram:
     def test_direct_count(self):
         h = build_histogram([0.25, 0.75, 1.5], UNIT)

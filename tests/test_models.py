@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
 from polyfreq import models
+from polyfreq.dependence import coupled_paths
 from polyfreq.models import (
     ArmaModel,
     LinearProcess,
@@ -703,6 +704,39 @@ class TestNlarChecks:
     def test_bound_range_enforced(self):
         with pytest.raises(ModelValidityError):
             NlarModel(transition=lambda x: x, lipschitz_bound=1.0)
+
+
+class TestDrawThreads:
+    """Only a packed batch of more than one seed draws on a thread pool."""
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def fail(max_workers):
+            pytest.fail("drew on a thread pool")
+
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(models, "ThreadPoolExecutor", fail)
+
+    def test_one_seed_draws_on_the_calling_thread(self, no_pool):
+        for model in (TarModel(0.6, -0.3), NlarModel(lambda x: 0.5 * np.tanh(x), 0.5)):
+            assert len(simulate(model, 10**5, seed=1)) == 10**5
+            assert len(simulate_ragged(model, [300], [2**64])[0]) == 300
+
+    def test_rows_without_stops_draw_on_the_calling_thread(self, no_pool):
+        # many short rows: two threads measured slower than one on them
+        draws = models._draw_rows(TarModel(0.6, -0.3), range(2000), 93)
+        assert draws.shape == (2000, 93)
+        coupled_paths(TarModel(0.6, -0.3), 5, range(1000))
+        simulate_ragged(AR1, [100] * 50, range(50))
+
+    def test_runs_split_the_values_evenly(self, monkeypatch):
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+        runs = []
+        monkeypatch.setattr(models, "_map_on_cpus", lambda fn, items: runs.extend(items))
+        stops = np.cumsum([10, 10, 10, 10, 50, 10, 10, 10, 10, 10, 10])
+        models._draw_rows(TarModel(0.6, -0.3), range(11), int(stops[-1]), stops)
+        # 140 values: the first run ends with the span that reaches 70
+        assert runs == [(0, 5), (5, 11)]
 
 
 class TestTarOracle:

@@ -11,11 +11,12 @@ pin the same streams at an explicit 1000 steps, the earlier default.
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from polyfreq import diagnostics
+from polyfreq import diagnostics, models
 from polyfreq.cli import main
 from polyfreq.dependence import estimate_delta_profile
 from polyfreq.diagnostics import rate_experiment
@@ -159,6 +160,61 @@ def test_simulate_rows_at_burn_in_1000(name, paths, ragged):
     model, seeds = SIM_MODELS[name], [0, 3, 2**64 + 1]
     assert rows_digest([simulate(model, 5000, 1000, seed=s) for s in seeds]) == paths
     assert rows_digest(simulate_ragged(model, [5, 700, 5, 2000], [*seeds, 5], 1000)) == ragged
+
+
+# the TAR oracle's kernel and a packed batch's draws are built on a pool of
+# one thread per usable CPU: every worker count must give the same bits
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(count)`` sets the usable CPU count; returns the sizes of the pools built.
+
+    Threads switch every microsecond meanwhile, so a worker that wrote
+    outside its own rows would show in the bits.
+    """
+    pools = []
+
+    class Pool(models.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(models, "ThreadPoolExecutor", Pool)
+
+    def use(count):
+        monkeypatch.setattr(models, "_usable_cpus", lambda: count)
+        pools.clear()
+        return pools
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield use
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_tar_oracle_on_any_worker_count(cpus, count):
+    pools = cpus(count)
+    _, density = tar_marginal_oracle(TarModel(0.6, -0.3))
+    assert hashlib.sha256(density.tobytes()).hexdigest() == (
+        "4d07fb3379718bb33c27cb1dccbc89c36de5bf1eafc5e368367db9fc18d23708")
+    assert pools == ([] if count == 1 else [count])
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("name", ["TAR", "NLAR"])
+def test_packed_rows_on_any_worker_count(cpus, name, count):
+    model = SIM_MODELS[name]
+    ns = np.random.default_rng(8).integers(1, 3000, 40).tolist()
+    seeds = range(2**64 - 20, 2**64 + 20)
+    cpus(1)
+    serial = simulate_ragged(model, ns, seeds)
+    pools = cpus(count)
+    assert rows_digest(simulate_ragged(model, ns, seeds)) == rows_digest(serial)
+    assert pools == [count]
 
 
 # fp_eval: a faster array route must give the same bits on random queries, on
