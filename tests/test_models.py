@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy import stats
+from scipy import integrate, stats
 
 from polyfreq import models
 from polyfreq.dependence import coupled_paths
@@ -767,6 +767,36 @@ class TestTarOracle:
         grid, dens = tar_marginal_oracle(model)
         assert np.all(dens >= 0.0)
         assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("a,gap", [(0.6, 8.8e-7), (-0.5, 6.8e-7), (0.9, 2.5e-6)])
+    def test_kinked_map_matches_skew_normal(self, a, gap):
+        # X_t = a|X_{t-1}| + eps_t has the stationary density
+        # 2 s phi(s x) Phi(a x) with s = sqrt(1 - a**2) (Andel, Netuka and
+        # Zvara 1984), the one closed form whose map has a kink at 0
+        grid, dens = tar_marginal_oracle(TarModel(a, -a))
+        s = math.sqrt(1.0 - a * a)
+        closed = 2.0 * s * stats.norm.pdf(s * grid) * stats.norm.cdf(a * grid)
+        assert np.max(np.abs(dens - closed)) <= gap
+
+    # the interpolant's kink at every grid node leaves quad's own error
+    # estimate above epsabs; the bound checked is the 1e-6 below
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("a,b", [(0.6, 0.0), (0.0, -0.5)])
+    def test_zero_slope_is_a_fixed_point(self, a, b):
+        # a zero slope maps a whole half line onto 0: one more round of the
+        # density map, by quadrature of the interpolated density, must give
+        # the density back at grid points across the bulk
+        model = TarModel(a, b)
+        grid, dens = tar_marginal_oracle(model)
+        step = (grid[-1] - grid[0]) / (grid.size - 1)
+        at = np.rint((np.linspace(-4.0, 4.0, 9) - grid[0]) / step).astype(int)
+        for i in at:
+            def integrand(y, x=grid[i]):
+                return model.noise.pdf(x - model.transition(y)) * np.interp(y, grid, dens)
+
+            image = sum(integrate.quad(integrand, lo, hi, limit=500, epsabs=1e-13)[0]
+                        for lo, hi in ((grid[0], 0.0), (0.0, grid[-1])))
+            assert abs(image - dens[i]) <= 1e-6
 
     def test_non_convergence_reports_change(self, monkeypatch):
         monkeypatch.setattr(models, "ORACLE_MAX_ITERATIONS", 2)
