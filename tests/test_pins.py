@@ -162,8 +162,8 @@ def test_simulate_rows_at_burn_in_1000(name, paths, ragged):
     assert rows_digest(simulate_ragged(model, [5, 700, 5, 2000], [*seeds, 5], 1000)) == ragged
 
 
-# the TAR oracle's kernel and a packed batch's draws are built on a pool of
-# one thread per usable CPU: every worker count must give the same bits
+# a packed batch's draws are built on a pool of one thread per usable CPU:
+# every worker count must give the same bits
 
 
 @pytest.fixture
@@ -195,13 +195,13 @@ def cpus(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("count", [1, 2, 3])
-def test_tar_oracle_on_any_worker_count(cpus, count):
-    pools = cpus(count)
+def test_tar_oracle_builds_no_pool(cpus):
+    # the oracle runs on the calling thread, whatever the CPU count
+    pools = cpus(3)
     _, density = tar_marginal_oracle(TarModel(0.6, -0.3))
     assert hashlib.sha256(density.tobytes()).hexdigest() == (
         "4d07fb3379718bb33c27cb1dccbc89c36de5bf1eafc5e368367db9fc18d23708")
-    assert pools == ([] if count == 1 else [count])
+    assert pools == []
 
 
 @pytest.mark.parametrize("count", [2, 3])
