@@ -981,13 +981,13 @@ def tar_marginal_oracle(model: TarModel) -> tuple[np.ndarray, np.ndarray]:
     points over +-8.5 conservative stationary standard deviations
     ``std / sqrt(1 - rho**2)``, so truncated tail mass is far below the
     convergence tolerance.  A round is the trapezoid rule for the Markov
-    density map ``f <- integral of noise_pdf(x - r(y)) f(y) dy`` with the
-    noise density evaluated at ``x - r(y)`` by the cubic spline through
-    its values at the grid spacing, which is exact to O(h**4), in two
-    steps.  First each node's trapezoid mass is pushed forward to ``r(y)``
-    and spread over the four nodes around it by cubic B-spline weights,
-    fixed once per call: a zero or tiny slope puts its half line's mass at
-    the node 0.  Then the binned masses are convolved with the spline's
+    density map ``f <- integral of noise_pdf(x - r(y)) f(y) dy``, with the
+    noise density at ``x - r(y)`` taken from the cubic spline through its
+    values at the grid spacing (accurate to O(h**4)), in two steps.  First
+    each node's trapezoid mass is pushed forward to ``r(y)`` and spread
+    over the four nodes around it by cubic B-spline weights, fixed once per
+    call: a zero or tiny slope puts its half line's mass at the node 0.
+    Then the binned masses are convolved with the spline's
     coefficients by one real FFT of the least power-of-two length at or
     above ``2 * points - 1``, against a stencil transformed once (the
     binned FFT kernel estimators of Silverman 1982 and Wand 1994).
@@ -1009,8 +1009,8 @@ def tar_marginal_oracle(model: TarModel) -> tuple[np.ndarray, np.ndarray]:
     weights[[0, -1]] = 0.5 * step
 
     # node mid + k maps to mid + slope * k in index units, u past the node
-    # lo; taps past the grid's ends, where no mass a float can hold lies,
-    # fold onto the end nodes
+    # lo; taps past the grid's ends carry only tail roundoff and fold onto
+    # the end nodes
     k = np.arange(points) - mid
     image = mid + np.where(k > 0, model.a, model.b) * k
     lo = np.floor(image)
