@@ -385,7 +385,22 @@ class TestChunkParse:
                 assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected.tolist()]
 
 
+def format_columns(*columns):
+    """The writer's text for ``columns``: integer columns as ``%d``, float ones as ``%.17g``."""
+    template = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    return "".join(_format_rows(template, *columns))
+
+
+def reference_rows(*columns):
+    """``format(v, ".17g")`` of every value (``str`` of an integer), one line per row."""
+    cells = [[str(v) if isinstance(v, int) else format(v, ".17g") for v in c.tolist()]
+             for c in columns]
+    return "".join(",".join(row) + "\n" for row in zip(*cells))
+
+
 class TestChunkFormat:
+    """The writer's bytes are those of ``format(v, ".17g")``, value by value."""
+
     SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 1e16, 1e17, 3.0,
                -12.0, 2.0**53, 0.1, 1 / 3]
 
@@ -395,14 +410,55 @@ class TestChunkFormat:
     def test_one_column_is_format_17g(self, values, chunk_lines):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_CHUNK_LINES", chunk_lines)
-            text = "".join(_format_rows("%.17g\n", np.array(values, dtype=float)))
+            text = format_columns(np.array(values, dtype=float))
         assert text == "".join(format(v, ".17g") + "\n" for v in values)
+
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), max_size=30), chunk_lines=st.integers(1, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_raw_bit_patterns(self, bits, chunk_lines):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_CHUNK_LINES", chunk_lines)
+            assert format_columns(values) == reference_rows(values)
+
+    def test_seventeen_digit_ties(self):
+        # m / 4 has 16 integer digits and a fraction .25 or .75 for odd m; m / 8 below 1e15
+        # has 15 and a fraction in eighths: the 17th digit is an exact tie, rounded to even
+        m = np.arange(2**52 + 1, 2**53, 2**52 // 40_001 | 1, dtype=np.int64).astype(np.float64)
+        values = np.concatenate([m / 4, m / 8, -m / 4])
+        assert np.count_nonzero((m / 4) % 0.5 == 0.25) > 10_000
+        assert format_columns(values) == reference_rows(values)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{e}") for e in range(-5, 18)])
+        values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        values = np.concatenate([values, -values])
+        assert format_columns(values) == reference_rows(values)
+
+    def test_zeros_subnormals_and_non_finite(self):
+        values = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                           2.2250738585072014e-308, -2.2250738585072014e-308, 1e-300, math.nan,
+                           -math.nan, math.inf, -math.inf, 9.9999999999999991e-5, 1e-4])
+        assert format_columns(values, values[::-1]) == reference_rows(values, values[::-1])
+
+    @pytest.mark.parametrize("count", [2**14 - 1, 2**14, 2**14 + 1])
+    def test_a_block_boundary(self, count):
+        x = np.resize(np.array([*self.SPECIAL, math.nan, -math.inf, 0.5, 123.25]), count)
+        y = np.random.default_rng(count).standard_normal(count) * 10.0 ** np.resize(
+            np.arange(-6, 19), count)
+        assert format_columns(x, y, -x) == reference_rows(x, y, -x)
+
+    def test_integer_columns_up_to_2_53(self):
+        k = np.array([0, 1, 9, 10, 99, 100, 12_345, 10**15, 10**16 - 1, 2**53 - 1, 2**53])
+        k = np.concatenate([k, np.random.default_rng(3).integers(0, 2**53, 1000)])
+        x = np.resize(np.array(self.SPECIAL), k.size)
+        assert format_columns(k, x, k) == reference_rows(k, x, k)
 
     def test_row_templates_across_a_chunk_boundary(self):
         count = cli._CHUNK_LINES + 3
         x = np.resize(np.array(self.SPECIAL), count)
         k = np.arange(count) * 7
-        assert "".join(_format_rows("%d,%.17g,%d,%.17g\n", k, x, k, -x)) == "".join(
+        assert format_columns(k, x, k, -x) == "".join(
             f"{a},{format(b, '.17g')},{a},{format(-b, '.17g')}\n"
             for a, b in zip(k.tolist(), x.tolist()))
 
