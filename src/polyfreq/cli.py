@@ -64,6 +64,13 @@ EXIT_DATA = 2
 EXIT_MODEL = 3
 
 _CHUNK_LINES = 65536
+#: rows the CSV writer formats at once: a block's byte matrix stays cache-sized
+_FORMAT_ROWS = 1 << 14
+#: bytes per value in the writer's matrix (see :func:`_format_column`)
+_CELL = 40
+_POW5 = np.uint64(5) ** np.arange(22, dtype=np.uint64)
+_LOW = np.uint64(2**32 - 1)
+_ONE = np.uint64(1)
 _MAX_BAD_ROWS = 10
 #: ``bench`` reports the fastest of this many frequency polygon builds and queries
 _BENCH_REPEATS = 5
@@ -77,17 +84,138 @@ class DataError(Exception):
     pass
 
 
-def _format_rows(template: str, *columns: np.ndarray) -> Iterator[str]:
-    """The rows of ``columns`` as lines of ``template``, one string per ``_CHUNK_LINES`` rows.
+def _cell_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The writer's lookup tables, built by numpy at import.
 
-    Each chunk is formatted by one ``%`` of the template repeated once per
-    row over the chunk's values in row order; ``%.17g`` writes the bytes of
-    ``format(v, ".17g")`` and ``%d`` those of ``str(int)``.
+    A cell's first word is its sign, ``"0."`` and ``-E - 1`` zeros when
+    ``E < 0``, the leading digit and its point slot: index
+    ``(negative * 5 + min(-E, 4)) * 10 + digit``.  A pair word is two digits
+    with their point slots, keeping none, the first or both of them: index
+    ``pair * 3 + kept``.  The last table gives the index of the last nonzero
+    digit of pair ``i`` of a cell (0 for ``"00"``): index ``i * 100 + pair``.
     """
-    for i in range(0, len(columns[0]), _CHUNK_LINES):
-        parts = [c[i:i + _CHUNK_LINES].tolist() for c in columns]
-        values = parts[0] if len(parts) == 1 else itertools.chain.from_iterable(zip(*parts))
-        yield (template * len(parts[0])) % tuple(values)
+    digit = np.arange(10) + ord("0")
+    head = np.zeros((2, 5, 10, 8), np.uint8)
+    head[1, ..., 0] = ord("-")
+    prefix = np.frombuffer(b"0.000", np.uint8) * (np.arange(5) < np.array([[0], [2], [3], [4], [5]]))
+    head[..., 1:6] = prefix[:, None]
+    head[..., 6] = digit
+    pair = np.arange(100)
+    pairs = np.zeros((100, 3, 4), np.uint8)
+    pairs[:, 1:, 0] = digit[pair // 10, None]
+    pairs[:, 2, 2] = digit[pair % 10]
+    last = np.where(pair == 0, 0, 2 * np.arange(8)[:, None] + 1 + (pair % 10 > 0))
+    return head.view("<u8").ravel(), pairs.view("<u4").ravel(), last.ravel()
+
+
+_HEAD, _PAIRS, _LAST = _cell_tables()
+
+
+def _format_rows(*columns) -> Iterator[str]:
+    """The rows of ``columns`` as comma-separated lines, one string per ``_FORMAT_ROWS`` rows.
+
+    Each value is written as the bytes of ``format(float(v), ".17g")``; for
+    an integer below 2**53 (a size, lag or count) that is ``str(v)``.  A
+    block lays each value out in a NUL-padded cell of ``_CELL`` bytes
+    (:func:`_format_column`), ends each cell with ``,`` or ``\n`` and
+    deletes the padding with one ``bytes.translate``.
+    """
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    for i in range(0, len(columns[0]), _FORMAT_ROWS):
+        rows = min(_FORMAT_ROWS, len(columns[0]) - i)
+        block = np.empty((rows, _CELL * len(columns)), np.uint8)
+        for j, column in enumerate(columns):
+            _format_column(column[i:i + rows], block, j * _CELL)
+        block[:, _CELL - 1::_CELL] = ord(",")
+        block[:, -1] = ord("\n")
+        yield block.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _format_column(values: np.ndarray, block: np.ndarray, start: int) -> None:
+    """Write ``format(v, ".17g")`` of each value into bytes ``start`` on of a row of ``block``.
+
+    ``%g`` writes the 17-digit decimal ``d * 10**(E - 16)`` nearest to
+    ``|v|`` (ties to even) in fixed notation when ``-4 <= E <= 16``, with
+    trailing zeros and a bare ``.`` dropped.  Such normal values take the
+    integer route of :func:`_scaled_digits` (after Adams, "Ryu revisited:
+    printf floating point conversion", OOPSLA 2019).  ``E`` starts from
+    ``log10``, which is off by at most one near a power of ten, and is
+    corrected once from the digits; a round up to ``10**17`` carries into
+    ``E``.  A cell is the first word of :func:`_cell_tables` (sign, the
+    ``"0.000"`` prefix, the leading digit) and eight pair words; every digit
+    ``j`` is followed by a slot that holds ``.`` when ``j == E`` and a
+    nonzero digit follows, and NUL otherwise, as does every dropped byte.
+    The last byte is left for the separator.  Zeros, subnormals, values that
+    round below ``1e-4`` or to ``1e17`` and above, and non-finite values go
+    through ``format`` one at a time.
+    """
+    a = np.abs(values)
+    fast = (a >= 9.9e-5) & (a < 1e17)  # the values whose E may lie in [-4, 16]
+    a = np.where(fast, a, 1.0)
+    e = np.clip(np.floor(np.log10(a)), -5, 16).astype(np.int64)
+    floor, up = _scaled_digits(a, e)
+    wrong = np.flatnonzero((floor < 10**16) | (floor >= 10**17))
+    if wrong.size:
+        e[wrong] = np.clip(e[wrong] + np.where(floor[wrong] < 10**16, -1, 1), -5, 16)
+        floor[wrong], up[wrong] = _scaled_digits(a[wrong], e[wrong])
+    fast &= (floor >= 10**16) & (floor < 10**17)
+    digits = (floor + up).astype(np.int64)
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    e += carry
+    fast &= (e >= -4) & (e <= 16)
+
+    lead = digits // 10**16
+    pairs = (digits - lead * 10**16)[None]
+    for unit in (10**8, 10**4, 100):
+        high = pairs // unit
+        pairs = np.stack([high, pairs - high * unit], axis=1).reshape(-1, len(values))
+    # pairs[i] holds digits 2i + 1 and 2i + 2; the digits past E and past the last nonzero
+    # one are dropped, and a rejected value's garbage lead is clipped into the table
+    last = _LAST.take(pairs + 100 * np.arange(8)[:, None]).max(axis=0)
+    kept = np.clip(np.maximum(last, e) - 2 * np.arange(8)[:, None], 0, 2)
+    first = (np.signbit(values) * 5 + np.clip(-e, 0, 4)) * 10 + lead
+    block.view("<u8")[:, start // 8] = _HEAD.take(first, mode="clip")
+    block.view("<u4")[:, start // 4 + 2:start // 4 + 10] = _PAIRS.take(pairs * 3 + kept).T
+    point = np.flatnonzero((e >= 0) & (last > e))
+    block.reshape(-1)[point * block.shape[1] + start + 7 + 2 * e[point]] = ord(".")
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = [format(v, ".17g") for v in values[slow].tolist()]
+        block[slow, start:start + _CELL - 1] = np.array(
+            texts, dtype=f"S{_CELL - 1}").view(np.uint8).reshape(-1, _CELL - 1)
+
+
+def _scaled_digits(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``floor(a * 10**(16 - e))`` exactly, and whether rounding half to even takes it up.
+
+    ``a`` is positive and normal, ``a = m * 2**q`` with a 53-bit ``m``, and
+    ``e`` lies in [-5, 16], so ``k = 16 - e`` is at most 21.  The product
+    ``m * 5**k`` (below 2**102) is built in two ``uint64`` words from 32-bit
+    halves, then shifted by ``-(q + k)`` bits: right, with the remainder
+    deciding the rounding, or left and exact.  Every operand stays
+    ``uint64``, since mixing in ``int64`` would promote to float64.
+    """
+    bits = a.view(np.uint64)
+    m = (bits & (2**52 - 1)) | 2**52
+    shift = 1059 - (bits >> 52).astype(np.int64) + e  # -(q + k), q = exponent - 1075
+    power = _POW5[16 - e]
+    m_lo, m_hi, p_lo, p_hi = m & _LOW, m >> 32, power & _LOW, power >> 32
+    low = m_lo * p_lo
+    middle = m_lo * p_hi + m_hi * p_lo + (low >> 32)
+    lo = (middle << 32) | (low & _LOW)
+    hi = m_hi * p_hi + (middle >> 32)
+
+    right = np.clip(shift, 1, 63).astype(np.uint64)
+    floor = (hi << (64 - right)) | (lo >> right)
+    rest = lo & ((_ONE << right) - _ONE)
+    half = _ONE << (right - _ONE)
+    up = (rest > half) | ((rest == half) & (floor & _ONE == _ONE))
+    exact = shift <= 0
+    floor[exact] = lo[exact] << (-shift[exact]).astype(np.uint64)
+    up[exact] = False
+    return floor, up
 
 
 def _check_finite(model_path: str, what: str, values) -> None:
@@ -301,7 +429,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         }
         _write_text(args.output, [json.dumps(payload, indent=2) + "\n"])
     else:
-        rows = _format_rows("%.17g,%.17g,%.17g\n", grid, hist_vals, fp_vals)
+        rows = _format_rows(grid, hist_vals, fp_vals)
         header = _header(config, "x,histogram,frequency_polygon")
         _write_text(args.output, itertools.chain([header], rows))
     print(f"n={h.n} b={bandwidth:.17g} p_n={h.occupied}", file=sys.stderr)
@@ -331,7 +459,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "burn_in": burn_in,
         "seed": args.seed,
     }
-    _write_text(args.output, itertools.chain([_header(config)], _format_rows("%.17g\n", sample)))
+    _write_text(args.output, itertools.chain([_header(config)], _format_rows(sample)))
     return EXIT_OK
 
 
@@ -380,7 +508,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
         _write_text(args.output, [json.dumps(payload, indent=2) + "\n"])
     else:
         columns = zip(*((d.lag, d.delta_hat, d.std_error, d.replications) for d in deltas))
-        rows = _format_rows("%d,%.17g,%.17g,%d\n", *map(np.array, columns))
+        rows = _format_rows(*columns)
         header = _header(config, "k,delta_hat,std_error,replications")
         _write_text(args.output, itertools.chain([header], rows))
         print(json.dumps(decay), file=sys.stderr)
@@ -431,7 +559,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
     if args.output:
         columns = zip(*((r.n, r.bandwidth, r.replication, r.sup_error, r.wall_time_s * 1000.0)
                         for r in report.records))
-        rows = _format_rows("%d,%.17g,%d,%.17g,%.17g\n", *map(np.array, columns))
+        rows = _format_rows(*columns)
         header = _header(config, "n,b,replication,sup_error,wall_time_ms")
         _write_text(args.output, itertools.chain([header], rows))
     sys.stdout.write(json.dumps(summary, indent=2) + "\n")

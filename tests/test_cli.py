@@ -386,9 +386,8 @@ class TestChunkParse:
 
 
 def format_columns(*columns):
-    """The writer's text for ``columns``: integer columns as ``%d``, float ones as ``%.17g``."""
-    template = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
-    return "".join(_format_rows(template, *columns))
+    """The writer's text for ``columns``, all of it."""
+    return "".join(_format_rows(*columns))
 
 
 def reference_rows(*columns):
@@ -409,7 +408,7 @@ class TestChunkFormat:
     @settings(max_examples=150, deadline=None)
     def test_one_column_is_format_17g(self, values, chunk_lines):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_CHUNK_LINES", chunk_lines)
+            mp.setattr(cli, "_FORMAT_ROWS", chunk_lines)
             text = format_columns(np.array(values, dtype=float))
         assert text == "".join(format(v, ".17g") + "\n" for v in values)
 
@@ -418,7 +417,7 @@ class TestChunkFormat:
     def test_raw_bit_patterns(self, bits, chunk_lines):
         values = np.array(bits, dtype=np.uint64).view(np.float64)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_CHUNK_LINES", chunk_lines)
+            mp.setattr(cli, "_FORMAT_ROWS", chunk_lines)
             assert format_columns(values) == reference_rows(values)
 
     def test_seventeen_digit_ties(self):
@@ -427,6 +426,16 @@ class TestChunkFormat:
         m = np.arange(2**52 + 1, 2**53, 2**52 // 40_001 | 1, dtype=np.int64).astype(np.float64)
         values = np.concatenate([m / 4, m / 8, -m / 4])
         assert np.count_nonzero((m / 4) % 0.5 == 0.25) > 10_000
+        assert format_columns(values) == reference_rows(values)
+
+    @pytest.mark.parametrize("exponent", range(-4, 16))
+    def test_seventeen_digit_ties_at_every_exponent(self, exponent):
+        # j * 2**(E - 17) is (d + 1/2) * 10**(E - 16) with 17-digit d when j is odd and
+        # j * 5**(16 - E) lies in [2e16, 2e17)
+        power = 5 ** (16 - exponent)
+        j = np.random.default_rng(exponent + 4).integers(
+            -(-2 * 10**16 // power), min(2 * 10**17 // power, 2**53), 500) | 1
+        values = np.ldexp(j.astype(np.float64), exponent - 17)
         assert format_columns(values) == reference_rows(values)
 
     def test_powers_of_ten_and_their_neighbours(self):
@@ -449,7 +458,7 @@ class TestChunkFormat:
         assert format_columns(x, y, -x) == reference_rows(x, y, -x)
 
     def test_integer_columns_up_to_2_53(self):
-        k = np.array([0, 1, 9, 10, 99, 100, 12_345, 10**15, 10**16 - 1, 2**53 - 1, 2**53])
+        k = np.array([0, 1, 9, 10, 99, 100, 12_345, 10**15 - 1, 10**15, 2**53 - 1, 2**53])
         k = np.concatenate([k, np.random.default_rng(3).integers(0, 2**53, 1000)])
         x = np.resize(np.array(self.SPECIAL), k.size)
         assert format_columns(k, x, k) == reference_rows(k, x, k)
