@@ -233,9 +233,19 @@ def _header(config: dict, *columns: str) -> str:
 
 
 def _write_text(path: str | None, parts: Iterable[str]) -> None:
-    """Write ``parts`` one string at a time to ``path``, or to stdout for ``None`` or ``-``."""
+    """Write ``parts`` one string at a time to ``path``, or to stdout for ``None`` or ``-``.
+
+    Stdout is flushed here, so a closed pipe or a full device is a usage
+    error; what is left in its buffer then goes to the null device, so the
+    interpreter's last flush cannot fail again.
+    """
     if path is None or path == "-":
-        sys.stdout.writelines(parts)
+        try:
+            sys.stdout.writelines(parts)
+            sys.stdout.flush()
+        except OSError as exc:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise UsageError(f"cannot write stdout: {exc.strerror or exc}") from exc
     else:
         try:
             with open(path, "w", encoding="utf-8", newline="") as f:
@@ -562,7 +572,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
         rows = _format_rows(*columns)
         header = _header(config, "n,b,replication,sup_error,wall_time_ms")
         _write_text(args.output, itertools.chain([header], rows))
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+    _write_text(None, [json.dumps(summary, indent=2) + "\n"])
     return EXIT_OK
 
 
@@ -625,16 +635,18 @@ def run_benchmark(n: int, m: int, seed: int = 0) -> dict:
 def cmd_bench(args: argparse.Namespace) -> int:
     result = run_benchmark(args.n, args.m, seed=args.seed)
     if args.format == "json":
-        sys.stdout.write(json.dumps(result, indent=2) + "\n")
+        _write_text(None, [json.dumps(result, indent=2) + "\n"])
         return EXIT_OK
-    print(f"n={result['n']} m={result['m']} seed={result['seed']} "
-          f"b={result['bandwidth']:.17g} p_n={result['p_n']}")
-    print(f"fp_build_s     {result['fp_build_s']:.6f}")
-    print(f"fp_query_s     {result['fp_query_s']:.6f}")
-    print(f"fp_total_s     {result['fp_total_s']:.6f}")
-    print(f"kde_query_s    {result['kde_query_s']:.6f}")
-    print(f"kde/fp_total   {result['kde_over_fp_total']:.2f}x")
-    print(f"kde/fp_query   {result['kde_over_fp_query']:.2f}x")
+    _write_text(None, [
+        f"n={result['n']} m={result['m']} seed={result['seed']} "
+        f"b={result['bandwidth']:.17g} p_n={result['p_n']}\n",
+        f"fp_build_s     {result['fp_build_s']:.6f}\n",
+        f"fp_query_s     {result['fp_query_s']:.6f}\n",
+        f"fp_total_s     {result['fp_total_s']:.6f}\n",
+        f"kde_query_s    {result['kde_query_s']:.6f}\n",
+        f"kde/fp_total   {result['kde_over_fp_total']:.2f}x\n",
+        f"kde/fp_query   {result['kde_over_fp_query']:.2f}x\n",
+    ])
     return EXIT_OK
 
 

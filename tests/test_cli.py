@@ -1034,6 +1034,43 @@ class TestOutputWritable:
         assert capsys.readouterr() == ("", "")
 
 
+class TestStdoutWriteFails:
+    """A stdout that cannot be written ends in one usage-error line and exit 1,
+    not a traceback, whether the write or the last flush fails."""
+
+    @staticmethod
+    def command(argv, model):
+        return [sys.executable, "-m", "polyfreq.cli",
+                *(model if arg == "MODEL" else arg for arg in argv)]
+
+    def test_closed_pipe(self, ar1_model):
+        # the reader takes 100 bytes and closes the pipe, as `| head -c 100` does
+        proc = subprocess.Popen(
+            self.command(["simulate", "--model", "MODEL", "--n", "200000"], ar1_model),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == EXIT_USAGE
+        assert err.splitlines() == ["polyfreq: usage error: cannot write stdout: Broken pipe"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "MODEL", "--n", "200000"],  # fails while writing
+        ["simulate", "--model", "MODEL", "--n", "10"],  # fits the buffer: fails at the flush
+        ["delta", "--model", "MODEL", "--kmax", "2", "--reps", "100"],
+        ["rate", "--model", "MODEL", "--n-min", "256", "--n-max", "16384", "--reps", "10"],
+        ["bench", "--n", "10000", "--m", "100"],
+    ], ids=["simulate-large", "simulate-small", "delta", "rate", "bench"])
+    def test_full_device(self, ar1_model, argv):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(self.command(argv, ar1_model), stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.splitlines() == [
+            "polyfreq: usage error: cannot write stdout: No space left on device"]
+
+
 NONSTATIONARY_SPEC = {**AR1_SPEC, "ar": [1.5]}
 
 
