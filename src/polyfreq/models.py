@@ -1026,10 +1026,14 @@ def tar_marginal_oracle(model: TarModel) -> tuple[np.ndarray, np.ndarray]:
     stencil = np.fft.rfft(model.noise.pdf(step * np.minimum(j, size - j)))
     stencil *= 3.0 / (2.0 + np.cos(2.0 * np.pi / size * j[:stencil.size]))
 
+    # every round reuses its masses, its spectrum and one of two output buffers
     f = model.noise.pdf(grid)
-    for _ in range(ORACLE_MAX_ITERATIONS):
-        binned = np.bincount(taps, (tap_weights * f).ravel(), minlength=points)
-        f_next = np.fft.irfft(np.fft.rfft(binned, size) * stencil, size)[:points]
+    mass, spectrum, outputs = np.empty_like(tap_weights), np.empty_like(stencil), np.empty((2, size))
+    for i in range(ORACLE_MAX_ITERATIONS):
+        binned = np.bincount(taps, np.multiply(tap_weights, f, out=mass).ravel(), minlength=points)
+        np.fft.rfft(binned, size, out=spectrum)
+        f_next = np.fft.irfft(np.multiply(spectrum, stencil, out=spectrum), size,
+                              out=outputs[i % 2])[:points]
         np.maximum(f_next, 0.0, out=f_next)
         f_next /= np.einsum("i,i", weights, f_next)
         change = float(np.max(np.abs(f_next - f)))
