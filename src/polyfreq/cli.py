@@ -6,14 +6,17 @@ reproduced byte-for-byte from its own output; measured wall times are the
 only nondeterministic fields.  Numbers are written with 17 significant
 digits (``%.17g``) for exact round-tripping.
 
-Text moves in chunks of ``_CHUNK_LINES`` lines, each converted by one
-C-level call: ``estimate`` parses a chunk's raw lines with one
-``np.array(lines, dtype=float)``, and falls back to one call on its
-stripped rows, then to a per-line scan, only for a chunk that also holds
-skipped, padded or bad lines; the writers format a chunk of rows with one
-``%`` over a repeated row template.  Which lines are rows, and every byte
-written, are those of a per-value loop.  ``simulate``, ``delta`` and
-``rate`` refuse to write a non-finite value.
+``estimate`` reads its text in chunks of ``_CHUNK_LINES`` lines, each
+parsed by one ``np.array(lines, dtype=float)``; it falls back to one call
+on a chunk's stripped rows, then to a per-line scan, only for a chunk that
+also holds skipped, padded or bad lines.  Which lines are rows is that of
+a per-line loop.  One writer, :func:`_format_rows`, writes the CSV rows of
+every command in blocks of ``_FORMAT_ROWS`` rows: the digits of most
+values come from exact integer arithmetic in numpy, and the rest from
+``format`` one value at a time, so every byte is that of
+``format(v, ".17g")``.  ``simulate``, ``delta`` and ``rate`` refuse to
+write a non-finite value.  A stdout that cannot be written (a closed pipe,
+a full device) is a usage error.
 
 Exit status contract: 0 success, 1 usage error, 2 data error, 3 model
 validity error.
@@ -69,8 +72,6 @@ _FORMAT_ROWS = 1 << 14
 #: bytes per value in the writer's matrix (see :func:`_format_column`)
 _CELL = 40
 _POW5 = np.uint64(5) ** np.arange(22, dtype=np.uint64)
-_LOW = np.uint64(2**32 - 1)
-_ONE = np.uint64(1)
 _MAX_BAD_ROWS = 10
 #: ``bench`` reports the fastest of this many frequency polygon builds and queries
 _BENCH_REPEATS = 5
@@ -117,7 +118,7 @@ def _format_rows(*columns) -> Iterator[str]:
     Each value is written as the bytes of ``format(float(v), ".17g")``; for
     an integer below 2**53 (a size, lag or count) that is ``str(v)``.  A
     block lays each value out in a NUL-padded cell of ``_CELL`` bytes
-    (:func:`_format_column`), ends each cell with ``,`` or ``\n`` and
+    (:func:`_format_column`), ends each cell with ``,`` or ``\\n`` and
     deletes the padding with one ``bytes.translate``.
     """
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
@@ -163,7 +164,7 @@ def _format_column(values: np.ndarray, block: np.ndarray, start: int) -> None:
     carry = digits == 10**17
     digits[carry] = 10**16
     e += carry
-    fast &= (e >= -4) & (e <= 16)
+    fast &= e >= -4  # E <= 16 holds: values from 2**53 on are not rounded
 
     lead = digits // 10**16
     pairs = (digits - lead * 10**16)[None]
@@ -194,24 +195,25 @@ def _scaled_digits(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray
     ``e`` lies in [-5, 16], so ``k = 16 - e`` is at most 21.  The product
     ``m * 5**k`` (below 2**102) is built in two ``uint64`` words from 32-bit
     halves, then shifted by ``-(q + k)`` bits: right, with the remainder
-    deciding the rounding, or left and exact.  Every operand stays
-    ``uint64``, since mixing in ``int64`` would promote to float64.
+    deciding the rounding, or left and exact.  Every array operand stays
+    ``uint64`` (Python ints adapt to it), since mixing in ``int64`` would
+    promote to float64.
     """
     bits = a.view(np.uint64)
     m = (bits & (2**52 - 1)) | 2**52
     shift = 1059 - (bits >> 52).astype(np.int64) + e  # -(q + k), q = exponent - 1075
     power = _POW5[16 - e]
-    m_lo, m_hi, p_lo, p_hi = m & _LOW, m >> 32, power & _LOW, power >> 32
+    m_lo, m_hi, p_lo, p_hi = m & (2**32 - 1), m >> 32, power & (2**32 - 1), power >> 32
     low = m_lo * p_lo
     middle = m_lo * p_hi + m_hi * p_lo + (low >> 32)
-    lo = (middle << 32) | (low & _LOW)
+    lo = (middle << 32) | (low & (2**32 - 1))
     hi = m_hi * p_hi + (middle >> 32)
 
     right = np.clip(shift, 1, 63).astype(np.uint64)
     floor = (hi << (64 - right)) | (lo >> right)
-    rest = lo & ((_ONE << right) - _ONE)
-    half = _ONE << (right - _ONE)
-    up = (rest > half) | ((rest == half) & (floor & _ONE == _ONE))
+    rest = lo & ((1 << right) - 1)
+    half = 1 << (right - 1)
+    up = (rest > half) | ((rest == half) & (floor & 1 == 1))
     exact = shift <= 0
     floor[exact] = lo[exact] << (-shift[exact]).astype(np.uint64)
     up[exact] = False
