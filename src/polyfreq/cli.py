@@ -98,8 +98,8 @@ def _cell_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     digit = np.arange(10) + ord("0")
     head = np.zeros((2, 5, 10, 8), np.uint8)
     head[1, ..., 0] = ord("-")
-    prefix = np.frombuffer(b"0.000", np.uint8) * (np.arange(5) < np.array([[0], [2], [3], [4], [5]]))
-    head[..., 1:6] = prefix[:, None]
+    lengths = np.array([0, 2, 3, 4, 5])[:, None]  # "0." and -E - 1 zeros, for min(-E, 4)
+    head[..., 1:6] = (np.frombuffer(b"0.000", np.uint8) * (np.arange(5) < lengths))[:, None]
     head[..., 6] = digit
     pair = np.arange(100)
     pairs = np.zeros((100, 3, 4), np.uint8)

@@ -1026,9 +1026,10 @@ def tar_marginal_oracle(model: TarModel) -> tuple[np.ndarray, np.ndarray]:
     stencil = np.fft.rfft(model.noise.pdf(step * np.minimum(j, size - j)))
     stencil *= 3.0 / (2.0 + np.cos(2.0 * np.pi / size * j[:stencil.size]))
 
-    # every round reuses its masses, its spectrum and one of two output buffers
+    # the rounds share buffers; two outputs alternate, so the last density stays readable
     f = model.noise.pdf(grid)
-    mass, spectrum, outputs = np.empty_like(tap_weights), np.empty_like(stencil), np.empty((2, size))
+    mass, spectrum = np.empty_like(tap_weights), np.empty_like(stencil)
+    outputs = np.empty((2, size))
     for i in range(ORACLE_MAX_ITERATIONS):
         binned = np.bincount(taps, np.multiply(tap_weights, f, out=mass).ravel(), minlength=points)
         np.fft.rfft(binned, size, out=spectrum)
