@@ -257,11 +257,13 @@ def _write_text(path: str | None, parts: Iterable[str]) -> None:
 
 
 def _check_output(path: str) -> None:
-    """Refuse an ``--output`` that is a directory or that cannot be opened for writing.
+    """Refuse an ``--output`` that is empty, a directory, or cannot be opened for writing.
 
     An existing file needs write permission on itself; a new one needs a
     writable directory to be created in.
     """
+    if not path:
+        raise UsageError("cannot write --output '': the path is empty")
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         reason = errno.EISDIR
@@ -541,12 +543,11 @@ def cmd_rate(args: argparse.Namespace) -> int:
     # the doubling grid n_min * 2**k up to n_max
     n_values = [args.n_min << k for k in range(max(args.n_max // args.n_min, 0).bit_length())]
     try:
-        report = rate_experiment(model, n_values, args.reps, seed=args.seed,
-                                 max_workers=args.threads)
+        report = rate_experiment(model, n_values, args.reps, seed=args.seed)
     except ModelValidityError:
         raise
-    except ValueError as exc:  # sizes, --reps, --threads, buffers and seeds: before any work
-        raise UsageError(f"--n-min/--n-max/--reps/--threads/--seed: {exc}") from exc
+    except ValueError as exc:  # sizes, --reps, buffers and seeds: before any work
+        raise UsageError(f"--n-min/--n-max/--reps/--seed: {exc}") from exc
     except OverflowError as exc:  # so are the model's marginal and evaluation grid
         raise DataError(f"model {args.model} gives {exc}; nothing was written") from exc
     _check_finite(args.model, "sup errors or summary values",
@@ -568,7 +569,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
         "median_errors": list(report.median_errors),
         "mean_errors": list(report.mean_errors),
     }
-    if args.output:
+    if args.output is not None:
         columns = zip(*((r.n, r.bandwidth, r.replication, r.sup_error, r.wall_time_s * 1000.0)
                         for r in report.records))
         rows = _format_rows(*columns)
@@ -721,17 +722,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("rate", help="sup-error convergence-rate experiment", description=(
-        "CSV wall_time_ms: the replication's share of the simulation call that produced it "
-        "(one for all sizes of a Markov model whose packed batch fits 2^28 values, one per "
-        "size otherwise), in proportion to its steps burn_in + n, plus its own binning and "
-        "evaluation; a packed Markov run evaluates its sizes in order, and --threads runs "
-        "the per-size tasks of other runs concurrently"))
+        "CSV wall_time_ms: the replication's share of the simulation call of its batch "
+        "(every size of a Markov model whose packed batch fits 2^28 values, one size "
+        "otherwise), in proportion to its steps burn_in + n, plus its own binning and "
+        "evaluation; a packed Markov run evaluates its sizes in order on one thread, and "
+        "other runs evaluate their sizes on up to one thread per usable CPU"))
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap the per-size tasks that run at once, which a packed Markov run "
-                   "does not use (default: the thread pool's own, min(32, CPU count + 4))")
     p.add_argument("--output", default=None,
                    help="records CSV path (default: no records file is written)")
     add_common(p, "--seed", "--model")

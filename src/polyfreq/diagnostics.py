@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,7 +45,8 @@ from .models import (
     Model,
     _check_seeds,
     _count,
-    _packs_rows,
+    _map_on_cpus,
+    _rate_batches,
     marginal_truth,
     resolve_burn_in,
     simulate_ragged,
@@ -290,10 +290,10 @@ def modulus_envelope(n: int, b: float) -> tuple[float, float]:
 class SupErrorRecord:
     """One replication's sup-norm error under the bandwidth schedule.
 
-    ``wall_time_s`` is the replication's share of the simulation call that
-    produced it (one for all sizes when a Markov model's rows are packed,
-    one per size otherwise), in proportion to its steps ``burn_in + n``,
-    plus its own binning and sup-error evaluation.
+    ``wall_time_s`` is the replication's share of the simulation call of
+    its batch (every size when a Markov model's rows are packed, one size
+    otherwise), in proportion to its steps ``burn_in + n``, plus its own
+    binning and sup-error evaluation.
     """
 
     n: int
@@ -422,27 +422,25 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     grid per the module constants, and the median error over replications
     (robust to the occasional bad path) feeds a log-log slope fit with a
     bootstrap confidence interval.  Replication ``k`` of the flattened
-    size-major grid is seeded ``seed + k``.  A Markov model whose packed
-    rows fit ``models.MAX_BUFFER_VALUES`` values simulates every
-    replication of every size in one :func:`simulate_ragged` call, then
-    bins and evaluates the sizes in order on the calling thread: that work
-    holds the GIL, so a pool would only add its overhead.  Otherwise (ARMA
-    and moving-average models, larger Markov runs) each size is simulated,
-    binned and evaluated in its own task, up to ``max_workers`` at once.
-    ``max_workers`` caps only those tasks: a packed batch draws its
-    innovations on a pool of one thread per usable CPU (see
-    :func:`simulate_ragged`), the TAR truth comes from
-    :func:`models.tar_marginal_oracle` on the calling thread, one FFT
-    convolution per round, and every sample is binned in cache-sized
-    blocks.  Records are aggregated by index, so the report is identical
-    for any worker count.  Right after the size grid, the ``500 * sizes * reps``
-    bootstrap table and the largest size's batch of draws (a Markov batch
-    padded to whole segments) are refused past ``models.MAX_BUFFER_VALUES``
-    values, and so are seeds that are not integers or run past ``2**128``,
-    before the truth is built.  That the truth's support is a
-    finite interval, and that the largest size's evaluation grid holds at
-    most ``MAX_GRID_POINTS`` points (else ``OverflowError``), are checked
-    before anything is simulated.
+    size-major grid is seeded ``seed + k``, so a size that is repeated in
+    ``n_values`` draws streams of its own.  The sizes are simulated, binned
+    and evaluated in batches (see ``models._rate_batches``): one for every
+    size of a Markov model whose packed rows fit ``models.MAX_BUFFER_VALUES``
+    values, else one per size.  The batches run on at most ``max_workers``
+    threads, a positive integer that defaults to the usable CPUs, and one
+    batch runs on the calling thread.  A packed batch draws its innovations
+    on a pool of one thread per usable CPU (see :func:`simulate_ragged`),
+    the TAR truth comes from :func:`models.tar_marginal_oracle` on the
+    calling thread, one FFT convolution per round, and every sample is
+    binned in cache-sized blocks.  Records are aggregated by index, so the
+    report is identical for any worker count.  Right after the size grid
+    and ``max_workers``, the ``500 * sizes * reps`` bootstrap table and the
+    largest size's batch of draws (a Markov batch padded to whole segments)
+    are refused past ``models.MAX_BUFFER_VALUES`` values, and so are seeds
+    that are not integers or run past ``2**128``, before the truth is built.
+    That the truth's support is a finite interval, and that the largest
+    size's evaluation grid holds at most ``MAX_GRID_POINTS`` points (else
+    ``OverflowError``), are checked before anything is simulated.
     """
     ns = sorted(_count(n, "n_values", 2) for n in n_values)
     _check_size_grid(ns)
@@ -453,35 +451,26 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
             "calibrated for >= 10 replications",
             stacklevel=2,
         )
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be positive, got {max_workers}")
+    if max_workers is not None:
+        _count(max_workers, "max_workers", 1)
     burn_in = resolve_burn_in(model, None)
     _count(500 * len(ns) * reps, f"a bootstrap table of 500 x {len(ns)} sizes x {reps}")
     _check_seeds([seed])
     _check_seeds(range(seed, seed + len(ns) * reps))
-    packed = _packs_rows(model, ns, reps, burn_in)
+    batches = _rate_batches(model, ns, reps, burn_in)
     truth = marginal_truth(model)
     lo, hi = truth.support()
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise OverflowError(f"a marginal outside the float range (support [{lo}, {hi}])")
     _eval_grid_span(lo, hi, stone_bandwidth(ns[-1]))  # the finest grid
-    if packed:
-        # one batch for every size; binning and evaluating its rows holds the
-        # GIL, so a thread pool would only add its overhead
-        sizes = _simulate_sizes(model, ns, reps, seed, burn_in)
-        per_size = [_size_records(truth, n, *size) for n, size in zip(ns, sizes)]
-    else:
-        # the compiled ARMA filter releases the GIL, so ARMA sizes simulated in
-        # their own tasks run in parallel (4 filters of 20 x 2**17 rows: 0.13 s
-        # serially, 0.05 s on 2 threads); simulating every size first and
-        # then evaluating measured slower on AR(1) x 20 over 2**10..2**17
-        # (medians 0.46 vs 0.32 s at 2 workers)
-        def size_records(i):
-            [size] = _simulate_sizes(model, ns[i:i + 1], reps, seed + i * reps, burn_in)
-            return _size_records(truth, ns[i], *size)
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            per_size = list(pool.map(size_records, range(len(ns))))
-    records = tuple(r for size in per_size for r in size)
+
+    def batch_records(batch):
+        i, sizes = batch
+        simulated = _simulate_sizes(model, sizes, reps, seed + i * reps, burn_in)
+        return [r for n, size in zip(sizes, simulated) for r in _size_records(truth, n, *size)]
+
+    records = tuple(r for batch in _map_on_cpus(batch_records, batches, max_workers)
+                    for r in batch)
 
     errors = np.array([r.sup_error for r in records]).reshape(len(ns), reps)
     medians = np.median(errors, axis=1)

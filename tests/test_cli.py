@@ -601,7 +601,7 @@ class TestSimulateCommand:
         (["delta", "--kmax", "2", "--reps", "100"], 100, "--kmax/--reps/--seed"),
         # seven sizes, 256 to 16384, of two replications each
         (["rate", "--n-min", "256", "--n-max", "16384", "--reps", "2"], 14,
-         "--n-min/--n-max/--reps/--threads/--seed"),
+         "--n-min/--n-max/--reps/--seed"),
     ], ids=["delta", "rate"])
     def test_seed_range_past_philox_keys_names_its_ends(self, ar1_model, capsys, argv, count,
                                                         flags):
@@ -699,7 +699,7 @@ class TestRateCommand:
         out = tmp_path / "rate.csv"
         code = main([
             "rate", "--model", ar1_model, "--n-min", "256", "--n-max", "16384",
-            "--reps", "4", "--seed", "11", "--output", str(out), "--threads", "2",
+            "--reps", "4", "--seed", "11", "--output", str(out),
         ])
         assert code == EXIT_OK
         summary = json.loads(capsys.readouterr().out)
@@ -902,10 +902,10 @@ class TestBufferCaps:
         (["simulate", "--n", "10", "--burn-in", str(10**12)], "--n/--burn-in"),
         (["delta", "--kmax", str(10**8)], "--kmax/--reps"),
         (["delta", "--kmax", "4", "--reps", str(10**6)], "--kmax/--reps"),
-        (["rate", "--n-min", "256", "--n-max", str(10**12)], "--n-min/--n-max/--reps/--threads"),
+        (["rate", "--n-min", "256", "--n-max", str(10**12)], "--n-min/--n-max/--reps"),
         # within the simulation cap, but 500 x 7 x 10^5 bootstrap values are not
         (["rate", "--n-min", "2", "--n-max", "128", "--reps", str(10**5)],
-         "--n-min/--n-max/--reps/--threads"),
+         "--n-min/--n-max/--reps"),
     ], ids=["simulate-n", "simulate-burn-in", "delta-kmax", "delta-reps", "rate-n-max",
             "rate-bootstrap"])
     def test_refused_before_any_draw(self, ar1_model, argv, flags, capsys):
@@ -919,9 +919,9 @@ class TestBufferCaps:
         (["delta", "--kmax", str(10**19)], "--kmax/--reps"),
         (["delta", "--kmax", "2", "--reps", str(10**12)], "--kmax/--reps"),
         (["delta", "--kmax", "2", "--reps", str(10**19)], "--kmax/--reps"),
-        (["rate", "--n-min", "256", "--n-max", str(10**19)], "--n-min/--n-max/--reps/--threads"),
+        (["rate", "--n-min", "256", "--n-max", str(10**19)], "--n-min/--n-max/--reps"),
         (["rate", "--n-min", "256", "--n-max", "16384", "--reps", str(10**12)],
-         "--n-min/--n-max/--reps/--threads"),
+         "--n-min/--n-max/--reps"),
         (["bench", "--n", str(10**19), "--m", "200"], "--n"),
     ], ids=["simulate-n", "simulate-burn-in", "delta-kmax", "delta-reps", "delta-reps-past-int64",
             "rate-n-max", "rate-reps", "bench-n"])
@@ -941,7 +941,7 @@ class TestBufferCaps:
         (["simulate", "--n", "268434645"], "--n/--burn-in"),
         # the largest size's one row, 811 + 268,434,624 columns, pads to the same
         (["rate", "--reps", "1", "--n-min", "4194291", "--n-max", "268434624"],
-         "--n-min/--n-max/--reps/--threads"),
+         "--n-min/--n-max/--reps"),
     ], ids=["simulate", "rate"])
     def test_padded_markov_batch_refused(self, tmp_path, argv, flags, capsys):
         path = tmp_path / "model.json"
@@ -967,8 +967,8 @@ class TestBufferCaps:
 
     def test_packed_batch_never_exceeds_the_cap(self):
         tar = models.TarModel(0.6, -0.3)
-        assert models._packs_rows(tar, [2**k for k in range(8, 18)], 200, 1000)
-        assert not models._packs_rows(tar, [2**k for k in range(10, 21)], 200, 1000)
+        assert len(models._rate_batches(tar, [2**k for k in range(8, 18)], 200, 1000)) == 1
+        assert len(models._rate_batches(tar, [2**k for k in range(10, 21)], 200, 1000)) == 11
 
 
 class TestOutputCheckedFirst:
@@ -1008,6 +1008,21 @@ class TestOutputCheckedFirst:
         captured = capsys.readouterr()
         assert f"usage error: cannot write --output {out}: " in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--input", "data.csv"],
+        ["simulate", "--n", "10"],
+        ["delta", "--kmax", "10", "--reps", "200000"],
+        ["rate", "--n-min", "256", "--n-max", "16384", "--reps", "2"],
+    ], ids=["estimate", "simulate", "delta", "rate"])
+    def test_empty_path_refused_before_any_work(self, ar1_model, capsys, argv):
+        if argv[0] != "estimate":
+            argv = [*argv, "--model", ar1_model]
+        assert main([*argv, "--output", ""]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "polyfreq: usage error: cannot write --output '': the path is empty"]
+        assert captured.out == ""
 
 
 class TestOutputWritable:
@@ -1121,10 +1136,6 @@ class TestFlagErrors:
         (["rate", "--model", "{model}", "--n-min", "256", "--n-max", "16384", "--reps", "0"],
          "--reps"),
         (["rate", "--model", "{model}", "--n-min", "256", "--n-max", "16384",
-          "--threads", "0"], "--threads"),
-        (["rate", "--model", "{model}", "--n-min", "256", "--n-max", "16384",
-          "--threads", "-1"], "--threads"),
-        (["rate", "--model", "{model}", "--n-min", "256", "--n-max", "16384",
           "--output", "-"], "--output"),
         (["rate", "--model", "{model}", "--n-min", "256", "--n-max", "16384",
           "--output", "{dir}"], "--output"),
@@ -1178,9 +1189,11 @@ class TestParserContract:
         ["estimate"],
         ["simulate", "--n", "10"],
         ["delta", "--kmax", "1", "--reps", "10"],
+        ["rate", "--n-min", "256", "--n-max", "4096"],
         ["bench", "--n", "10000", "--m", "100"],
-    ], ids=["estimate", "simulate", "delta", "bench"])
+    ], ids=["estimate", "simulate", "delta", "rate", "bench"])
     def test_threads_only_on_rate(self, tmp_path, ar1_model, argv, capsys):
+        # no command takes --threads: rate sizes its pool from the usable CPUs
         if argv[0] == "estimate":
             data = tmp_path / "d.csv"
             data.write_text("0.25\n0.75\n")

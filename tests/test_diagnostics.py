@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import threading
 import types
 import warnings
 
@@ -430,6 +431,12 @@ class TestRateExperiment:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             rate_experiment(AR1, n_values, reps)
 
+    @pytest.mark.parametrize("workers", [0, 2.5, True], ids=repr)
+    def test_max_workers_must_be_a_positive_integer(self, workers, monkeypatch):
+        monkeypatch.setattr(diagnostics, "marginal_truth", lambda *args: pytest.fail("work"))
+        with pytest.raises(ValueError, match="^max_workers must be a positive integer"):
+            rate_experiment(AR1, self.N_GRID, 10, seed=1, max_workers=workers)
+
     @pytest.mark.parametrize("seed", [1.5, True, "5", 2**128 - 5], ids=repr)
     def test_seeds_checked_before_any_work(self, seed, monkeypatch):
         # the last seed of the grid, 2**128 - 5 + 7 * 10 - 1, is past Philox's keys
@@ -513,25 +520,64 @@ class TestRateExperiment:
 
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
     def test_packed_sizes_evaluate_without_a_pool(self, monkeypatch):
-        def no_pool(max_workers=None):
-            pytest.fail("a packed Markov run built a per-size thread pool")
+        # the packed batch's draws may take a pool of every usable CPU, but
+        # its one batch is binned and evaluated on the calling thread
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
+        threads, map_on_cpus = [], diagnostics._map_on_cpus
 
-        monkeypatch.setattr(diagnostics, "ThreadPoolExecutor", no_pool)
+        def record(fn, items, cap=None):
+            def evaluate(item):
+                threads.append(threading.get_ident())
+                return fn(item)
+            return map_on_cpus(evaluate, items, cap)
+
+        monkeypatch.setattr(diagnostics, "_map_on_cpus", record)
         report = rate_experiment(TarModel(0.6, -0.3), self.N_GRID, 3, seed=5, max_workers=2)
+        assert threads == [threading.get_ident()]
         assert len(report.records) == 3 * len(self.N_GRID)
 
-    @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
-    def test_per_size_tasks_run_on_a_pool_of_max_workers(self, monkeypatch):
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Sizes of the pools built, on 3 usable CPUs."""
         workers = []
 
-        class Pool(diagnostics.ThreadPoolExecutor):
+        class Pool(models.ThreadPoolExecutor):
             def __init__(self, max_workers=None):
                 workers.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(diagnostics, "ThreadPoolExecutor", Pool)
-        rate_experiment(AR1, self.N_GRID, 3, seed=5, max_workers=3)
-        assert workers == [3]
+        monkeypatch.setattr(models, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
+        return workers
+
+    @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
+    def test_per_size_tasks_run_on_a_pool_of_max_workers(self, pools):
+        rate_experiment(AR1, self.N_GRID, 3, seed=5, max_workers=2)
+        assert pools == [2]
+
+    @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
+    def test_per_size_pool_defaults_to_the_usable_cpus(self, pools):
+        rate_experiment(AR1, self.N_GRID, 3, seed=5)
+        assert pools == [3]
+
+    @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
+    @pytest.mark.parametrize("model,budget", [
+        (AR1, None), (TarModel(0.6, -0.3), None), (TarModel(0.6, -0.3), PAST_BUDGET),
+    ], ids=["AR1", "TAR", "TAR-past-budget"])
+    def test_repeated_size_draws_its_own_streams(self, model, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(models, "MAX_BUFFER_VALUES", budget)
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
+        ns = sorted([*self.N_GRID, 1024])
+        reports = [rate_experiment(model, ns, 3, seed=5, max_workers=workers)
+                   for workers in (1, 2, 3, None)]
+        copies = [r.sup_error for r in reports[0].records if r.n == 1024]
+        assert len(copies) == 6 and copies[:3] != copies[3:]
+        results = {(tuple((r.n, r.bandwidth, r.replication, r.sup_error, r.eval_points,
+                           r.grid_error_bound) for r in report.records),
+                    report.median_errors, report.mean_errors, report.fitted_slope,
+                    report.slope_ci) for report in reports}
+        assert len(results) == 1
 
     def test_single_rep_warns_without_ci(self):
         with pytest.warns(UserWarning, match="thin"):
