@@ -843,6 +843,71 @@ class TestNoiseScaleOutOfRange:
         assert not out.exists()
 
 
+class TestLibraryRefusals:
+    """A library call that refuses a model or overflows ends in one stderr line and
+    its contract code, with nothing written."""
+
+    RATE = ["rate", "--n-min", "256", "--n-max", "16384", "--reps", "10"]
+
+    @staticmethod
+    def run(tmp_path, capsys, argv, spec_obj):
+        spec = tmp_path / "model.json"
+        spec.write_text(json.dumps(spec_obj))
+        out = tmp_path / "out"
+        code = main([*argv, "--model", str(spec), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not out.exists()
+        [line] = captured.err.splitlines()
+        return code, spec, line
+
+    @pytest.mark.parametrize("coeffs", [[0.0], [1e-300]])  # 1e-300 squares to 0
+    def test_rate_on_a_zero_variance_linear_process(self, tmp_path, capsys, coeffs):
+        code, spec, line = self.run(tmp_path, capsys, self.RATE,
+                                    {"schema": 1, "family": "linear", "coeffs": coeffs})
+        assert code == EXIT_MODEL
+        assert line.startswith(f"polyfreq: model error: --model {spec}: ")
+        assert "variance" in line
+
+    def test_rate_on_a_linear_variance_past_the_float_range(self, tmp_path, capsys):
+        code, spec, line = self.run(tmp_path, capsys, self.RATE, {
+            "schema": 1, "family": "linear", "coeffs": [1e200, 1e200],
+            "noise": {"distribution": "gaussian", "sigma": 1e154}})
+        assert code == EXIT_DATA
+        assert line == (f"polyfreq: data error: model {spec} gives a marginal outside the "
+                        "float range (support [-inf, inf]); nothing was written")
+
+    @pytest.mark.parametrize("argv,name", [
+        (["simulate", "--n", "3"], "simulate"),
+        (["delta", "--kmax", "1", "--reps", "100"], "estimate_delta_profile"),
+        (RATE, "rate_experiment"),
+    ], ids=["simulate", "delta", "rate"])
+    def test_overflow_is_a_data_error(self, tmp_path, capsys, monkeypatch, argv, name):
+        def overflow(*args, **kwargs):
+            raise OverflowError(34, "Numerical result out of range")
+
+        monkeypatch.setattr(cli, name, overflow)
+        code, spec, line = self.run(tmp_path, capsys, argv, AR1_SPEC)
+        assert code == EXIT_DATA
+        assert line == (f"polyfreq: data error: model {spec} gives (34, 'Numerical result out "
+                        "of range'); nothing was written")
+
+
+def test_delta_on_a_large_noise_scale(tmp_path, capsys):
+    spec = tmp_path / "tar.json"
+    spec.write_text(json.dumps({**TAR_SPEC, "a": 0.5, "b": -0.5,
+                                "noise": {"distribution": "gaussian", "sigma": 1e150}}))
+    out = tmp_path / "d.csv"
+    assert main(["delta", "--model", str(spec), "--kmax", "3", "--reps", "400",
+                 "--output", str(out)]) == EXIT_OK
+    assert "warning" not in capsys.readouterr().err
+    _, rows = read_csv_rows(out)
+    values = np.array(rows, dtype=float)
+    assert np.isfinite(values).all()
+    # lag 0 differences are eps_0 - eps_0': a standard deviation of sqrt(2) sigma
+    assert values[0, 1] == pytest.approx(math.sqrt(2.0) * 1e150, rel=0.2)
+
+
 class TestModelSizeLimits:
     """A spec whose ARMA order or evaluation grid is past its limit is a data error,
     refused before any characteristic root is computed or anything is simulated."""

@@ -191,6 +191,16 @@ class TestEstimateDelta:
             assert d.delta_hat == 0.0
             assert d.std_error == 0.0
 
+    def test_profile_scales_exactly_with_the_noise_scale(self):
+        # TAR is positively homogeneous, so a power-of-two noise scale scales every
+        # path, difference and coefficient exactly; at 2**500 the fourth moment
+        # would overflow unless the moments are taken on a rescaled copy
+        unit = estimate_delta_profile(TarModel(0.5, -0.5), 5, 1000, seed=4)
+        big = estimate_delta_profile(TarModel(0.5, -0.5, noise=NoiseSpec("gaussian", 2.0**500)),
+                                     5, 1000, seed=4)
+        assert [(d.delta_hat, d.std_error) for d in big] == \
+            [(2.0**500 * d.delta_hat, 2.0**500 * d.std_error) for d in unit]
+
     def test_pathwise_contraction_small(self):
         a, b = coupled_paths(TarModel(0.6, -0.3), 10, list(range(500)))
         d = np.abs(a - b)

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -872,6 +873,28 @@ class TestMarginalTruth:
             assert_array_equal(got.view(np.int64), want.view(np.int64))
         for v in (0.3, mean, 7.0):
             assert truth.pdf(v) == ref.pdf(v) and truth.cdf(v) == ref.cdf(v)
+
+    def test_linear_process_truth_equals_scipy_stats_bit_for_bit(self):
+        # variance 2**2 * (1 + 0.5**2) = 5, exact in binary
+        truth = marginal_truth(LinearProcess(coeffs=(1.0, 0.5), mean=0.3,
+                                             noise=NoiseSpec("gaussian", 2.0)))
+        ref = stats.norm(loc=0.3, scale=math.sqrt(5.0))
+        x = np.linspace(-8.0, 8.0, 1001)
+        assert_array_equal(truth.pdf(x).view(np.int64), ref.pdf(x).view(np.int64))
+        assert_array_equal(truth.cdf(x).view(np.int64), ref.cdf(x).view(np.int64))
+
+    @pytest.mark.parametrize("coeffs", [(0.0,), (1e-300,), (0.0, 0.0)])
+    def test_linear_process_of_zero_variance_has_no_truth(self, coeffs):
+        # 1e-300 squares to 0: the variance underflows
+        with pytest.raises(ModelValidityError, match="variance"):
+            marginal_truth(LinearProcess(coeffs=coeffs))
+
+    def test_linear_process_variance_overflow_warns_nothing(self):
+        model = LinearProcess(coeffs=(1e200, 1e200), noise=NoiseSpec("gaussian", 1e154))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            truth = marginal_truth(model)
+        assert not np.isfinite(truth.support()).all()
 
     def test_gaussian_truth_leaves_scipy_stats_unloaded(self):
         code = ("import sys; from polyfreq.models import ArmaModel, marginal_truth, NoiseSpec; "
