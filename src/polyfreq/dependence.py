@@ -123,14 +123,20 @@ def simulate_coupled(model: Model, lag: int, seed: int = 0,
 def _delta_from_diffs(lag: int, diffs: np.ndarray) -> DeltaEstimate:
     # two-pass (mean-subtracted) variance: the coefficients span many orders
     # of magnitude and a streaming sum of squares would lose the small ones.
+    # The moments are taken in units of a power of two that brings the largest
+    # difference into [0.5, 1), so a large noise scale cannot overflow the
+    # fourth moment; scaling by a power of two is exact.
     reps = diffs.size
     centered = diffs - diffs.mean()
+    scale = math.frexp(float(np.max(np.abs(centered))))[1]
+    centered = np.ldexp(centered, -scale)
     var = float(centered @ centered) / (reps - 1)
     delta = math.sqrt(var)
     m4 = float(np.mean(centered**4))
     se_var = math.sqrt(max(m4 - var**2, 0.0) / reps)
     se = se_var / (2.0 * delta) if delta > 0 else 0.0
-    return DeltaEstimate(lag=lag, delta_hat=delta, std_error=se, replications=reps)
+    return DeltaEstimate(lag=lag, delta_hat=math.ldexp(delta, scale),
+                         std_error=math.ldexp(se, scale), replications=reps)
 
 
 def estimate_delta(model: Model, lag: int, replications: int, seed: int = 0,

@@ -1077,6 +1077,9 @@ def _gaussian_truth(mean: float, variance: float) -> MarginalTruth:
     """
     from scipy import special
 
+    if variance == 0.0:
+        raise ModelValidityError("marginal truth requires a positive variance, got 0: the "
+                                 "process is constant")
     sd = math.sqrt(variance)
 
     def pdf(x):
@@ -1101,7 +1104,8 @@ def marginal_truth(model: Model) -> MarginalTruth:
 
     Gaussian-driven ARMA and linear processes give the closed-form normal
     marginal; gaussian TAR models go through the fixed-point oracle with
-    interpolated density/CDF.  Anything else raises ``ModelValidityError``.
+    interpolated density/CDF.  Anything else, and a constant linear process
+    (zero variance), raises ``ModelValidityError``.
     """
     if isinstance(model, ArmaModel):
         mean, variance = arma_marginal(model)
@@ -1110,7 +1114,9 @@ def marginal_truth(model: Model) -> MarginalTruth:
         if model.noise.distribution != "gaussian":
             raise ModelValidityError("marginal truth requires gaussian noise")
         c = np.asarray(model.coeffs)
-        return _gaussian_truth(model.mean, model.noise.variance * float(c @ c))
+        with np.errstate(over="ignore"):  # past the float range: an infinite support, refused
+            variance = model.noise.variance * float(c @ c)
+        return _gaussian_truth(model.mean, variance)
     if isinstance(model, TarModel):
         grid, dens = tar_marginal_oracle(model)
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
