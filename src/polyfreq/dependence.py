@@ -56,7 +56,7 @@ class CoupledPair:
     ``path[j]`` and ``coupled_path[j]`` hold the original and coupled values
     at time ``j``; they are driven by identical innovations at times 1..lag
     and differ only through the time-0 innovation.  A view of one row of
-    :func:`coupled_paths`, kept while the benchmark tracer binds it (ROADMAP item 4).
+    :func:`coupled_paths`, kept while the benchmark tracer binds it (ROADMAP item 7).
     """
 
     lag: int
@@ -115,7 +115,7 @@ def coupled_paths(model: Model, lag: int, seeds: Sequence[int],
 def simulate_coupled(model: Model, lag: int, seed: int = 0,
                      burn_in: int | None = None) -> CoupledPair:
     """One coupled trajectory pair: a view of one row of :func:`coupled_paths`,
-    kept while the benchmark tracer binds it (ROADMAP item 4)."""
+    kept while the benchmark tracer binds it (ROADMAP item 7)."""
     a, b = coupled_paths(model, lag, [seed], burn_in)
     return CoupledPair(lag=lag, path=a[0], coupled_path=b[0])
 
@@ -142,7 +142,7 @@ def _delta_from_diffs(lag: int, diffs: np.ndarray) -> DeltaEstimate:
 def estimate_delta(model: Model, lag: int, replications: int, seed: int = 0,
                    burn_in: int | None = None) -> DeltaEstimate:
     """Dependence coefficient at one lag: a view of entry ``lag`` of
-    :func:`estimate_delta_profile`, kept while the benchmark tracer binds it (ROADMAP item 4)."""
+    :func:`estimate_delta_profile`, kept while the benchmark tracer binds it (ROADMAP item 7)."""
     return estimate_delta_profile(model, lag, replications, seed, burn_in)[lag]
 
 

@@ -17,7 +17,7 @@ sample point itself, or a peak of the truth's window mass
 (``MarginalTruth.window_peaks``): ``mean - b/2`` for a gaussian truth and
 the interpolation kinks for the TAR oracle.  The families are searched one
 at a time, each reusing what the positive half already holds, with the
-extreme of each window read from a sparse-table range query: the exact
+maximum of each window read from a sparse-table range query: the exact
 supremum in O(n log n) time and O(n) memory.
 """
 
@@ -147,19 +147,17 @@ def fp_max_slope(h: SparseHistogram) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _range_extremes(values: np.ndarray, starts: np.ndarray, stops: np.ndarray,
-                    take_max: bool) -> np.ndarray:
-    """Extremes of ``values[starts[i]:stops[i]]`` for arbitrary windows.
+def _range_maxima(values: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Maxima of ``values[starts[i]:stops[i]]`` for arbitrary windows.
 
-    A sparse table for range max/min (Bender & Farach-Colton, 2000) built
-    one level at a time: level ``j`` holds the extremes of every run of
+    A sparse table for range maxima (Bender & Farach-Colton, 2000) built
+    one level at a time: level ``j`` holds the maxima of every run of
     ``2**j`` values and answers the windows whose length has
     ``floor(log2) == j`` from two overlapping runs.  Only the current level
     is kept, so memory stays O(n) and time O(n log n).  Empty windows yield
-    -inf (max) / +inf (min).
+    -inf.
     """
-    op = np.maximum if take_max else np.minimum
-    out = np.full(len(starts), -math.inf if take_max else math.inf)
+    out = np.full(len(starts), -math.inf)
     # level floor(log2(length)) from the float exponent, exact for lengths
     # below 2**53; empty windows get level -1 and keep their default
     levels = np.frexp(np.maximum(stops - starts, 0))[1] - 1
@@ -169,9 +167,9 @@ def _range_extremes(values: np.ndarray, starts: np.ndarray, stops: np.ndarray,
     for j in range(len(bounds) - 1):
         if j:
             half = 1 << (j - 1)
-            layer = op(layer[:-half], layer[half:])
+            layer = np.maximum(layer[:-half], layer[half:])
         q = order[bounds[j]:bounds[j + 1]]
-        out[q] = op(layer[starts[q]], layer[stops[q] - (1 << j)])
+        out[q] = np.maximum(layer[starts[q]], layer[stops[q] - (1 << j)])
     return out
 
 
@@ -185,7 +183,7 @@ def modulus_exact(ecdf: EmpiricalCdf, truth: MarginalTruth, b: float) -> float:
     excursion signs are searched, and the result is nondecreasing in ``b``.
     The negative windows open at a downshift ``y - b``, at a sample point,
     or at one of the truth's exact window-mass peaks,
-    ``truth.window_peaks(b)``.  Each window's extreme comes from a
+    ``truth.window_peaks(b)``.  Each window's maximum comes from a
     sparse-table range query and each ECDF value from a search of the
     distinct sample points.  A negative window anchored at a downshift
     ``y - b`` reuses the positive window ending at ``y``, so only the
@@ -216,7 +214,7 @@ def modulus_exact(ecdf: EmpiricalCdf, truth: MarginalTruth, b: float) -> float:
     lows = ys - b
     starts = np.searchsorted(ys, lows, side="right")       # first y strictly above u - b
     stops = np.arange(1, len(ys) + 1)                      # include u itself
-    inner = _range_extremes(left_limit_gain, starts, stops, take_max=True)
+    inner = _range_maxima(left_limit_gain, starts, stops)
     endpoint_gain = np.asarray(truth.cdf(lows), dtype=float) - counts[starts] / n
     positive = float(np.max(base + np.maximum(inner, endpoint_gain)))
 
@@ -253,7 +251,7 @@ def modulus_exact(ecdf: EmpiricalCdf, truth: MarginalTruth, b: float) -> float:
     del w_ends
     w_starts = np.concatenate([stops, off_starts, peak_starts])
     del stops
-    inner_max = _range_extremes(left_limit_gain, w_starts, w_stops, take_max=True)
+    inner_max = _range_maxima(left_limit_gain, w_starts, w_stops)
     del w_starts, w_stops
     term = np.minimum(g_minus_end, -inner_max)
     del g_minus_end, inner_max

@@ -19,7 +19,7 @@ from scipy import stats
 from polyfreq import diagnostics, models
 from polyfreq.diagnostics import (
     DegenerateFitError,
-    _range_extremes,
+    _range_maxima,
     _slope_ci,
     SupErrorRecord,
     RateReport,
@@ -108,9 +108,8 @@ class TestEmpiricalProcess:
         assert sup < 3.0
 
 
-def brute_extremes(values, windows, take_max):
-    fold, empty = (max, -math.inf) if take_max else (min, math.inf)
-    return [fold(values[s:e], default=empty) for s, e in windows]
+def brute_maxima(values, windows):
+    return [max(values[s:e], default=-math.inf) for s, e in windows]
 
 
 @st.composite
@@ -121,26 +120,23 @@ def values_and_windows(draw):
     return values, windows
 
 
-class TestRangeExtremes:
-    @given(case=values_and_windows(), take_max=st.booleans())
+class TestRangeMaxima:
+    @given(case=values_and_windows())
     @settings(max_examples=300, deadline=None)
-    @example(case=([2.5], [(0, 1), (0, 0), (1, 1), (1, 0)]), take_max=True)
-    @example(case=([2.5], [(0, 1), (0, 0), (1, 1), (1, 0)]), take_max=False)
-    @example(case=([3.0, -1.0, 4.0, 1.0, -5.0], [(4, 5), (0, 3), (1, 2), (2, 4), (0, 5), (3, 1)]),
-             take_max=True)
-    def test_equals_brute_force(self, case, take_max):
+    @example(case=([2.5], [(0, 1), (0, 0), (1, 1), (1, 0)]))
+    @example(case=([3.0, -1.0, 4.0, 1.0, -5.0], [(4, 5), (0, 3), (1, 2), (2, 4), (0, 5), (3, 1)]))
+    def test_equals_brute_force(self, case):
         values, windows = case
         pairs = np.array(windows, dtype=np.intp).reshape(-1, 2)
-        got = _range_extremes(np.array(values), pairs[:, 0], pairs[:, 1], take_max)
-        assert_array_equal(got, brute_extremes(values, windows, take_max))
+        got = _range_maxima(np.array(values), pairs[:, 0], pairs[:, 1])
+        assert_array_equal(got, brute_maxima(values, windows))
 
-    @pytest.mark.parametrize("take_max", [True, False])
-    def test_every_level_on_a_long_input(self, rng, take_max):
+    def test_every_level_on_a_long_input(self, rng):
         values = rng.normal(size=5000)
         starts = rng.integers(0, 5001, 3000)
         stops = np.minimum(starts + rng.geometric(1e-3, 3000), 5000)
-        got = _range_extremes(values, starts, stops, take_max)
-        assert_array_equal(got, brute_extremes(values.tolist(), zip(starts, stops), take_max))
+        got = _range_maxima(values, starts, stops)
+        assert_array_equal(got, brute_maxima(values.tolist(), zip(starts, stops)))
 
 
 class TestModulusExact:
