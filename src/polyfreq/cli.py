@@ -1,10 +1,25 @@
 """Command-line harness: estimate, simulate, delta, rate, bench.
 
-Every output artifact embeds its fully resolved configuration (including
-the seed and any model spec) in a comment header, so a run can be
-reproduced byte-for-byte from its own output; measured wall times are the
-only nondeterministic fields.  Numbers are written with 17 significant
-digits (``%.17g``) for exact round-tripping.
+Every command writes its artifact through one writer,
+:func:`_write_artifact`, which embeds the fully resolved configuration
+(including the seed and any model spec): a CSV opens with ``#`` lines, one
+key each, then a line of column names (none over ``simulate``'s one
+column); a JSON object holds it as ``"config"``.  So a run can be reproduced byte-for-byte from its own
+output; measured wall times are the only nondeterministic fields.
+``bench`` records ``command``, ``n``, ``m``, ``seed`` and ``repeats`` so,
+and writes its results as one named CSV row or as the JSON's other keys.
+Numbers are written with 17 significant digits (``%.17g``) for exact
+round-tripping.
+
+The library calls of ``simulate``, ``delta``, ``rate`` and ``bench`` go
+through one guard, :func:`_library`: a ``ModelValidityError`` is a model
+error, any other ``ValueError`` a usage error naming the command's flags,
+and an ``OverflowError`` a data error naming the model.  ``simulate``,
+``delta`` and ``rate`` refuse to write a non-finite value, also a data
+error.  ``estimate`` refuses rows its bins cannot index as a data error
+naming the input, and a bandwidth or grid end they cannot index as a
+usage error naming the flag.  A stdout that cannot be written (a closed
+pipe, a full device) is a usage error.
 
 ``estimate`` reads its text in chunks of ``_CHUNK_LINES`` lines, each
 parsed by one ``np.array(lines, dtype=float)``; it falls back to one call
@@ -14,9 +29,7 @@ a per-line loop.  One writer, :func:`_format_rows`, writes the CSV rows of
 every command in blocks of ``_FORMAT_ROWS`` rows: the digits of most
 values come from exact integer arithmetic in numpy, and the rest from
 ``format`` one value at a time, so every byte is that of
-``format(v, ".17g")``.  ``simulate``, ``delta`` and ``rate`` refuse to
-write a non-finite value.  A stdout that cannot be written (a closed pipe,
-a full device) is a usage error.
+``format(v, ".17g")``.
 
 Exit status contract: 0 success, 1 usage error, 2 data error, 3 model
 validity error.
@@ -226,12 +239,27 @@ def _check_finite(model_path: str, what: str, values) -> None:
         raise DataError(f"model {model_path} gives non-finite {what}; nothing was written")
 
 
-def _header(config: dict, *columns: str) -> str:
-    """The ``#`` lines that record ``config``, one key per line, then ``columns``."""
+def _header(config: dict, names: str) -> str:
+    """The ``#`` lines that record ``config``, one key per line, then the column ``names``."""
     lines = [f"# polyfreq {__version__}"]
     for key in sorted(config):
         lines.append(f"# {key}={json.dumps(config[key], sort_keys=True)}")
-    return "\n".join([*lines, *columns]) + "\n"
+    return "\n".join([*lines, names] if names else lines) + "\n"
+
+
+def _write_artifact(path: str | None, fmt: str, config: dict, names: str = "",
+                    columns: Iterable = (), payload: dict | None = None) -> None:
+    """Write a command's artifact to ``path`` (stdout for ``None`` or ``-``).
+
+    JSON is ``{"config": config, **payload}`` with ``indent=2``, a numpy
+    array written as a list.  CSV is the ``#`` header of ``config`` and the
+    column ``names`` (no names line when empty), then the rows of ``columns``.
+    """
+    if fmt == "json":
+        text = json.dumps({"config": config, **payload}, indent=2, default=np.ndarray.tolist)
+        _write_text(path, [text + "\n"])
+    else:
+        _write_text(path, itertools.chain([_header(config, names)], _format_rows(*columns)))
 
 
 def _write_text(path: str | None, parts: Iterable[str]) -> None:
@@ -278,6 +306,26 @@ def _check_output(path: str) -> None:
     else:
         return
     raise UsageError(f"cannot write --output {path}: {os.strerror(reason)}")
+
+
+def _library(flags: str, model_path: str | None, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with its refusals mapped to the exit status contract.
+
+    Numpy's overflow and invalid-value warnings are silenced: a non-finite
+    result is refused afterwards by :func:`_check_finite`, naming the model.
+    A ``ModelValidityError`` passes through (exit 3), any other
+    ``ValueError`` is a usage error naming ``flags`` (exit 1), and an
+    ``OverflowError`` a data error naming the model (exit 2).
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+    except ModelValidityError:
+        raise
+    except ValueError as exc:
+        raise UsageError(f"{flags}: {exc}") from exc
+    except OverflowError as exc:
+        raise DataError(f"model {model_path} gives {exc}; nothing was written") from exc
 
 
 def _load_model(path: str):
@@ -433,19 +481,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     }
     hist_vals = histogram_eval(h, grid)
     fp_vals = fp_eval(h, grid)
-    if args.format == "json":
-        payload = {
-            "config": config,
-            "histogram": h.to_json_obj(),
-            "grid": [float(x) for x in grid],
-            "histogram_density": [float(v) for v in hist_vals],
-            "frequency_polygon": [float(v) for v in fp_vals],
-        }
-        _write_text(args.output, [json.dumps(payload, indent=2) + "\n"])
-    else:
-        rows = _format_rows(grid, hist_vals, fp_vals)
-        header = _header(config, "x,histogram,frequency_polygon")
-        _write_text(args.output, itertools.chain([header], rows))
+    payload = {"histogram": h.to_json_obj(), "grid": grid, "histogram_density": hist_vals,
+               "frequency_polygon": fp_vals}
+    _write_artifact(args.output, args.format, config, "x,histogram,frequency_polygon",
+                    (grid, hist_vals, fp_vals), payload)
     print(f"n={h.n} b={bandwidth:.17g} p_n={h.occupied}", file=sys.stderr)
     return EXIT_OK
 
@@ -457,14 +496,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-    try:
-        burn_in = resolve_burn_in(model, args.burn_in)
-        with np.errstate(over="ignore", invalid="ignore"):  # the guard below names the model
-            sample = simulate(model, args.n, burn_in=burn_in, seed=args.seed)
-    except ModelValidityError:
-        raise
-    except ValueError as exc:
-        raise UsageError(f"--n/--burn-in: {exc}") from exc
+    burn_in = _library("--n/--burn-in", args.model, resolve_burn_in, model, args.burn_in)
+    sample = _library("--n/--burn-in", args.model, simulate, model, args.n, burn_in=burn_in,
+                      seed=args.seed)
     _check_finite(args.model, "values", sample)
     config = {
         "command": "simulate",
@@ -473,7 +507,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "burn_in": burn_in,
         "seed": args.seed,
     }
-    _write_text(args.output, itertools.chain([_header(config)], _format_rows(sample)))
+    _write_artifact(args.output, "csv", config, columns=[sample])
     return EXIT_OK
 
 
@@ -484,13 +518,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_delta(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # the guard below names the model
-            deltas = estimate_delta_profile(model, args.kmax, args.reps, seed=args.seed)
-    except ModelValidityError:
-        raise
-    except ValueError as exc:
-        raise UsageError(f"--kmax/--reps/--seed: {exc}") from exc
+    deltas = _library("--kmax/--reps/--seed", args.model, estimate_delta_profile, model,
+                      args.kmax, args.reps, seed=args.seed)
     rho = contraction_proxy(model)
     report = check_summability(deltas, rho)
     config = {
@@ -505,26 +534,11 @@ def cmd_delta(args: argparse.Namespace) -> int:
     _check_finite(args.model, "dependence coefficients",
                   [*(v for d in deltas for v in (d.delta_hat, d.std_error)),
                    *(v for v in decay.values() if isinstance(v, float))])
-    if args.format == "json":
-        payload = {
-            "config": config,
-            "deltas": [
-                {
-                    "k": d.lag,
-                    "delta_hat": d.delta_hat,
-                    "std_error": d.std_error,
-                    "replications": d.replications,
-                }
-                for d in deltas
-            ],
-            "decay": decay,
-        }
-        _write_text(args.output, [json.dumps(payload, indent=2) + "\n"])
-    else:
-        columns = zip(*((d.lag, d.delta_hat, d.std_error, d.replications) for d in deltas))
-        rows = _format_rows(*columns)
-        header = _header(config, "k,delta_hat,std_error,replications")
-        _write_text(args.output, itertools.chain([header], rows))
+    rows = [{"k": d.lag, "delta_hat": d.delta_hat, "std_error": d.std_error,
+             "replications": d.replications} for d in deltas]
+    _write_artifact(args.output, args.format, config, ",".join(rows[0]),
+                    zip(*(row.values() for row in rows)), {"deltas": rows, "decay": decay})
+    if args.format == "csv":
         print(json.dumps(decay), file=sys.stderr)
     return EXIT_OK
 
@@ -542,14 +556,10 @@ def cmd_rate(args: argparse.Namespace) -> int:
         raise UsageError(f"--n-min must be at least 2, got {args.n_min}")
     # the doubling grid n_min * 2**k up to n_max
     n_values = [args.n_min << k for k in range(max(args.n_max // args.n_min, 0).bit_length())]
-    try:
-        report = rate_experiment(model, n_values, args.reps, seed=args.seed)
-    except ModelValidityError:
-        raise
-    except ValueError as exc:  # sizes, --reps, buffers and seeds: before any work
-        raise UsageError(f"--n-min/--n-max/--reps/--seed: {exc}") from exc
-    except OverflowError as exc:  # so are the model's marginal and evaluation grid
-        raise DataError(f"model {args.model} gives {exc}; nothing was written") from exc
+    # sizes, --reps, buffers, seeds, the model's marginal and its evaluation grid are
+    # all checked before any work
+    report = _library("--n-min/--n-max/--reps/--seed", args.model, rate_experiment, model,
+                      n_values, args.reps, seed=args.seed)
     _check_finite(args.model, "sup errors or summary values",
                   [*(r.sup_error for r in report.records), report.fitted_slope,
                    *(report.slope_ci or ()), *report.median_errors, *report.mean_errors])
@@ -561,7 +571,6 @@ def cmd_rate(args: argparse.Namespace) -> int:
         "seed": args.seed,
     }
     summary = {
-        "config": config,
         "fitted_slope": report.fitted_slope,
         "slope_ci": list(report.slope_ci) if report.slope_ci else None,
         "target_slope": report.target_slope,
@@ -572,10 +581,9 @@ def cmd_rate(args: argparse.Namespace) -> int:
     if args.output is not None:
         columns = zip(*((r.n, r.bandwidth, r.replication, r.sup_error, r.wall_time_s * 1000.0)
                         for r in report.records))
-        rows = _format_rows(*columns)
-        header = _header(config, "n,b,replication,sup_error,wall_time_ms")
-        _write_text(args.output, itertools.chain([header], rows))
-    _write_text(None, [json.dumps(summary, indent=2) + "\n"])
+        _write_artifact(args.output, "csv", config, "n,b,replication,sup_error,wall_time_ms",
+                        columns)
+    _write_artifact(None, "json", config, payload=summary)
     return EXIT_OK
 
 
@@ -597,10 +605,7 @@ def run_benchmark(n: int, m: int, seed: int = 0) -> dict:
         raise UsageError(f"--n must be at least 10000, got {n}")
     if not 100 <= m <= MAX_BUFFER_VALUES:
         raise UsageError(f"--m must be at least 100 and at most {MAX_BUFFER_VALUES}, got {m}")
-    try:
-        sample = simulate(ArmaModel(), n, seed=seed)
-    except ValueError as exc:  # a path past the simulation's size cap
-        raise UsageError(f"--n: {exc}") from exc
+    sample = _library("--n", None, simulate, ArmaModel(), n, seed=seed)  # the size cap
     bandwidth = stone_bandwidth(n)
     queries = np.linspace(float(sample.min()), float(sample.max()), m)
 
@@ -637,19 +642,9 @@ def run_benchmark(n: int, m: int, seed: int = 0) -> dict:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     result = run_benchmark(args.n, args.m, seed=args.seed)
-    if args.format == "json":
-        _write_text(None, [json.dumps(result, indent=2) + "\n"])
-        return EXIT_OK
-    _write_text(None, [
-        f"n={result['n']} m={result['m']} seed={result['seed']} "
-        f"b={result['bandwidth']:.17g} p_n={result['p_n']}\n",
-        f"fp_build_s     {result['fp_build_s']:.6f}\n",
-        f"fp_query_s     {result['fp_query_s']:.6f}\n",
-        f"fp_total_s     {result['fp_total_s']:.6f}\n",
-        f"kde_query_s    {result['kde_query_s']:.6f}\n",
-        f"kde/fp_total   {result['kde_over_fp_total']:.2f}x\n",
-        f"kde/fp_query   {result['kde_over_fp_query']:.2f}x\n",
-    ])
+    config = {"command": "bench", **{k: result.pop(k) for k in ("n", "m", "seed", "repeats")}}
+    _write_artifact(None, args.format, config, ",".join(result),
+                    [[value] for value in result.values()], result)
     return EXIT_OK
 
 

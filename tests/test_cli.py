@@ -29,6 +29,7 @@ from polyfreq.cli import (
     _read_column,
     main,
 )
+from polyfreq.estimators import stone_bandwidth
 
 AR1_SPEC = {
     "schema": 1,
@@ -1237,6 +1238,27 @@ class TestBenchCommand:
         assert result["p_n"] > 0
         assert result["fp_total_s"] > 0
         assert result["kde_query_s"] > result["fp_query_s"]
+
+    def test_csv_and_json_artifacts(self, capsys):
+        # the configuration in the header or "config", one named row of results
+        argv = ["bench", "--n", "20000", "--m", "200", "--seed", "2"]
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-2] == [f"# polyfreq {cli.__version__}", '# command="bench"', "# m=200",
+                              "# n=20000", "# repeats=5", "# seed=2"]
+        names = ["bandwidth", "p_n", "fp_build_s", "fp_query_s", "fp_total_s", "kde_query_s",
+                 "kde_over_fp_total", "kde_over_fp_query"]
+        assert lines[-2].split(",") == names
+        row = dict(zip(names, map(float, lines[-1].split(","))))
+        assert row["bandwidth"] == stone_bandwidth(20000)
+        assert row["p_n"] > 0 and row["kde_query_s"] > row["fp_query_s"]
+
+        assert main([*argv, "--format", "json"]) == EXIT_OK
+        result = json.loads(capsys.readouterr().out)
+        assert list(result) == ["config", *names]
+        assert result["config"] == {"command": "bench", "n": 20000, "m": 200, "seed": 2,
+                                    "repeats": 5}
+        assert result["bandwidth"] == row["bandwidth"] and result["p_n"] == row["p_n"]
 
     def test_preconditions(self):
         assert main(["bench", "--n", "100", "--m", "200"]) == EXIT_USAGE
