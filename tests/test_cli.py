@@ -878,6 +878,15 @@ class TestLibraryRefusals:
         assert line == (f"polyfreq: data error: model {spec} gives a marginal outside the "
                         "float range (support [-inf, inf]); nothing was written")
 
+    def test_rate_on_a_tar_model_the_oracle_cannot_resolve(self, tmp_path, capsys):
+        # TAR(0, 0.99) mixes too slowly for the oracle to settle within its round cap
+        code, spec, line = self.run(
+            tmp_path, capsys, ["rate", "--n-min", "64", "--n-max", "4096", "--reps", "10"],
+            {"schema": 1, "family": "nlar_tar", "a": 0.0, "b": 0.99})
+        assert code == EXIT_MODEL
+        assert line.startswith(f"polyfreq: model error: --model {spec}: fixed-point iteration "
+                               "did not converge in 500 iterations; last sup-change ")
+
     @pytest.mark.parametrize("argv,name", [
         (["simulate", "--n", "3"], "simulate"),
         (["delta", "--kmax", "1", "--reps", "100"], "estimate_delta_profile"),
