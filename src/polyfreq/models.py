@@ -989,8 +989,10 @@ def tar_marginal_oracle(model: TarModel) -> tuple[np.ndarray, np.ndarray]:
     unit trapezoid mass.  The iteration stops when the sup-norm change,
     times the noise's standard deviation, drops below ``1e-10`` (the
     density scales as ``1/std``, so the test is relative to its scale),
-    within ``ORACLE_MAX_ITERATIONS`` rounds.  It runs on the calling thread
-    and calls no BLAS routine, and nothing is cached.
+    within ``ORACLE_MAX_ITERATIONS`` rounds; a model that has not settled by
+    then (one that mixes too slowly, such as TAR(0, 0.99)) is refused with a
+    ``ModelValidityError`` naming the cap and the last change.  It runs on
+    the calling thread and calls no BLAS routine, and nothing is cached.
     """
     require_valid(model)
     if model.noise.distribution != "gaussian":
@@ -1035,7 +1037,7 @@ def tar_marginal_oracle(model: TarModel) -> tuple[np.ndarray, np.ndarray]:
         f = f_next
         if change * model.noise.std < 1e-10:
             return grid, f
-    raise RuntimeError(
+    raise ModelValidityError(
         f"fixed-point iteration did not converge in {ORACLE_MAX_ITERATIONS} iterations; "
         f"last sup-change {change:.3e}"
     )
@@ -1151,9 +1153,20 @@ def marginal_truth(model: Model) -> MarginalTruth:
 #: the JSON field that holds each noise family's scale
 _NOISE_SCALE_FIELDS = {"gaussian": "sigma", "uniform": "c", "laplace": "scale"}
 
-#: longest ARMA part a spec may give: the stationarity check's ``np.roots``
-#: takes O(p**2) memory and O(p**3) time (about 2 s at order 1000)
+#: most coefficients a spec may give for an ARMA part or a linear process:
+#: the stationarity check's ``np.roots`` takes O(p**2) memory and O(p**3)
+#: time (about 2 s at order 1000), and the moving average's ``np.convolve``
+#: costs O(n * order) for a path of n values
 MAX_SPEC_ORDER = 1000
+
+
+def _spec_coeffs(field: str, value) -> tuple:
+    """A spec's coefficient list as a tuple, refused past ``MAX_SPEC_ORDER`` entries."""
+    coeffs = tuple(value)
+    if len(coeffs) > MAX_SPEC_ORDER:
+        raise ValueError(f"\"{field}\" holds {len(coeffs)} coefficients, above the limit of "
+                         f"{MAX_SPEC_ORDER}")
+    return coeffs
 
 
 def _noise_from_spec(obj: dict) -> NoiseSpec:
@@ -1186,16 +1199,11 @@ def model_from_spec(obj: dict) -> Model:
     family = obj.get("family")
     noise = _noise_from_spec(obj.get("noise", {"distribution": "gaussian", "sigma": 1.0}))
     if family == "arma":
-        ar, ma = tuple(obj.get("ar", ())), tuple(obj.get("ma", ()))
-        for field, coeffs in (("ar", ar), ("ma", ma)):
-            if len(coeffs) > MAX_SPEC_ORDER:
-                raise ValueError(f"\"{field}\" holds {len(coeffs)} coefficients, above the "
-                                 f"limit of {MAX_SPEC_ORDER}")
+        ar, ma = _spec_coeffs("ar", obj.get("ar", ())), _spec_coeffs("ma", obj.get("ma", ()))
         return ArmaModel(ar=ar, ma=ma, intercept=float(obj.get("a0", 0.0)), noise=noise)
     if family == "linear":
-        return LinearProcess(
-            coeffs=tuple(obj["coeffs"]), mean=float(obj.get("mean", 0.0)), noise=noise
-        )
+        return LinearProcess(coeffs=_spec_coeffs("coeffs", obj["coeffs"]),
+                             mean=float(obj.get("mean", 0.0)), noise=noise)
     if family == "nlar_tar":
         return TarModel(a=float(obj["a"]), b=float(obj["b"]), noise=noise)
     raise ValueError(

@@ -950,6 +950,18 @@ class TestModelSizeLimits:
         assert line == (f"polyfreq: data error: model spec {spec} is malformed: \"{field}\" "
                         f"holds {order} coefficients, above the limit of 1000")
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "10"],
+        ["delta", "--kmax", "1", "--reps", "100"],
+        ["rate", "--n-min", "256", "--n-max", "16384", "--reps", "10"],
+    ], ids=["simulate", "delta", "rate"])
+    def test_linear_order(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr(models, "LinearProcess", self.refuse)
+        spec, line = self.refused(tmp_path, capsys, argv,
+                                  {"schema": 1, "family": "linear", "coeffs": [1e-6] * 1001})
+        assert line == (f"polyfreq: data error: model spec {spec} is malformed: \"coeffs\" "
+                        "holds 1001 coefficients, above the limit of 1000")
+
     def test_rate_evaluation_grid(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(diagnostics, "simulate_ragged", self.refuse)
         spec, line = self.refused(

@@ -810,13 +810,13 @@ class TestTarOracle:
 
     def test_non_convergence_reports_change(self, monkeypatch):
         monkeypatch.setattr(models, "ORACLE_MAX_ITERATIONS", 2)
-        with pytest.raises(RuntimeError, match="in 2 iterations; last sup-change"):
+        with pytest.raises(ModelValidityError, match="in 2 iterations; last sup-change"):
             tar_marginal_oracle(TarModel(0.9, 0.9))
 
     def test_tar_iteration_count(self, monkeypatch):
         # TAR(0.6, -0.3) reaches the 1e-10 tolerance in 23 mat-vecs
         monkeypatch.setattr(models, "ORACLE_MAX_ITERATIONS", 22)
-        with pytest.raises(RuntimeError, match="in 22 iterations"):
+        with pytest.raises(ModelValidityError, match="in 22 iterations"):
             tar_marginal_oracle(TarModel(0.6, -0.3))
         monkeypatch.setattr(models, "ORACLE_MAX_ITERATIONS", 23)
         tar_marginal_oracle(TarModel(0.6, -0.3))
@@ -951,6 +951,12 @@ class TestModelSpecs:
         assert at_limit.q == models.MAX_SPEC_ORDER == 1000
         with pytest.raises(ValueError, match='"ar" holds 1001 coefficients'):
             model_from_spec({"schema": 1, "family": "arma", "ar": [1e-6] * 1001})
+
+    def test_linear_order_limit(self):
+        at_limit = model_from_spec({"schema": 1, "family": "linear", "coeffs": [1e-6] * 1000})
+        assert at_limit.order + 1 == models.MAX_SPEC_ORDER == 1000
+        with pytest.raises(ValueError, match='"coeffs" holds 1001 coefficients'):
+            model_from_spec({"schema": 1, "family": "linear", "coeffs": [1e-6] * 1001})
 
     def test_nlar_not_serializable(self):
         model = NlarModel(transition=lambda x: 0.1 * np.asarray(x), lipschitz_bound=0.1)
