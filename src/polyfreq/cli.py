@@ -25,11 +25,13 @@ pipe, a full device) is a usage error.
 parsed by one ``np.array(lines, dtype=float)``; it falls back to one call
 on a chunk's stripped rows, then to a per-line scan, only for a chunk that
 also holds skipped, padded or bad lines.  Which lines are rows is that of
-a per-line loop.  One writer, :func:`_format_rows`, writes the CSV rows of
-every command in blocks of ``_FORMAT_ROWS`` rows: the digits of most
-values come from exact integer arithmetic in numpy, and the rest from
-``format`` one value at a time, so every byte is that of
-``format(v, ".17g")``.
+a per-line loop.  The chunks' rows are joined into one float64 sample,
+whose size fixes the bandwidth, and binned by one ``build_histogram``
+call, so the histogram does not depend on the chunk size.  One writer,
+:func:`_format_rows`, writes the CSV rows of every command in blocks of
+``_FORMAT_ROWS`` rows: the digits of most values come from exact integer
+arithmetic in numpy, and the rest from ``format`` one value at a time, so
+every byte is that of ``format(v, ".17g")``.
 
 Exit status contract: 0 success, 1 usage error, 2 data error, 3 model
 validity error.
@@ -60,7 +62,6 @@ from .estimators import (
     fp_eval,
     histogram_eval,
     kde_eval_naive,
-    merge_histograms,
     stone_bandwidth,
 )
 from .models import (
@@ -430,13 +431,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     for flag, value in flags.items():
         if value is not None and not math.isfinite(value):
             raise UsageError(f"{flag} must be finite, got {value}")
-    chunks = list(_read_column(args.input))
-    n = sum(chunk.size for chunk in chunks)
-    if n < 2:
-        raise DataError(f"need at least 2 numeric rows, found {n}")
-    lo = min(float(chunk.min()) for chunk in chunks)
-    hi = max(float(chunk.max()) for chunk in chunks)
-    bandwidth = args.bandwidth if args.bandwidth is not None else stone_bandwidth(n)
+    sample = np.concatenate([np.empty(0), *_read_column(args.input)])
+    if sample.size < 2:
+        raise DataError(f"need at least 2 numeric rows, found {sample.size}")
+    lo, hi = float(sample.min()), float(sample.max())
+    bandwidth = args.bandwidth if args.bandwidth is not None else stone_bandwidth(sample.size)
     if not (math.isfinite(bandwidth) and bandwidth > 0):
         raise UsageError(f"--bandwidth must be positive and finite, got {bandwidth}")
     scheme = BinningScheme(bandwidth)
@@ -445,7 +444,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise DataError(f"{args.input}: {exc}") from exc
     try:
-        h = merge_histograms(build_histogram(chunk, scheme) for chunk in chunks)
+        h = build_histogram(sample, scheme)
     except ValueError as exc:  # rows are finite and indexable: only the density scale is left
         raise UsageError(f"--bandwidth {bandwidth}: {exc}") from exc
 

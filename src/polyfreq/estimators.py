@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NoReturn
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "SparseHistogram",
     "EmpiricalCdf",
     "build_histogram",
-    "merge_histograms",
     "histogram_eval",
     "cdf_bin_density",
     "fp_eval",
@@ -306,21 +305,6 @@ def build_histogram(sample, scheme: BinningScheme) -> SparseHistogram:
     else:
         keys, values = np.unique(z, return_counts=True)
     return SparseHistogram(scheme, keys, values, arr.size)
-
-
-def merge_histograms(parts: Iterable[SparseHistogram]) -> SparseHistogram:
-    """Sum histograms of one bin width (partition-and-merge builds)."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("need at least one histogram to merge")
-    widths = sorted({h.scheme.bin_width for h in parts})
-    if len(widths) > 1:
-        raise ValueError(f"cannot merge histograms of different bin widths {widths}")
-    keys = np.concatenate([h.keys for h in parts])
-    order = np.argsort(keys, kind="stable")
-    keys, starts = np.unique(keys[order], return_index=True)
-    values = np.add.reduceat(np.concatenate([h.values for h in parts])[order], starts)
-    return SparseHistogram(parts[0].scheme, keys, values, sum(h.n for h in parts))
 
 
 def histogram_eval(h: SparseHistogram, x):

@@ -224,7 +224,7 @@ class TestEstimateCommand:
         assert payload["config"]["n"] == 3
 
     def test_streaming_matches_batch(self, tmp_path, rng):
-        # more rows than one chunk: each chunk is binned, then all are merged
+        # more rows than one chunk: the rows of every chunk are binned in one build
         values = rng.normal(0, 1, 70_000)
         data = tmp_path / "big.csv"
         data.write_text("\n".join(format(v, ".17g") for v in values) + "\n")
@@ -239,6 +239,28 @@ class TestEstimateCommand:
         h = build_histogram(values, BinningScheme(0.25))
         assert payload["histogram"]["bins"] == np.column_stack([h.keys, h.values]).tolist()
         assert payload["config"]["n"] == values.size
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_build_at_any_chunk_size(self, tmp_path, rng, monkeypatch, fmt):
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(format(v, ".17g") for v in rng.normal(0, 1, 5000)) + "\n")
+        builds = []
+        build = cli.build_histogram
+
+        def counting_build(sample, scheme):
+            builds.append(np.size(sample))
+            return build(sample, scheme)
+
+        monkeypatch.setattr(cli, "build_histogram", counting_build)
+        artifacts = []
+        for chunk_lines in (cli._CHUNK_LINES, 64):
+            monkeypatch.setattr(cli, "_CHUNK_LINES", chunk_lines)
+            out = tmp_path / f"out-{chunk_lines}"
+            assert main(["estimate", "--input", str(data), "--format", fmt,
+                         "--output", str(out)]) == EXIT_OK
+            artifacts.append(out.read_bytes())
+        assert builds == [5000, 5000]
+        assert artifacts[0] == artifacts[1]
 
     @pytest.mark.parametrize(
         "line,accepted",
@@ -919,8 +941,8 @@ def test_delta_on_a_large_noise_scale(tmp_path, capsys):
 
 
 class TestModelSizeLimits:
-    """A spec whose ARMA order or evaluation grid is past its limit is a data error,
-    refused before any characteristic root is computed or anything is simulated."""
+    """A spec whose ARMA or linear order or evaluation grid is past its limit is a data
+    error, refused before any characteristic root is computed or anything is simulated."""
 
     @staticmethod
     def refuse(*args):

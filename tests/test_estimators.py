@@ -27,7 +27,6 @@ from polyfreq.estimators import (
     fp_eval_classic,
     histogram_eval,
     kde_eval_naive,
-    merge_histograms,
     stone_bandwidth,
 )
 
@@ -278,43 +277,16 @@ class TestBuildHistogram:
         with pytest.raises(ValueError):
             h.values[0] = 7
 
-    def test_partitioned_build_matches_sequential(self, rng):
-        x = rng.normal(0, 1, 5000)
-        whole = build_histogram(x, BinningScheme(0.3))
-        merged = merge_histograms(build_histogram(c, BinningScheme(0.3))
-                                  for c in np.array_split(x, 7))
-        assert merged.n == whole.n == x.size
-        assert_array_equal(merged.keys, whole.keys)
-        assert_array_equal(merged.values, whole.values)
-
     def test_threaded_build_matches_sequential(self, rng):
-        x = rng.normal(0, 1, 8000)
-        chunks = np.array_split(x, 4)
+        # builds share no state: each thread's part is bit for bit its serial build
+        chunks = np.array_split(rng.normal(0, 1, 8000), 4)
         with ThreadPoolExecutor(max_workers=4) as pool:
             parts = list(pool.map(lambda c: build_histogram(c, UNIT), chunks))
-        merged = merge_histograms(parts)
-        whole = build_histogram(x, UNIT)
-        assert merged.n == whole.n
-        assert_array_equal(merged.keys, whole.keys)
-        assert_array_equal(merged.values, whole.values)
-
-    def test_merge_sums_overlapping_and_disjoint_bins(self):
-        a = build_histogram([0.5, 0.5, 2.5], UNIT)
-        b = build_histogram([-1.5, 0.5, 5.5], UNIT)
-        merged = merge_histograms([a, b])
-        assert merged.keys.tolist() == [-2, 0, 2, 5]
-        assert merged.values.tolist() == [1, 3, 1, 1]
-        assert merged.n == 6
-        assert merge_histograms([a]).values.tolist() == a.values.tolist()
-
-    def test_merge_rejects_mixed_widths(self):
-        with pytest.raises(ValueError, match="bin widths"):
-            merge_histograms([build_histogram([0.5], UNIT),
-                              build_histogram([0.5], BinningScheme(0.5))])
-
-    def test_merge_needs_a_part(self):
-        with pytest.raises(ValueError, match="at least one"):
-            merge_histograms([])
+        for chunk, part in zip(chunks, parts):
+            serial = build_histogram(chunk, UNIT)
+            assert part.n == serial.n == chunk.size
+            assert_array_equal(part.keys, serial.keys)
+            assert_array_equal(part.values, serial.values)
 
     def test_json_round_trip(self, rng):
         h = build_histogram(rng.normal(0, 1, 500), BinningScheme(0.25))
@@ -590,16 +562,16 @@ class TestFrequencyPolygon:
         assert abs(fp_eval(h, x) - fp_eval_classic(h, x)) <= 1e-12 * scale
 
     @pytest.mark.parametrize(
-        "parts",
+        "sample,width",
         [
-            [([1.0, 2.0, 3.0], 1e308)],  # n * b overflows: every density would read 0
-            [([0.0], 5e-324)],  # 1 / (n * b) overflows
-            [([1.0], 1e308), ([1.5], 1e308)],  # each part fits, the merged n * b does not
+            ([1.0, 2.0, 3.0], 1e308),  # n * b overflows: every density would read 0
+            ([0.0], 5e-324),  # 1 / (n * b) overflows
+            ([1.0, 1.5], 1e308),  # one point fits, the pair's n * b does not
         ],
     )
-    def test_density_scale_out_of_float_range_refused(self, parts):
+    def test_density_scale_out_of_float_range_refused(self, sample, width):
         with pytest.raises(ValueError, match="out of float range"):
-            merge_histograms([build_histogram(s, BinningScheme(w)) for s, w in parts])
+            build_histogram(sample, BinningScheme(width))
 
     @pytest.mark.parametrize("width", [1.0, 0.5, 0.25, 2.0])
     def test_midpoint_exact_on_exact_widths(self, rng, width):

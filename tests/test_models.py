@@ -813,6 +813,11 @@ class TestTarOracle:
         with pytest.raises(ModelValidityError, match="in 2 iterations; last sup-change"):
             tar_marginal_oracle(TarModel(0.9, 0.9))
 
+    def test_slow_mixing_model_is_refused(self):
+        # TAR(0, 0.99) has not settled within the round cap
+        with pytest.raises(ModelValidityError, match="in 500 iterations; last sup-change"):
+            marginal_truth(TarModel(0.0, 0.99))
+
     def test_tar_iteration_count(self, monkeypatch):
         # TAR(0.6, -0.3) reaches the 1e-10 tolerance in 23 mat-vecs
         monkeypatch.setattr(models, "ORACLE_MAX_ITERATIONS", 22)

@@ -29,9 +29,8 @@ def test_public_surface_snapshot():
         "modulus_exact", "modulus_envelope", "fit_loglog_slope", "rate_experiment",
         "fp_max_slope", "error_decomposition",
         # estimators
-        "BinningScheme", "SparseHistogram", "EmpiricalCdf", "build_histogram",
-        "merge_histograms", "histogram_eval", "cdf_bin_density", "fp_eval", "fp_eval_classic",
-        "stone_bandwidth", "kde_eval_naive",
+        "BinningScheme", "SparseHistogram", "EmpiricalCdf", "build_histogram", "histogram_eval",
+        "cdf_bin_density", "fp_eval", "fp_eval_classic", "stone_bandwidth", "kde_eval_naive",
         # models
         "ModelValidityError", "NoiseSpec", "ArmaModel", "LinearProcess", "NlarModel",
         "TarModel", "StationarityCheck", "MarginalTruth", "arma_check_stationary",
