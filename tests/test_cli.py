@@ -866,6 +866,28 @@ class TestNoiseScaleOutOfRange:
         assert not out.exists()
 
 
+class TestMissingSpecField:
+    """A spec without a field its family needs is a data error that names the field."""
+
+    @pytest.mark.parametrize("spec_obj,field", [
+        ({"schema": 1, "family": "nlar_tar", "a": 0.5}, "b"),
+        ({"schema": 1, "family": "nlar_tar", "b": 0.5}, "a"),
+        ({"schema": 1, "family": "linear", "mean": 0.5}, "coeffs"),
+        ({"schema": 1, "family": "arma", "ar": [0.5], "noise": {"distribution": "gaussian"}},
+         "sigma"),
+        ({"schema": 1, "family": "nlar_tar", "a": 0.5, "b": 0.2,
+          "noise": {"distribution": "uniform"}}, "c"),
+    ], ids=["tar-b", "tar-a", "linear-coeffs", "noise-sigma", "noise-c"])
+    def test_exit_2_saying_the_field_is_missing(self, tmp_path, capsys, spec_obj, field):
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps(spec_obj))
+        assert main(["simulate", "--n", "10", "--model", str(spec)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"polyfreq: data error: model spec {spec} is malformed: missing field \"{field}\""]
+
+
 class TestLibraryRefusals:
     """A library call that refuses a model or overflows ends in one stderr line and
     its contract code, with nothing written."""

@@ -951,6 +951,15 @@ class TestModelSpecs:
         with pytest.raises(ValueError, match="noise"):
             model_from_spec({"schema": 1, "family": "arma", "noise": {"distribution": "cauchy"}})
 
+    @pytest.mark.parametrize("obj,field", [
+        ({"family": "nlar_tar", "a": 0.5}, "b"),
+        ({"family": "linear"}, "coeffs"),
+        ({"family": "arma", "noise": {"distribution": "laplace"}}, "scale"),
+    ], ids=["tar", "linear", "noise"])
+    def test_missing_field_named(self, obj, field):
+        with pytest.raises(ValueError, match=f'^missing field "{field}"$'):
+            model_from_spec({"schema": 1, **obj})
+
     def test_arma_order_limit(self):
         at_limit = model_from_spec({"schema": 1, "family": "arma", "ma": [1e-6] * 1000})
         assert at_limit.q == models.MAX_SPEC_ORDER == 1000
