@@ -1160,6 +1160,13 @@ _NOISE_SCALE_FIELDS = {"gaussian": "sigma", "uniform": "c", "laplace": "scale"}
 MAX_SPEC_ORDER = 1000
 
 
+def _spec_field(obj: dict, field: str):
+    """``obj[field]``; a missing field is refused with ``ValueError`` naming it."""
+    if field not in obj:
+        raise ValueError(f"missing field \"{field}\"")
+    return obj[field]
+
+
 def _spec_coeffs(field: str, value) -> tuple:
     """A spec's coefficient list as a tuple, refused past ``MAX_SPEC_ORDER`` entries."""
     coeffs = tuple(value)
@@ -1176,8 +1183,9 @@ def _noise_from_spec(obj: dict) -> NoiseSpec:
     if dist not in _NOISE_FAMILIES:
         raise ValueError(f"unknown noise distribution {dist!r}")
     field = _NOISE_SCALE_FIELDS[dist]
+    scale = _spec_field(obj, field)
     try:
-        return NoiseSpec(dist, float(obj[field]))
+        return NoiseSpec(dist, float(scale))
     except ValueError as exc:
         raise ValueError(f"noise \"{field}\": {exc}") from exc
 
@@ -1202,10 +1210,11 @@ def model_from_spec(obj: dict) -> Model:
         ar, ma = _spec_coeffs("ar", obj.get("ar", ())), _spec_coeffs("ma", obj.get("ma", ()))
         return ArmaModel(ar=ar, ma=ma, intercept=float(obj.get("a0", 0.0)), noise=noise)
     if family == "linear":
-        return LinearProcess(coeffs=_spec_coeffs("coeffs", obj["coeffs"]),
+        return LinearProcess(coeffs=_spec_coeffs("coeffs", _spec_field(obj, "coeffs")),
                              mean=float(obj.get("mean", 0.0)), noise=noise)
     if family == "nlar_tar":
-        return TarModel(a=float(obj["a"]), b=float(obj["b"]), noise=noise)
+        a, b = (float(_spec_field(obj, field)) for field in ("a", "b"))
+        return TarModel(a=a, b=b, noise=noise)
     raise ValueError(
         f"unknown model family {family!r}; expected one of 'arma', 'linear', 'nlar_tar'"
     )
