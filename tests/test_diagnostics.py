@@ -42,6 +42,7 @@ from polyfreq.estimators import (
 )
 from polyfreq.models import (
     ArmaModel,
+    LinearProcess,
     ModelValidityError,
     NlarModel,
     TarModel,
@@ -575,6 +576,37 @@ class TestRateExperiment:
                     report.slope_ci) for report in reports}
         assert len(results) == 1
 
+    @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
+    @pytest.mark.parametrize("model", [AR1, TAR, LinearProcess((1.0, 0.5, 0.25), 1.0)],
+                             ids=["AR1", "TAR", "linear"])
+    def test_sizes_are_prefixes_of_one_path_per_replication(self, model):
+        # replication k follows one path, seeded seed + k, of the largest size:
+        # every size bins and evaluates that path's first n values
+        report = rate_experiment(model, self.N_GRID, 3, seed=5)
+        truth = marginal_truth(model)
+        paths = [simulate(model, max(self.N_GRID), seed=5 + k) for k in range(3)]
+        assert [(r.n, r.replication) for r in report.records] == [
+            (n, k) for n in self.N_GRID for k in range(3)]
+        for r in report.records:
+            b = stone_bandwidth(r.n)
+            h = build_histogram(paths[r.replication][:r.n], BinningScheme(b))
+            grid = make_eval_grid(*truth.support(), b)
+            assert r.bandwidth == b and r.eval_points == grid.size
+            assert r.sup_error == sup_error(lambda x: fp_eval(h, x), truth.pdf, grid)
+
+    @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
+    @pytest.mark.parametrize("model", [AR1, TAR], ids=["AR1", "TAR"])
+    def test_repeated_size_repeats_its_records(self, model):
+        # a repeated size takes the same prefixes of the same paths
+        ns = sorted([*self.N_GRID, 1024])
+        report = rate_experiment(model, ns, 3, seed=5)
+        copies = [(r.replication, r.sup_error, r.grid_error_bound)
+                  for r in report.records if r.n == 1024]
+        assert len(copies) == 6 and copies[:3] == copies[3:]
+        single = rate_experiment(model, self.N_GRID, 3, seed=5)
+        assert copies[:3] == [(r.replication, r.sup_error, r.grid_error_bound)
+                              for r in single.records if r.n == 1024]
+
     def test_single_rep_warns_without_ci(self):
         with pytest.warns(UserWarning, match="thin"):
             report = rate_experiment(AR1, self.N_GRID, 1, seed=3)
@@ -667,15 +699,16 @@ class TestRateExperiment:
 
 
 def reference_ci(ns, errors, seed):
-    """The per-round bootstrap that ``rate_experiment`` used to run, kept as a
-    reference: ``choice`` + ``np.median`` per round and size, one
-    ``fit_loglog_slope`` per round, degenerate rounds skipped.  Returns the
-    CI and the number of skipped rounds."""
+    """The bootstrap by a per-round loop, kept as a reference: each round
+    resamples whole paths, one ``choice`` of replications shared by every
+    size, then ``np.median`` per size and one ``fit_loglog_slope`` per round,
+    degenerate rounds skipped.  Returns the CI and the number of skipped
+    rounds."""
     boot_rng = np.random.default_rng((abs(int(seed)), 0xB007))
     slopes, skipped = [], 0
     for _ in range(500):
-        meds = [float(np.median(boot_rng.choice(row, size=len(row), replace=True)))
-                for row in errors]
+        paths = boot_rng.choice(errors.shape[1], size=errors.shape[1], replace=True)
+        meds = [float(np.median(row[paths])) for row in errors]
         try:
             slopes.append(fit_loglog_slope(ns, meds))
         except DegenerateFitError:
@@ -726,6 +759,16 @@ class TestRateSummary:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _slope_ci(self.NS, errors, 3) is None
+
+    def test_whole_paths_are_resampled(self):
+        # path k's errors are c_k times one profile, so every round that
+        # resamples whole paths scales the medians alike and fits the
+        # profile's slope; resampling each size on its own would not
+        profile = np.array([2.0 ** (-k / 3) for k in range(len(self.NS))])
+        scales = np.random.default_rng(5).uniform(0.5, 2.0, 8)
+        lo, hi = _slope_ci(self.NS, np.outer(profile, scales), 3)
+        slope = fit_loglog_slope(self.NS, profile)
+        assert lo == pytest.approx(slope, abs=1e-12) and hi == pytest.approx(slope, abs=1e-12)
 
     def test_single_replication_has_no_ci(self):
         assert _slope_ci(self.NS, np.linspace(0.1, 0.01, len(self.NS))[:, None], 3) is None
