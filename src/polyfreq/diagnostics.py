@@ -43,13 +43,12 @@ from .estimators import (
 from .models import (
     MarginalTruth,
     Model,
+    _check_batch,
     _check_seeds,
     _count,
-    _map_on_cpus,
-    _rate_batches,
     marginal_truth,
     resolve_burn_in,
-    simulate_ragged,
+    simulate_rows,
 )
 
 __all__ = [
@@ -288,10 +287,8 @@ def modulus_envelope(n: int, b: float) -> tuple[float, float]:
 class SupErrorRecord:
     """One replication's sup-norm error under the bandwidth schedule.
 
-    ``wall_time_s`` is the replication's share of the simulation call of
-    its batch (every size when a Markov model's rows are packed, one size
-    otherwise), in proportion to its steps ``burn_in + n``, plus its own
-    binning and sup-error evaluation.
+    ``wall_time_s`` is the record's own binning and sup-error evaluation;
+    the simulation of the path it takes a prefix of is not charged to it.
     """
 
     n: int
@@ -352,21 +349,19 @@ def fit_loglog_slope(n_values: Sequence[int], errors: Sequence[float]) -> float:
     return float(np.polyfit(np.log(ns), logs, 1)[0])
 
 
-def _size_records(truth: MarginalTruth, n: int, samples: Sequence[np.ndarray],
-                  sim_share: float) -> list[SupErrorRecord]:
-    """All replications of one sample size, each charged ``sim_share`` of the simulation."""
+def _size_records(truth: MarginalTruth, n: int, paths: np.ndarray) -> list[SupErrorRecord]:
+    """Every replication of one sample size: the first ``n`` values of each path."""
     bandwidth = stone_bandwidth(n)
     grid = make_eval_grid(*truth.support(), bandwidth)
     spacing = grid[1] - grid[0]
     records = []
-    for rep, sample in enumerate(samples):
+    for rep, path in enumerate(paths):
         start = time.perf_counter()
-        h = build_histogram(sample, BinningScheme(bandwidth))
+        h = build_histogram(path[:n], BinningScheme(bandwidth))
         err = sup_error(lambda x: fp_eval(h, x), truth.pdf, grid)
-        wall = sim_share + (time.perf_counter() - start)
         records.append(SupErrorRecord(
             n=n, bandwidth=bandwidth, replication=rep, sup_error=err,
-            eval_points=int(grid.size), wall_time_s=wall,
+            eval_points=int(grid.size), wall_time_s=time.perf_counter() - start,
             grid_error_bound=(truth.lipschitz + fp_max_slope(h)) * spacing))
     return records
 
@@ -374,19 +369,20 @@ def _size_records(truth: MarginalTruth, n: int, samples: Sequence[np.ndarray],
 def _slope_ci(ns: Sequence[int], errors: np.ndarray, seed: int) -> tuple[float, float] | None:
     """Bootstrap CI of the log-log slope fitted to the medians of a ``(sizes, reps)`` table.
 
-    Efron's percentile bootstrap: 500 rounds, each resampling every size's
-    replications with replacement, and the 2.5/97.5 percentiles of the
-    slopes fitted to the resampled medians.  Rounds :func:`fit_loglog_slope`
-    would reject are skipped; with no round left, or fewer than 2
-    replications, there is no CI.  The resampling table holds
-    ``500 * sizes * reps`` values.
+    Efron's percentile bootstrap over whole paths: 500 rounds, each
+    resampling the replications with replacement, one index vector shared by
+    every size, since each replication's sizes are prefixes of one path, and
+    the 2.5/97.5 percentiles of the slopes fitted to the resampled medians.
+    Rounds :func:`fit_loglog_slope` would reject are skipped; with no round
+    left, or fewer than 2 replications, there is no CI.  The resampling
+    table holds ``500 * sizes * reps`` values.
     """
     reps = errors.shape[1]
     if reps < 2:
         return None
     boot_rng = np.random.default_rng((abs(int(seed)), 0xB007))
-    idx = boot_rng.integers(0, reps, (500, len(ns), reps))
-    meds = np.median(errors[np.arange(len(ns))[:, None], idx], axis=2)
+    idx = boot_rng.integers(0, reps, (500, reps))
+    meds = np.median(errors[:, idx], axis=2).T
     logs = np.log(meds[(meds > 0.0).all(axis=1)])
     logs = logs[np.ptp(logs, axis=1) != 0.0]
     if not len(logs):
@@ -395,45 +391,27 @@ def _slope_ci(ns: Sequence[int], errors: np.ndarray, seed: int) -> tuple[float, 
     return float(np.percentile(slopes, 2.5)), float(np.percentile(slopes, 97.5))
 
 
-def _simulate_sizes(model: Model, ns: Sequence[int], reps: int, seed: int,
-                    burn_in: int) -> list[tuple[list[np.ndarray], float]]:
-    """Every replication of the sizes ``ns``, from one :func:`simulate_ragged` call.
-
-    Replication ``k`` of the flattened size-major grid is seeded ``seed + k``.
-    Returns each size's rows with each row's share of the call's time, in
-    proportion to its steps ``burn_in + n``.
-    """
-    start = time.perf_counter()
-    rows = simulate_ragged(model, np.repeat(ns, reps).tolist(),
-                           range(seed, seed + len(ns) * reps), burn_in)
-    steps = burn_in + np.asarray(ns, dtype=float)
-    shares = ((time.perf_counter() - start) * steps / (reps * steps.sum())).tolist()
-    return [(rows[i * reps:(i + 1) * reps], shares[i]) for i in range(len(ns))]
-
-
 def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int = 0,
                     max_workers: int | None = None) -> RateReport:
-    """Measure the sup-error decay of the frequency polygon along a size grid.
+    """Measure the sup-error decay of the frequency polygon along one path per replication.
 
-    For each sample size the bandwidth follows the ``(log n / n)**(1/3)``
-    schedule, the estimate is compared to the model's marginal truth on a
-    grid per the module constants, and the median error over replications
-    (robust to the occasional bad path) feeds a log-log slope fit with a
-    bootstrap confidence interval.  Replication ``k`` of the flattened
-    size-major grid is seeded ``seed + k``, so a size that is repeated in
-    ``n_values`` draws streams of its own.  The sizes are simulated, binned
-    and evaluated in batches (see ``models._rate_batches``): one for every
-    size of a Markov model whose packed rows fit ``models.MAX_BUFFER_VALUES``
-    values, else one per size.  The batches run on at most ``max_workers``
-    threads, a positive integer that defaults to the usable CPUs, and one
-    batch runs on the calling thread.  A packed batch draws its innovations
-    on a pool of one thread per usable CPU (see :func:`simulate_ragged`),
-    the TAR truth comes from :func:`models.tar_marginal_oracle` on the
-    calling thread, one FFT convolution per round, and every sample is
-    binned in cache-sized blocks.  Records are aggregated by index, so the
-    report is identical for any worker count.  Right after the size grid
-    and ``max_workers``, the ``500 * sizes * reps`` bootstrap table and the
-    largest size's batch of draws (a Markov batch padded to whole segments)
+    Replication ``k`` simulates one path of ``max(n_values)`` values, seeded
+    ``seed + k``, in one :func:`models.simulate_rows` call for all of them,
+    and every sample size bins and evaluates the first ``n`` values of each
+    path, as the paper's almost-sure consistency follows one sample path.
+    For each size the bandwidth follows the ``(log n / n)**(1/3)`` schedule,
+    the estimate is compared to the model's marginal truth on a grid per the
+    module constants, and the median error over replications (robust to the
+    occasional bad path) feeds a log-log slope fit with a bootstrap
+    confidence interval that resamples whole paths.  A size repeated in
+    ``n_values`` repeats its records.  The sizes are binned and evaluated in
+    order on the calling thread; a Markov model's paths draw their
+    innovations on a pool of one thread per usable CPU (see
+    :func:`models.simulate_rows`), and the TAR truth comes from
+    :func:`models.tar_marginal_oracle` on the calling thread.  ``max_workers``
+    must be a positive integer or None, and caps nothing.  Right after the
+    size grid and ``max_workers``, the ``500 * sizes * reps`` bootstrap table
+    and the ``reps`` paths' draws (a Markov batch padded to whole segments)
     are refused past ``models.MAX_BUFFER_VALUES`` values, and so are seeds
     that are not integers or run past ``2**128``, before the truth is built.
     That the truth's support is a finite interval, and that the largest
@@ -454,21 +432,17 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     burn_in = resolve_burn_in(model, None)
     _count(500 * len(ns) * reps, f"a bootstrap table of 500 x {len(ns)} sizes x {reps}")
     _check_seeds([seed])
-    _check_seeds(range(seed, seed + len(ns) * reps))
-    batches = _rate_batches(model, ns, reps, burn_in)
+    seeds = range(seed, seed + reps)
+    _check_seeds(seeds)
+    _check_batch(model, ns[-1], reps, burn_in)
     truth = marginal_truth(model)
     lo, hi = truth.support()
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise OverflowError(f"a marginal outside the float range (support [{lo}, {hi}])")
     _eval_grid_span(lo, hi, stone_bandwidth(ns[-1]))  # the finest grid
 
-    def batch_records(batch):
-        i, sizes = batch
-        simulated = _simulate_sizes(model, sizes, reps, seed + i * reps, burn_in)
-        return [r for n, size in zip(sizes, simulated) for r in _size_records(truth, n, *size)]
-
-    records = tuple(r for batch in _map_on_cpus(batch_records, batches, max_workers)
-                    for r in batch)
+    paths = simulate_rows(model, ns[-1], seeds, burn_in)
+    records = tuple(r for n in ns for r in _size_records(truth, n, paths))
 
     errors = np.array([r.sup_error for r in records]).reshape(len(ns), reps)
     medians = np.median(errors, axis=1)

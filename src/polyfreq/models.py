@@ -46,7 +46,7 @@ __all__ = [
     "initial_state",
     "advance",
     "simulate",
-    "simulate_ragged",
+    "simulate_rows",
     "nlar_soft_check",
     "tar_marginal_oracle",
     "marginal_truth",
@@ -119,19 +119,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _map_on_cpus(fn: Callable, items: Sequence, cap: int | None = None) -> list:
-    """``[fn(item) for item in items]``, up to one call per usable CPU, and ``cap``, at a time.
-
-    One worker or one item runs on the calling thread, with no pool.  The
-    pool is built per call; an exception in any call is raised here.
-    """
-    workers = min(_usable_cpus(), len(items), len(items) if cap is None else cap)
-    if workers < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -583,46 +570,44 @@ def resolve_burn_in(model: Model, burn_in: int | None) -> int:
 
 
 def _draw_rows(model: Model, seeds: Sequence[int], width: int,
-               stops: np.ndarray | None = None) -> np.ndarray:
+               total: int | None = None) -> np.ndarray:
     """One row of ``width`` innovations per seed, each from its own stream.
 
-    With ``stops``, the nondecreasing ends of spans that lie end to end
-    from column 0, one per seed, seed ``i``'s stream fills
-    ``draws[0, stops[i - 1]:stops[i]]`` of one zeroed row instead, and the
-    columns past ``stops[-1]`` stay 0.0.  The seeds are then split into
-    contiguous runs of about equal value counts, one per usable CPU, each
-    drawn by its own generator on a thread pool (one run is drawn on the
-    calling thread); without ``stops`` the rows are drawn on the calling
-    thread.  A generator is re-keyed per seed (only the key of one state
-    dict changes), which gives the values of a fresh ``make_rng(seed)``
-    without building one; a run's unscaled values are drawn seed by seed
-    and scaled in one pass.  An array of more than ``MAX_BUFFER_VALUES``
-    values, then any seed that is not a Philox key, is refused before the
-    array is allocated.
+    With ``total``, the rows lie end to end at the start of one zeroed run of
+    ``total`` values, which is returned flat, and the columns past them stay
+    0.0.  The seeds are then split into contiguous runs of about equal row
+    counts, one per usable CPU, each drawn by its own generator on a thread
+    pool (one run is drawn on the calling thread, with no pool); without
+    ``total`` the rows are drawn on the calling thread.  A generator is
+    re-keyed per seed (only the key of one state dict changes), which gives
+    the values of a fresh ``make_rng(seed)`` without building one; a run's
+    unscaled values are drawn seed by seed and scaled in one pass.  An array
+    of more than ``MAX_BUFFER_VALUES`` values, then any seed that is not a
+    Philox key, is refused before the array is allocated.
     """
-    rows = len(seeds) if stops is None else 1
-    _count(rows * width, f"a batch of {rows} x {width} draws")
+    rows = len(seeds)
+    _count(rows * width if total is None else total, f"a batch of {rows} x {width} draws")
     _check_seeds(seeds)
-    if stops is None:
+    if total is None:
         draws = np.empty((rows, width))
         _fill_streams(model, seeds, draws, draws)
         return draws
-    draws = np.zeros((1, width))
-    ends = stops.tolist()
-    starts = [0, *ends[:-1]]
-    workers = min(_usable_cpus(), len(seeds))
-    # run k ends at the first seed whose span reaches k / workers of the values
-    cuts = np.searchsorted(stops, np.arange(1, workers) * (ends[-1] / workers)) + 1
-    bounds = np.unique([0, *cuts.tolist(), len(seeds)]).tolist()
+    flat = np.zeros(total)
+    draws = flat[:rows * width].reshape(rows, width)
+    workers = min(_usable_cpus(), rows)
+    bounds = [rows * k // workers for k in range(workers + 1)]
 
     def draw_run(run: tuple[int, int]) -> None:
         a, b = run
-        spans = zip(starts[a:b], ends[a:b])
-        _fill_streams(model, seeds[a:b], (draws[0, lo:hi] for lo, hi in spans),
-                      draws[0, starts[a]:ends[b - 1]])
+        _fill_streams(model, seeds[a:b], draws[a:b], draws[a:b])
 
-    _map_on_cpus(draw_run, list(zip(bounds[:-1], bounds[1:])))
-    return draws
+    runs = list(zip(bounds[:-1], bounds[1:]))
+    if workers < 2:
+        draw_run(runs[0])
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(draw_run, runs))
+    return flat
 
 
 def _fill_streams(model: Model, seeds: Sequence[int], targets: Iterable[np.ndarray],
@@ -770,52 +755,35 @@ def simulate(model: Model, n: int, burn_in: int | None = None, seed: int = 0) ->
     be set below it.  The finite moving average is constructed exactly from
     an ``n + order`` innovation buffer and ignores burn-in.
     """
-    return simulate_ragged(model, [n], [seed], burn_in)[0]
+    return simulate_rows(model, n, [seed], burn_in)[0]
 
 
-def simulate_ragged(model: Model, ns: Sequence[int], seeds: Sequence[int],
-                    burn_in: int | None = None) -> list[np.ndarray]:
-    """Row ``i`` is ``simulate(model, ns[i], burn_in, seed=seeds[i])``.
+def simulate_rows(model: Model, n: int, seeds: Sequence[int],
+                  burn_in: int | None = None) -> np.ndarray:
+    """A ``(len(seeds), n)`` array whose row ``i`` is ``simulate(model, n, burn_in, seeds[i])``.
 
-    Each row is drawn from its own stream.  Markov rows are packed end to
-    end into one run of draws (more than one row is drawn on a pool of one
-    thread per usable CPU, each thread with a contiguous run of rows of
-    about equal value counts), cut into segments of
-    ``4 * default_burn_in(model)`` columns (at most the longest row), and
-    the segments are stepped together: the Python loop runs
-    ``default_burn_in(model)`` warm-up steps and one segment's width, at
-    most five warm-ups in all whatever ``n`` is, and checks that every
-    segment joins its predecessor bit for bit, so the rows equal sequential
-    runs.  ARMA rows are filtered one size at a time (block by block, see
-    :func:`_advance_blocks`) and finite moving-average rows one
-    ``np.convolve`` per row, because packing would save their compiled
-    filters nothing.  The rows are views into the arrays that hold them.
-    An ``n`` or a burn-in past ``MAX_BUFFER_VALUES``, a seed that is not a
-    Philox key, and an array of draws past the cap (a Markov batch padded
-    to whole segments), are refused before anything is drawn.
+    Each row is drawn from its own stream.  ARMA rows are filtered together
+    (block by block, see :func:`_advance_blocks`) and finite moving-average
+    rows one ``np.convolve`` per row.  Markov rows are packed end to end
+    into one run of draws (more than one row is drawn on a pool of one
+    thread per usable CPU, each thread with a contiguous run of rows), cut
+    into segments of ``4 * default_burn_in(model)`` columns (at most one
+    row's ``burn_in + n``), and the segments are stepped together: the
+    Python loop runs ``default_burn_in(model)`` warm-up steps and one
+    segment's width, at most five warm-ups in all whatever ``n`` is, and
+    checks that every segment joins its predecessor bit for bit, so the
+    rows equal sequential runs (see :func:`_simulate_packed`).  Each row is
+    a contiguous view into the array of draws that holds it.  An ``n`` or a
+    burn-in past ``MAX_BUFFER_VALUES``, a seed that is not a Philox key, and
+    an array of draws past the cap (see :func:`_check_batch`), are refused
+    before anything is drawn.
     """
-    if len(ns) != len(seeds):
-        raise ValueError(f"need one size per seed, got {len(ns)} sizes and {len(seeds)} seeds")
-    for n in ns:
-        _count(n, "n", 1)
-    _check_seeds(seeds)  # ARMA rows are drawn one size at a time
+    n = _count(n, "n", 1)
+    _check_seeds(seeds)
     burn_in = resolve_burn_in(model, burn_in)
+    _check_batch(model, n, len(seeds), burn_in)
     if not len(seeds):
-        return []
-    ns = np.asarray(ns, dtype=np.int64)
-    if not isinstance(model, (ArmaModel, LinearProcess)):
-        return _simulate_packed(model, ns, seeds, burn_in)
-    rows = [None] * len(seeds)
-    for n in np.unique(ns).tolist():
-        index = np.flatnonzero(ns == n)
-        for i, row in zip(index, _simulate_size(model, n, [seeds[i] for i in index], burn_in)):
-            rows[i] = row
-    return rows
-
-
-def _simulate_size(model: ArmaModel | LinearProcess, n: int, seeds: Sequence[int],
-                   burn_in: int) -> np.ndarray:
-    """ARMA or moving-average rows of one size, one per seed; ``burn_in`` is resolved."""
+        return np.empty((0, n))
     if isinstance(model, LinearProcess):
         # output t combines eps[t..t+order], the newest weighted by coeffs[0]
         draws = _draw_rows(model, seeds, n + model.order)
@@ -823,53 +791,43 @@ def _simulate_size(model: ArmaModel | LinearProcess, n: int, seeds: Sequence[int
         for eps, row in zip(draws, values):
             np.add(model.mean, np.convolve(eps, model.coeffs, mode="valid"), out=row)
         return values
-    # the path overwrites its own draws: column 0 is the starting state and
-    # columns 1..burn_in - 1 are discarded
-    draws = _draw_rows(model, seeds, burn_in + n)
-    _advance_blocks(model, initial_state(model, draws[:, 0]), draws[:, 1:])
-    return draws[:, burn_in:]
+    if isinstance(model, ArmaModel):
+        # the path overwrites its own draws: column 0 is the starting state and
+        # columns 1..burn_in - 1 are discarded
+        draws = _draw_rows(model, seeds, burn_in + n)
+        _advance_blocks(model, initial_state(model, draws[:, 0]), draws[:, 1:])
+        return draws[:, burn_in:]
+    return _simulate_packed(model, n, seeds, burn_in)
 
 
-def _segments(model: Model, longest: int, total: int) -> tuple[int, int]:
+def _segments(model: Model, length: int, rows: int) -> tuple[int, int]:
     """Width and count of the segments a packed Markov batch is cut into.
 
-    The rows hold ``total`` columns end to end, the longest ``longest``.  A
+    The batch holds ``rows`` rows of ``length`` columns end to end.  A
     segment is four warm-ups wide, ``4 * default_burn_in(model)`` columns,
     so the warm-up steps are a fifth of the stepped columns, but no wider
-    than the longest row: rows that each fit one segment step no more
-    columns than the longest of them.  The last segment is padded to the
-    full width, which adds less than one segment to the batch.
+    than a row: rows that each fit one segment step no more columns than
+    one of them.  The last segment is padded to the full width, which adds
+    less than one segment to the batch.
     """
-    width = min(4 * default_burn_in(model), longest)
-    return width, -(-total // width)
+    width = min(4 * default_burn_in(model), length)
+    return width, -(-rows * length // width)
 
 
-def _rate_batches(model: Model, ns: Sequence[int], rows: int,
-                  burn_in: int) -> list[tuple[int, Sequence[int]]]:
-    """The batches a rate experiment simulates ``rows`` rows of each size in ``ns`` in.
+def _check_batch(model: Model, n: int, rows: int, burn_in: int) -> None:
+    """Refuse the draws of ``rows`` paths of ``n`` values past ``MAX_BUFFER_VALUES`` values.
 
-    A batch ``(i, sizes)`` starts at position ``i`` of ``ns``.  Markov rows
-    are packed into the one batch ``(0, ns)`` while it, padded to whole
-    segments of :func:`_segments`' width, holds at most
-    ``MAX_BUFFER_VALUES`` values: stepping them holds the GIL, so there is
-    nothing to overlap.  Otherwise each size is a batch of its own: the
-    compiled ARMA filter releases the GIL, so one size's simulation runs
-    beside another's evaluation (4 filters of 20 x 2**17 rows: 0.13 s
-    serially, 0.05 s on 2 threads).  The batch of the largest size's rows
-    alone is refused past that cap.
+    A moving-average row draws its order more values than ``n``, an ARMA or
+    Markov row its resolved ``burn_in``, and a Markov batch is padded to
+    whole segments of :func:`_segments`.
     """
-    n = max(ns)
-    if isinstance(model, (ArmaModel, LinearProcess)):
-        # a moving-average row draws its order more values than n, an ARMA row its burn-in
-        _count(rows * (n + (model.order if isinstance(model, LinearProcess) else burn_in)),
-               f"a batch of {rows} paths of n={n}")
+    if isinstance(model, LinearProcess):
+        total = rows * (n + model.order)
+    elif isinstance(model, ArmaModel):
+        total = rows * (burn_in + n)
     else:
-        _count(math.prod(_segments(model, burn_in + n, rows * (burn_in + n))),
-               f"a batch of {rows} paths of n={n}")
-        total = rows * (len(ns) * burn_in + sum(ns))
-        if math.prod(_segments(model, burn_in + n, total)) <= MAX_BUFFER_VALUES:
-            return [(0, ns)]
-    return [(i, [size]) for i, size in enumerate(ns)]
+        total = math.prod(_segments(model, burn_in + n, rows))
+    _count(total, f"a batch of {rows} paths of n={n}")
 
 
 def _step_restarting(model: Model, state, block: np.ndarray, rows: np.ndarray,
@@ -899,37 +857,34 @@ def _stream_at(model: Model, seed: int, skip: int) -> np.random.Generator:
     the ones drawn before.
     """
     rng = make_rng(seed)
-    scratch = np.empty(_segments(model, skip, skip)[0])
+    scratch = np.empty(_segments(model, skip, 1)[0])
     while skip:
         skip -= len(model.noise.fill(rng, scratch[:min(skip, len(scratch))]))
     return rng
 
 
-def _simulate_packed(model: Model, ns: np.ndarray, seeds: Sequence[int],
-                     burn_in: int) -> list[np.ndarray]:
-    """Markov rows of sizes ``ns`` packed end to end and stepped in segments.
+def _simulate_packed(model: Model, n: int, seeds: Sequence[int], burn_in: int) -> np.ndarray:
+    """Markov rows of ``burn_in + n`` draws packed end to end and stepped in segments.
 
-    Row ``i`` fills ``burn_in + ns[i]`` columns of one run of draws, which is
-    cut into segments of ``width`` columns: the rows of one
-    ``(segments, width)`` array, so every output row is a contiguous view.
-    All segments step together, ``width`` steps in all.  A segment that
-    starts where a row starts takes the row's first draw as its value; one
-    that starts mid-row starts from a warm-up: ``default_burn_in(model)``
-    steps from 0 over the innovations just before it, which the stable map
-    makes forget its start.  The join check makes this exact: the warm-up's
-    last value must equal its predecessor's final value bit for bit, and
-    from there the segment has the state, innovations and operations of a
-    sequential run.  A segment whose join fails is stepped again from the
-    exact state before it, on innovations re-drawn from its row's seed, and
-    so is each next segment of the row while its join fails against the new
-    values.
+    The rows are the ``(len(seeds), burn_in + n)`` matrix read flat, at the
+    start of one run of draws padded to whole segments of ``width``
+    columns: the rows of one ``(segments, width)`` array.  All segments step
+    together, ``width`` steps in all.  A segment that starts where a row
+    starts takes the row's first draw as its value; one that starts mid-row
+    starts from a warm-up: ``default_burn_in(model)`` steps from 0 over the
+    innovations just before it, which the stable map makes forget its
+    start.  The join check makes this exact: the warm-up's last value must
+    equal its predecessor's final value bit for bit, and from there the
+    segment has the state, innovations and operations of a sequential run.
+    A segment whose join fails is stepped again from the exact state before
+    it, on innovations re-drawn from its row's seed, and so is each next
+    segment of the row while its join fails against the new values.
     """
-    stop = np.cumsum(burn_in + ns)
-    start = stop - (burn_in + ns)
-    width, segments = _segments(model, burn_in + int(ns.max()), int(stop[-1]))
-    flat = _draw_rows(model, seeds, segments * width, stop).reshape(-1)
+    length = burn_in + n
+    width, segments = _segments(model, length, len(seeds))
+    flat = _draw_rows(model, seeds, length, segments * width)
     draws = flat.reshape(segments, width)
-    first_seg, first_col = np.divmod(start, width)
+    first_seg, first_col = np.divmod(np.arange(len(seeds)) * length, width)
     # a segment whose first column continues a row
     mid = np.ones(segments, dtype=bool)
     mid[first_seg[first_col == 0]] = False
@@ -949,9 +904,9 @@ def _simulate_packed(model: Model, ns: np.ndarray, seeds: Sequence[int],
     for j in failed.tolist():
         if j < stepped:
             continue
-        i = int(np.searchsorted(start, j * width, side="right")) - 1
-        row_stop = int(stop[i])
-        rng = _stream_at(model, seeds[i], j * width - int(start[i]))
+        i, skip = divmod(j * width, length)
+        row_stop = (i + 1) * length
+        rng = _stream_at(model, seeds[i], skip)
         while True:
             a, b = j * width, min((j + 1) * width, row_stop)
             model.noise.fill(rng, flat[a:b])
@@ -960,7 +915,7 @@ def _simulate_packed(model: Model, ns: np.ndarray, seeds: Sequence[int],
             if b == row_stop or state[j] == flat[b - 1]:
                 break
         stepped = j
-    return [flat[a + burn_in:b] for a, b in zip(start.tolist(), stop.tolist())]
+    return flat[:len(seeds) * length].reshape(len(seeds), length)[:, burn_in:]
 
 
 # ---------------------------------------------------------------------------

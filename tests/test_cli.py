@@ -622,8 +622,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("argv,count,flags", [
         (["delta", "--kmax", "2", "--reps", "100"], 100, "--kmax/--reps/--seed"),
-        # seven sizes, 256 to 16384, of two replications each
-        (["rate", "--n-min", "256", "--n-max", "16384", "--reps", "2"], 14,
+        # two replications, one path each for the seven sizes 256 to 16384
+        (["rate", "--n-min", "256", "--n-max", "16384", "--reps", "2"], 2,
          "--n-min/--n-max/--reps/--seed"),
     ], ids=["delta", "rate"])
     def test_seed_range_past_philox_keys_names_its_ends(self, ar1_model, capsys, argv, count,
@@ -1007,7 +1007,7 @@ class TestModelSizeLimits:
                         "holds 1001 coefficients, above the limit of 1000")
 
     def test_rate_evaluation_grid(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(diagnostics, "simulate_ragged", self.refuse)
+        monkeypatch.setattr(diagnostics, "simulate_rows", self.refuse)
         spec, line = self.refused(
             tmp_path, capsys, ["rate", "--n-min", "2048", "--n-max", "131072"],
             {**AR1_SPEC, "noise": {"distribution": "gaussian", "sigma": 1e6}})
@@ -1082,24 +1082,16 @@ class TestBufferCaps:
         assert flags in err and "268437756 values, above the limit of 268435456" in err
 
     @pytest.mark.parametrize("n_min,n_max,spec", [
-        # 200 x (82 + 2^20) values fit under the cap; the 11 sizes would
-        # pack into about 200 x (11 x 82 + 2^21), above it, so TAR is
-        # simulated one size at a time, as AR(1) is (burn-in 1000)
+        # 200 paths of 82 + 2^20 values (TAR) or 1000 + 2^20 (AR(1)) fit under the cap
         (2**10, 2**20, TAR_SPEC), (2**10, 2**20, AR1_SPEC),
-        # 2^8..2^17 packs into about 200 x (10 x 82 + 2^18) values
         (2**8, 2**17, TAR_SPEC),
-    ], ids=["TAR-per-size", "AR1", "TAR-packed"])
-    def test_rate_accepts_what_one_size_fits(self, tmp_path, n_min, n_max, spec):
+    ], ids=["TAR-2^20", "AR1", "TAR-2^17"])
+    def test_rate_accepts_what_the_largest_size_fits(self, tmp_path, n_min, n_max, spec):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(spec))
         with pytest.raises(AssertionError, match="innovations drawn"):
             main(["rate", "--n-min", str(n_min), "--n-max", str(n_max), "--reps", "200",
                   "--model", str(path)])
-
-    def test_packed_batch_never_exceeds_the_cap(self):
-        tar = models.TarModel(0.6, -0.3)
-        assert len(models._rate_batches(tar, [2**k for k in range(8, 18)], 200, 1000)) == 1
-        assert len(models._rate_batches(tar, [2**k for k in range(10, 21)], 200, 1000)) == 11
 
 
 class TestOutputCheckedFirst:

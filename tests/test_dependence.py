@@ -25,7 +25,7 @@ from polyfreq.models import (
     initial_state,
     make_rng,
     simulate,
-    simulate_ragged,
+    simulate_rows,
 )
 
 AR1 = ArmaModel(ar=(0.5,))
@@ -110,7 +110,7 @@ class TestCoupledConstruction:
         monkeypatch.setattr(np, "apply_along_axis",
                             lambda *args, **kwargs: pytest.fail("rows filtered one by one"))
         simulate(model, 3000, seed=1)
-        simulate_ragged(model, [10, 20, 20], [1, 2, 3])
+        simulate_rows(model, 20, [1, 2, 3])
         coupled_paths(model, 4, range(5))
         coupled_paths(model, 4, [])
         estimate_delta_profile(model, 3, 100, seed=2)

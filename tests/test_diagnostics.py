@@ -5,7 +5,6 @@ import math
 import subprocess
 import sys
 import textwrap
-import threading
 import types
 import warnings
 
@@ -46,7 +45,6 @@ from polyfreq.models import (
     ModelValidityError,
     NlarModel,
     TarModel,
-    default_burn_in,
     marginal_truth,
     simulate,
     tar_marginal_oracle,
@@ -413,10 +411,6 @@ class TestRateBufferCaps:
 
 class TestRateExperiment:
     N_GRID = [2**k for k in range(8, 15)]  # ratio 64, 7 values: quick but valid
-    # TAR(0.6, -0.3)'s batch for the largest size, 3 rows of 82 + 2**14
-    # columns, pads to 151 segments of 328 (49,528 values), and every size's
-    # to 303 (99,384): room for the first, not the second
-    PAST_BUDGET = 51_200
 
     @pytest.mark.parametrize("n_values,reps,name", [
         ([256.5, 512, 1024, 4096, 32768], 10, "n_values"),
@@ -468,70 +462,24 @@ class TestRateExperiment:
         assert serial.slope_ci == threaded.slope_ci
 
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
-    def test_markov_report_unchanged_past_the_packing_budget(self, monkeypatch):
-        model = TarModel(0.6, -0.3)
-        packed = rate_experiment(model, self.N_GRID, 3, seed=5)
-        # room for the largest size's batch, not for every size packed
-        monkeypatch.setattr(models, "MAX_BUFFER_VALUES", self.PAST_BUDGET)
-        per_size = rate_experiment(model, self.N_GRID, 3, seed=5)
-        for a, b in zip(packed.records, per_size.records):
-            assert (a.n, a.replication, a.sup_error, a.grid_error_bound) == (
-                b.n, b.replication, b.sup_error, b.grid_error_bound)
-        assert packed.median_errors == per_size.median_errors
-        assert packed.fitted_slope == per_size.fitted_slope
-        assert packed.slope_ci == per_size.slope_ci
+    @pytest.mark.parametrize("model", [AR1, TarModel(0.6, -0.3)], ids=["AR1", "TAR"])
+    def test_wall_time_is_the_records_own_evaluation(self, model, monkeypatch):
+        # a clock that only the simulation call moves, by 1 s: no record is
+        # charged for the paths it takes prefixes of
+        clock, calls = [0.0], []
+        inner = diagnostics.simulate_rows
 
-    @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
-    @pytest.mark.parametrize("model,budget,calls", [
-        (AR1, None, 7), (TarModel(0.6, -0.3), None, 1),
-        (TarModel(0.6, -0.3), PAST_BUDGET, 7),
-    ], ids=["AR1", "TAR", "TAR-past-budget"])
-    def test_wall_time_shares_the_simulation_by_steps(self, model, budget, calls, monkeypatch):
-        if budget is not None:
-            monkeypatch.setattr(models, "MAX_BUFFER_VALUES", budget)
-        # a clock that only simulation calls move, 1 s each: a record's wall
-        # time is then exactly its row's share of the call that simulated it
-        clock, call_sizes = [0.0], []
-        inner = diagnostics.simulate_ragged
-
-        def simulate_ragged(model, ns, seeds, burn_in=None):
+        def simulate_rows(*args):
             clock[0] += 1.0
-            call_sizes.append(ns)
-            return inner(model, ns, seeds, burn_in)
+            calls.append(args[1:3])
+            return inner(*args)
 
-        monkeypatch.setattr(diagnostics, "simulate_ragged", simulate_ragged)
+        monkeypatch.setattr(diagnostics, "simulate_rows", simulate_rows)
         monkeypatch.setattr(diagnostics, "time", types.SimpleNamespace(
             perf_counter=lambda: clock[0]))
-        # one worker: the fake clock is shared by every simulation
-        report = rate_experiment(model, self.N_GRID, 3, seed=5, max_workers=1)
-        # ARMA, and a Markov model past the packing budget, simulate one size
-        # per call, a Markov model within it every size at once
-        assert len(call_sizes) == calls
-        burn = default_burn_in(model)
-        share = {n: (burn + n) / sum(burn + m for m in ns) for ns in call_sizes for n in ns}
-        shares = [r.wall_time_s for r in report.records]
-        assert shares == pytest.approx([share[r.n] for r in report.records], rel=1e-12)
-        assert all(s > 0.0 for s in shares)
-        assert [r.n for r in report.records] == sorted(r.n for r in report.records)
-        assert shares == sorted(shares)
-
-    @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
-    def test_packed_sizes_evaluate_without_a_pool(self, monkeypatch):
-        # the packed batch's draws may take a pool of every usable CPU, but
-        # its one batch is binned and evaluated on the calling thread
-        monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
-        threads, map_on_cpus = [], diagnostics._map_on_cpus
-
-        def record(fn, items, cap=None):
-            def evaluate(item):
-                threads.append(threading.get_ident())
-                return fn(item)
-            return map_on_cpus(evaluate, items, cap)
-
-        monkeypatch.setattr(diagnostics, "_map_on_cpus", record)
-        report = rate_experiment(TarModel(0.6, -0.3), self.N_GRID, 3, seed=5, max_workers=2)
-        assert threads == [threading.get_ident()]
-        assert len(report.records) == 3 * len(self.N_GRID)
+        report = rate_experiment(model, self.N_GRID, 3, seed=5)
+        assert calls == [(max(self.N_GRID), range(5, 8))]
+        assert [r.wall_time_s for r in report.records] == [0.0] * len(report.records)
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -548,33 +496,16 @@ class TestRateExperiment:
         return workers
 
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
-    def test_per_size_tasks_run_on_a_pool_of_max_workers(self, pools):
-        rate_experiment(AR1, self.N_GRID, 3, seed=5, max_workers=2)
-        assert pools == [2]
-
-    @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
-    def test_per_size_pool_defaults_to_the_usable_cpus(self, pools):
-        rate_experiment(AR1, self.N_GRID, 3, seed=5)
-        assert pools == [3]
-
-    @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
-    @pytest.mark.parametrize("model,budget", [
-        (AR1, None), (TarModel(0.6, -0.3), None), (TarModel(0.6, -0.3), PAST_BUDGET),
-    ], ids=["AR1", "TAR", "TAR-past-budget"])
-    def test_repeated_size_draws_its_own_streams(self, model, budget, monkeypatch):
-        if budget is not None:
-            monkeypatch.setattr(models, "MAX_BUFFER_VALUES", budget)
-        monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
-        ns = sorted([*self.N_GRID, 1024])
-        reports = [rate_experiment(model, ns, 3, seed=5, max_workers=workers)
-                   for workers in (1, 2, 3, None)]
-        copies = [r.sup_error for r in reports[0].records if r.n == 1024]
-        assert len(copies) == 6 and copies[:3] != copies[3:]
-        results = {(tuple((r.n, r.bandwidth, r.replication, r.sup_error, r.eval_points,
-                           r.grid_error_bound) for r in report.records),
-                    report.median_errors, report.mean_errors, report.fitted_slope,
-                    report.slope_ci) for report in reports}
-        assert len(results) == 1
+    @pytest.mark.parametrize("workers", [1, 2, None])
+    @pytest.mark.parametrize("model,built", [(AR1, []), (TarModel(0.6, -0.3), [3])],
+                             ids=["AR1", "TAR"])
+    def test_only_markov_draws_take_a_pool(self, pools, model, built, workers):
+        # the sizes are binned and evaluated on the calling thread; a Markov
+        # model's paths draw on one thread per usable CPU, and max_workers
+        # caps nothing
+        report = rate_experiment(model, self.N_GRID, 3, seed=5, max_workers=workers)
+        assert pools == built
+        assert len(report.records) == 3 * len(self.N_GRID)
 
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
     @pytest.mark.parametrize("model", [AR1, TAR, LinearProcess((1.0, 0.5, 0.25), 1.0)],
@@ -640,7 +571,7 @@ class TestRateExperiment:
                 return func(*args, **kwargs)
             return wrapper
 
-        for name in ("simulate_ragged", "marginal_truth"):
+        for name in ("simulate_rows", "marginal_truth"):
             monkeypatch.setattr(diagnostics, name, record(name, getattr(diagnostics, name)))
         with pytest.raises(ValueError, match="ratio"):
             rate_experiment(AR1, [256, 512, 1024, 2048, 4096], 2, seed=1)
@@ -653,7 +584,7 @@ class TestRateExperiment:
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated a model whose marginal leaves the float range")
 
-        monkeypatch.setattr(diagnostics, "simulate_ragged", no_simulation)
+        monkeypatch.setattr(diagnostics, "simulate_rows", no_simulation)
         with pytest.raises(OverflowError, match="support"):
             rate_experiment(ArmaModel(ar=(0.5,), intercept=intercept), self.N_GRID, 10, seed=1)
 
@@ -661,7 +592,7 @@ class TestRateExperiment:
         def refuse(*args, **kwargs):
             raise AssertionError("simulated before the evaluation grid was sized")
 
-        monkeypatch.setattr(diagnostics, "simulate_ragged", refuse)
+        monkeypatch.setattr(diagnostics, "simulate_rows", refuse)
         # 3.09e9 points at n = 2**17, 25 GB of float64
         model = ArmaModel(ar=(0.5,), noise=models.NoiseSpec("gaussian", 1e6))
         with pytest.raises(OverflowError, match=r"more than 10000000 points \(3.09198e\+09\)"):

@@ -35,7 +35,7 @@ from polyfreq.models import (
     require_valid,
     resolve_burn_in,
     simulate,
-    simulate_ragged,
+    simulate_rows,
     tar_marginal_oracle,
 )
 
@@ -43,14 +43,14 @@ AR1 = ArmaModel(ar=(0.5,))
 
 
 def assert_packed_end_to_end(model, rows, burn_in):
-    """Markov rows are contiguous views of one batch of whole segments, their
-    draws end to end from its start; returns the segment width and each
-    row's first column in the flattened batch."""
-    lengths = burn_in + np.array([len(row) for row in rows])
-    width, _ = models._segments(model, int(lengths.max()), int(lengths.sum()))
-    start = np.cumsum(lengths) - lengths
-    batch = rows[0].base
-    assert batch.size == -(-lengths.sum() // width) * width
+    """Markov rows are contiguous views of one batch of whole segments, the
+    matrix of their draws read flat from its start; returns the segment
+    width and each row's first column in the flattened batch."""
+    length = burn_in + rows.shape[1]
+    width, _ = models._segments(model, length, len(rows))
+    start = np.arange(len(rows)) * length
+    batch = rows.base
+    assert batch.ndim == 1 and batch.size == -(-len(rows) * length // width) * width
     origin = batch.__array_interface__["data"][0]
     for row, a in zip(rows, start):
         assert row.base is batch and row.flags.c_contiguous
@@ -147,20 +147,18 @@ class TestStreams:
 
     @pytest.mark.parametrize("spec", [NoiseSpec("gaussian", 1.7), NoiseSpec("uniform", 0.3),
                                       NoiseSpec("laplace", 2.5)], ids=lambda s: s.distribution)
-    def test_spans_are_stream_prefixes_in_zeros(self, spec):
+    @pytest.mark.parametrize("width", [1, 1012])
+    def test_rows_end_to_end_in_zeros(self, spec, width):
         model = TarModel(0.5, 0.5, noise=spec)
-        # spans end to end in one row, one per seed: a long stream, a
-        # one-value stream, an empty span and two more, then 20 columns of
-        # padding
-        stop = np.array([1012, 1013, 1013, 1016, 2012])
-        start = np.r_[0, stop[:-1]]
-        draws = models._draw_rows(model, SEED_TABLE, 2032, stop)
-        assert draws.shape == (1, 2032)
-        for seed, a, b in zip(SEED_TABLE, start, stop):
-            assert_array_equal(draws[0, a:b].view(np.uint64),
-                               philox_reference(spec, seed, b - a).view(np.uint64))
-        # +0.0 exactly: the one pass of scaling stops at the last span
-        assert not draws[0, 2012:].view(np.uint64).any()
+        # rows end to end in one run, one per seed, then 20 columns of padding
+        end = len(SEED_TABLE) * width
+        draws = models._draw_rows(model, SEED_TABLE, width, end + 20)
+        assert draws.shape == (end + 20,)
+        for k, seed in enumerate(SEED_TABLE):
+            assert_array_equal(draws[k * width:(k + 1) * width].view(np.uint64),
+                               philox_reference(spec, seed, width).view(np.uint64))
+        # +0.0 exactly: scaling stops at the last row
+        assert not draws[end:].view(np.uint64).any()
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_out_of_range_seeds_refused_like_philox(self, seed):
@@ -197,10 +195,9 @@ class TestStreams:
         with pytest.raises(ValueError, match="less than 2\\*\\*128"):
             models._draw_rows(AR1, [0, 2**128, 1], 1)
         with pytest.raises(ValueError, match="seed must be an integer"):
-            simulate_ragged(TarModel(0.6, -0.3), [10, 20], [0, 1.0])
-        # ARMA rows are drawn one size at a time: every seed is read first
+            simulate_rows(TarModel(0.6, -0.3), 10, [0, 1.0])
         with pytest.raises(ValueError, match="less than 2\\*\\*128"):
-            simulate_ragged(AR1, [10, 20], [0, 2**128])
+            simulate_rows(AR1, 10, [0, 2**128])
         # the size cap comes first: range(10**12) is never walked
         with pytest.raises(ValueError, match="above the limit of 268435456"):
             models._draw_rows(AR1, range(10**12), 5)
@@ -303,9 +300,9 @@ class TestSimulate:
         # paths are those of one call over the whole row, bit for bit; a
         # packed Markov batch is stepped in one call whatever the block size
         monkeypatch.setattr(models, "_BLOCK_VALUES", 2**40)
-        whole = simulate_ragged(model, [2000, 2000], [3, 4], burn_in=1000)
+        whole = simulate_rows(model, 2000, [3, 4], burn_in=1000)
         monkeypatch.setattr(models, "_BLOCK_VALUES", 2 * 37)
-        rows = simulate_ragged(model, [2000, 2000], [3, 4], burn_in=1000)
+        rows = simulate_rows(model, 2000, [3, 4], burn_in=1000)
         assert [r.tobytes() for r in rows] == [r.tobytes() for r in whole]
 
     def test_arma_holds_one_path_and_a_few_blocks(self):
@@ -420,8 +417,8 @@ class TestSimulate:
     @pytest.mark.parametrize("burn_in", [None, 1500])
     def test_batch_rows_equal_single_paths(self, model, burn_in):
         seeds = [41, 3, 17, 8]  # out of order: rows follow the given seeds
-        batch = simulate_ragged(model, [700] * 4, seeds, burn_in=burn_in)
-        assert [row.shape for row in batch] == [(700,)] * 4
+        batch = simulate_rows(model, 700, seeds, burn_in=burn_in)
+        assert batch.shape == (4, 700)
         for row, s in zip(batch, seeds):
             assert_array_equal(row, simulate(model, 700, burn_in=burn_in, seed=s))
 
@@ -436,54 +433,53 @@ class TestSimulate:
         ids=["TAR", "NLAR", "AR1", "MA"],
     )
     @pytest.mark.parametrize("burn_in", [None, 1500])
-    def test_ragged_rows_equal_single_paths(self, model, burn_in):
-        # sizes and seeds out of order, one size repeated; Markov rows are
-        # packed end to end, with some starting mid-segment and some
+    @pytest.mark.parametrize("n", [1, 5, 333, 2000])
+    def test_packed_rows_equal_single_paths(self, model, burn_in, n):
+        # seeds out of order; Markov rows are packed end to end, and rows
+        # longer than a segment have some starting mid-segment and some
         # segments starting mid-row
-        ns, seeds = [700, 50, 1, 700, 333, 2000, 5], [41, 3, 17, 8, 5, 9, 10]
-        rows = simulate_ragged(model, ns, seeds, burn_in=burn_in)
-        assert len(rows) == 7
+        seeds = [41, 3, 17, 8, 5, 9, 10]
+        rows = simulate_rows(model, n, seeds, burn_in=burn_in)
+        assert rows.shape == (7, n)
         if isinstance(model, (TarModel, NlarModel)):
             burn = resolve_burn_in(model, burn_in)
             width, start = assert_packed_end_to_end(model, rows, burn)
+            assert (width < burn + n) == (n >= 333 or burn_in is not None)
+        if isinstance(model, (TarModel, NlarModel)) and width < burn + n:
             assert (start % width).any()
-            joins = np.arange(width, start[-1] + burn + ns[-1], width)
+            joins = np.arange(width, len(seeds) * (burn + n), width)
             assert np.setdiff1d(joins, start).size
-        for row, n, s in zip(rows, ns, seeds):
-            assert row.shape == (n,)
+        for row, s in zip(rows, seeds):
             assert_array_equal(row, simulate(model, n, burn_in=burn_in, seed=s))
 
-    def test_ragged_markov_rows_share_one_packed_batch(self):
-        # rows of burn_in + n steps, 6900 in all, end to end in whole
+    def test_markov_rows_share_one_packed_batch(self):
+        # rows of burn_in + n steps, 5200 in all, end to end in whole
         # segments four warm-ups wide
         model = TarModel(0.6, -0.3)
         burn = default_burn_in(model)
-        ns = [3000 - burn, 1300 - burn, 1500 - burn, 1100 - burn]
-        rows = simulate_ragged(model, ns, [1, 2, 3, 4])
+        rows = simulate_rows(model, 1300 - burn, [1, 2, 3, 4])
         width, start = assert_packed_end_to_end(model, rows, burn)
         assert width == 4 * default_burn_in(model)
-        assert rows[0].base.size == math.ceil(6900 / width) * width
-        assert start.tolist() == [0, 3000, 4300, 5800]
+        assert rows.base.size == math.ceil(5200 / width) * width
+        assert start.tolist() == [0, 1300, 2600, 3900]
 
-    @pytest.mark.parametrize("ns,slack,size", [
+    @pytest.mark.parametrize("n,reps,size", [
         # one row of 1007 columns in 4 segments of 328
-        ([7], None, 1312),
-        ([5, 9, 5000, 9, 5, 2000], None, None),
-        # the doubling grids of a rate experiment pack within 2% of the rows
-        (np.repeat([2**k for k in range(10, 18)], 20), 1.02, None),
-        (np.repeat([2**k for k in range(8, 15)], 200), 1.02, None),
-    ], ids=["one-row", "uneven", "reps-20", "reps-200"])
-    def test_packed_rows_do_not_overlap(self, ns, slack, size):
+        (7, 1, 1312),
+        # six rows of 1009 columns in 19 segments of 328
+        (9, 6, 6232),
+        # the largest sizes of rate experiments
+        (2**17, 20, None),
+        (2**14, 200, None),
+    ], ids=["one-row", "short-rows", "reps-20", "reps-200"])
+    def test_packed_rows_do_not_overlap(self, n, reps, size):
         # rows lie end to end, so the batch pads them by less than a segment
         model = TarModel(0.6, -0.3)
-        rows = simulate_ragged(model, list(ns), range(len(ns)), burn_in=1000)
-        lengths = 1000 + np.asarray(ns)
+        rows = simulate_rows(model, n, range(reps), burn_in=1000)
         width, _ = assert_packed_end_to_end(model, rows, 1000)
-        assert rows[0].base.size - lengths.sum() < width
-        if slack is not None:
-            assert rows[0].base.size <= slack * lengths.sum()
+        assert 0 <= rows.base.size - reps * (1000 + n) < width
         if size is not None:
-            assert rows[0].base.size == size
+            assert rows.base.size == size
 
     BOUNDARY_MODELS = {
         "TAR": TarModel(0.6, -0.3),
@@ -498,8 +494,8 @@ class TestSimulate:
     def test_rows_at_segment_boundaries_equal_sequential_runs(self, name, burn_in, joins,
                                                               monkeypatch):
         # rows of k segments less one column, exactly, and one more, with the
-        # least k that leaves two joins after the burn-in; alone and end to
-        # end in one batch
+        # least k that leaves two joins after the burn-in; alone and, three
+        # of each size, end to end in one batch
         model = self.BOUNDARY_MODELS[name]
         burn = resolve_burn_in(model, burn_in)
         skips = []
@@ -520,41 +516,40 @@ class TestSimulate:
         k = burn // width + 3
         ns = [k * width + d - burn for d in (-1, 0, 1)]
         assert np.count_nonzero(np.arange(1, k) * width > burn) == 2  # joins inside each row
-        expected = [sequential_path(model, n, burn, s) for n, s in zip(ns, seeds)]
-        for n, s, path in zip(ns, seeds, expected):
-            assert_array_equal(simulate(model, n, burn, seed=s), path)
-        rows = simulate_ragged(model, ns, seeds, burn)
-        for row, path in zip(rows, expected):
-            assert_array_equal(row, path)
-        if joins == "all-fail":
-            _, start = assert_packed_end_to_end(model, rows, burn)
-            first = ((start + 2) // width + 1) * width
-            assert skips == [(s, width) for s in seeds] + list(zip(seeds, first - start))
+        for n in ns:
+            expected = [sequential_path(model, n, burn, s) for s in seeds]
+            for s, path in zip(seeds, expected):
+                assert_array_equal(simulate(model, n, burn, seed=s), path)
+            rows = simulate_rows(model, n, seeds, burn)
+            for row, path in zip(rows, expected):
+                assert_array_equal(row, path)
+            if joins == "all-fail":
+                _, start = assert_packed_end_to_end(model, rows, burn)
+                first = ((start + 2) // width + 1) * width
+                assert skips == [(s, width) for s in seeds] + list(zip(seeds, first - start))
+                skips.clear()
 
     def test_markov_batch_holds_its_segments_and_little_else(self):
         model = TarModel(0.6, -0.3)
-        ns = np.repeat([2**k for k in range(9, 15)], 10).tolist()
-        simulate_ragged(model, ns[:2], [0, 1])  # first-call caches stay out of the trace
+        simulate_rows(model, 2**9, [0, 1])  # first-call caches stay out of the trace
         tracemalloc.start()
         try:
-            rows = simulate_ragged(model, ns, range(len(ns)))
+            rows = simulate_rows(model, 2**14, range(10))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        batch = rows[0].base.size
-        segments = batch // models._segments(model, max(ns), sum(ns))[0]
+        batch = rows.base.size
+        segments = batch // models._segments(model, 2**14, 10)[0]
         assert peak <= 8 * (batch + segments * default_burn_in(model))
 
-    def test_ragged_validates_like_simulate(self):
-        assert simulate_ragged(TarModel(0.6, -0.3), [], []) == []
-        with pytest.raises(ValueError, match="one size per seed"):
-            simulate_ragged(TarModel(0.6, -0.3), [100, 200], [1])
+    def test_rows_validate_like_simulate(self):
+        assert simulate_rows(TarModel(0.6, -0.3), 100, []).shape == (0, 100)
         with pytest.raises(ValueError, match="positive integer"):
-            simulate_ragged(TarModel(0.6, -0.3), [100, 0], [1, 2])
+            simulate_rows(TarModel(0.6, -0.3), 0, [1, 2])
         with pytest.raises(ValueError, match="burn_in"):
-            simulate_ragged(TarModel(0.6, -0.3), [100, 200], [1, 2], burn_in=10)
+            simulate_rows(TarModel(0.6, -0.3), 100, [1, 2], burn_in=10)
         with pytest.raises(ModelValidityError):
-            simulate_ragged(TarModel(1.0, 0.3), [100, 200], [1, 2])
+            simulate_rows(TarModel(1.0, 0.3), 100, [1, 2])
 
     @pytest.mark.parametrize(
         "model",
@@ -570,7 +565,7 @@ class TestSimulate:
         ids=["white", "MA1", "MA2", "AR1", "ARMA11", "TAR", "linear"],
     )
     def test_empty_seed_list_gives_no_rows(self, model):
-        assert simulate_ragged(model, [], []) == []
+        assert simulate_rows(model, 10, []).shape == (0, 10)
 
     def test_resolved_burn_in(self):
         assert resolve_burn_in(AR1, None) == 1000
@@ -584,7 +579,7 @@ class TestSimulate:
     @pytest.mark.parametrize("burn_in", [1500.5, 1500.0, True, "1500", -1],
                              ids=["fraction", "integral-float", "bool", "str", "negative"])
     def test_burn_in_must_be_a_nonnegative_integer(self, burn_in):
-        # the rule of simulate_ragged's n check: bool is refused
+        # the rule of simulate's n check: bool is refused
         with pytest.raises(ValueError, match="burn_in must be a nonnegative integer"):
             simulate(TarModel(0.6, -0.3), 5, burn_in=burn_in)
         with pytest.raises(ValueError, match="burn_in must be a nonnegative integer"):
@@ -666,7 +661,7 @@ class TestDrawCap:
         with pytest.raises(ValueError, match="above the limit of 268435456"):
             simulate(model, n)
         with pytest.raises(ValueError, match="above the limit of 268435456"):
-            simulate_ragged(model, [10, n], [0, 1])
+            simulate_rows(model, n, [0, 1])
 
     @pytest.mark.parametrize("model", [AR1, TarModel(0.6, -0.3)], ids=["AR1", "TAR"])
     @pytest.mark.parametrize("burn_in", [2**28 + 1, 10**19])
@@ -684,9 +679,9 @@ class TestDrawCap:
 
     @pytest.mark.parametrize("model", [AR1, TarModel(0.6, -0.3)], ids=["AR1", "TAR"])
     def test_many_rows_refused(self, model):
-        # each row fits; one size's rows (ARMA) or the packed batch (TAR) do not
+        # each row fits; the rows together do not
         with pytest.raises(ValueError, match="above the limit of 268435456"):
-            simulate_ragged(model, [2**27] * 3, [0, 1, 2])
+            simulate_rows(model, 2**27, [0, 1, 2])
 
     def test_batch_at_the_cap_is_drawn(self):
         # 2**28 values exactly: the refusal is past the cap, not at it
@@ -721,23 +716,30 @@ class TestDrawThreads:
     def test_one_seed_draws_on_the_calling_thread(self, no_pool):
         for model in (TarModel(0.6, -0.3), NlarModel(lambda x: 0.5 * np.tanh(x), 0.5)):
             assert len(simulate(model, 10**5, seed=1)) == 10**5
-            assert len(simulate_ragged(model, [300], [2**64])[0]) == 300
+            assert simulate_rows(model, 300, [2**64]).shape == (1, 300)
 
-    def test_rows_without_stops_draw_on_the_calling_thread(self, no_pool):
+    def test_unpacked_rows_draw_on_the_calling_thread(self, no_pool):
         # many short rows: two threads measured slower than one on them
         draws = models._draw_rows(TarModel(0.6, -0.3), range(2000), 93)
         assert draws.shape == (2000, 93)
         coupled_paths(TarModel(0.6, -0.3), 5, range(1000))
-        simulate_ragged(AR1, [100] * 50, range(50))
+        simulate_rows(AR1, 100, range(50))
 
-    def test_runs_split_the_values_evenly(self, monkeypatch):
-        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+    def test_runs_split_the_rows_evenly(self, monkeypatch):
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
         runs = []
-        monkeypatch.setattr(models, "_map_on_cpus", lambda fn, items: runs.extend(items))
-        stops = np.cumsum([10, 10, 10, 10, 50, 10, 10, 10, 10, 10, 10])
-        models._draw_rows(TarModel(0.6, -0.3), range(11), int(stops[-1]), stops)
-        # 140 values: the first run ends with the span that reaches 70
-        assert runs == [(0, 5), (5, 11)]
+
+        class Pool(models.ThreadPoolExecutor):
+            def map(self, fn, items):
+                runs.extend(items)
+                return super().map(fn, items)
+
+        monkeypatch.setattr(models, "ThreadPoolExecutor", Pool)
+        draws = models._draw_rows(TarModel(0.6, -0.3), range(11), 10, 120)
+        # 11 rows on 3 threads: runs of 3, 4 and 4 rows
+        assert runs == [(0, 3), (3, 7), (7, 11)]
+        for k in range(11):
+            assert_array_equal(draws[10 * k:10 * (k + 1)], make_rng(k).standard_normal(10))
 
 
 class TestTarOracle:

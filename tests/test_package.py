@@ -36,7 +36,7 @@ def test_public_surface_snapshot():
         "TarModel", "StationarityCheck", "MarginalTruth", "arma_check_stationary",
         "require_valid", "arma_to_ma_coeffs", "arma_marginal", "contraction_proxy",
         "default_burn_in", "resolve_burn_in", "initial_state", "advance", "simulate",
-        "simulate_ragged", "nlar_soft_check", "tar_marginal_oracle", "marginal_truth",
+        "simulate_rows", "nlar_soft_check", "tar_marginal_oracle", "marginal_truth",
         "model_from_spec", "model_to_spec", "make_rng",
     ]
 

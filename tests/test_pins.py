@@ -24,7 +24,7 @@ from polyfreq.diagnostics import rate_experiment
 from polyfreq.estimators import (BinningScheme, SparseHistogram, build_histogram, fp_eval,
                                  stone_bandwidth)
 from polyfreq.models import (ArmaModel, LinearProcess, NlarModel, TarModel, marginal_truth,
-                             simulate, simulate_ragged, tar_marginal_oracle)
+                             simulate, simulate_rows, tar_marginal_oracle)
 
 N_GRID = [2**k for k in range(6, 13)]
 
@@ -132,7 +132,7 @@ def rows_digest(rows):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("name,paths,ragged", [
+@pytest.mark.parametrize("name,paths,rows", [
     ("TAR", "4c8796968c1e9ce510cf0a8bd196e69bfc16bfd3e417bcfb027ea5da795c0490",
      "06a88a6ae5fb21082a3939426c1d48e9dc7628e6ff29e8d17558908539b1cd5f"),
     ("NLAR", "4c3605ad7697c36a5431f94d097d9df608aa6f007f6045321cc42d1ea089e0d9",
@@ -144,24 +144,24 @@ def rows_digest(rows):
     ("linear", "7b0dbabcf1c080d26b14a0bc09f2ff82b0bbddc139d84f6c68f2b8ab6fdede42",
      "74bc5fca619f81e731971a5bb71ef5133d9a8f35f1ebf74206f4a33aaa29c3c3"),
 ], ids=["TAR", "NLAR", "AR1", "MA2", "linear"])
-def test_simulate_rows(name, paths, ragged):
+def test_simulate_rows(name, paths, rows):
     model, seeds = SIM_MODELS[name], [0, 3, 2**64 + 1]
     assert rows_digest([simulate(model, 5000, seed=s) for s in seeds]) == paths
-    assert rows_digest(simulate_ragged(model, [5, 700, 5, 2000], [*seeds, 5])) == ragged
+    assert rows_digest(simulate_rows(model, 2000, [*seeds, 5])) == rows
 
 
-@pytest.mark.parametrize("name,paths,ragged", [
+@pytest.mark.parametrize("name,paths,rows", [
     ("TAR", "11fdb3957245987920fa8d59f8906f62878dbeb3140340118014db3aca0a93dc",
      "90ffa7837666e760fd21bf3eccca73aba67b70f597ecd102f2d4faa06d81260a"),
     ("NLAR", "a4e3fe06c458fd2041c0ecb74e1088265b8ddb44cee0daf9ee74eb15d5ed150f",
      "fe2dea129445530cc50768df7068d3864ee5dd0da0f65fb531be671f46aae41d"),
 ], ids=["TAR", "NLAR"])
-def test_simulate_rows_at_burn_in_1000(name, paths, ragged):
+def test_simulate_rows_at_burn_in_1000(name, paths, rows):
     # the stream layout depends only on the burn-in used: an explicit 1000
     # steps reproduce the rows of the rule that defaulted to them
     model, seeds = SIM_MODELS[name], [0, 3, 2**64 + 1]
     assert rows_digest([simulate(model, 5000, 1000, seed=s) for s in seeds]) == paths
-    assert rows_digest(simulate_ragged(model, [5, 700, 5, 2000], [*seeds, 5], 1000)) == ragged
+    assert rows_digest(simulate_rows(model, 2000, [*seeds, 5], 1000)) == rows
 
 
 # a packed batch's draws are built on a pool of one thread per usable CPU:
@@ -210,12 +210,11 @@ def test_tar_oracle_builds_no_pool(cpus):
 @pytest.mark.parametrize("name", ["TAR", "NLAR"])
 def test_packed_rows_on_any_worker_count(cpus, name, count):
     model = SIM_MODELS[name]
-    ns = np.random.default_rng(8).integers(1, 3000, 40).tolist()
     seeds = range(2**64 - 20, 2**64 + 20)
     cpus(1)
-    serial = simulate_ragged(model, ns, seeds)
+    serial = simulate_rows(model, 1500, seeds)
     pools = cpus(count)
-    assert rows_digest(simulate_ragged(model, ns, seeds)) == rows_digest(serial)
+    assert rows_digest(simulate_rows(model, 1500, seeds)) == rows_digest(serial)
     assert pools == [count]
 
 
