@@ -61,12 +61,12 @@ def test_tar_oracle():
 @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
 def test_tar_rate_experiment():
     assert rate_pin(rate_experiment(TarModel(0.6, -0.3), N_GRID, 4, seed=97)) == (
-        "50c976b009a52f228a3fcb657583921c34d7712b1325f540ef4c3053879e2041",
-        ["0x1.4a9206ef06485p-3", "0x1.9386f1c4c6c62p-3", "0x1.e50f5b5dbea49p-4",
-         "0x1.70342b06be49bp-4", "0x1.31ec245600909p-4", "0x1.ee4571e2fbbb0p-5",
-         "0x1.e3cb60ca40060p-5"],
-        "-0x1.34594ba2900c5p-2",
-        ["-0x1.93f4c8cb3be76p-2", "-0x1.987c4b17d6029p-3"],
+        "b110f6915610b6fb45e1c1ae6e529e64227c18ba2c0b6913ea795113c11c6dcd",
+        ["0x1.4a9206ef06485p-3", "0x1.372d2c669824ep-3", "0x1.7ca6755fb04d0p-4",
+         "0x1.e341048686072p-4", "0x1.69c767c8c8aaep-4", "0x1.fbdef2a3f5ce0p-5",
+         "0x1.ba338fefbf4c2p-5"],
+        "-0x1.0ea71c3926e62p-2",
+        ["-0x1.7e3d8de251f05p-2", "-0x1.45996da219a70p-3"],
     )
 
 
@@ -78,12 +78,12 @@ def test_nlar_rate_experiment(monkeypatch):
     monkeypatch.setattr(diagnostics, "marginal_truth", lambda model: stand_in)
     model = NlarModel(transition=lambda x: 0.5 * np.tanh(x), lipschitz_bound=0.5)
     assert rate_pin(rate_experiment(model, N_GRID, 4, seed=41)) == (
-        "09a837e8a36c85defbca8455da7a654058130ff67c9438a177a88f0027fe8167",
-        ["0x1.ca7ecb2815a64p-3", "0x1.e1c68515dedbbp-4", "0x1.6fe19b94c3162p-4",
-         "0x1.0bb2bd29b71b5p-4", "0x1.45d87f8ce772fp-4", "0x1.746cbadeb198cp-4",
-         "0x1.ad79fc71e6cecp-5"],
-        "-0x1.07587eb36f384p-2",
-        ["-0x1.5417ff5aa15ffp-2", "-0x1.7a81e568457ecp-3"],
+        "455c14ee593dac66b4ffff96ddf4649dd3b016f462cbe52f7b05b05276e0cae7",
+        ["0x1.ca7ecb2815a64p-3", "0x1.dc0195140ad86p-4", "0x1.b6ec9382414d1p-4",
+         "0x1.8b240bb02f7a9p-4", "0x1.06e83308b7b3ep-4", "0x1.f192b82785a35p-5",
+         "0x1.8b104f580d498p-5"],
+        "-0x1.528191f38b9cap-2",
+        ["-0x1.915c6c742e23ep-2", "-0x1.f15331f83a61cp-3"],
     )
 
 
@@ -134,15 +134,15 @@ def rows_digest(rows):
 
 @pytest.mark.parametrize("name,paths,rows", [
     ("TAR", "4c8796968c1e9ce510cf0a8bd196e69bfc16bfd3e417bcfb027ea5da795c0490",
-     "06a88a6ae5fb21082a3939426c1d48e9dc7628e6ff29e8d17558908539b1cd5f"),
+     "d599882bdc7dddb1962e069f8b174a96b46b00affa74000177b9ac5260fff487"),
     ("NLAR", "4c3605ad7697c36a5431f94d097d9df608aa6f007f6045321cc42d1ea089e0d9",
-     "e2ed572e7fec8b3cb2d61c63b0b09645d730b06ddb122ae1332a1eedc43b5ae5"),
+     "93c9960c0716c8a27de84328d6b0b5363ec1f6a3dd65f4a2527aa6910b361bf3"),
     ("AR1", "fd6dcf161645aa27bed7ed9be1d454a6d40d900523a56a894dbd63771884ace1",
-     "a0df4303208ee10cb3f14ab6a516340c794f03e41c573866d4d0ba7a3d738fa7"),
+     "c0acd63bd9491bc47b5bf7859f83a1c33b2d490c0fb80131503be912b9335c38"),
     ("MA2", "9da3c086ea62b88ef7634617900e90f0245be92c37eedad7f63509b8ca0fc8b8",
-     "2b1152c2a5613da8d55abf50e8e10263ab0ba99641264ce9be48a4b0d9a9fd0c"),
+     "ad7b4b4991eabeb8d3cfca21b1bb2176d5f6622306bf052ce0e93461106f37b8"),
     ("linear", "7b0dbabcf1c080d26b14a0bc09f2ff82b0bbddc139d84f6c68f2b8ab6fdede42",
-     "74bc5fca619f81e731971a5bb71ef5133d9a8f35f1ebf74206f4a33aaa29c3c3"),
+     "5998545dc8b983dde1267883755c6678593ffd5d86532283356ee3fe5c58d22d"),
 ], ids=["TAR", "NLAR", "AR1", "MA2", "linear"])
 def test_simulate_rows(name, paths, rows):
     model, seeds = SIM_MODELS[name], [0, 3, 2**64 + 1]
@@ -152,9 +152,9 @@ def test_simulate_rows(name, paths, rows):
 
 @pytest.mark.parametrize("name,paths,rows", [
     ("TAR", "11fdb3957245987920fa8d59f8906f62878dbeb3140340118014db3aca0a93dc",
-     "90ffa7837666e760fd21bf3eccca73aba67b70f597ecd102f2d4faa06d81260a"),
+     "02f48cba188ef35984f9a498bb3883660f8eacf7d0ff0fdf9bc76a56a5d806fb"),
     ("NLAR", "a4e3fe06c458fd2041c0ecb74e1088265b8ddb44cee0daf9ee74eb15d5ed150f",
-     "fe2dea129445530cc50768df7068d3864ee5dd0da0f65fb531be671f46aae41d"),
+     "7b1407a701dd8036e99b31e3d901a5558cf13665cb95436058939f85203e1add"),
 ], ids=["TAR", "NLAR"])
 def test_simulate_rows_at_burn_in_1000(name, paths, rows):
     # the stream layout depends only on the burn-in used: an explicit 1000
@@ -331,7 +331,7 @@ def test_rate_records_csv(in_tmp):
     without_wall_time = "\n".join(line if line.startswith("#") else line.rsplit(",", 1)[0]
                                   for line in lines)
     assert hashlib.sha256(without_wall_time.encode()).hexdigest() == (
-        "2e637467b4dfa772e5539cf24a7c977cc60df570db0c331897fd3e3419c5a81f")
+        "473bd8230a91e819be4be45d7ef933c73602d728dd26a0659b5fa5c034c53db4")
 
 
 def test_estimate_on_two_far_rows(in_tmp):
