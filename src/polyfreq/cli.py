@@ -716,11 +716,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("rate", help="sup-error convergence-rate experiment", description=(
-        "CSV wall_time_ms: the replication's share of the simulation call of its batch "
-        "(every size of a Markov model whose packed batch fits 2^28 values, one size "
-        "otherwise), in proportion to its steps burn_in + n, plus its own binning and "
-        "evaluation; a packed Markov run evaluates its sizes in order on one thread, and "
-        "other runs evaluate their sizes on up to one thread per usable CPU"))
+        "Replication k simulates one path of n-max values, seeded seed + k, and every "
+        "size bins and evaluates that path's first n values, in order on one thread. "
+        "CSV wall_time_ms: the record's own binning and evaluation"))
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--reps", type=int, default=20)

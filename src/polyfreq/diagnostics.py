@@ -5,7 +5,8 @@ This module quantifies how far a density estimate sits from the truth
 empirical process ``sqrt(n) (F_n - F)`` over windows of a given width
 (:func:`modulus_exact`), and runs the convergence-rate experiment that
 checks the estimator's sup-norm error against the expected
-``(log(n)/n)**(1/3)`` schedule (:func:`rate_experiment`).
+``(log(n)/n)**(1/3)`` schedule (:func:`rate_experiment`) along one sample
+path per replication: each sample size takes a prefix of the same paths.
 
 The modulus is computed by structural search rather than grid scanning:
 over half-open windows ``(v, u]`` the positive excursions of the
