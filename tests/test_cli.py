@@ -931,6 +931,20 @@ class TestLibraryRefusals:
         assert line.startswith(f"polyfreq: model error: --model {spec}: fixed-point iteration "
                                "did not converge in 500 iterations; last sup-change ")
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "50"],
+        ["delta", "--kmax", "3", "--reps", "100"],
+        RATE,
+    ], ids=lambda argv: argv[0])
+    def test_a_markov_model_too_slow_to_burn_in(self, tmp_path, capsys, argv):
+        # 41,588,811 burn-in steps, stepped one at a time in Python: refused at once
+        code, spec, line = self.run(tmp_path, capsys, argv,
+                                    {**TAR_SPEC, "a": -0.0, "b": 0.999999})
+        assert code == EXIT_MODEL
+        assert line == (f"polyfreq: model error: --model {spec}: contraction rho = 0.999999 "
+                        "mixes too slowly: its default burn-in of 41588811 steps is above "
+                        "the limit of 1048576")
+
     @pytest.mark.parametrize("argv,name", [
         (["simulate", "--n", "3"], "simulate"),
         (["delta", "--kmax", "1", "--reps", "100"], "estimate_delta_profile"),

@@ -422,6 +422,12 @@ class TestRateExperiment:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             rate_experiment(AR1, n_values, reps)
 
+    def test_slow_mixing_markov_model_is_refused_before_the_truth(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "marginal_truth", lambda *args: pytest.fail("work"))
+        with pytest.raises(ModelValidityError, match=r"^contraction rho = 0\.999999 mixes too "
+                                                     r"slowly: its default burn-in of 41588811 "):
+            rate_experiment(TarModel(-0.0, 0.999999), self.N_GRID, 10, seed=1)
+
     @pytest.mark.parametrize("workers", [0, 2.5, True], ids=repr)
     def test_max_workers_must_be_a_positive_integer(self, workers, monkeypatch):
         monkeypatch.setattr(diagnostics, "marginal_truth", lambda *args: pytest.fail("work"))

@@ -575,6 +575,31 @@ class TestSimulate:
         with pytest.raises(ModelValidityError):
             resolve_burn_in(ArmaModel(ar=(1.2,)), None)
 
+    @pytest.mark.parametrize("model", [
+        TarModel(-0.0, 0.999999), NlarModel(lambda x: 0.999999 * np.tanh(x), 0.999999)],
+        ids=["TAR", "NLAR"])
+    def test_markov_burn_in_past_the_limit_is_refused_before_any_draw(self, model, monkeypatch):
+        # 41,588,811 serial steps: minutes of Python stepping, refused by name
+        monkeypatch.setattr(models, "_draw_rows", lambda *args: pytest.fail("drew"))
+        message = (r"^contraction rho = 0\.999999 mixes too slowly: its default burn-in of "
+                   r"41588811 steps is above the limit of 1048576$")
+        for call in (lambda: resolve_burn_in(model, None),
+                     lambda: resolve_burn_in(model, 2**27),
+                     lambda: simulate(model, 50),
+                     lambda: simulate_rows(model, 50, [1, 2]),
+                     lambda: coupled_paths(model, 3, range(4))):
+            with pytest.raises(ModelValidityError, match=message):
+                call()
+
+    def test_markov_burn_in_at_most_the_limit_is_accepted(self):
+        assert models.MAX_MARKOV_BURN_IN == 2**20
+        assert resolve_burn_in(TarModel(-0.0, 0.9999), None) == 415_868
+        assert resolve_burn_in(TarModel(0.99996, 0.0), None) == 1_039_700
+        with pytest.raises(ModelValidityError, match="burn-in of 1386274 steps"):
+            resolve_burn_in(TarModel(0.99997, 0.0), None)
+        # ARMA burn-in is filtered in compiled code, so the limit is for Markov models only
+        assert resolve_burn_in(ArmaModel(ar=(0.99999,)), None) > models.MAX_MARKOV_BURN_IN
+
     @pytest.mark.parametrize("burn_in", [1500.5, 1500.0, True, "1500", -1],
                              ids=["fraction", "integral-float", "bool", "str", "negative"])
     def test_burn_in_must_be_a_nonnegative_integer(self, burn_in):
