@@ -74,6 +74,11 @@ MAX_BUFFER_VALUES = 2**28
 MARKOV_GAP_BITS = 60
 MIN_MARKOV_BURN_IN = 64
 
+#: largest default burn-in of a TAR or NLAR model: a packed batch steps at
+#: most five of them one column at a time in Python, a few seconds per
+#: 2**20 steps, so a model that mixes more slowly is refused
+MAX_MARKOV_BURN_IN = 2**20
+
 #: values per block of columns when a recursion is advanced block by block
 _BLOCK_VALUES = 2**20
 
@@ -552,13 +557,20 @@ def resolve_burn_in(model: Model, burn_in: int | None) -> int:
 
     The model must be valid, and ``burn_in`` must be a nonnegative integer
     (``bool`` is refused) no smaller than :func:`default_burn_in` and no
-    larger than ``MAX_BUFFER_VALUES``.  The finite moving average is built
-    exactly, so its burn-in is always 0.
+    larger than ``MAX_BUFFER_VALUES``.  A TAR or NLAR model whose default
+    exceeds ``MAX_MARKOV_BURN_IN`` is refused with a
+    ``ModelValidityError`` naming ``rho`` and the default, whatever
+    ``burn_in`` is.  The finite moving average is built exactly, so its
+    burn-in is always 0.
     """
     if burn_in is not None:
         burn_in = _count(burn_in, "burn_in")
     require_valid(model)
     floor = default_burn_in(model)
+    if floor > MAX_MARKOV_BURN_IN and not isinstance(model, ArmaModel):
+        raise ModelValidityError(
+            f"contraction rho = {contraction_proxy(model)} mixes too slowly: its default "
+            f"burn-in of {floor} steps is above the limit of {MAX_MARKOV_BURN_IN}")
     if burn_in is not None and burn_in < floor:
         raise ValueError(
             f"burn_in {burn_in} is below the model's default {floor}; "
