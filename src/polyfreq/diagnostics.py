@@ -405,12 +405,12 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     module constants, and the median error over replications (robust to the
     occasional bad path) feeds a log-log slope fit with a bootstrap
     confidence interval that resamples whole paths.  A size repeated in
-    ``n_values`` repeats its records.  The sizes are binned and evaluated in
-    order on the calling thread; a Markov model's paths draw their
-    innovations on a pool of one thread per usable CPU (see
-    :func:`models.simulate_rows`), and the TAR truth comes from
-    :func:`models.tar_marginal_oracle` on the calling thread.  ``max_workers``
-    must be a positive integer or None, and caps nothing.  Right after the
+    ``n_values`` repeats its records.  Everything runs on the calling
+    thread: the paths (see :func:`models.simulate_rows`), the TAR truth from
+    :func:`models.tar_marginal_oracle`, and the sizes, binned and evaluated
+    in order.  ``max_workers`` must be a positive integer or None, and caps
+    nothing.  A Markov model too slow to burn in (see
+    :func:`models.resolve_burn_in`) is refused before the truth is built.  Right after the
     size grid and ``max_workers``, the ``500 * sizes * reps`` bootstrap table
     and the ``reps`` paths' draws (a Markov batch padded to whole segments)
     are refused past ``models.MAX_BUFFER_VALUES`` values, and so are seeds

@@ -21,9 +21,8 @@ import math
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -116,14 +115,6 @@ def _philox_state(seed: int, state: dict | None = None) -> dict:
                       "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     state["state"]["key"] = int(seed) & 0xFFFF_FFFF_FFFF_FFFF, int(seed) >> 64
     return state
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -587,49 +578,24 @@ def _draw_rows(model: Model, seeds: Sequence[int], width: int,
 
     With ``total``, the rows lie end to end at the start of one zeroed run of
     ``total`` values, which is returned flat, and the columns past them stay
-    0.0.  The seeds are then split into contiguous runs of about equal row
-    counts, one per usable CPU, each drawn by its own generator on a thread
-    pool (one run is drawn on the calling thread, with no pool); without
-    ``total`` the rows are drawn on the calling thread.  A generator is
-    re-keyed per seed (only the key of one state dict changes), which gives
-    the values of a fresh ``make_rng(seed)`` without building one; a run's
-    unscaled values are drawn seed by seed and scaled in one pass.  An array
-    of more than ``MAX_BUFFER_VALUES`` values, then any seed that is not a
-    Philox key, is refused before the array is allocated.
+    0.0.  One generator is re-keyed per seed (only the key of one state dict
+    changes), which gives the values of a fresh ``make_rng(seed)`` without
+    building one; the unscaled values are drawn seed by seed on the calling
+    thread and scaled in one pass.  An array of more than
+    ``MAX_BUFFER_VALUES`` values, then any seed that is not a Philox key, is
+    refused before the array is allocated.
     """
     rows = len(seeds)
     _count(rows * width if total is None else total, f"a batch of {rows} x {width} draws")
     _check_seeds(seeds)
-    if total is None:
-        draws = np.empty((rows, width))
-        _fill_streams(model, seeds, draws, draws)
-        return draws
-    flat = np.zeros(total)
+    flat = np.empty(rows * width) if total is None else np.zeros(total)
     draws = flat[:rows * width].reshape(rows, width)
-    workers = min(_usable_cpus(), rows)
-    bounds = [rows * k // workers for k in range(workers + 1)]
-
-    def draw_run(run: tuple[int, int]) -> None:
-        a, b = run
-        _fill_streams(model, seeds[a:b], draws[a:b], draws[a:b])
-
-    runs = list(zip(bounds[:-1], bounds[1:]))
-    if workers < 2:
-        draw_run(runs[0])
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(draw_run, runs))
-    return flat
-
-
-def _fill_streams(model: Model, seeds: Sequence[int], targets: Iterable[np.ndarray],
-                  drawn: np.ndarray) -> None:
-    """Fill each target from its seed's stream, then scale ``drawn``, the span they cover."""
     rng, state = make_rng(0), _philox_state(0)
-    for target, s in zip(targets, seeds):
-        rng.bit_generator.state = _philox_state(s, state)
-        model.noise.fill(rng, target, False)  # unscaled
-    model.noise.rescale(drawn)
+    for row, seed in zip(draws, seeds):
+        rng.bit_generator.state = _philox_state(seed, state)
+        model.noise.fill(rng, row, False)  # unscaled
+    model.noise.rescale(draws)
+    return draws if total is None else flat
 
 
 def _arma_polys(model: ArmaModel) -> tuple[np.ndarray, np.ndarray]:
@@ -683,10 +649,11 @@ def _arma_filter(b: np.ndarray, a: np.ndarray, eps: np.ndarray, zi: np.ndarray):
 
     For ``len(a) >= 2`` (see :func:`_arma_polys`) ``lfilter`` is this one
     call into its compiled recursion, which releases the GIL.  The extension
-    is loaded on first use, once: the lock holds back the other threads of a
-    first parallel use.  If its file is missing, or the call fails with
-    ``AttributeError`` or ``TypeError`` (it is private to scipy and may
-    change), ``lfilter`` runs.
+    is loaded on first use, once: polyfreq filters on the calling thread,
+    but a library caller's own threads may make that first use together,
+    and the lock holds back all but one of them.  If its file is missing,
+    or the call fails with ``AttributeError`` or ``TypeError`` (it is
+    private to scipy and may change), ``lfilter`` runs.
     """
     with _sigtools_lock:
         sigtools = sys.modules.get(_SIGTOOLS) or _load_sigtools()
@@ -774,20 +741,21 @@ def simulate_rows(model: Model, n: int, seeds: Sequence[int],
                   burn_in: int | None = None) -> np.ndarray:
     """A ``(len(seeds), n)`` array whose row ``i`` is ``simulate(model, n, burn_in, seeds[i])``.
 
-    Each row is drawn from its own stream.  ARMA rows are filtered together
-    (block by block, see :func:`_advance_blocks`) and finite moving-average
-    rows one ``np.convolve`` per row.  Markov rows are packed end to end
-    into one run of draws (more than one row is drawn on a pool of one
-    thread per usable CPU, each thread with a contiguous run of rows), cut
-    into segments of ``4 * default_burn_in(model)`` columns (at most one
-    row's ``burn_in + n``), and the segments are stepped together: the
-    Python loop runs ``default_burn_in(model)`` warm-up steps and one
-    segment's width, at most five warm-ups in all whatever ``n`` is, and
-    checks that every segment joins its predecessor bit for bit, so the
-    rows equal sequential runs (see :func:`_simulate_packed`).  Each row is
-    a contiguous view into the array of draws that holds it.  An ``n`` or a
-    burn-in past ``MAX_BUFFER_VALUES``, a seed that is not a Philox key, and
-    an array of draws past the cap (see :func:`_check_batch`), are refused
+    Each row is drawn from its own stream, and every row is drawn and
+    stepped on the calling thread.  ARMA rows are filtered together (block
+    by block, see :func:`_advance_blocks`) and finite moving-average rows
+    one ``np.convolve`` per row.  Markov rows are packed end to end into one
+    run of draws, cut into segments of ``4 * default_burn_in(model)``
+    columns (at most one row's ``burn_in + n``), and the segments are
+    stepped together: the Python loop runs ``default_burn_in(model)``
+    warm-up steps and one segment's width, at most five warm-ups in all
+    whatever ``n`` is, and checks that every segment joins its predecessor
+    bit for bit, so the rows equal sequential runs (see
+    :func:`_simulate_packed`).  Each row is a contiguous view into the
+    array of draws that holds it.  An ``n`` or a burn-in past
+    ``MAX_BUFFER_VALUES``, a model too slow to burn in (see
+    :func:`resolve_burn_in`), a seed that is not a Philox key, and an array
+    of draws past the cap (see :func:`_check_batch`), are refused
     before anything is drawn.
     """
     n = _count(n, "n", 1)
@@ -1010,23 +978,21 @@ def tar_marginal_oracle(model: TarModel) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+@dataclass(eq=False, slots=True)
 class MarginalTruth:
     """Ground-truth marginal density bundle for estimation experiments.
 
+    ``lipschitz`` is a float bound on the density's slope.
     ``window_peaks(b)`` returns points ``v`` among which the window mass
     ``cdf(v + b) - cdf(v)`` takes its largest value, exactly: the anchors
     of the truth's heaviest width-``b`` windows in ``modulus_exact``.
     """
 
-    __slots__ = ("pdf", "cdf", "quantile", "lipschitz", "window_peaks")
-
-    def __init__(self, pdf: Callable, cdf: Callable, quantile: Callable, lipschitz: float,
-                 window_peaks: Callable):
-        self.pdf = pdf
-        self.cdf = cdf
-        self.quantile = quantile
-        self.lipschitz = float(lipschitz)
-        self.window_peaks = window_peaks
+    pdf: Callable
+    cdf: Callable
+    quantile: Callable
+    lipschitz: float
+    window_peaks: Callable
 
     def support(self) -> tuple[float, float]:
         """Quantiles that leave a tail mass of 1e-9 outside each end."""

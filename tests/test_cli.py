@@ -1351,7 +1351,7 @@ class TestParserContract:
         ["bench", "--n", "10000", "--m", "100"],
     ], ids=["estimate", "simulate", "delta", "rate", "bench"])
     def test_threads_only_on_rate(self, tmp_path, ar1_model, argv, capsys):
-        # no command takes --threads: rate sizes its pool from the usable CPUs
+        # no command takes --threads: every command runs on the calling thread
         if argv[0] == "estimate":
             data = tmp_path / "d.csv"
             data.write_text("0.25\n0.75\n")

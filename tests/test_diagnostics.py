@@ -456,16 +456,18 @@ class TestRateExperiment:
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
     @pytest.mark.parametrize("model", [AR1, TarModel(0.6, -0.3)], ids=["AR1", "TAR"])
     def test_scheduling_independence(self, model):
-        serial = rate_experiment(model, self.N_GRID, 4, seed=271, max_workers=1)
-        threaded = rate_experiment(model, self.N_GRID, 4, seed=271, max_workers=2)
-        assert len(serial.records) == len(threaded.records) == 4 * len(self.N_GRID)
-        for a, b in zip(serial.records, threaded.records):
-            assert (a.n, a.replication, a.sup_error, a.grid_error_bound) == (
-                b.n, b.replication, b.sup_error, b.grid_error_bound)
+        # max_workers caps nothing: the records are identical for 1, 2 and None
+        serial, *others = (rate_experiment(model, self.N_GRID, 4, seed=271, max_workers=w)
+                           for w in (1, 2, None))
+        for other in others:
+            assert len(serial.records) == len(other.records) == 4 * len(self.N_GRID)
+            for a, b in zip(serial.records, other.records):
+                assert (a.n, a.replication, a.sup_error, a.grid_error_bound) == (
+                    b.n, b.replication, b.sup_error, b.grid_error_bound)
+            assert serial.fitted_slope == other.fitted_slope
+            assert serial.slope_ci == other.slope_ci
         assert [(r.n, r.replication) for r in serial.records] == [
             (n, rep) for n in self.N_GRID for rep in range(4)]
-        assert serial.fitted_slope == threaded.fitted_slope
-        assert serial.slope_ci == threaded.slope_ci
 
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
     @pytest.mark.parametrize("model", [AR1, TarModel(0.6, -0.3)], ids=["AR1", "TAR"])
@@ -486,32 +488,6 @@ class TestRateExperiment:
         report = rate_experiment(model, self.N_GRID, 3, seed=5)
         assert calls == [(max(self.N_GRID), range(5, 8))]
         assert [r.wall_time_s for r in report.records] == [0.0] * len(report.records)
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """Sizes of the pools built, on 3 usable CPUs."""
-        workers = []
-
-        class Pool(models.ThreadPoolExecutor):
-            def __init__(self, max_workers=None):
-                workers.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(models, "ThreadPoolExecutor", Pool)
-        monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
-        return workers
-
-    @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
-    @pytest.mark.parametrize("workers", [1, 2, None])
-    @pytest.mark.parametrize("model,built", [(AR1, []), (TarModel(0.6, -0.3), [3])],
-                             ids=["AR1", "TAR"])
-    def test_only_markov_draws_take_a_pool(self, pools, model, built, workers):
-        # the sizes are binned and evaluated on the calling thread; a Markov
-        # model's paths draw on one thread per usable CPU, and max_workers
-        # caps nothing
-        report = rate_experiment(model, self.N_GRID, 3, seed=5, max_workers=workers)
-        assert pools == built
-        assert len(report.records) == 3 * len(self.N_GRID)
 
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
     @pytest.mark.parametrize("model", [AR1, TAR, LinearProcess((1.0, 0.5, 0.25), 1.0)],

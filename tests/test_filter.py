@@ -135,8 +135,8 @@ class TestArmaFilter:
             assert models._SIGTOOLS not in sys.modules
 
     def test_threads_of_a_first_parallel_use_load_the_extension_once(self):
-        # eight threads released together, as a rate experiment's pool
-        # would be, with a short switch interval; without the lock each loads
+        # eight threads of a library caller released together, with a short
+        # switch interval; without the lock each loads
         code = textwrap.dedent("""
             import sys, threading
             import numpy as np

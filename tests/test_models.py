@@ -160,6 +160,13 @@ class TestStreams:
         # +0.0 exactly: scaling stops at the last row
         assert not draws[end:].view(np.uint64).any()
 
+    def test_packed_rows_are_their_seeds_streams(self):
+        # 11 rows of 10 draws end to end in a run of 120 values
+        draws = models._draw_rows(TarModel(0.6, -0.3), range(11), 10, 120)
+        for k in range(11):
+            assert_array_equal(draws[10 * k:10 * (k + 1)], make_rng(k).standard_normal(10))
+        assert not draws[110:].view(np.uint64).any()
+
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_out_of_range_seeds_refused_like_philox(self, seed):
         with pytest.raises(ValueError) as expected:
@@ -724,46 +731,6 @@ class TestNlarChecks:
     def test_bound_range_enforced(self):
         with pytest.raises(ModelValidityError):
             NlarModel(transition=lambda x: x, lipschitz_bound=1.0)
-
-
-class TestDrawThreads:
-    """Only a packed batch of more than one seed draws on a thread pool."""
-
-    @pytest.fixture
-    def no_pool(self, monkeypatch):
-        def fail(max_workers):
-            pytest.fail("drew on a thread pool")
-
-        monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(models, "ThreadPoolExecutor", fail)
-
-    def test_one_seed_draws_on_the_calling_thread(self, no_pool):
-        for model in (TarModel(0.6, -0.3), NlarModel(lambda x: 0.5 * np.tanh(x), 0.5)):
-            assert len(simulate(model, 10**5, seed=1)) == 10**5
-            assert simulate_rows(model, 300, [2**64]).shape == (1, 300)
-
-    def test_unpacked_rows_draw_on_the_calling_thread(self, no_pool):
-        # many short rows: two threads measured slower than one on them
-        draws = models._draw_rows(TarModel(0.6, -0.3), range(2000), 93)
-        assert draws.shape == (2000, 93)
-        coupled_paths(TarModel(0.6, -0.3), 5, range(1000))
-        simulate_rows(AR1, 100, range(50))
-
-    def test_runs_split_the_rows_evenly(self, monkeypatch):
-        monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
-        runs = []
-
-        class Pool(models.ThreadPoolExecutor):
-            def map(self, fn, items):
-                runs.extend(items)
-                return super().map(fn, items)
-
-        monkeypatch.setattr(models, "ThreadPoolExecutor", Pool)
-        draws = models._draw_rows(TarModel(0.6, -0.3), range(11), 10, 120)
-        # 11 rows on 3 threads: runs of 3, 4 and 4 rows
-        assert runs == [(0, 3), (3, 7), (7, 11)]
-        for k in range(11):
-            assert_array_equal(draws[10 * k:10 * (k + 1)], make_rng(k).standard_normal(10))
 
 
 class TestTarOracle:

@@ -12,12 +12,11 @@ pin the same streams at an explicit 1000 steps, the earlier default.
 
 import hashlib
 import json
-import sys
 
 import numpy as np
 import pytest
 
-from polyfreq import diagnostics, models
+from polyfreq import diagnostics
 from polyfreq.cli import main
 from polyfreq.dependence import estimate_delta_profile
 from polyfreq.diagnostics import rate_experiment
@@ -164,58 +163,17 @@ def test_simulate_rows_at_burn_in_1000(name, paths, rows):
     assert rows_digest(simulate_rows(model, 2000, [*seeds, 5], 1000)) == rows
 
 
-# a packed batch's draws are built on a pool of one thread per usable CPU:
-# every worker count must give the same bits
+# packed Markov rows, drawn and stepped on the calling thread: forty rows of
+# seeds on both sides of 2**64, each cut across five or more segments
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """``cpus(count)`` sets the usable CPU count; returns the sizes of the pools built.
-
-    Threads switch every microsecond meanwhile, so a worker that wrote
-    outside its own rows would show in the bits.
-    """
-    pools = []
-
-    class Pool(models.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(models, "ThreadPoolExecutor", Pool)
-
-    def use(count):
-        monkeypatch.setattr(models, "_usable_cpus", lambda: count)
-        pools.clear()
-        return pools
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield use
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_tar_oracle_builds_no_pool(cpus):
-    # the oracle runs on the calling thread, whatever the CPU count
-    pools = cpus(3)
-    _, density = tar_marginal_oracle(TarModel(0.6, -0.3))
-    assert hashlib.sha256(density.tobytes()).hexdigest() == (
-        "3a3af42fb365ebc1a237b3ac587687db33362df82b988afd02b8716900e67564")
-    assert pools == []
-
-
-@pytest.mark.parametrize("count", [2, 3])
-@pytest.mark.parametrize("name", ["TAR", "NLAR"])
-def test_packed_rows_on_any_worker_count(cpus, name, count):
-    model = SIM_MODELS[name]
+@pytest.mark.parametrize("name,rows", [
+    ("TAR", "afed1af89778c08d76b9621d1989962decdae113a42424050f21c55ef533ac58"),
+    ("NLAR", "941d70d1a06124dd967cc34f485564ebd813313b39485d3506fb22923f30d534"),
+], ids=["TAR", "NLAR"])
+def test_packed_rows_on_the_calling_thread(name, rows):
     seeds = range(2**64 - 20, 2**64 + 20)
-    cpus(1)
-    serial = simulate_rows(model, 1500, seeds)
-    pools = cpus(count)
-    assert rows_digest(simulate_rows(model, 1500, seeds)) == rows_digest(serial)
-    assert pools == [count]
+    assert rows_digest(simulate_rows(SIM_MODELS[name], 1500, seeds)) == rows
 
 
 # fp_eval: a faster array route must give the same bits on random queries, on
