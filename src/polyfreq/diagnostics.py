@@ -410,11 +410,12 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     :func:`models.tar_marginal_oracle`, and the sizes, binned and evaluated
     in order.  ``max_workers`` must be a positive integer or None, and caps
     nothing.  A Markov model too slow to burn in (see
-    :func:`models.resolve_burn_in`) is refused before the truth is built.  Right after the
-    size grid and ``max_workers``, the ``500 * sizes * reps`` bootstrap table
-    and the ``reps`` paths' draws (a Markov batch padded to whole segments)
-    are refused past ``models.MAX_BUFFER_VALUES`` values, and so are seeds
-    that are not integers or run past ``2**128``, before the truth is built.
+    :func:`models.resolve_burn_in`) is refused before the truth is built.
+    Right after the size grid and ``max_workers``, the ``500 * sizes *
+    reps`` bootstrap table and the ``reps`` paths' draws (a Markov batch
+    padded to whole segments) are refused past ``models.MAX_BUFFER_VALUES``
+    values, and so are seeds that are not integers or run past ``2**128``,
+    before the truth is built.
     That the truth's support is a finite interval, and that the largest
     size's evaluation grid holds at most ``MAX_GRID_POINTS`` points (else
     ``OverflowError``), are checked before anything is simulated.
