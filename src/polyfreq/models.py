@@ -558,7 +558,7 @@ def resolve_burn_in(model: Model, burn_in: int | None) -> int:
         burn_in = _count(burn_in, "burn_in")
     require_valid(model)
     floor = default_burn_in(model)
-    if floor > MAX_MARKOV_BURN_IN and not isinstance(model, ArmaModel):
+    if floor > MAX_MARKOV_BURN_IN and isinstance(model, (TarModel, NlarModel)):
         raise ModelValidityError(
             f"contraction rho = {contraction_proxy(model)} mixes too slowly: its default "
             f"burn-in of {floor} steps is above the limit of {MAX_MARKOV_BURN_IN}")

@@ -160,13 +160,6 @@ class TestStreams:
         # +0.0 exactly: scaling stops at the last row
         assert not draws[end:].view(np.uint64).any()
 
-    def test_packed_rows_are_their_seeds_streams(self):
-        # 11 rows of 10 draws end to end in a run of 120 values
-        draws = models._draw_rows(TarModel(0.6, -0.3), range(11), 10, 120)
-        for k in range(11):
-            assert_array_equal(draws[10 * k:10 * (k + 1)], make_rng(k).standard_normal(10))
-        assert not draws[110:].view(np.uint64).any()
-
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_out_of_range_seeds_refused_like_philox(self, seed):
         with pytest.raises(ValueError) as expected:
