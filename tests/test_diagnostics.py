@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import threading
 import types
 import warnings
 
@@ -456,18 +457,16 @@ class TestRateExperiment:
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
     @pytest.mark.parametrize("model", [AR1, TarModel(0.6, -0.3)], ids=["AR1", "TAR"])
     def test_scheduling_independence(self, model):
-        # max_workers caps nothing: the records are identical for 1, 2 and None
-        serial, *others = (rate_experiment(model, self.N_GRID, 4, seed=271, max_workers=w)
-                           for w in (1, 2, None))
-        for other in others:
-            assert len(serial.records) == len(other.records) == 4 * len(self.N_GRID)
-            for a, b in zip(serial.records, other.records):
-                assert (a.n, a.replication, a.sup_error, a.grid_error_bound) == (
-                    b.n, b.replication, b.sup_error, b.grid_error_bound)
-            assert serial.fitted_slope == other.fitted_slope
-            assert serial.slope_ci == other.slope_ci
+        serial = rate_experiment(model, self.N_GRID, 4, seed=271, max_workers=1)
+        threaded = rate_experiment(model, self.N_GRID, 4, seed=271, max_workers=2)
+        assert len(serial.records) == len(threaded.records) == 4 * len(self.N_GRID)
+        for a, b in zip(serial.records, threaded.records):
+            assert (a.n, a.replication, a.sup_error, a.grid_error_bound) == (
+                b.n, b.replication, b.sup_error, b.grid_error_bound)
         assert [(r.n, r.replication) for r in serial.records] == [
             (n, rep) for n in self.N_GRID for rep in range(4)]
+        assert serial.fitted_slope == threaded.fitted_slope
+        assert serial.slope_ci == threaded.slope_ci
 
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
     @pytest.mark.parametrize("model", [AR1, TarModel(0.6, -0.3)], ids=["AR1", "TAR"])
@@ -488,6 +487,22 @@ class TestRateExperiment:
         report = rate_experiment(model, self.N_GRID, 3, seed=5)
         assert calls == [(max(self.N_GRID), range(5, 8))]
         assert [r.wall_time_s for r in report.records] == [0.0] * len(report.records)
+
+    @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
+    @pytest.mark.parametrize("workers", [1, 2, None])
+    @pytest.mark.parametrize("model", [AR1, TarModel(0.6, -0.3)], ids=["AR1", "TAR"])
+    def test_only_markov_draws_take_a_pool(self, model, workers, monkeypatch):
+        # no draw takes a pool now, Markov or not: every path is drawn, binned
+        # and evaluated on the calling thread, and max_workers caps nothing
+        serial = rate_experiment(model, self.N_GRID, 3, seed=5, max_workers=1)
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: pytest.fail("started a thread"))
+        report = rate_experiment(model, self.N_GRID, 3, seed=5, max_workers=workers)
+        assert len(report.records) == 3 * len(self.N_GRID)
+        assert [(r.n, r.replication, r.sup_error, r.grid_error_bound)
+                for r in report.records] == [
+            (r.n, r.replication, r.sup_error, r.grid_error_bound) for r in serial.records]
+        assert (report.fitted_slope, report.slope_ci) == (serial.fitted_slope, serial.slope_ci)
 
     @pytest.mark.filterwarnings("ignore:reps=:UserWarning")
     @pytest.mark.parametrize("model", [AR1, TAR, LinearProcess((1.0, 0.5, 0.25), 1.0)],

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -724,6 +725,20 @@ class TestNlarChecks:
     def test_bound_range_enforced(self):
         with pytest.raises(ModelValidityError):
             NlarModel(transition=lambda x: x, lipschitz_bound=1.0)
+
+
+class TestDrawThreads:
+    """Every row is drawn on the calling thread."""
+
+    def test_runs_split_the_rows_evenly(self, monkeypatch):
+        # 11 rows of 10 draws lie end to end in one run of 120 values, drawn
+        # without starting a thread
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: pytest.fail("started a thread"))
+        draws = models._draw_rows(TarModel(0.6, -0.3), range(11), 10, 120)
+        for k in range(11):
+            assert_array_equal(draws[10 * k:10 * (k + 1)], make_rng(k).standard_normal(10))
+        assert not draws[110:].view(np.uint64).any()
 
 
 class TestTarOracle:

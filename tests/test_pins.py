@@ -12,6 +12,8 @@ pin the same streams at an explicit 1000 steps, the earlier default.
 
 import hashlib
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -165,15 +167,29 @@ def test_simulate_rows_at_burn_in_1000(name, paths, rows):
 
 # packed Markov rows, drawn and stepped on the calling thread: forty rows of
 # seeds on both sides of 2**64, each cut across five or more segments
+PACKED_ROWS = {
+    "TAR": "afed1af89778c08d76b9621d1989962decdae113a42424050f21c55ef533ac58",
+    "NLAR": "941d70d1a06124dd967cc34f485564ebd813313b39485d3506fb22923f30d534",
+}
 
 
-@pytest.mark.parametrize("name,rows", [
-    ("TAR", "afed1af89778c08d76b9621d1989962decdae113a42424050f21c55ef533ac58"),
-    ("NLAR", "941d70d1a06124dd967cc34f485564ebd813313b39485d3506fb22923f30d534"),
-], ids=["TAR", "NLAR"])
-def test_packed_rows_on_the_calling_thread(name, rows):
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("name", ["TAR", "NLAR"])
+def test_packed_rows_on_any_worker_count(name, count):
+    # a caller's own threads each draw the same rows at once; threads switch
+    # every microsecond meanwhile, so a draw that wrote outside its own
+    # buffer would show in the bits
     seeds = range(2**64 - 20, 2**64 + 20)
-    assert rows_digest(simulate_rows(SIM_MODELS[name], 1500, seeds)) == rows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(count) as pool:
+            digests = list(pool.map(
+                lambda _: rows_digest(simulate_rows(SIM_MODELS[name], 1500, seeds)),
+                range(count)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert digests == [PACKED_ROWS[name]] * count
 
 
 # fp_eval: a faster array route must give the same bits on random queries, on
