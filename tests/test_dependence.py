@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from polyfreq.dependence import (
+    _delta_from_diffs,
     check_summability,
     coupled_paths,
     estimate_delta,
@@ -151,8 +152,10 @@ class TestEstimateDelta:
         assert abs(d.delta_hat - 0.5**3 * SQRT2) < 3 * d.std_error
 
     def test_profile_consistent_with_single_lag(self):
-        profile = estimate_delta_profile(AR1, 5, 300, seed=8)
-        assert profile[3] == estimate_delta(AR1, 3, 300, seed=8)
+        for model in (AR1, TarModel(0.6, -0.3)):
+            profile = estimate_delta_profile(model, 5, 300, seed=8)
+            for k in range(6):
+                assert profile[k] == estimate_delta(model, k, 300, seed=8)
 
     def test_replication_floor(self):
         with pytest.raises(ValueError, match="100"):
@@ -208,6 +211,39 @@ class TestEstimateDelta:
         assert np.all(d[:, 1:] <= 0.6 * d[:, :-1] + slack)
 
 
+def fsum_moments(diffs):
+    """``(delta_hat, std_error)`` of one lag, every sum taken exactly by ``math.fsum``."""
+    x = [float(v) for v in diffs]
+    reps = len(x)
+    mean = math.fsum(x) / reps
+    centered = [v - mean for v in x]
+    var = math.fsum(c * c for c in centered) / (reps - 1)
+    m4 = math.fsum((c * c) ** 2 for c in centered) / reps
+    delta = math.sqrt(var)
+    return delta, math.sqrt(max(m4 - var**2, 0.0) / reps) / (2.0 * delta)
+
+
+class TestMomentPass:
+    """One lag's moments, against exactly summed references."""
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng: rng.standard_normal(10**4),
+        lambda rng: rng.uniform(-1.0, 1.0, 10**4),
+        lambda rng: rng.laplace(0.3, 2.0, 10**4),
+    ], ids=["gaussian", "uniform", "laplace"])
+    @pytest.mark.parametrize("exponent", [0, 500, -500])
+    def test_matches_fsum_reference(self, draw, exponent):
+        # a power-of-two scale is exact, so the scaled reference is the unit one
+        # scaled; at 2**500 the fourth moment overflows unless it is taken on a
+        # rescaled copy
+        diffs = draw(np.random.default_rng(7))
+        delta, se = fsum_moments(diffs)
+        d = _delta_from_diffs(4, np.ldexp(diffs, exponent))
+        assert (d.lag, d.replications) == (4, 10**4)
+        assert d.delta_hat == pytest.approx(math.ldexp(delta, exponent), rel=1e-13, abs=0.0)
+        assert d.std_error == pytest.approx(math.ldexp(se, exponent), rel=1e-13, abs=0.0)
+
+
 class TestDrawCap:
     """Coupled batches past ``MAX_BUFFER_VALUES`` values are refused before
     anything is drawn, also for counts past int64."""
@@ -259,6 +295,14 @@ class TestSummability:
         assert report.slope is None
         assert report.certificate_total == pytest.approx(profile[0].delta_hat)
         assert report.tail_bound == 0.0
+
+    def test_fit_uses_only_resolvable_lags(self):
+        # TAR(0.5, 0.5) is AR(0.5) stepped through the Markov route, so its
+        # coefficients decay exactly like 0.5**k; past lag 40 they sink under
+        # the paths' roundoff, whose difference no standard error can screen
+        profile = estimate_delta_profile(TarModel(0.5, 0.5), 80, 10**4, seed=0)
+        report = check_summability(profile, 0.5)
+        assert report.slope == pytest.approx(math.log(0.5), abs=1e-3)
 
     def test_noise_floor_lags_excluded(self):
         profile = estimate_delta_profile(AR1, 8, 4000, seed=12)
