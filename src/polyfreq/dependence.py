@@ -125,14 +125,17 @@ def _delta_from_diffs(lag: int, diffs: np.ndarray) -> DeltaEstimate:
     # of magnitude and a streaming sum of squares would lose the small ones.
     # The moments are taken in units of a power of two that brings the largest
     # difference into [0.5, 1), so a large noise scale cannot overflow the
-    # fourth moment; scaling by a power of two is exact.
+    # fourth moment; scaling by a power of two is exact.  The fourth powers are
+    # squares of squares, taken in place: ``centered**4`` would call libm's pow
+    # on every value.  ``diffs`` is one contiguous row of the lag-major pass.
     reps = diffs.size
     centered = diffs - diffs.mean()
     scale = math.frexp(float(np.max(np.abs(centered))))[1]
-    centered = np.ldexp(centered, -scale)
+    centered = np.ldexp(centered, -scale, out=centered)
     var = float(centered @ centered) / (reps - 1)
     delta = math.sqrt(var)
-    m4 = float(np.mean(centered**4))
+    np.square(centered, out=centered)
+    m4 = float(np.mean(np.square(centered, out=centered)))
     se_var = math.sqrt(max(m4 - var**2, 0.0) / reps)
     se = se_var / (2.0 * delta) if delta > 0 else 0.0
     return DeltaEstimate(lag=lag, delta_hat=math.ldexp(delta, scale),
@@ -157,8 +160,10 @@ def estimate_delta_profile(model: Model, max_lag: int, replications: int, seed: 
     replications = _count(replications, "replications", 100)
     _check_seeds([seed])
     a, b = coupled_paths(model, max_lag, range(seed, seed + replications), burn_in)
-    diffs = a - b
-    return [_delta_from_diffs(k, diffs[:, k]) for k in range(max_lag + 1)]
+    # lag-major: row k holds every replication's lag-k difference, contiguous,
+    # so each lag reduces one row rather than a strided column
+    diffs = np.ascontiguousarray((a - b).T)
+    return [_delta_from_diffs(k, row) for k, row in enumerate(diffs)]
 
 
 @dataclass(frozen=True)
