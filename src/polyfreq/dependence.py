@@ -66,12 +66,19 @@ class CoupledPair:
 
 @dataclass(frozen=True)
 class DeltaEstimate:
-    """Monte Carlo estimate of one lag's dependence coefficient."""
+    """Monte Carlo estimate of one lag's dependence coefficient.
+
+    ``floor`` is the smallest coefficient the coupled paths can resolve at this
+    lag: ``2**-40`` times the RMS of both paths' values there.  A difference of
+    two doubles that size holds roundoff of about their ulp, so an estimate
+    under the floor reads rounding error, however small its standard error.
+    """
 
     lag: int
     delta_hat: float
     std_error: float
     replications: int
+    floor: float = 0.0
 
 
 def coupled_paths(model: Model, lag: int, seeds: Sequence[int],
@@ -120,7 +127,20 @@ def simulate_coupled(model: Model, lag: int, seed: int = 0,
     return CoupledPair(lag=lag, path=a[0], coupled_path=b[0])
 
 
-def _delta_from_diffs(lag: int, diffs: np.ndarray) -> DeltaEstimate:
+def _resolution_floor(values: np.ndarray) -> float:
+    # 2**-40 of the values' RMS.  Where their sum of squares could overflow or
+    # lose bits to underflow, it is taken in units of a power of two, like the
+    # moments below.
+    sumsq = float(values @ values)
+    scale = 0
+    if not 2.0**-900 < sumsq < 2.0**900:
+        scale = math.frexp(float(np.max(np.abs(values))))[1]
+        values = np.ldexp(values, -scale)
+        sumsq = float(values @ values)
+    return math.ldexp(math.sqrt(sumsq / values.size), scale - 40)
+
+
+def _delta_from_diffs(lag: int, diffs: np.ndarray, floor: float = 0.0) -> DeltaEstimate:
     # two-pass (mean-subtracted) variance: the coefficients span many orders
     # of magnitude and a streaming sum of squares would lose the small ones.
     # The moments are taken in units of a power of two that brings the largest
@@ -139,7 +159,7 @@ def _delta_from_diffs(lag: int, diffs: np.ndarray) -> DeltaEstimate:
     se_var = math.sqrt(max(m4 - var**2, 0.0) / reps)
     se = se_var / (2.0 * delta) if delta > 0 else 0.0
     return DeltaEstimate(lag=lag, delta_hat=math.ldexp(delta, scale),
-                         std_error=math.ldexp(se, scale), replications=reps)
+                         std_error=math.ldexp(se, scale), replications=reps, floor=floor)
 
 
 def estimate_delta(model: Model, lag: int, replications: int, seed: int = 0,
@@ -160,10 +180,14 @@ def estimate_delta_profile(model: Model, max_lag: int, replications: int, seed: 
     replications = _count(replications, "replications", 100)
     _check_seeds([seed])
     a, b = coupled_paths(model, max_lag, range(seed, seed + replications), burn_in)
-    # lag-major: row k holds every replication's lag-k difference, contiguous,
-    # so each lag reduces one row rather than a strided column
-    diffs = np.ascontiguousarray((a - b).T)
-    return [_delta_from_diffs(k, row) for k, row in enumerate(diffs)]
+    # lag-major: row k holds every replication's lag-k value of both paths,
+    # contiguous, so each lag reduces one row rather than strided columns (a
+    # concatenate of the transposes alone would lay its result out in F order)
+    paths = np.empty((max_lag + 1, 2 * replications))
+    np.concatenate([a.T, b.T], axis=1, out=paths)
+    diffs = paths[:, :replications] - paths[:, replications:]
+    return [_delta_from_diffs(k, diffs[k], _resolution_floor(paths[k]))
+            for k in range(max_lag + 1)]
 
 
 @dataclass(frozen=True)
@@ -171,7 +195,8 @@ class SummabilityReport:
     """Evidence that the dependence coefficients are geometrically summable.
 
     ``slope`` is the least-squares decay rate of ``log(delta_hat)`` over the
-    lags whose estimates clear the noise floor (5 standard errors); the
+    resolvable lags: those whose estimates clear both 5 standard errors and
+    the resolution floor of their paths (``DeltaEstimate.floor``); the
     certificate total combines the measured partial sum with a geometric
     tail bound driven by the supplied contraction rate.
     """
@@ -190,16 +215,16 @@ def check_summability(deltas: Sequence[DeltaEstimate], contraction: float) -> Su
     """Fit the decay rate of estimated dependence coefficients.
 
     ``deltas`` must cover consecutive lags starting at 0.  Lags whose
-    estimates sit below 5 standard errors are excluded from the log-linear
-    fit; if no lag beyond 0 clears the floor the report is inconclusive
-    (an i.i.d.-like outcome, not an error).
+    estimates sit below 5 standard errors, or at or below their resolution
+    floor, are excluded from the log-linear fit; if no lag beyond 0 clears
+    them the report is inconclusive (an i.i.d.-like outcome, not an error).
     """
     if not deltas or any(d.lag != k for k, d in enumerate(deltas)):
         raise ValueError("deltas must cover consecutive lags starting at 0")
     if not (0.0 <= contraction < 1.0):
         raise ValueError(f"contraction must lie in [0, 1), got {contraction}")
 
-    usable = [d for d in deltas if d.delta_hat > 5.0 * d.std_error and d.delta_hat > 0.0]
+    usable = [d for d in deltas if d.delta_hat > max(5.0 * d.std_error, d.floor)]
     used_lags = tuple(d.lag for d in usable)
     last = max(used_lags, default=0)
     partial = float(sum(d.delta_hat for d in deltas if d.lag <= last))

@@ -1,5 +1,6 @@
 """Tests for coupled trajectories and dependence-decay estimation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -197,12 +198,13 @@ class TestEstimateDelta:
     def test_profile_scales_exactly_with_the_noise_scale(self):
         # TAR is positively homogeneous, so a power-of-two noise scale scales every
         # path, difference and coefficient exactly; at 2**500 the fourth moment
-        # would overflow unless the moments are taken on a rescaled copy
+        # would overflow unless the moments are taken on a rescaled copy, and so
+        # would the paths' sum of squares behind the resolution floor
         unit = estimate_delta_profile(TarModel(0.5, -0.5), 5, 1000, seed=4)
         big = estimate_delta_profile(TarModel(0.5, -0.5, noise=NoiseSpec("gaussian", 2.0**500)),
                                      5, 1000, seed=4)
-        assert [(d.delta_hat, d.std_error) for d in big] == \
-            [(2.0**500 * d.delta_hat, 2.0**500 * d.std_error) for d in unit]
+        assert [(d.delta_hat, d.std_error, d.floor) for d in big] == \
+            [(2.0**500 * d.delta_hat, 2.0**500 * d.std_error, 2.0**500 * d.floor) for d in unit]
 
     def test_pathwise_contraction_small(self):
         a, b = coupled_paths(TarModel(0.6, -0.3), 10, list(range(500)))
@@ -303,6 +305,14 @@ class TestSummability:
         profile = estimate_delta_profile(TarModel(0.5, 0.5), 80, 10**4, seed=0)
         report = check_summability(profile, 0.5)
         assert report.slope == pytest.approx(math.log(0.5), abs=1e-3)
+
+    def test_lags_under_their_resolution_floor_excluded(self):
+        profile = estimate_delta_profile(AR1, 8, 4000, seed=12)
+        # lags beyond 2 clear 5 standard errors but not a floor set just above them
+        doctored = [d if d.lag <= 2 else dataclasses.replace(d, floor=d.delta_hat)
+                    for d in profile]
+        assert check_summability(profile, 0.5).used_lags == tuple(range(9))
+        assert check_summability(doctored, 0.5).used_lags == (0, 1, 2)
 
     def test_noise_floor_lags_excluded(self):
         profile = estimate_delta_profile(AR1, 8, 4000, seed=12)
