@@ -151,7 +151,7 @@ def _delta_from_diffs(lag: int, diffs: np.ndarray, floor: float = 0.0) -> DeltaE
     reps = diffs.size
     centered = diffs - diffs.mean()
     scale = math.frexp(float(np.max(np.abs(centered))))[1]
-    centered = np.ldexp(centered, -scale, out=centered)
+    np.ldexp(centered, -scale, out=centered)
     var = float(centered @ centered) / (reps - 1)
     delta = math.sqrt(var)
     np.square(centered, out=centered)
