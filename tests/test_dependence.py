@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,15 @@ class TestEstimateDelta:
         monkeypatch.setattr(NoiseSpec, "fill", lambda *args: pytest.fail("innovations drawn"))
         with pytest.raises(ValueError, match="less than 2\\*\\*128"):
             estimate_delta_profile(TarModel(0.6, -0.3), 2, 100, seed=2**128 - 50)
+
+    @pytest.mark.parametrize("seed", [np.int64(2**63 - 5), np.uint64(2**64 - 3)], ids=repr)
+    def test_numpy_integer_seed_equals_its_python_int(self, seed):
+        # seed + k runs past the numpy type's end, where it would wrap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = estimate_delta_profile(TarModel(0.6, -0.3), 3, 100, seed=seed)
+        expected = estimate_delta_profile(TarModel(0.6, -0.3), 3, 100, seed=int(seed))
+        assert repr(got) == repr(expected)
 
     def test_burn_in_must_be_a_nonnegative_integer(self):
         with pytest.raises(ValueError, match="burn_in must be a nonnegative integer"):

@@ -442,6 +442,18 @@ class TestRateExperiment:
         with pytest.raises(ValueError, match="seed must be an integer|less than 2\\*\\*128"):
             rate_experiment(AR1, self.N_GRID, 10, seed=seed)
 
+    @pytest.mark.parametrize("seed", [np.int64(2**63 - 5), np.uint64(2**64 - 3)], ids=repr)
+    def test_numpy_integer_seed_equals_its_python_int(self, seed):
+        # seed + k runs past the numpy type's end, where it would wrap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rate_experiment(AR1, self.N_GRID, 10, seed=seed)
+        expected = rate_experiment(AR1, self.N_GRID, 10, seed=int(seed))
+        assert [(r.n, r.replication, r.sup_error, r.grid_error_bound) for r in got.records] == [
+            (r.n, r.replication, r.sup_error, r.grid_error_bound) for r in expected.records]
+        assert repr((got.median_errors, got.fitted_slope, got.slope_ci)) == repr(
+            (expected.median_errors, expected.fitted_slope, expected.slope_ci))
+
     def test_report_shape_and_gate(self):
         report = rate_experiment(AR1, self.N_GRID, 10, seed=314)
         assert report.n_values == tuple(self.N_GRID)
