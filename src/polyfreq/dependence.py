@@ -179,6 +179,7 @@ def estimate_delta_profile(model: Model, max_lag: int, replications: int, seed: 
     max_lag = _count(max_lag, "max_lag")
     replications = _count(replications, "replications", 100)
     _check_seeds([seed])
+    seed = int(seed)  # a numpy integer's seed + k could wrap
     a, b = coupled_paths(model, max_lag, range(seed, seed + replications), burn_in)
     # lag-major: row k holds every replication's lag-k value of both paths,
     # contiguous, so each lag reduces one row rather than strided columns (a

@@ -384,7 +384,7 @@ def _slope_ci(ns: Sequence[int], errors: np.ndarray, seed: int) -> tuple[float, 
     reps = errors.shape[1]
     if reps < 2:
         return None
-    boot_rng = np.random.default_rng((abs(int(seed)), 0xB007))
+    boot_rng = np.random.default_rng((seed, 0xB007))
     idx = boot_rng.integers(0, reps, (500, reps))
     meds = np.median(errors[:, idx], axis=2).T
     logs = np.log(meds[(meds > 0.0).all(axis=1)])
@@ -437,6 +437,7 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     burn_in = resolve_burn_in(model, None)
     _count(500 * len(ns) * reps, f"a bootstrap table of 500 x {len(ns)} sizes x {reps}")
     _check_seeds([seed])
+    seed = int(seed)  # a numpy integer's seed + k could wrap
     seeds = range(seed, seed + reps)
     _check_seeds(seeds)
     _check_batch(model, ns[-1], reps, burn_in)
