@@ -415,7 +415,7 @@ def rate_experiment(model: Model, n_values: Sequence[int], reps: int, seed: int 
     nothing.  A Markov model too slow to burn in (see
     :func:`models.resolve_burn_in`) is refused before the truth is built.
     Right after the size grid and ``max_workers``, the ``500 * sizes *
-    reps`` bootstrap table and the ``reps`` paths' draws (a Markov batch
+    reps`` bootstrap table and the ``reps`` paths' draws (each Markov row
     padded to whole segments) are refused past ``models.MAX_BUFFER_VALUES``
     values, and so are seeds that are not integers or run past ``2**128``,
     before the truth is built.

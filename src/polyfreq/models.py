@@ -64,7 +64,7 @@ ROOT_MARGIN = 1e-9
 ORACLE_MAX_ITERATIONS = 500
 
 #: largest array, in values (2 GiB of float64), that a simulation or a
-#: coupling draws, a Markov batch's padding to whole segments included
+#: coupling draws, each Markov row's padding to whole segments included
 MAX_BUFFER_VALUES = 2**28
 
 #: a TAR or NLAR model's default burn-in shrinks a start-state gap to at
@@ -572,13 +572,10 @@ def resolve_burn_in(model: Model, burn_in: int | None) -> int:
     return floor if burn_in is None else burn_in
 
 
-def _draw_rows(model: Model, seeds: Sequence[int], width: int,
-               total: int | None = None) -> np.ndarray:
+def _draw_rows(model: Model, seeds: Sequence[int], width: int) -> np.ndarray:
     """One row of ``width`` innovations per seed, each from its own stream.
 
-    With ``total``, the rows lie end to end at the start of one zeroed run of
-    ``total`` values, which is returned flat, and the columns past them stay
-    0.0.  One generator is re-keyed per seed (only the key of one state dict
+    One generator is re-keyed per seed (only the key of one state dict
     changes), which gives the values of a fresh ``make_rng(seed)`` without
     building one; the unscaled values are drawn seed by seed on the calling
     thread and scaled in one pass.  An array of more than
@@ -586,16 +583,15 @@ def _draw_rows(model: Model, seeds: Sequence[int], width: int,
     refused before the array is allocated.
     """
     rows = len(seeds)
-    _count(rows * width if total is None else total, f"a batch of {rows} x {width} draws")
+    _count(rows * width, f"a batch of {rows} x {width} draws")
     _check_seeds(seeds)
-    flat = np.empty(rows * width) if total is None else np.zeros(total)
-    draws = flat[:rows * width].reshape(rows, width)
+    draws = np.empty((rows, width))
     rng, state = make_rng(0), _philox_state(0)
     for row, seed in zip(draws, seeds):
         rng.bit_generator.state = _philox_state(seed, state)
         model.noise.fill(rng, row, False)  # unscaled
     model.noise.rescale(draws)
-    return draws if total is None else flat
+    return draws
 
 
 def _arma_polys(model: ArmaModel) -> tuple[np.ndarray, np.ndarray]:
@@ -744,9 +740,9 @@ def simulate_rows(model: Model, n: int, seeds: Sequence[int],
     Each row is drawn from its own stream, and every row is drawn and
     stepped on the calling thread.  ARMA rows are filtered together (block
     by block, see :func:`_advance_blocks`) and finite moving-average rows
-    one ``np.convolve`` per row.  Markov rows are packed end to end into one
-    run of draws, cut into segments of ``4 * default_burn_in(model)``
-    columns (at most one row's ``burn_in + n``), and the segments are
+    one ``np.convolve`` per row.  Each Markov row of ``burn_in + n`` draws
+    is cut into its own segments, at most ``4 * default_burn_in(model)``
+    columns wide (see :func:`_segments`), and all rows' segments are
     stepped together: the Python loop runs ``default_burn_in(model)``
     warm-up steps and one segment's width, at most five warm-ups in all
     whatever ``n`` is, and checks that every segment joins its predecessor
@@ -780,53 +776,33 @@ def simulate_rows(model: Model, n: int, seeds: Sequence[int],
     return _simulate_packed(model, n, seeds, burn_in)
 
 
-def _segments(model: Model, length: int, rows: int) -> tuple[int, int]:
-    """Width and count of the segments a packed Markov batch is cut into.
+def _segments(model: Model, length: int) -> tuple[int, int]:
+    """Count and width of the segments a Markov row of ``length`` columns is cut into.
 
-    The batch holds ``rows`` rows of ``length`` columns end to end.  A
-    segment is four warm-ups wide, ``4 * default_burn_in(model)`` columns,
-    so the warm-up steps are a fifth of the stepped columns, but no wider
-    than a row: rows that each fit one segment step no more columns than
-    one of them.  The last segment is padded to the full width, which adds
-    less than one segment to the batch.
+    A segment is at most four warm-ups wide, ``4 * default_burn_in(model)``
+    columns, so the warm-up steps are at most a fifth of the stepped
+    columns.  The row is cut into the fewest such segments, ``count``, all
+    of width ``ceil(length / count)``, which pads it by less than ``count``
+    columns; a row that fits one segment is that segment.
     """
-    width = min(4 * default_burn_in(model), length)
-    return width, -(-rows * length // width)
+    count = -(-length // (4 * default_burn_in(model)))
+    return count, -(-length // count)
 
 
 def _check_batch(model: Model, n: int, rows: int, burn_in: int) -> None:
     """Refuse the draws of ``rows`` paths of ``n`` values past ``MAX_BUFFER_VALUES`` values.
 
-    A moving-average row draws its order more values than ``n``, an ARMA or
-    Markov row its resolved ``burn_in``, and a Markov batch is padded to
-    whole segments of :func:`_segments`.
+    A moving-average row draws its order more values than ``n``, an ARMA
+    row its resolved ``burn_in``, and a Markov row its ``count * width``
+    values of :func:`_segments`.
     """
     if isinstance(model, LinearProcess):
         total = rows * (n + model.order)
     elif isinstance(model, ArmaModel):
         total = rows * (burn_in + n)
     else:
-        total = math.prod(_segments(model, burn_in + n, rows))
+        total = rows * math.prod(_segments(model, burn_in + n))
     _count(total, f"a batch of {rows} paths of n={n}")
-
-
-def _step_restarting(model: Model, state, block: np.ndarray, rows: np.ndarray,
-                     cols: np.ndarray, write: bool) -> np.ndarray:
-    """:func:`_markov_steps` over ``block`` from ``state``; returns the end state.
-
-    A path starts at each ``block[rows[k], cols[k]]``: that draw is the
-    path's value there, whatever the state before it.
-    """
-    column = 0
-    for c in np.unique(cols).tolist():
-        at = rows[cols == c]
-        x0 = block[at, c]
-        state = _markov_steps(model, state, block[:, column:c + 1], write)
-        state[at] = x0
-        if write:
-            block[at, c] = x0
-        column = c + 1
-    return _markov_steps(model, state, block[:, column:], write)
 
 
 def _stream_at(model: Model, seed: int, skip: int) -> np.random.Generator:
@@ -837,65 +813,55 @@ def _stream_at(model: Model, seed: int, skip: int) -> np.random.Generator:
     the ones drawn before.
     """
     rng = make_rng(seed)
-    scratch = np.empty(_segments(model, skip, 1)[0])
+    scratch = np.empty(_segments(model, skip)[1])
     while skip:
         skip -= len(model.noise.fill(rng, scratch[:min(skip, len(scratch))]))
     return rng
 
 
 def _simulate_packed(model: Model, n: int, seeds: Sequence[int], burn_in: int) -> np.ndarray:
-    """Markov rows of ``burn_in + n`` draws packed end to end and stepped in segments.
+    """Markov rows of ``burn_in + n`` draws, each cut into its own segments, stepped together.
 
-    The rows are the ``(len(seeds), burn_in + n)`` matrix read flat, at the
-    start of one run of draws padded to whole segments of ``width``
-    columns: the rows of one ``(segments, width)`` array.  All segments step
-    together, ``width`` steps in all.  A segment that starts where a row
-    starts takes the row's first draw as its value; one that starts mid-row
-    starts from a warm-up: ``default_burn_in(model)`` steps from 0 over the
-    innovations just before it, which the stable map makes forget its
-    start.  The join check makes this exact: the warm-up's last value must
-    equal its predecessor's final value bit for bit, and from there the
-    segment has the state, innovations and operations of a sequential run.
-    A segment whose join fails is stepped again from the exact state before
-    it, on innovations re-drawn from its row's seed, and so is each next
-    segment of the row while its join fails against the new values.
+    Row ``i`` is ``count * width`` draws of its stream (see
+    :func:`_segments`), held as the segments ``i * count`` to
+    ``(i + 1) * count - 1``, the rows of one ``(len(seeds) * count, width)``
+    array; its columns past ``burn_in + n`` are padding.  All segments step
+    together, ``width`` steps in all.  A row's first segment takes the row's
+    first draw as its value; every other segment starts from a warm-up:
+    ``default_burn_in(model)`` steps from 0 over the innovations just before
+    it, which the stable map makes forget its start.  The join check makes
+    this exact: the warm-up's last value must equal its predecessor's final
+    value bit for bit, and from there the segment has the state, innovations
+    and operations of a sequential run.  A segment whose join fails is
+    stepped again from the exact state before it, on innovations re-drawn
+    from its row's seed, and so is each next segment of the row while its
+    join fails against the new values.
     """
-    length = burn_in + n
-    width, segments = _segments(model, length, len(seeds))
-    flat = _draw_rows(model, seeds, length, segments * width)
-    draws = flat.reshape(segments, width)
-    first_seg, first_col = np.divmod(np.arange(len(seeds)) * length, width)
-    # a segment whose first column continues a row
-    mid = np.ones(segments, dtype=bool)
-    mid[first_seg[first_col == 0]] = False
-    state = np.zeros(segments)
-    if mid.any():
+    count, width = _segments(model, burn_in + n)
+    draws = _draw_rows(model, seeds, count * width).reshape(len(seeds) * count, width)
+    mid = np.arange(len(draws)) % count != 0  # segments that continue a row
+    state = np.zeros(len(draws))
+    if count > 1:
         # every segment's warm-up over the last columns of the one before it,
-        # read-only before they are overwritten; a row starting there
-        # restarts the warm-up
+        # read-only before they are overwritten
         warm = default_burn_in(model)
-        inside = (first_col >= width - warm) & (first_seg < segments - 1)
-        state[1:] = _step_restarting(model, state[1:], draws[:-1, width - warm:],
-                                     first_seg[inside], first_col[inside] - (width - warm),
-                                     write=False)
-    _step_restarting(model, state, draws, first_seg, first_col, write=True)
+        state[1:] = _markov_steps(model, state[1:], draws[:-1, width - warm:], write=False)
+    np.copyto(draws[:, 0], model.transition(state) + draws[:, 0], where=mid)
+    _markov_steps(model, draws[:, 0], draws[:, 1:], write=True)
     failed = np.flatnonzero(mid[1:] & (state[1:] != draws[:-1, -1])) + 1
-    stepped = 0  # segments before it were stepped again
+    stepped = 0  # this segment and those before it hold exact values
     for j in failed.tolist():
-        if j < stepped:
+        if j <= stepped:
             continue
-        i, skip = divmod(j * width, length)
-        row_stop = (i + 1) * length
-        rng = _stream_at(model, seeds[i], skip)
+        rng = _stream_at(model, seeds[j // count], j % count * width)
         while True:
-            a, b = j * width, min((j + 1) * width, row_stop)
-            model.noise.fill(rng, flat[a:b])
-            _markov_steps(model, flat[a - 1:a], flat[None, a:b], write=True)
+            model.noise.fill(rng, draws[j])
+            _markov_steps(model, draws[j - 1, -1:], draws[j:j + 1], write=True)
             j += 1
-            if b == row_stop or state[j] == flat[b - 1]:
+            if j % count == 0 or state[j] == draws[j - 1, -1]:
                 break
         stepped = j
-    return flat[:len(seeds) * length].reshape(len(seeds), length)[:, burn_in:]
+    return draws.reshape(len(seeds), count * width)[:, burn_in:burn_in + n]
 
 
 # ---------------------------------------------------------------------------

@@ -44,19 +44,18 @@ AR1 = ArmaModel(ar=(0.5,))
 
 
 def assert_packed_end_to_end(model, rows, burn_in):
-    """Markov rows are contiguous views of one batch of whole segments, the
-    matrix of their draws read flat from its start; returns the segment
-    width and each row's first column in the flattened batch."""
-    length = burn_in + rows.shape[1]
-    width, _ = models._segments(model, length, len(rows))
-    start = np.arange(len(rows)) * length
+    """Markov row ``i`` is a contiguous view that starts ``i * count * width
+    + burn_in`` values into one ``(rows, count * width)`` batch: each row's
+    own ``count`` whole segments of ``width`` columns; returns ``(count,
+    width)``."""
+    count, width = models._segments(model, burn_in + rows.shape[1])
     batch = rows.base
-    assert batch.ndim == 1 and batch.size == -(-len(rows) * length // width) * width
+    assert batch.shape == (len(rows), count * width)
     origin = batch.__array_interface__["data"][0]
-    for row, a in zip(rows, start):
+    for i, row in enumerate(rows):
         assert row.base is batch and row.flags.c_contiguous
-        assert row.__array_interface__["data"][0] - origin == 8 * (a + burn_in)
-    return width, start
+        assert row.__array_interface__["data"][0] - origin == 8 * (i * count * width + burn_in)
+    return count, width
 
 
 def sequential_path(model, n, burn_in, seed):
@@ -145,21 +144,6 @@ class TestStreams:
             assert_array_equal(row.view(np.uint64), ref.view(np.uint64))
             assert_array_equal(spec.fill(make_rng(seed), np.empty(width)).view(np.uint64),
                                ref.view(np.uint64))
-
-    @pytest.mark.parametrize("spec", [NoiseSpec("gaussian", 1.7), NoiseSpec("uniform", 0.3),
-                                      NoiseSpec("laplace", 2.5)], ids=lambda s: s.distribution)
-    @pytest.mark.parametrize("width", [1, 1012])
-    def test_rows_end_to_end_in_zeros(self, spec, width):
-        model = TarModel(0.5, 0.5, noise=spec)
-        # rows end to end in one run, one per seed, then 20 columns of padding
-        end = len(SEED_TABLE) * width
-        draws = models._draw_rows(model, SEED_TABLE, width, end + 20)
-        assert draws.shape == (end + 20,)
-        for k, seed in enumerate(SEED_TABLE):
-            assert_array_equal(draws[k * width:(k + 1) * width].view(np.uint64),
-                               philox_reference(spec, seed, width).view(np.uint64))
-        # +0.0 exactly: scaling stops at the last row
-        assert not draws[end:].view(np.uint64).any()
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_out_of_range_seeds_refused_like_philox(self, seed):
@@ -436,48 +420,44 @@ class TestSimulate:
     @pytest.mark.parametrize("burn_in", [None, 1500])
     @pytest.mark.parametrize("n", [1, 5, 333, 2000])
     def test_packed_rows_equal_single_paths(self, model, burn_in, n):
-        # seeds out of order; Markov rows are packed end to end, and rows
-        # longer than a segment (all but n = 1 and 5 at the default burn-in)
-        # have some starting mid-segment and some segments starting mid-row
+        # seeds out of order; each Markov row is cut into its own segments,
+        # and rows longer than a segment (all but n = 1 and 5 at the default
+        # burn-in) have joins inside them
         seeds = [41, 3, 17, 8, 5, 9, 10]
         rows = simulate_rows(model, n, seeds, burn_in=burn_in)
         assert rows.shape == (7, n)
         if isinstance(model, (TarModel, NlarModel)):
-            burn = resolve_burn_in(model, burn_in)
-            width, start = assert_packed_end_to_end(model, rows, burn)
-            if n >= 333 or burn_in is not None:
-                assert (start % width).any()
-                joins = np.arange(width, len(seeds) * (burn + n), width)
-                assert np.setdiff1d(joins, start).size
+            count, _ = assert_packed_end_to_end(model, rows, resolve_burn_in(model, burn_in))
+            assert (count > 1) == (n >= 333 or burn_in is not None)
         for row, s in zip(rows, seeds):
             assert_array_equal(row, simulate(model, n, burn_in=burn_in, seed=s))
 
     def test_markov_rows_share_one_packed_batch(self):
-        # rows of burn_in + n steps, 5200 in all, end to end in whole
-        # segments four warm-ups wide
+        # rows of burn_in + n = 1300 steps, each in the fewest segments at
+        # most four warm-ups (328) wide: 4 of 325, so 5200 values and no padding
         model = TarModel(0.6, -0.3)
         burn = default_burn_in(model)
         rows = simulate_rows(model, 1300 - burn, [1, 2, 3, 4])
-        width, start = assert_packed_end_to_end(model, rows, burn)
-        assert width == 4 * default_burn_in(model)
-        assert rows.base.size == math.ceil(5200 / width) * width
-        assert start.tolist() == [0, 1300, 2600, 3900]
+        assert assert_packed_end_to_end(model, rows, burn) == (4, 325)
+        assert 4 * default_burn_in(model) == 328
+        assert rows.base.size == 5200
 
     @pytest.mark.parametrize("n,reps,size", [
-        # one row of 1007 columns in 4 segments of 328
-        (7, 1, 1312),
-        # six rows of 1009 columns in 19 segments of 328
-        (9, 6, 6232),
+        # one row of 1007 columns in 4 segments of 252
+        (7, 1, 1008),
+        # six rows of 1009 columns, each in 4 segments of 253
+        (9, 6, 6072),
         # the largest sizes of rate experiments
         (2**17, 20, None),
         (2**14, 200, None),
     ], ids=["one-row", "short-rows", "reps-20", "reps-200"])
     def test_packed_rows_do_not_overlap(self, n, reps, size):
-        # rows lie end to end, so the batch pads them by less than a segment
+        # each row is padded to its own whole segments, by less than one
+        # column per segment
         model = TarModel(0.6, -0.3)
         rows = simulate_rows(model, n, range(reps), burn_in=1000)
-        width, _ = assert_packed_end_to_end(model, rows, 1000)
-        assert 0 <= rows.base.size - reps * (1000 + n) < width
+        count, _ = assert_packed_end_to_end(model, rows, 1000)
+        assert 0 <= rows.base.size - reps * (1000 + n) < reps * count
         if size is not None:
             assert rows.base.size == size
 
@@ -493,16 +473,15 @@ class TestSimulate:
     @pytest.mark.parametrize("joins", ["checked", "all-fail"])
     def test_rows_at_segment_boundaries_equal_sequential_runs(self, name, burn_in, joins,
                                                               monkeypatch):
-        # rows of k segments less one column, exactly, and one more, with the
-        # least k that leaves two joins after the burn-in; alone and, three
-        # of each size, end to end in one batch
+        # rows of k widest segments less one column, exactly, and one more,
+        # with the least k that leaves two joins after the burn-in; alone
+        # and, three of each length, in one batch
         model = self.BOUNDARY_MODELS[name]
         burn = resolve_burn_in(model, burn_in)
         skips = []
         if joins == "all-fail":
-            # a 2-step warm-up cannot forget its start: every join fails
-            # unless its warm-up begins at the row's first draw, and each row
-            # is stepped again from its first failed join on
+            # a 2-step warm-up cannot forget its start: every join fails, and
+            # each row is stepped again from its first join, one segment in
             monkeypatch.setattr(models, "default_burn_in", lambda model: 2)
             inner = models._stream_at
 
@@ -511,12 +490,13 @@ class TestSimulate:
                 return inner(model, seed, skip)
 
             monkeypatch.setattr(models, "_stream_at", stream_at)
-        width, _ = models._segments(model, 10**9, 10**9)
         seeds = [3, 7, 11]
-        k = burn // width + 3
-        ns = [k * width + d - burn for d in (-1, 0, 1)]
-        assert np.count_nonzero(np.arange(1, k) * width > burn) == 2  # joins inside each row
-        for n in ns:
+        widest = 4 * models.default_burn_in(model)
+        k = burn // widest + 3
+        for length in (k * widest - 1, k * widest, k * widest + 1):
+            n = length - burn
+            count, width = models._segments(model, length)
+            assert np.count_nonzero(np.arange(1, count) * width > burn) >= 2  # joins in each row
             expected = [sequential_path(model, n, burn, s) for s in seeds]
             for s, path in zip(seeds, expected):
                 assert_array_equal(simulate(model, n, burn, seed=s), path)
@@ -524,10 +504,25 @@ class TestSimulate:
             for row, path in zip(rows, expected):
                 assert_array_equal(row, path)
             if joins == "all-fail":
-                _, start = assert_packed_end_to_end(model, rows, burn)
-                first = ((start + 2) // width + 1) * width
-                assert skips == [(s, width) for s in seeds] + list(zip(seeds, first - start))
+                assert_packed_end_to_end(model, rows, burn)
+                # once for the rows alone, once for the batch
+                assert skips == [(s, width) for s in seeds] * 2
                 skips.clear()
+
+    def test_packed_loop_steps_one_warm_up_and_one_segment(self):
+        # the Python loop's cost bound: default_burn_in + width transition
+        # calls for a batch of rows of 2**16 values, and for one such row
+        calls = []
+        model = NlarModel(lambda x: calls.append(1) or 0.5 * np.tanh(x), 0.5)
+        require_valid(model)
+        probe = len(calls)  # the Lipschitz check's one call
+        burn = default_burn_in(model)
+        count, width = models._segments(model, burn + 2**16)
+        assert count > 1 and width <= 4 * burn
+        for seeds in (range(10), [10]):
+            calls.clear()
+            simulate_rows(model, 2**16, seeds)
+            assert len(calls) - probe <= burn + width
 
     def test_markov_batch_holds_its_segments_and_little_else(self):
         model = TarModel(0.6, -0.3)
@@ -539,7 +534,7 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         batch = rows.base.size
-        segments = batch // models._segments(model, 2**14, 10)[0]
+        segments = 10 * models._segments(model, default_burn_in(model) + 2**14)[0]
         assert peak <= 8 * (batch + segments * default_burn_in(model))
 
     def test_rows_validate_like_simulate(self):
@@ -731,14 +726,13 @@ class TestDrawThreads:
     """Every row is drawn on the calling thread."""
 
     def test_runs_split_the_rows_evenly(self, monkeypatch):
-        # 11 rows of 10 draws lie end to end in one run of 120 values, drawn
-        # without starting a thread
+        # 11 rows of 10 draws, drawn without starting a thread
         monkeypatch.setattr(threading.Thread, "start",
                             lambda self: pytest.fail("started a thread"))
-        draws = models._draw_rows(TarModel(0.6, -0.3), range(11), 10, 120)
+        draws = models._draw_rows(TarModel(0.6, -0.3), range(11), 10)
+        assert draws.shape == (11, 10)
         for k in range(11):
-            assert_array_equal(draws[10 * k:10 * (k + 1)], make_rng(k).standard_normal(10))
-        assert not draws[110:].view(np.uint64).any()
+            assert_array_equal(draws[k], make_rng(k).standard_normal(10))
 
 
 class TestTarOracle:
